@@ -3,7 +3,7 @@
 Recursive majorants and their certificates, the diagonal-dominance
 guarantee, the exponential family with its closed form, the boundedness
 function B(n, k, t) = n! * M^(n+k) * (M+1)^(t-1) with its entry/ratio/cycle
-checks, and the product-of-row-sums baseline.
+checks and their case generators, and the product-of-row-sums baseline.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     ZeroPivot,
 )
 from .matcore import IndexSet, Matrix, permanent_ryser, select
-from .process import ProcessTrace, recursive_u, run_process
+from .process import ProcessTrace, closed_recursion, cross_sum, recursive_u, run_process
 from .scalars import FLOAT64, RATIONAL, Scalar, coerce, eq_scalar, leq_scalar, one, zero
 
 
@@ -70,29 +70,6 @@ class BoundFunction:
 
 
 @dataclass(frozen=True)
-class BoundReport:
-    """Per-matrix record of the computed bounds and tightness ratios."""
-
-    matrix_id: str
-    n: int
-    process_bound: Scalar
-    rowsum_bound: Scalar
-    exact_perm: Scalar | None = None
-
-    @property
-    def process_over_exact(self) -> Scalar | None:
-        if self.exact_perm in (None, 0):
-            return None
-        return self.process_bound / self.exact_perm
-
-    @property
-    def rowsum_over_exact(self) -> Scalar | None:
-        if self.exact_perm in (None, 0):
-            return None
-        return self.rowsum_bound / self.exact_perm
-
-
-@dataclass(frozen=True)
 class DiagDominanceResult:
     certified: bool
     bound: Scalar | None
@@ -116,14 +93,6 @@ def rowsum_bound(a: Matrix) -> Scalar:
     return total
 
 
-def _majorant_lhs(a_rows, b_rows, i: int, j: int, kind: str) -> Scalar:
-    cut = min(i, j)
-    return a_rows[i][j] + sum(
-        (b_rows[i][s] * b_rows[s][j] / a_rows[s][s] for s in range(cut)),
-        start=zero(kind),
-    )
-
-
 def verify_majorant(cert: MajorantCertificate) -> MajorantCertificate:
     """Check the majorant recursion condition at every entry and mark verified.
 
@@ -143,9 +112,10 @@ def verify_majorant(cert: MajorantCertificate) -> MajorantCertificate:
     for s in range(n - 1):
         if a.entries[s][s] == 0:
             raise ZeroPivot(s + 1)
+    diag = [a.entries[s][s] for s in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = _majorant_lhs(a.entries, b.entries, i, j, kind)
+            lhs = a.entries[i][j] + cross_sum(b.entries, diag, i, j, kind)
             ok = (
                 eq_scalar(lhs, b.entries[i][j], kind)
                 if cert.mode == "equality"
@@ -169,20 +139,9 @@ def solve_majorant(a: Matrix) -> Matrix:
     the denominators are the original diagonal entries, so b dominates the
     process values u and per(A) <= prod b_{i,i}.
     """
-    n = a.n
     if not a.is_nonneg():
         raise NegativeEntry("solve_majorant requires a non-negative matrix")
-    for s in range(n - 1):
-        if a.entries[s][s] == 0:
-            raise ZeroPivot(s + 1)
-    rows = a.entries
-    b = [[None] * n for _ in range(n)]
-    for m0 in range(n):
-        for j in range(m0, n):
-            b[m0][j] = _majorant_lhs(rows, b, m0, j, a.kind)
-        for i in range(m0 + 1, n):
-            b[i][m0] = _majorant_lhs(rows, b, i, m0, a.kind)
-    return Matrix(tuple(tuple(r) for r in b), a.kind)
+    return closed_recursion(a, den=[a.entries[s][s] for s in range(a.n)])
 
 
 def diag_dominance_certify(a: Matrix, eps: Scalar) -> DiagDominanceResult:
@@ -206,12 +165,10 @@ def diag_dominance_certify(a: Matrix, eps: Scalar) -> DiagDominanceResult:
             raise ZeroPivot(s + 1, f"zero diagonal entry at ({s + 1}, {s + 1})")
     factor = (1 + e) ** 2 / e
     rows = a.entries
+    diag = [rows[s][s] for s in range(n)]
     for i in range(n):
         for j in range(n):
-            cross = sum(
-                (rows[i][s] * rows[s][j] / rows[s][s] for s in range(min(i, j))),
-                start=zero(kind),
-            )
+            cross = cross_sum(rows, diag, i, j, kind)
             if not leq_scalar(factor * cross, rows[i][j], kind):
                 return DiagDominanceResult(False, None, e, (i + 1, j + 1))
     bound = (1 + e) ** n
@@ -318,6 +275,43 @@ def cycle_sum_ratio(
     ratio = num / den
     cap = BoundFunction(n, M)(len(ss), t)
     return RatioCheck(ratio, cap, leq_scalar(ratio, cap, kind))
+
+
+def perm_ratio_cases(n: int, rng=None, count: int = 0):
+    """(S, i, j) cases for perm_ratio_check: all of them when rng is None,
+    else count random draws (size, S, i, j in that order per case)."""
+    if rng is None:
+        for size in range(n):
+            for s in combinations(range(1, n + 1), size):
+                rest = [i for i in range(1, n + 1) if i not in s]
+                for i in rest:
+                    for j in rest:
+                        yield s, i, j
+        return
+    for _ in range(count):
+        size = rng.randint(0, n - 1)
+        s = tuple(sorted(rng.sample(range(1, n + 1), size)))
+        rest = [i for i in range(1, n + 1) if i not in s]
+        yield s, rng.choice(rest), rng.choice(rest)
+
+
+def cycle_sum_cases(n: int, rng=None, count: int = 0):
+    """(t, S) cases for cycle_sum_ratio, S within {t+1, ..., n} and |S| >= 2:
+    all of them when rng is None, else count random draws (t, size, S).
+
+    Yields lazily, so a caller sharing rng may draw i0 from S between cases.
+    """
+    if rng is None:
+        for t in range(1, n - 1):
+            for size in range(2, n - t + 1):
+                for s in combinations(range(t + 1, n + 1), size):
+                    yield t, s
+        return
+    for _ in range(count):
+        t = rng.randint(1, n - 2)
+        pool = list(range(t + 1, n + 1))
+        size = rng.randint(2, len(pool))
+        yield t, tuple(sorted(rng.sample(pool, size)))
 
 
 def perm_ratio_check(

@@ -14,21 +14,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
 from .bounds import (
     MajorantCertificate,
+    cycle_sum_cases,
     cycle_sum_ratio,
     diag_dominance_certify,
     entry_bound_check,
     exp_family,
+    perm_ratio_cases,
     perm_ratio_check,
     rowsum_bound,
     verify_majorant,
@@ -97,13 +96,13 @@ def _pick_arithmetic(flag: str | None, n: int) -> str:
     return RATIONAL if n <= RATIONAL_DEFAULT_MAX_N else FLOAT64
 
 
-def _parse_eps(text: str, kind: str):
-    value = Fraction(text)
-    return value if kind == RATIONAL else float(value)
-
-
-def _fmt(x, kind: str) -> str:
-    return format_scalar(x, kind)
+def _number(key: str, text: str, kind: str = RATIONAL):
+    """Parse a decimal or "p/q" parameter; a malformed one is an input error."""
+    try:
+        value = Fraction(text)
+        return value if kind == RATIONAL else float(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ParameterOutOfRange(f"bad {key} value {text!r}: {exc}") from exc
 
 
 def _build_report(
@@ -123,25 +122,25 @@ def _build_report(
         "id": parsed.matrix_id,
         "n": m.n,
         "arithmetic": arithmetic,
-        "process_bound": _fmt(trace.bound, arithmetic),
-        "rowsum_bound": _fmt(rowsum_bound(m), arithmetic),
+        "process_bound": format_scalar(trace.bound, arithmetic),
+        "rowsum_bound": format_scalar(rowsum_bound(m), arithmetic),
         "ratios": None,
     }
     guard = RYSER_MAX_RATIONAL if arithmetic == RATIONAL else RYSER_MAX_FLOAT
     if m.n <= min(exact_max, guard):
         exact = permanent_ryser(m)
-        report["exact_perm"] = _fmt(exact, arithmetic)
+        report["exact_perm"] = format_scalar(exact, arithmetic)
         if exact != 0:
             report["ratios"] = {
-                "process_over_exact": _fmt(trace.bound / exact, arithmetic),
-                "rowsum_over_exact": _fmt(rowsum_bound(m) / exact, arithmetic),
+                "process_over_exact": format_scalar(trace.bound / exact, arithmetic),
+                "rowsum_over_exact": format_scalar(rowsum_bound(m) / exact, arithmetic),
             }
     if eps is not None:
-        res = diag_dominance_certify(m, _parse_eps(eps, arithmetic))
+        res = diag_dominance_certify(m, _number("eps", eps, arithmetic))
         report["diag_dominance"] = {
-            "eps": _fmt(res.eps, arithmetic),
+            "eps": format_scalar(res.eps, arithmetic),
             "certified": res.certified,
-            "bound": None if res.bound is None else _fmt(res.bound, arithmetic),
+            "bound": None if res.bound is None else format_scalar(res.bound, arithmetic),
         }
         if res.violation is not None:
             report["diag_dominance"]["violation"] = list(res.violation)
@@ -205,7 +204,7 @@ def _family_instances(name: str, params: dict[str, str], count: int):
         raise ParameterOutOfRange("count must be >= 1")
     if name == "exp":
         n = intval("n")
-        c = Fraction(need("c"))
+        c = _number("c", need("c"))
         ident = f"exp(n={n},c={need('c')})"
         yield ParsedMatrix(ident, "nonneg", exp_family(n, c)), None
         return
@@ -222,7 +221,8 @@ def _family_instances(name: str, params: dict[str, str], count: int):
     if n < 1:
         raise ParameterOutOfRange(f"n = {n} must be >= 1")
     eps = need("eps")
-    delta = Fraction(need("delta"))
+    _number("eps", eps)  # fail before any report is built
+    delta = _number("delta", need("delta"))
     if delta < 0:
         raise ParameterOutOfRange(f"delta = {delta} must be >= 0")
     seed = intval("seed")
@@ -246,23 +246,12 @@ def cmd_family(args) -> int:
             raise ParameterOutOfRange(f"family parameters look like key=value, got {item!r}")
         key, value = item.split("=", 1)
         params[key] = value
-    instances = list(_family_instances(args.name, params, args.count))
-    workers = max(1, int(os.environ.get("PERMBOUND_THREADS", "1") or "1"))
-
-    def build(pair):
-        parsed, eps = pair
+    lines = []
+    for parsed, eps in _family_instances(args.name, params, args.count):
         arithmetic = _pick_arithmetic(args.arithmetic, parsed.matrix.n)
-        return json.dumps(
-            _build_report(parsed, arithmetic, args.exact_max, eps=eps,
-                          want_timing=args.timing),
-            sort_keys=True,
-        )
-
-    if workers == 1:
-        lines = [build(pair) for pair in instances]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            lines = list(pool.map(build, instances))
+        report = _build_report(parsed, arithmetic, args.exact_max, eps=eps,
+                               want_timing=args.timing)
+        lines.append(json.dumps(report, sort_keys=True))
     _emit(lines, args.out)
     return OK
 
@@ -379,8 +368,7 @@ def _check_boundedness(suite: _Suite, m: Matrix):
     n = m.n
     if not _has_unit_diagonal(m) or not m.is_nonneg():
         raise PreconditionViolated("boundedness checks need a unit-diagonal non-negative matrix")
-    M = max(Fraction(1), *(Fraction(x) for row in m.entries for x in row)) \
-        if m.kind == RATIONAL else max(1.0, *(x for row in m.entries for x in row))
+    M = max(Fraction(1), *(x for row in m.entries for x in row))
     trace = run_process(m, keep_snapshots=True)
 
     def entry_scan():
@@ -388,45 +376,20 @@ def _check_boundedness(suite: _Suite, m: Matrix):
         return None if violation is None else f"entry bound violated at {violation}"
 
     def perm_ratio():
-        rng = random.Random(0)
-        cases = []
-        if n <= 5:
-            for size in range(0, n):
-                for s in combinations(range(1, n + 1), size):
-                    rest = [i for i in range(1, n + 1) if i not in s]
-                    cases.extend((s, i, j) for i in rest for j in rest)
-        else:
-            for _ in range(60):
-                size = rng.randint(0, n - 1)
-                s = tuple(sorted(rng.sample(range(1, n + 1), size)))
-                rest = [i for i in range(1, n + 1) if i not in s]
-                cases.append((s, rng.choice(rest), rng.choice(rest)))
-        for s, i, j in cases:
+        rng = random.Random(0) if n > 5 else None
+        for s, i, j in perm_ratio_cases(n, rng, 60):
             res = perm_ratio_check(m, s, i, j, M)
             if not res.holds:
                 return f"ratio {res.ratio} > {res.bound} at S = {s}, i = {i}, j = {j}"
         return None
 
     def cycle_sum():
-        rng = random.Random(0)
-        cases = []
-        if n <= 5:
-            for t in range(1, n - 1):
-                pool = range(t + 1, n + 1)
-                for size in range(2, len(pool) + 1):
-                    for s in combinations(pool, size):
-                        cases.extend((t, s, i0) for i0 in s)
-        else:
-            for _ in range(60):
-                t = rng.randint(1, n - 2)
-                pool = list(range(t + 1, n + 1))
-                size = rng.randint(2, len(pool))
-                s = tuple(sorted(rng.sample(pool, size)))
-                cases.append((t, s, rng.choice(s)))
-        for t, s, i0 in cases:
-            res = cycle_sum_ratio(m, t, s, i0, M, trace=trace)
-            if not res.holds:
-                return f"ratio {res.ratio} > {res.bound} at t = {t}, S = {s}, i0 = {i0}"
+        rng = random.Random(0) if n > 5 else None
+        for t, s in cycle_sum_cases(n, rng, 60):
+            for i0 in s if rng is None else (rng.choice(s),):
+                res = cycle_sum_ratio(m, t, s, i0, M, trace=trace)
+                if not res.holds:
+                    return f"ratio {res.ratio} > {res.bound} at t = {t}, S = {s}, i0 = {i0}"
         return None
 
     suite.run("entry-bound", entry_scan)

@@ -1,5 +1,7 @@
-"""Dense matrices over exact rationals or float64, submatrix algebra, and
-the exact permanent/determinant oracles used as ground truth everywhere else.
+"""Dense matrices over exact rationals or float64, submatrix algebra, the
+exact permanent/determinant oracles used as ground truth everywhere else,
+and the one elimination kernel (`eliminate`) shared by the permanent
+process, its minus-variant and the exact PSD test.
 
 Conventions
 -----------
@@ -23,7 +25,9 @@ from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
     IndexOutOfRange,
+    InvalidGram,
     NotSquare,
+    ZeroPivot,
 )
 from .scalars import FLOAT64, KINDS, RATIONAL, Scalar, coerce, one, zero
 
@@ -271,6 +275,45 @@ def permanent_ryser(m: Matrix) -> Scalar:
         size = gray.bit_count()
         total += term if (n - size) % 2 == 0 else -term
     return total
+
+
+def eliminate(rows, sign: int, every_row: bool = False, skip_zero: bool = False,
+              keep: bool = False):
+    """Column-wise elimination a_{i,j} <- a_{i,j} + sign * a_{i,t} a_{t,j} / a_{t,t}.
+
+    For t = 1..n-1 and j > t the update runs over the rows below t, or over
+    every row when every_row is set (row t itself is then zeroed right of
+    the pivot).  sign = +1 is the permanent process, sign = -1 Gaussian
+    elimination.  A zero pivot raises ZeroPivot, unless skip_zero is set:
+    then the step is skipped when the pivot's trailing row and column are
+    zero, and InvalidGram is raised when they are not.
+
+    Returns (pivots, snapshots): the final diagonal, and when keep is set
+    the n states A^(1)..A^(n) as tuples of row tuples (else None).
+    """
+    n = len(rows)
+    a = [list(r) for r in rows]
+    snaps = [tuple(tuple(r) for r in a)] if keep else None
+    for t in range(n - 1):
+        p = a[t][t]
+        if p == 0:
+            if not skip_zero:
+                raise ZeroPivot(t + 1)
+            if any(a[i][t] != 0 or a[t][i] != 0 for i in range(t + 1, n)):
+                raise InvalidGram(f"zero pivot with nonzero row/column at step {t + 1}")
+        else:
+            row_t = a[t][:]  # step-start values; the every_row pass zeroes row t
+            for i in range(n) if every_row else range(t + 1, n):
+                lead = a[i][t]
+                if lead == 0:
+                    continue
+                f = lead / p if sign > 0 else -lead / p
+                ai = a[i]
+                for j in range(t + 1, n):
+                    ai[j] += f * row_t[j]
+        if keep:
+            snaps.append(tuple(tuple(r) for r in a))
+    return tuple(a[t][t] for t in range(n)), snaps
 
 
 def determinant(m: Matrix) -> Scalar:

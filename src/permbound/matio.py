@@ -44,6 +44,8 @@ def _parse_cell(text) -> Fraction:
 
 
 def _rows_to_matrix(rows, what: str) -> Matrix:
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ParseError(f"{what} must be an array of arrays")
     if not rows:
         raise ParseError(f"{what} is empty")
     parsed = [tuple(_parse_cell(x) for x in row) for row in rows]
@@ -73,6 +75,8 @@ def parse_json_text(text: str, matrix_id: str = "stdin") -> ParsedMatrix:
         entries = doc["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("json matrix file needs integer 'n' and 'entries'") from exc
+    if not isinstance(entries, list):
+        raise ParseError("json 'entries' must be an array")
     kind_tag = doc.get("kind", "nonneg")
     if kind_tag not in ("nonneg", "gram"):
         raise ParseError(f"unknown matrix kind {kind_tag!r}")

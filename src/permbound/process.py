@@ -8,7 +8,10 @@ t = 1..n-1 and i, j > t it performs
 and the product of the resulting diagonal pivots upper-bounds per(A) for
 non-negative and for PSD inputs.  The minus-variant (honest column-wise
 Gaussian elimination) reproduces det(A) exactly and serves as a sanity
-anchor.  The u-recursion is the closed dynamic program for the same values.
+anchor.  Both run through `matcore.eliminate` in exact arithmetic.  The
+u-recursion is the closed dynamic program for the same values, and
+`closed_recursion` with the original diagonal as denominators gives the
+recursive majorant.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGram, NegativeInput, ParameterOutOfRange, ZeroPermanent, ZeroPivot
-from .matcore import Matrix, permanent_ryser, select
+from .matcore import Matrix, eliminate, permanent_ryser, select
 from .psd import GramMatrix
-from .scalars import FLOAT64, RATIONAL, Scalar, leq_scalar, one
+from .scalars import FLOAT64, RATIONAL, Scalar, leq_scalar, one, zero
 
 
 @dataclass(frozen=True)
@@ -53,21 +56,6 @@ class ProcessTrace:
 
 
 @dataclass(frozen=True)
-class UMatrix:
-    """The values u_{i,j} = a^(min(i,j))_{i,j} from the closed recursion."""
-
-    matrix: Matrix
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
-
-    @property
-    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
-        return self.matrix.entries
-
-
-@dataclass(frozen=True)
 class PivotBoundCheck:
     t: int
     pivot: Scalar
@@ -89,36 +77,6 @@ def _permute(m: Matrix, perm: tuple[int, ...]) -> Matrix:
         tuple(m.entries[pi - 1][pj - 1] for pj in perm) for pi in perm
     )
     return Matrix(rows, m.kind)
-
-
-def _psd_zero_pivot_ok(a, t0: int, n: int) -> bool:
-    return all(a[i][t0] == 0 and a[t0][i] == 0 for i in range(t0 + 1, n))
-
-
-def _sweep_rational(rows, n: int, psd_mode: bool, keep: bool):
-    a = [list(r) for r in rows]
-    snaps = [tuple(tuple(r) for r in a)] if keep else None
-    for t0 in range(n - 1):
-        p = a[t0][t0]
-        if p == 0:
-            if not psd_mode:
-                raise ZeroPivot(t0 + 1)
-            if not _psd_zero_pivot_ok(a, t0, n):
-                raise InvalidGram(f"zero pivot with nonzero row/column at step {t0 + 1}")
-        else:
-            row_t = a[t0]
-            for i in range(t0 + 1, n):
-                lead = a[i][t0]
-                if lead == 0:
-                    continue
-                f = lead / p
-                ai = a[i]
-                for j in range(t0 + 1, n):
-                    ai[j] += f * row_t[j]
-        if keep:
-            snaps.append(tuple(tuple(r) for r in a))
-    pivots = tuple(a[t][t] for t in range(n))
-    return pivots, snaps
 
 
 def _sweep_float(rows, n: int, psd_mode: bool, keep: bool):
@@ -172,10 +130,12 @@ def run_process(
     perm = _check_ordering(ordering, n)
     if perm is not None:
         m = _permute(m, perm)
-    sweep = _sweep_rational if m.kind == RATIONAL else _sweep_float
-    pivots, snaps = sweep(m.entries, n, psd_mode, keep_snapshots)
-    if m.kind == RATIONAL and keep_snapshots:
-        snaps = [Matrix(s, RATIONAL) for s in snaps]
+    if m.kind == RATIONAL:
+        pivots, snaps = eliminate(m.entries, +1, skip_zero=psd_mode, keep=keep_snapshots)
+        if keep_snapshots:
+            snaps = [Matrix(s, RATIONAL) for s in snaps]
+    else:
+        pivots, snaps = _sweep_float(m.entries, n, psd_mode, keep_snapshots)
     return ProcessTrace(
         n=n,
         pivots=pivots,
@@ -199,56 +159,53 @@ def run_gaussian_variant(a: Matrix, keep_snapshots: bool = False) -> ProcessTrac
     accepted; a zero pivot is an error (no pivoting is performed).
     """
     n = a.n
-    rows = [list(r) for r in a.entries]
-    snaps = [tuple(tuple(r) for r in rows)] if keep_snapshots else None
-    for t0 in range(n - 1):
-        p = rows[t0][t0]
-        if p == 0:
-            raise ZeroPivot(t0 + 1)
-        row_t = list(rows[t0])  # step-start values; row t itself is zeroed below
-        for i in range(n):
-            lead = rows[i][t0]
-            if lead == 0:
-                continue
-            f = lead / p
-            ri = rows[i]
-            for j in range(t0 + 1, n):
-                ri[j] -= f * row_t[j]
-        if keep_snapshots:
-            snaps.append(tuple(tuple(r) for r in rows))
-    pivots = tuple(rows[t][t] for t in range(n))
+    pivots, snaps = eliminate(a.entries, -1, every_row=True, keep=keep_snapshots)
     if keep_snapshots:
         snaps = tuple(Matrix(s, a.kind) for s in snaps)
-    return ProcessTrace(
-        n=n, pivots=pivots, arithmetic=a.kind, ordering=None,
-        snapshots=snaps if keep_snapshots else None,
+    return ProcessTrace(n=n, pivots=pivots, arithmetic=a.kind, snapshots=snaps)
+
+
+def cross_sum(b, den, i: int, j: int, kind: str) -> Scalar:
+    """sum_{s < min(i,j)} b_{i,s} b_{s,j} / den_s over 0-based i, j, s upward from zero."""
+    return sum(
+        (b[i][s] * b[s][j] / den[s] for s in range(min(i, j))),
+        start=zero(kind),
     )
 
 
-def recursive_u(a: Matrix) -> UMatrix:
+def closed_recursion(a: Matrix, den=None) -> Matrix:
+    """Solve b_{i,j} = a_{i,j} + cross_sum(b, den, i, j) in order of min(i,j).
+
+    den is a fixed sequence of denominators, or None for b's own diagonal
+    (den_s = b_{s,s}, the u-recursion).  A zero denominator that a later
+    step divides by raises ZeroPivot with its 1-based index.
+    """
+    n = a.n
+    rows = a.entries
+    b = [[None] * n for _ in range(n)]
+    d = [None] * n if den is None else list(den)
+    for m in range(n):
+        for j in range(m, n):
+            b[m][j] = rows[m][j] + cross_sum(b, d, m, j, a.kind)
+        for i in range(m + 1, n):
+            b[i][m] = rows[i][m] + cross_sum(b, d, i, m, a.kind)
+        if den is None:
+            d[m] = b[m][m]
+        if d[m] == 0 and m < n - 1:
+            raise ZeroPivot(m + 1)
+    return Matrix(tuple(tuple(r) for r in b), a.kind)
+
+
+def recursive_u(a: Matrix) -> Matrix:
     """The closed recursion u_{i,j} = a_{i,j} + sum_{s < min(i,j)} u_{i,s} u_{s,j} / u_{s,s}.
 
     Equals the process values a^(min(i,j))_{i,j} entrywise, hence also the
     final matrix A^(n).  The sum runs to min(i,j) - 1; see the process
     equivalence test.
     """
-    n = a.n
     if not a.is_nonneg():
         raise NegativeInput("the u-recursion is defined for non-negative matrices")
-    rows = a.entries
-    u = [[None] * n for _ in range(n)]
-    for m0 in range(n):
-        for j in range(m0, n):
-            u[m0][j] = rows[m0][j] + sum(
-                u[m0][s] * u[s][j] / u[s][s] for s in range(m0)
-            )
-        for i in range(m0 + 1, n):
-            u[i][m0] = rows[i][m0] + sum(
-                u[i][s] * u[s][m0] / u[s][s] for s in range(m0)
-            )
-        if u[m0][m0] == 0 and m0 < n - 1:
-            raise ZeroPivot(m0 + 1)
-    return UMatrix(Matrix(tuple(tuple(r) for r in u), a.kind))
+    return closed_recursion(a)
 
 
 def pivot_lower_bound_check(a: Matrix | GramMatrix) -> tuple[PivotBoundCheck, ...]:

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
-from .errors import DimensionMismatch, DimensionTooLarge, ZeroPivot
-from .matcore import Matrix, add, delete, matmul, matrix, outer, permanent_ryser, transpose
+from .errors import DimensionMismatch, DimensionTooLarge, InvalidGram, ZeroPivot
+from .matcore import (
+    Matrix, add, delete, eliminate, matmul, matrix, outer, permanent_ryser, transpose,
+)
 from .scalars import RATIONAL, Scalar, coerce, eq_scalar, leq_scalar, one, zero
 
 TENSOR_MAX_N = 6
@@ -175,32 +177,20 @@ def psd_schur_check(g: GramMatrix) -> PsdSchurCheck:
 def is_psd_exact(m: Matrix) -> bool:
     """Exact PSD test for symmetric rational matrices, no square roots.
 
-    Recursive symmetric elimination: a negative pivot refutes PSD-ness; a
-    zero pivot with a nonzero row refutes it; a zero pivot with a zero row
-    is skipped; otherwise the Schur complement is PSD iff the input is.
+    Symmetric elimination (`eliminate` with the minus sign): a zero pivot
+    with a nonzero row refutes PSD-ness, one with a zero row is skipped,
+    and otherwise the input is PSD iff every pivot is >= 0.
     """
     if m.kind != RATIONAL:
         raise ValueError("exact PSD test requires rational entries")
     n = m.n
-    rows = [list(r) for r in m.entries]
+    rows = m.entries
     for i in range(n):
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
                 return False
-    idx = list(range(n))
-    while idx:
-        t = idx[0]
-        pivot = rows[t][t]
-        if pivot < 0:
-            return False
-        if pivot == 0:
-            if any(rows[t][j] != 0 for j in idx):
-                return False
-            idx = idx[1:]
-            continue
-        rest = idx[1:]
-        for i in rest:
-            for j in rest:
-                rows[i][j] -= rows[i][t] * rows[t][j] / pivot
-        idx = rest
-    return True
+    try:
+        pivots, _ = eliminate(rows, -1, skip_zero=True)
+    except InvalidGram:
+        return False
+    return all(p >= 0 for p in pivots)

@@ -22,6 +22,7 @@ from permbound import (
     alpha_coefficients,
     check_identity_dominance,
     condense,
+    cycle_sum_cases,
     cycle_sum_ratio,
     determinant,
     diag_dominance_certify,
@@ -30,6 +31,7 @@ from permbound import (
     exp_family_closed_form,
     minor_ratio_inequality,
     ones,
+    perm_ratio_cases,
     perm_ratio_check,
     permanent_naive,
     permanent_ryser,
@@ -334,40 +336,6 @@ def test_criterion_7_random_certified_instances():
     assert checked == 100
 
 
-def exhaustive_perm_ratio_cases(n):
-    for size in range(0, n):
-        for s in combinations(range(1, n + 1), size):
-            rest = [i for i in range(1, n + 1) if i not in s]
-            for i in rest:
-                for j in rest:
-                    yield s, i, j
-
-
-def exhaustive_cycle_cases(n):
-    for t in range(1, n - 1):
-        pool = range(t + 1, n + 1)
-        for size in range(2, n - t + 1):
-            for s in combinations(pool, size):
-                for i0 in s:
-                    yield t, s, i0
-
-
-def sampled_perm_ratio_cases(rng, n, count):
-    for _ in range(count):
-        size = rng.randint(0, n - 1)
-        s = tuple(sorted(rng.sample(range(1, n + 1), size)))
-        rest = [i for i in range(1, n + 1) if i not in s]
-        yield s, rng.choice(rest), rng.choice(rest)
-
-
-def sampled_cycle_cases(rng, n, count):
-    for _ in range(count):
-        t = rng.randint(1, n - 2)
-        pool = list(range(t + 1, n + 1))
-        size = rng.randint(2, len(pool))
-        yield t, tuple(sorted(rng.sample(pool, size))), None
-
-
 def test_criterion_8_boundedness_checks():
     """200 unit-diagonal instances per (n, M) in {4,5,6} x {1,2,5}.
 
@@ -383,16 +351,15 @@ def test_criterion_8_boundedness_checks():
                 trace = run_process(a, keep_snapshots=True)
                 assert entry_bound_check(a, m_cap, trace=trace) is None
                 if n <= 5:
-                    ratio_cases = exhaustive_perm_ratio_cases(n)
-                    cycle_cases = exhaustive_cycle_cases(n)
+                    ratio_cases = perm_ratio_cases(n)
+                    cycle_cases = cycle_sum_cases(n)
                 else:
-                    ratio_cases = sampled_perm_ratio_cases(rng, n, 30)
-                    cycle_cases = sampled_cycle_cases(rng, n, 30)
+                    ratio_cases = perm_ratio_cases(n, rng, 30)
+                    cycle_cases = cycle_sum_cases(n, rng, 30)
                 for s, i, j in ratio_cases:
                     assert perm_ratio_check(a, s, i, j, m_cap).holds, (n, cap, s, i, j)
-                for t, s, i0 in cycle_cases:
-                    picks = s if i0 is None else (i0,)
-                    for pick in picks:
+                for t, s in cycle_cases:
+                    for pick in s:
                         chk = cycle_sum_ratio(a, t, s, pick, m_cap, trace=trace)
                         assert chk.holds, (n, cap, t, s, pick)
 

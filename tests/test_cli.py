@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from permbound.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SRC = PYPROJECT.parent / "src"
 
 
 @pytest.fixture
@@ -155,15 +157,6 @@ def test_family_random_dd_certifies(capsys):
     ]
 
 
-def test_family_threads_preserve_order(capsys, monkeypatch):
-    args = ["family", "random-dd", "n=4", "eps=1", "delta=1/12", "seed=3", "--count", "4"]
-    monkeypatch.delenv("PERMBOUND_THREADS", raising=False)
-    code, serial, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("PERMBOUND_THREADS", "4")
-    code, threaded, _ = run_cli(capsys, *args)
-    assert serial == threaded
-
-
 def test_family_parameter_validation(capsys):
     code, _, err = run_cli(capsys, "family", "exp", "n=3")
     assert code == 2 and "needs parameter" in json.loads(err)["error"]["message"]
@@ -173,6 +166,24 @@ def test_family_parameter_validation(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "family", "allones", "n=0")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "ONES3", "--eps", "abc"],
+        ["bound", "ONES3", "--eps", "1/0"],
+        ["family", "exp", "n=3", "c=abc"],
+        ["family", "exp", "n=3", "c=1/0"],
+        ["family", "random-dd", "n=4", "eps=1", "delta=x", "seed=1"],
+        ["family", "random-dd", "n=4", "eps=zz", "delta=1/12", "seed=1", "--count", "2"],
+    ],
+)
+def test_malformed_numeric_parameters_exit_2(capsys, ones3, argv):
+    argv = [ones3 if a == "ONES3" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "ParameterOutOfRange"
 
 
 def test_verify_all_passes(capsys, ones3):
@@ -260,10 +271,13 @@ def test_console_script_wiring(capsys):
 
 
 def test_module_entry_point():
+    # the child gets src/ on its path too, as with `PYTHONPATH=src python -m permbound.cli`
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "permbound.cli", "family", "allones", "n=2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["process_bound"] == "2"

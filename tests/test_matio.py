@@ -87,6 +87,13 @@ def test_json_flat_entries_and_validation():
         parse_json_text('{"n": 2, "kind": "odd", "entries": ["1","2","3","4"]}', "j")
     with pytest.raises(ParseError):
         parse_json_text("not json", "j")
+    for non_array in (
+        '{"n": 1, "entries": 5}',
+        '{"n": 1, "kind": "gram", "entries": [["1"]], "factor": 5}',
+        '{"n": 2, "entries": [["1","0"],["0","1"]], "majorant": [1, 2]}',
+    ):
+        with pytest.raises(ParseError):
+            parse_json_text(non_array, "j")
 
 
 def test_parse_matrix_file_dispatch(tmp_path):

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .matcore import IndexSet, Matrix, permanent_ryser, select
 from .process import ProcessTrace, closed_recursion, cross_sum, recursive_u, run_process
-from .scalars import FLOAT64, RATIONAL, Scalar, coerce, eq_scalar, leq_scalar, one, zero
+from .scalars import FLOAT64, RATIONAL, Scalar, SidePair, coerce, eq_scalar, leq_scalar, one, zero
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,6 @@ class DiagDominanceResult:
     bound: Scalar | None
     eps: Scalar
     violation: tuple[int, int] | None = None
-
-
-@dataclass(frozen=True)
-class RatioCheck:
-    ratio: Scalar
-    bound: Scalar
-    holds: bool
 
 
 def rowsum_bound(a: Matrix) -> Scalar:
@@ -240,14 +233,14 @@ def cycle_sum_ratio(
     i0: int,
     M: Scalar,
     trace: ProcessTrace | None = None,
-) -> RatioCheck:
+) -> SidePair:
     """The cycle-sum to sub-permanent ratio at step t, against B(n, |S|, t).
 
     ratio = (sum over full cycles sigma of S of prod_{i in S} a^(t)_{i, sigma(i)})
             / per(A^(t)(S - i0, S - i0)).
 
     S must lie in {t+1, ..., n} with |S| >= 2 and i0 in S; the matrix must
-    have unit diagonal and entries in [0, M].
+    have unit diagonal and entries in [0, M].  lhs is the ratio, rhs the cap.
     """
     n = a.n
     _require_unit_diagonal_bounded(a, M)
@@ -274,7 +267,7 @@ def cycle_sum_ratio(
         raise ZeroPermanent(f"per(A^({t})(S - i0, S - i0)) = 0")
     ratio = num / den
     cap = BoundFunction(n, M)(len(ss), t)
-    return RatioCheck(ratio, cap, leq_scalar(ratio, cap, kind))
+    return SidePair(ratio, cap, leq_scalar(ratio, cap, kind))
 
 
 def perm_ratio_cases(n: int, rng=None, count: int = 0):
@@ -316,11 +309,12 @@ def cycle_sum_cases(n: int, rng=None, count: int = 0):
 
 def perm_ratio_check(
     a: Matrix, s: Iterable[int] | IndexSet, i: int, j: int, M: Scalar
-) -> RatioCheck:
+) -> SidePair:
     """per(A(S+i, S+j)) / per(A(S, S)) against gamma_{|S|+1} = (|S|+1)! M^(|S|+1).
 
     i and j must lie outside S (i = j is fine); unit diagonal makes the
-    denominator >= 1, so ZeroPermanent cannot actually fire here.
+    denominator >= 1, so ZeroPermanent cannot actually fire here.  lhs is
+    the ratio, rhs the cap.
     """
     n = a.n
     _require_unit_diagonal_bounded(a, M)
@@ -335,25 +329,29 @@ def perm_ratio_check(
     num = permanent_ryser(select(a, ss.members + (i,), ss.members + (j,)))
     ratio = num / den
     cap = BoundFunction(n, M).gamma(len(ss) + 1)
-    return RatioCheck(ratio, cap, leq_scalar(ratio, cap, a.kind))
+    return SidePair(ratio, cap, leq_scalar(ratio, cap, a.kind))
 
 
-def _family_scalar(c) -> tuple[Scalar, str]:
-    if isinstance(c, float):
-        return c, FLOAT64
-    return Fraction(c), RATIONAL
-
-
-def exp_family(n: int, c) -> Matrix:
-    """The family (A_n)_{i,j} = c^(-|i-j|); rational when c is, float otherwise."""
+def _exp_powers(n: int, c) -> tuple[Scalar, str, list]:
+    """Check n >= 1 and c > 0; return c, its kind (float64 for a float c,
+    else rational) and the powers [c^0, c^-1, ..., c^-(n-1)]."""
     if n < 1:
         raise ParameterOutOfRange(f"n = {n} must be >= 1")
-    cc, kind = _family_scalar(c)
+    if isinstance(c, float):
+        cc, kind = c, FLOAT64
+    else:
+        cc, kind = Fraction(c), RATIONAL
     if cc <= 0:
         raise ParameterOutOfRange(f"c = {c} must be > 0")
     powers = [one(kind)]
     for _ in range(n - 1):
         powers.append(powers[-1] / cc)
+    return cc, kind, powers
+
+
+def exp_family(n: int, c) -> Matrix:
+    """The family (A_n)_{i,j} = c^(-|i-j|); rational when c is, float otherwise."""
+    _, kind, powers = _exp_powers(n, c)
     return Matrix(
         tuple(tuple(powers[abs(i - j)] for j in range(n)) for i in range(n)), kind
     )
@@ -365,20 +363,13 @@ def exp_family_closed_form(n: int, c) -> Matrix:
     Entry (i, j) is c^(-|i-j|) * (1 + sum_{k=1}^{min(i,j)-1} 2^(k-1) c^(-2k));
     equals run_process(exp_family(n, c)).snapshot(n) entrywise.
     """
-    if n < 1:
-        raise ParameterOutOfRange(f"n = {n} must be >= 1")
-    cc, kind = _family_scalar(c)
-    if cc <= 0:
-        raise ParameterOutOfRange(f"c = {c} must be > 0")
+    cc, kind, powers = _exp_powers(n, c)
     inv2 = 1 / (cc * cc)
     prefix = [one(kind)]  # prefix[m] = 1 + sum_{k=1..m} 2^(k-1) c^(-2k)
     term = inv2
     for _ in range(n - 1):
         prefix.append(prefix[-1] + term)
         term *= 2 * inv2
-    powers = [one(kind)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] / cc)
     return Matrix(
         tuple(
             tuple(powers[abs(i - j)] * prefix[min(i, j)] for j in range(n))

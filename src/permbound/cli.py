@@ -40,6 +40,7 @@ from .errors import (
     InvalidGram,
     NegativeEntry,
     NegativeInput,
+    NonFinite,
     NotSquare,
     ParameterOutOfRange,
     ParseError,
@@ -55,11 +56,11 @@ from .matcore import (
     ones,
     permanent_ryser,
 )
-from .matio import ParsedMatrix, as_subject, matrix_as_strings, parse_matrix_file, to_kind
+from .matio import ParsedMatrix, as_subject, matrix_as_strings, parse_matrix_file
 from .permschur import BlockSplit, condense, rank1_update_permanent, row_uncrossing_sides, schur_permanent_bound, two_row_inequality_sides
 from .perminv import check_identity_dominance
 from .process import run_process
-from .psd import GramMatrix, TENSOR_MAX_N, TENSOR_MAX_SPACE, alpha_coefficients, gram_from_factor, permanent_tensor, psd_schur_check
+from .psd import GramMatrix, TENSOR_MAX_N, TENSOR_MAX_SPACE, alpha_coefficients, permanent_tensor, psd_schur_check
 from .scalars import FLOAT64, RATIONAL, eq_scalar, format_scalar, leq_scalar
 
 OK, CHECK_FAILED, INPUT_ERROR, NUMERIC_ERROR = 0, 1, 2, 3
@@ -77,7 +78,7 @@ _INPUT_ERRORS = (
     IndexOutOfRange,
     DimensionMismatch,
 )
-_NUMERIC_ERRORS = (ZeroPivot, ZeroPermanent, DimensionTooLarge)
+_NUMERIC_ERRORS = (ZeroPivot, ZeroPermanent, DimensionTooLarge, NonFinite)
 
 
 def _error_exit(exc: Exception) -> int:
@@ -118,12 +119,13 @@ def _build_report(
     subject = as_subject(parsed, arithmetic)
     m = subject.gram if isinstance(subject, GramMatrix) else subject
     trace = run_process(subject, keep_snapshots=want_snapshots, ordering=ordering)
+    rowsum = rowsum_bound(m)
     report = {
         "id": parsed.matrix_id,
         "n": m.n,
         "arithmetic": arithmetic,
         "process_bound": format_scalar(trace.bound, arithmetic),
-        "rowsum_bound": format_scalar(rowsum_bound(m), arithmetic),
+        "rowsum_bound": format_scalar(rowsum, arithmetic),
         "ratios": None,
     }
     guard = RYSER_MAX_RATIONAL if arithmetic == RATIONAL else RYSER_MAX_FLOAT
@@ -133,7 +135,7 @@ def _build_report(
         if exact != 0:
             report["ratios"] = {
                 "process_over_exact": format_scalar(trace.bound / exact, arithmetic),
-                "rowsum_over_exact": format_scalar(rowsum_bound(m) / exact, arithmetic),
+                "rowsum_over_exact": format_scalar(rowsum / exact, arithmetic),
             }
     if eps is not None:
         res = diag_dominance_certify(m, _number("eps", eps, arithmetic))
@@ -257,13 +259,17 @@ def cmd_family(args) -> int:
 
 
 class _Suite:
-    """Accumulates PASS/FAIL/SKIP lines for cmd_verify."""
+    """Accumulates PASS/FAIL/SKIP lines for cmd_verify on an n x n input."""
 
-    def __init__(self):
+    def __init__(self, n: int):
+        self.n = n
         self.lines: list[str] = []
         self.failed = False
 
-    def run(self, name: str, fn):
+    def run(self, name: str, fn, min_n: int = 1):
+        if self.n < min_n:
+            self.skip(name, f"needs n >= {min_n}")
+            return
         try:
             detail = fn()
         except ConditionViolated as exc:
@@ -284,8 +290,6 @@ def _check_schur(suite: _Suite, m: Matrix):
     n = m.n
 
     def rank1():
-        if n < 2:
-            return None
         split = BlockSplit(m, n - 1)
         x = [m.entries[n - 1][c] for c in range(n - 1)]
         y = [m.entries[r][n - 1] for r in range(n - 1)]
@@ -306,12 +310,8 @@ def _check_schur(suite: _Suite, m: Matrix):
     def dominance():
         return None if check_identity_dominance(m).holds else "a product fails to dominate I"
 
-    if n >= 2:
-        suite.run("rank1-identity", rank1)
-        suite.run("schur-bound", schur_bound)
-    else:
-        suite.skip("rank1-identity", "needs n >= 2")
-        suite.skip("schur-bound", "needs n >= 2")
+    suite.run("rank1-identity", rank1, min_n=2)
+    suite.run("schur-bound", schur_bound, min_n=2)
     suite.run("identity-dominance", dominance)
 
 
@@ -352,12 +352,8 @@ def _check_uncross(suite: _Suite, m: Matrix):
         return None if leq_scalar(lhs, rhs, m.kind) else f"{lhs} > {rhs}"
 
     suite.run("row-uncrossing", uncross)
-    if n >= 2:
-        suite.run("two-row-inequality", two_row)
-        suite.run("condense-inequality", condense_check)
-    else:
-        suite.skip("two-row-inequality", "needs n >= 2")
-        suite.skip("condense-inequality", "needs n >= 2")
+    suite.run("two-row-inequality", two_row, min_n=2)
+    suite.run("condense-inequality", condense_check, min_n=2)
 
 
 def _has_unit_diagonal(m: Matrix) -> bool:
@@ -380,7 +376,7 @@ def _check_boundedness(suite: _Suite, m: Matrix):
         for s, i, j in perm_ratio_cases(n, rng, 60):
             res = perm_ratio_check(m, s, i, j, M)
             if not res.holds:
-                return f"ratio {res.ratio} > {res.bound} at S = {s}, i = {i}, j = {j}"
+                return f"ratio {res.lhs} > {res.rhs} at S = {s}, i = {i}, j = {j}"
         return None
 
     def cycle_sum():
@@ -389,19 +385,16 @@ def _check_boundedness(suite: _Suite, m: Matrix):
             for i0 in s if rng is None else (rng.choice(s),):
                 res = cycle_sum_ratio(m, t, s, i0, M, trace=trace)
                 if not res.holds:
-                    return f"ratio {res.ratio} > {res.bound} at t = {t}, S = {s}, i0 = {i0}"
+                    return f"ratio {res.lhs} > {res.rhs} at t = {t}, S = {s}, i0 = {i0}"
         return None
 
     suite.run("entry-bound", entry_scan)
     suite.run("perm-ratio", perm_ratio)
-    if n >= 3:
-        suite.run("cycle-sum", cycle_sum)
-    else:
-        suite.skip("cycle-sum", "needs n >= 3")
+    suite.run("cycle-sum", cycle_sum, min_n=3)
 
 
 def _check_psd(suite: _Suite, parsed: ParsedMatrix):
-    g = gram_from_factor(to_kind(parsed.factor, RATIONAL))
+    g = as_subject(parsed, RATIONAL)
     n = g.n
 
     def consistency():
@@ -414,7 +407,7 @@ def _check_psd(suite: _Suite, parsed: ParsedMatrix):
 
     def schur():
         res = psd_schur_check(g)
-        return None if res.holds else f"exact {res.exact} > rhs {res.rhs}"
+        return None if res.holds else f"exact {res.lhs} > rhs {res.rhs}"
 
     def alpha():
         b = BlockSplit(g.gram, n - 1).b
@@ -433,12 +426,8 @@ def _check_psd(suite: _Suite, parsed: ParsedMatrix):
         suite.run("tensor-permanent", tensor)
     else:
         suite.skip("tensor-permanent", "tensor space too large")
-    if n >= 2:
-        suite.run("psd-schur", schur)
-        suite.run("alpha-nonneg", alpha)
-    else:
-        suite.skip("psd-schur", "needs n >= 2")
-        suite.skip("alpha-nonneg", "needs n >= 2")
+    suite.run("psd-schur", schur, min_n=2)
+    suite.run("alpha-nonneg", alpha, min_n=2)
     suite.run("process-soundness", soundness)
 
 
@@ -452,8 +441,8 @@ def _check_majorant(suite: _Suite, parsed: ParsedMatrix):
 
 def cmd_verify(args) -> int:
     parsed = parse_matrix_file(args.input)
-    m = to_kind(parsed.matrix, RATIONAL)
-    suite = _Suite()
+    m = parsed.matrix
+    suite = _Suite(m.n)
     wanted = args.suite
     if wanted in ("schur", "all"):
         _check_schur(suite, m)

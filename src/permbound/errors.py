@@ -47,6 +47,10 @@ class InvalidGram(PermboundError):
     """A claimed Gram matrix is inconsistent with positive semidefiniteness."""
 
 
+class NonFinite(PermboundError):
+    """A float64 value overflowed to inf or nan, or an entry is outside the float64 range."""
+
+
 class ParseError(PermboundError):
     """A matrix file could not be parsed."""
 

@@ -59,9 +59,6 @@ class IndexSet:
         inside = set(self.members)
         return IndexSet(tuple(i for i in range(1, n + 1) if i not in inside))
 
-    def zero_based(self) -> tuple[int, ...]:
-        return tuple(m - 1 for m in self.members)
-
     def __len__(self) -> int:
         return len(self.members)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import NonFinite, ParseError
 from .matcore import Matrix, matmul, transpose
 from .psd import GramMatrix, gram_from_factor
 from .scalars import FLOAT64, RATIONAL, format_scalar
@@ -121,7 +121,10 @@ def to_kind(m: Matrix, kind: str) -> Matrix:
     if m.kind == kind:
         return m
     if kind == FLOAT64:
-        return Matrix(tuple(tuple(float(x) for x in row) for row in m.entries), kind)
+        try:
+            return Matrix(tuple(tuple(float(x) for x in row) for row in m.entries), kind)
+        except OverflowError as exc:
+            raise NonFinite(f"an entry is outside the float64 range: {exc}") from exc
     raise ParseError("cannot losslessly convert float64 entries to rationals")
 
 

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .errors import DimensionMismatch, NegativeEntry, ZeroPermanent
 from .matcore import IndexSet, Matrix, delete, matmul, permanent_ryser, select
-from .scalars import Scalar, eq_scalar, leq_scalar, zero
+from .scalars import Scalar, SidePair, eq_scalar, leq_scalar, zero
 
 
 @dataclass(frozen=True)
@@ -28,22 +28,11 @@ class PermanentalInverse:
     matrix: Matrix
     source_perm: Scalar
 
-    @property
-    def n(self) -> int:
-        return self.matrix.n
-
 
 @dataclass(frozen=True)
 class DominanceCheck:
     left: Matrix   # B* B
     right: Matrix  # B B*
-    holds: bool
-
-
-@dataclass(frozen=True)
-class MinorRatioCheck:
-    lhs: Scalar
-    rhs: Scalar
     holds: bool
 
 
@@ -96,7 +85,7 @@ def minor_ratio_inequality(
     s: Iterable[int] | IndexSet,
     t: Iterable[int] | IndexSet,
     inverse: PermanentalInverse | None = None,
-) -> MinorRatioCheck:
+) -> SidePair:
     """Check per(B(-S,-T))/per(B) <= per(B*(T,S)).
 
     Equality holds when |S| = |T| = 1.  A precomputed inverse may be passed
@@ -110,4 +99,4 @@ def minor_ratio_inequality(
         inverse = permanental_inverse(b)
     lhs = permanent_ryser(delete(b, s, t)) / inverse.source_perm
     rhs = permanent_ryser(select(inverse.matrix, t, s))
-    return MinorRatioCheck(lhs, rhs, leq_scalar(lhs, rhs, b.kind))
+    return SidePair(lhs, rhs, leq_scalar(lhs, rhs, b.kind))

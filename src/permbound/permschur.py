@@ -13,7 +13,7 @@ from typing import Sequence
 from .errors import DimensionMismatch, NegativeEntry, ZeroPivot
 from .matcore import Matrix, add, matmul, outer, permanent_ryser, select
 from .perminv import permanental_inverse
-from .scalars import Scalar, coerce, eq_scalar, leq_scalar
+from .scalars import Scalar, SidePair, coerce, eq_scalar, leq_scalar
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,6 @@ class BlockSplit:
     def w(self) -> Matrix:
         r = range(self.d + 1, self.n + 1)
         return select(self.source, r, r)
-
-
-@dataclass(frozen=True)
-class SidePair:
-    """Two sides of an (in)equality, plus the comparison under the kind's policy."""
-
-    lhs: Scalar
-    rhs: Scalar
-    holds: bool
 
 
 def bordered(b: Matrix, x: Sequence[Scalar], y: Sequence[Scalar], w: Scalar) -> Matrix:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InvalidGram, NegativeInput, ParameterOutOfRange, ZeroPermanent, ZeroPivot
 from .matcore import Matrix, eliminate, permanent_ryser, select
 from .psd import GramMatrix
-from .scalars import FLOAT64, RATIONAL, Scalar, leq_scalar, one, zero
+from .scalars import FLOAT64, RATIONAL, Scalar, SidePair, leq_scalar, one, zero
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,6 @@ class ProcessTrace:
         if not 1 <= t <= self.n:
             raise ParameterOutOfRange(f"snapshot index {t} outside [1, {self.n}]")
         return self.snapshots[t - 1]
-
-
-@dataclass(frozen=True)
-class PivotBoundCheck:
-    t: int
-    pivot: Scalar
-    ratio: Scalar
-    holds: bool
 
 
 def _check_ordering(ordering, n: int) -> tuple[int, ...] | None:
@@ -208,11 +200,12 @@ def recursive_u(a: Matrix) -> Matrix:
     return closed_recursion(a)
 
 
-def pivot_lower_bound_check(a: Matrix | GramMatrix) -> tuple[PivotBoundCheck, ...]:
+def pivot_lower_bound_check(a: Matrix | GramMatrix) -> tuple[SidePair, ...]:
     """Check pivot_t >= per(A^(t)(-[t-1], -[t-1])) / per(A^(t+1)(-[t], -[t])).
 
-    The t = n denominator is the empty permanent 1, so the ratios telescope
-    to per(A) and the per-step checks compose into the headline bound.
+    Returns SidePair(ratio, pivot, holds) for step t at index t - 1.  The
+    t = n denominator is the empty permanent 1, so the ratios telescope to
+    per(A) and the per-step checks compose into the headline bound.
     """
     trace = run_process(a, keep_snapshots=True)
     n = trace.n
@@ -230,5 +223,5 @@ def pivot_lower_bound_check(a: Matrix | GramMatrix) -> tuple[PivotBoundCheck, ..
             raise ZeroPermanent(f"zero denominator permanent at step {t}")
         ratio = num / den
         pivot = trace.pivots[t - 1]
-        out.append(PivotBoundCheck(t, pivot, ratio, leq_scalar(ratio, pivot, kind)))
+        out.append(SidePair(ratio, pivot, leq_scalar(ratio, pivot, kind)))
     return tuple(out)

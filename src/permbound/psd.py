@@ -17,7 +17,7 @@ from .errors import DimensionMismatch, DimensionTooLarge, InvalidGram, ZeroPivot
 from .matcore import (
     Matrix, add, delete, eliminate, matmul, matrix, outer, permanent_ryser, transpose,
 )
-from .scalars import RATIONAL, Scalar, coerce, eq_scalar, leq_scalar, one, zero
+from .scalars import RATIONAL, Scalar, SidePair, coerce, eq_scalar, leq_scalar, one, zero
 
 TENSOR_MAX_N = 6
 TENSOR_MAX_SPACE = 2_000_000
@@ -54,13 +54,6 @@ class AlphaCoefficients:
 
     n: int
     coeffs: tuple[Scalar, ...]
-
-
-@dataclass(frozen=True)
-class PsdSchurCheck:
-    exact: Scalar
-    rhs: Scalar
-    holds: bool
 
 
 def gram_from_factor(v: Matrix | Sequence[Sequence]) -> GramMatrix:
@@ -145,12 +138,13 @@ def alpha_coefficients(b: Matrix, x: Sequence[Scalar]) -> AlphaCoefficients:
     return AlphaCoefficients(d, tuple(coeffs))
 
 
-def psd_schur_check(g: GramMatrix) -> PsdSchurCheck:
+def psd_schur_check(g: GramMatrix) -> SidePair:
     """Check per(gram) <= a * per(B + xx^T / a) for the last-pivot split.
 
-    gram is split as [[B, x], [x^T, a]] with a the last diagonal entry.
-    Also asserts the exact Laplace identity per(gram) = a*alpha_0 + alpha_1
-    where alpha are the coefficients of per(a*B + xx^T).
+    gram is split as [[B, x], [x^T, a]] with a the last diagonal entry;
+    lhs is the exact per(gram) and rhs the bound.  Also asserts the exact
+    Laplace identity per(gram) = a*alpha_0 + alpha_1 where alpha are the
+    coefficients of per(a*B + xx^T).
     """
     gram = g.gram
     n = gram.n
@@ -171,7 +165,7 @@ def psd_schur_check(g: GramMatrix) -> PsdSchurCheck:
         raise AssertionError(
             f"alpha expansion mismatch: per = {exact}, a*alpha0 + alpha1 = {expansion}"
         )
-    return PsdSchurCheck(exact, rhs, leq_scalar(exact, rhs, kind))
+    return SidePair(exact, rhs, leq_scalar(exact, rhs, kind))
 
 
 def is_psd_exact(m: Matrix) -> bool:

@@ -4,14 +4,18 @@ Every matrix carries one of two scalar kinds: exact rationals backed by
 ``fractions.Fraction`` (the default, used for all equality contracts) and
 IEEE float64.  Float mode compares equalities at relative tolerance 1e-9
 and checks inequalities with a 1e-12 relative slack to absorb rounding;
-rational mode compares exactly.
+rational mode compares exactly.  A `SidePair` records both sides of one
+such check together with its verdict.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from .errors import NonFinite
 
 Scalar = Union[Fraction, float]
 
@@ -55,19 +59,20 @@ def one(kind: str) -> Scalar:
     return Fraction(1) if kind == RATIONAL else 1.0
 
 
-def parse_scalar(text: str, kind: str) -> Scalar:
-    """Parse a decimal or "p/q" literal; exact in rational mode."""
-    return coerce(text.strip(), kind)
-
-
 def format_scalar(x: Scalar, kind: str) -> str:
-    """Serialize a scalar as a decimal or "p/q" string (lossless)."""
+    """Serialize a scalar as a decimal or "p/q" string (lossless).
+
+    A float64 inf or nan has no such string and raises NonFinite.
+    """
     if kind == RATIONAL:
         x = Fraction(x)
         if x.denominator == 1:
             return str(x.numerator)
         return f"{x.numerator}/{x.denominator}"
-    return repr(float(x))
+    x = float(x)
+    if not math.isfinite(x):
+        raise NonFinite(f"float64 value {x!r} is not finite")
+    return repr(x)
 
 
 def eq_scalar(x: Scalar, y: Scalar, kind: str) -> bool:
@@ -82,3 +87,12 @@ def leq_scalar(x: Scalar, y: Scalar, kind: str) -> bool:
     if kind == RATIONAL:
         return x <= y
     return x <= y + INEQ_SLACK * max(1.0, abs(x), abs(y))
+
+
+@dataclass(frozen=True)
+class SidePair:
+    """Two sides of an (in)equality, plus the comparison under the kind's policy."""
+
+    lhs: Scalar
+    rhs: Scalar
+    holds: bool

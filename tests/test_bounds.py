@@ -226,7 +226,7 @@ def test_perm_ratio_holds_on_random_instances():
         a = unit_diag_matrix(rng, n, cap)
         chk = perm_ratio_check(a, (1,), 2, 3, Fraction(cap))
         assert chk.holds
-        assert chk.bound == 2 * Fraction(cap) ** 2
+        assert chk.rhs == 2 * Fraction(cap) ** 2
 
 
 def test_exp_family_entries_and_validation():

@@ -126,6 +126,23 @@ def test_bound_error_exit_codes(capsys, tmp_path):
     assert json.loads(err)["error"]["type"] == "ParseError"
 
 
+def _csv(rows):
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+@pytest.mark.parametrize("text, argv", [
+    (_csv([["1"] * 64] * 64), ["--arithmetic", "float"]),  # process bound 2^2016
+    (_csv([["1e400", "1"], ["1", "1"]]), ["--arithmetic", "float"]),
+    (_csv([["1e400"] + ["1"] * 12] + [["1"] * 13] * 12), []),  # n > 12 picks float
+], ids=["ones64", "cell-1e400", "auto-float-1e400"])
+def test_float_overflow_exits_3(capsys, tmp_path, text, argv):
+    p = tmp_path / "big.csv"
+    p.write_text(text)
+    code, out, err = run_cli(capsys, "bound", str(p), *argv)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["type"] == "NonFinite"
+
+
 def test_family_exp_and_allones(capsys):
     code, out, _ = run_cli(capsys, "family", "exp", "n=3", "c=2")
     report = json.loads(out)
@@ -240,6 +257,47 @@ def test_verify_valid_majorant_passes(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", str(p))
     assert code == 0
     assert "PASS majorant-recursion" in out
+
+
+ONE_BY_ONE_CSV_VERIFY = """\
+SKIP rank1-identity: needs n >= 2
+SKIP schur-bound: needs n >= 2
+PASS identity-dominance
+PASS row-uncrossing
+SKIP two-row-inequality: needs n >= 2
+SKIP condense-inequality: needs n >= 2
+PASS entry-bound
+PASS perm-ratio
+SKIP cycle-sum: needs n >= 3
+SKIP psd: needs a gram-kind input with a factor
+"""
+
+ONE_BY_ONE_GRAM_VERIFY = """\
+SKIP rank1-identity: needs n >= 2
+SKIP schur-bound: needs n >= 2
+PASS identity-dominance
+PASS row-uncrossing
+SKIP two-row-inequality: needs n >= 2
+SKIP condense-inequality: needs n >= 2
+SKIP boundedness: needs a unit-diagonal non-negative matrix
+PASS gram-consistency
+PASS tensor-permanent
+SKIP psd-schur: needs n >= 2
+SKIP alpha-nonneg: needs n >= 2
+PASS process-soundness
+"""
+
+
+@pytest.mark.parametrize("name, text, expected", [
+    ("one.csv", "1\n", ONE_BY_ONE_CSV_VERIFY),
+    ("gram1.json", '{"n": 1, "kind": "gram", "entries": [["4"]], "factor": [["2"]]}',
+     ONE_BY_ONE_GRAM_VERIFY),
+])
+def test_verify_one_by_one_skip_lines(capsys, tmp_path, name, text, expected):
+    p = tmp_path / name
+    p.write_text(text)
+    code, out, err = run_cli(capsys, "verify", str(p), "--suite", "all")
+    assert (code, out, err) == (0, expected, "")
 
 
 @pytest.mark.skipif(

@@ -264,7 +264,7 @@ def test_pivot_lower_bound_checks_hold_and_telescope():
         assert all(c.holds for c in checks)
         prod = Fraction(1)
         for c in checks:
-            prod *= c.ratio
+            prod *= c.lhs
         assert prod == permanent_ryser(m)
 
 

@@ -108,7 +108,7 @@ def test_psd_schur_check_worked_example():
     # gram of all-ones factor row: per(J_3) = 6 <= 1 * per(J_2 + 11^T) = 8
     g = gram_from_factor(matrix([[1, 1, 1]]))
     chk = psd_schur_check(g)
-    assert (chk.exact, chk.rhs) == (6, 8)
+    assert (chk.lhs, chk.rhs) == (6, 8)
     assert chk.holds
 
 

@@ -49,18 +49,12 @@ from .errors import (
     ZeroPermanent,
     ZeroPivot,
 )
-from .matcore import (
-    Matrix,
-    RYSER_MAX_FLOAT,
-    RYSER_MAX_RATIONAL,
-    ones,
-    permanent_ryser,
-)
+from .matcore import Matrix, ones, permanent_ryser, ryser_fits
 from .matio import ParsedMatrix, as_subject, matrix_as_strings, parse_matrix_file
 from .permschur import BlockSplit, condense, rank1_update_permanent, row_uncrossing_sides, schur_permanent_bound, two_row_inequality_sides
 from .perminv import check_identity_dominance
 from .process import run_process
-from .psd import GramMatrix, TENSOR_MAX_N, TENSOR_MAX_SPACE, alpha_coefficients, permanent_tensor, psd_schur_check
+from .psd import GramMatrix, alpha_coefficients, permanent_tensor, psd_schur_check, tensor_fits
 from .scalars import FLOAT64, RATIONAL, eq_scalar, format_scalar, leq_scalar
 
 OK, CHECK_FAILED, INPUT_ERROR, NUMERIC_ERROR = 0, 1, 2, 3
@@ -128,8 +122,7 @@ def _build_report(
         "rowsum_bound": format_scalar(rowsum, arithmetic),
         "ratios": None,
     }
-    guard = RYSER_MAX_RATIONAL if arithmetic == RATIONAL else RYSER_MAX_FLOAT
-    if m.n <= min(exact_max, guard):
+    if m.n <= exact_max and ryser_fits(m):
         exact = permanent_ryser(m)
         report["exact_perm"] = format_scalar(exact, arithmetic)
         if exact != 0:
@@ -204,24 +197,20 @@ def _family_instances(name: str, params: dict[str, str], count: int):
         raise ParameterOutOfRange(f"unknown parameters for {name!r}: {sorted(extra)}")
     if count < 1:
         raise ParameterOutOfRange("count must be >= 1")
+    n = intval("n")
+    if n < 1:
+        raise ParameterOutOfRange(f"n = {n} must be >= 1")
     if name == "exp":
-        n = intval("n")
         c = _number("c", need("c"))
         ident = f"exp(n={n},c={need('c')})"
         yield ParsedMatrix(ident, "nonneg", exp_family(n, c)), None
         return
     if name == "allones":
-        n = intval("n")
-        if n < 1:
-            raise ParameterOutOfRange(f"n = {n} must be >= 1")
         yield ParsedMatrix(f"allones(n={n})", "nonneg", ones(n)), None
         return
     # random-dd: unit diagonal, off-diagonal entries delta * r with random
     # r in {3/4, 13/16, 7/8, 15/16, 1}, which keeps the Thm 1.4 condition
     # satisfiable for small enough delta while varying with the seed.
-    n = intval("n")
-    if n < 1:
-        raise ParameterOutOfRange(f"n = {n} must be >= 1")
     eps = need("eps")
     _number("eps", eps)  # fail before any report is built
     delta = _number("delta", need("delta"))
@@ -286,14 +275,13 @@ class _Suite:
         self.lines.append(f"SKIP {name}: {reason}")
 
 
-def _check_schur(suite: _Suite, m: Matrix):
+def _check_schur(suite: _Suite, parsed: ParsedMatrix):
+    m = parsed.matrix
     n = m.n
 
     def rank1():
         split = BlockSplit(m, n - 1)
-        x = [m.entries[n - 1][c] for c in range(n - 1)]
-        y = [m.entries[r][n - 1] for r in range(n - 1)]
-        pair = rank1_update_permanent(split.b, x, y, m.entries[n - 1][n - 1])
+        pair = rank1_update_permanent(split.b, split.xt.row(1), split.y.col(1), split.w.entry(1, 1))
         if not pair.holds:
             return f"lhs {pair.lhs} != rhs {pair.rhs}"
         return None
@@ -315,7 +303,8 @@ def _check_schur(suite: _Suite, m: Matrix):
     suite.run("identity-dominance", dominance)
 
 
-def _check_uncross(suite: _Suite, m: Matrix):
+def _check_uncross(suite: _Suite, parsed: ParsedMatrix):
+    m = parsed.matrix
     n = m.n
 
     def uncross():
@@ -330,6 +319,7 @@ def _check_uncross(suite: _Suite, m: Matrix):
         return None
 
     def two_row():
+        # lists, not BlockSplit(m, d).y.col(...): at n = 2 the border is empty
         d = n - 2
         split = BlockSplit(m, d)
         x1 = [m.entries[d][c] for c in range(d)]
@@ -340,13 +330,11 @@ def _check_uncross(suite: _Suite, m: Matrix):
         return None if pair.holds else f"lhs {pair.lhs} > rhs {pair.rhs}"
 
     def condense_check():
-        pivot = m.entries[0][0]
+        split = BlockSplit(m, 1)
+        pivot = split.b.entry(1, 1)
         if pivot == 0:
             return "a_{1,1} = 0"
-        x = [m.entries[i][0] for i in range(1, n)]
-        y = [m.entries[0][j] for j in range(1, n)]
-        w = BlockSplit(m, 1).w
-        c = condense(pivot, x, y, w)
+        c = condense(pivot, split.xt.col(1), split.y.row(1), split.w)
         lhs = permanent_ryser(m) / pivot
         rhs = permanent_ryser(c)
         return None if leq_scalar(lhs, rhs, m.kind) else f"{lhs} > {rhs}"
@@ -360,10 +348,9 @@ def _has_unit_diagonal(m: Matrix) -> bool:
     return all(eq_scalar(m.entries[i][i], 1, m.kind) for i in range(m.n))
 
 
-def _check_boundedness(suite: _Suite, m: Matrix):
+def _check_boundedness(suite: _Suite, parsed: ParsedMatrix):
+    m = parsed.matrix
     n = m.n
-    if not _has_unit_diagonal(m) or not m.is_nonneg():
-        raise PreconditionViolated("boundedness checks need a unit-diagonal non-negative matrix")
     M = max(Fraction(1), *(x for row in m.entries for x in row))
     trace = run_process(m, keep_snapshots=True)
 
@@ -410,9 +397,8 @@ def _check_psd(suite: _Suite, parsed: ParsedMatrix):
         return None if res.holds else f"exact {res.lhs} > rhs {res.rhs}"
 
     def alpha():
-        b = BlockSplit(g.gram, n - 1).b
-        x = [g.gram.entries[i][n - 1] for i in range(n - 1)]
-        coeffs = alpha_coefficients(b, x).coeffs
+        split = BlockSplit(g.gram, n - 1)
+        coeffs = alpha_coefficients(split.b, split.y.col(1)).coeffs
         bad = [k for k, v in enumerate(coeffs) if v < 0]
         return None if not bad else f"negative alpha at positions {bad}"
 
@@ -422,7 +408,7 @@ def _check_psd(suite: _Suite, parsed: ParsedMatrix):
         return None if leq_scalar(exact, bound, g.gram.kind) else f"per {exact} > bound {bound}"
 
     suite.run("gram-consistency", consistency)
-    if n <= 5 and g.d ** n <= TENSOR_MAX_SPACE and n <= TENSOR_MAX_N:
+    if tensor_fits(g):
         suite.run("tensor-permanent", tensor)
     else:
         suite.skip("tensor-permanent", "tensor space too large")
@@ -439,31 +425,37 @@ def _check_majorant(suite: _Suite, parsed: ParsedMatrix):
     suite.run("majorant-recursion", majorant)
 
 
+# suite name -> (checks, requirement on the input or None, what it needs)
+_SUITES = {
+    "schur": (_check_schur, None, None),
+    "uncross": (_check_uncross, None, None),
+    "boundedness": (
+        _check_boundedness,
+        lambda p: _has_unit_diagonal(p.matrix) and p.matrix.is_nonneg(),
+        "a unit-diagonal non-negative matrix",
+    ),
+    "psd": (_check_psd, lambda p: p.factor is not None, "a gram-kind input with a factor"),
+}
+
+
 def cmd_verify(args) -> int:
+    """Run the chosen suite, or every suite under "all".
+
+    A suite whose requirement fails is an input error when asked for by
+    name and a SKIP line under "all".  A majorant field is checked under
+    any suite.
+    """
     parsed = parse_matrix_file(args.input)
-    m = parsed.matrix
-    suite = _Suite(m.n)
-    wanted = args.suite
-    if wanted in ("schur", "all"):
-        _check_schur(suite, m)
-    if wanted in ("uncross", "all"):
-        _check_uncross(suite, m)
-    if wanted == "boundedness":
-        _check_boundedness(suite, m)
-    elif wanted == "all":
-        if _has_unit_diagonal(m) and m.is_nonneg():
-            _check_boundedness(suite, m)
-        else:
-            suite.skip("boundedness", "needs a unit-diagonal non-negative matrix")
-    if wanted == "psd":
-        if parsed.factor is None:
-            raise PreconditionViolated("psd suite requires a gram-kind input with a factor")
-        _check_psd(suite, parsed)
-    elif wanted == "all":
-        if parsed.factor is not None:
-            _check_psd(suite, parsed)
-        else:
-            suite.skip("psd", "needs a gram-kind input with a factor")
+    suite = _Suite(parsed.matrix.n)
+    for name, (checks, requires, needs) in _SUITES.items():
+        if args.suite not in (name, "all"):
+            continue
+        if requires is not None and not requires(parsed):
+            if args.suite != "all":
+                raise PreconditionViolated(f"{name} suite needs {needs}")
+            suite.skip(name, f"needs {needs}")
+            continue
+        checks(suite, parsed)
     if parsed.majorant is not None:
         _check_majorant(suite, parsed)
     print("\n".join(suite.lines))
@@ -503,8 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run property checks against a matrix file")
     p_verify.add_argument("input")
-    p_verify.add_argument("--suite", choices=["schur", "uncross", "boundedness", "psd", "all"],
-                          default="all")
+    p_verify.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
     p_verify.set_defaults(fn=cmd_verify)
     return parser
 

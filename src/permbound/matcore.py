@@ -188,20 +188,24 @@ def outer(x: Sequence[Scalar], y: Sequence[Scalar], kind: str) -> Matrix:
     return Matrix(tuple(tuple(xi * yj for yj in ys) for xi in xs), kind)
 
 
+def _index_sets(m: Matrix, rows, cols) -> tuple[IndexSet, IndexSet]:
+    """rows and cols as IndexSets, each index within m's shape."""
+    rs = IndexSet.of(rows)
+    cs = IndexSet.of(cols)
+    for what, idx, size in (("row", rs, m.nrows), ("column", cs, m.ncols)):
+        for i in idx:
+            if i > size:
+                raise IndexOutOfRange(f"{what} {i} outside [1, {size}]")
+    return rs, cs
+
+
 def select(m: Matrix, rows: Iterable[int] | IndexSet, cols: Iterable[int] | IndexSet) -> Matrix:
     """m(S, T): the submatrix of rows S and columns T (1-based index sets).
 
     select(m, (), ()) is the 0x0 matrix, whose permanent and determinant
     are 1 by convention.
     """
-    rs = IndexSet.of(rows)
-    cs = IndexSet.of(cols)
-    for r in rs:
-        if r > m.nrows:
-            raise IndexOutOfRange(f"row {r} outside [1, {m.nrows}]")
-    for c in cs:
-        if c > m.ncols:
-            raise IndexOutOfRange(f"column {c} outside [1, {m.ncols}]")
+    rs, cs = _index_sets(m, rows, cols)
     return Matrix(
         tuple(tuple(m.entries[r - 1][c - 1] for c in cs) for r in rs),
         m.kind,
@@ -210,14 +214,7 @@ def select(m: Matrix, rows: Iterable[int] | IndexSet, cols: Iterable[int] | Inde
 
 def delete(m: Matrix, rows: Iterable[int] | IndexSet, cols: Iterable[int] | IndexSet) -> Matrix:
     """m(-S, -T): delete rows S and columns T; delete({i},{j}) is the (i,j) minor."""
-    rs = IndexSet.of(rows)
-    cs = IndexSet.of(cols)
-    for r in rs:
-        if r > m.nrows:
-            raise IndexOutOfRange(f"row {r} outside [1, {m.nrows}]")
-    for c in cs:
-        if c > m.ncols:
-            raise IndexOutOfRange(f"column {c} outside [1, {m.ncols}]")
+    rs, cs = _index_sets(m, rows, cols)
     return select(m, rs.complement(m.nrows), cs.complement(m.ncols))
 
 
@@ -236,16 +233,20 @@ def permanent_naive(m: Matrix) -> Scalar:
     return total
 
 
+def ryser_fits(m: Matrix) -> bool:
+    """Whether permanent_ryser admits m: n <= 24 in rational mode, n <= 30 in float mode."""
+    return m.n <= (RYSER_MAX_RATIONAL if m.kind == RATIONAL else RYSER_MAX_FLOAT)
+
+
 def permanent_ryser(m: Matrix) -> Scalar:
     """per(m) by Ryser's inclusion-exclusion over column subsets, O(2^n * n).
 
-    Gray-code iteration updates one column per subset.  Guards: n <= 24 in
-    rational mode, n <= 30 in float mode.
+    Gray-code iteration updates one column per subset; `ryser_fits` is
+    the size guard.
     """
     n = m.n
-    limit = RYSER_MAX_RATIONAL if m.kind == RATIONAL else RYSER_MAX_FLOAT
-    if n > limit:
-        raise DimensionTooLarge(f"permanent_ryser guard: n = {n} > {limit}")
+    if not ryser_fits(m):
+        raise DimensionTooLarge(f"permanent_ryser guard: n = {n} too large for {m.kind}")
     rows = m.entries
     if n == 0:
         return one(m.kind)

@@ -65,7 +65,7 @@ def parse_csv_text(text: str, matrix_id: str = "stdin") -> ParsedMatrix:
 
 def parse_json_text(text: str, matrix_id: str = "stdin") -> ParsedMatrix:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=str)  # keep number literals exact
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid json: {exc}") from exc
     if not isinstance(doc, dict):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionMismatch, NegativeEntry, ZeroPivot
-from .matcore import Matrix, add, matmul, outer, permanent_ryser, select
+from .matcore import Matrix, add, delete, matmul, outer, permanent_ryser, select
 from .perminv import permanental_inverse
 from .scalars import Scalar, SidePair, coerce, eq_scalar, leq_scalar
 
@@ -129,17 +129,10 @@ def row_uncrossing_sides(split: BlockSplit, i_star: int) -> SidePair:
     kind = a.kind
     rhs = coerce(0, kind)
     row_i = d + i_star
-    for j in range(1, k + 1):
-        col_j = d + j
-        big_rows = [r for r in range(1, n + 1) if r != row_i]
-        big_cols = [c for c in range(1, n + 1) if c != col_j]
-        big = select(a, big_rows, big_cols)
-        small = bordered(
-            split.b,
-            [a.entries[row_i - 1][c] for c in range(d)],
-            [a.entries[r][col_j - 1] for r in range(d)],
-            a.entries[row_i - 1][col_j - 1],
-        )
+    head = range(1, d + 1)
+    for col_j in range(d + 1, n + 1):
+        big = delete(a, (row_i,), (col_j,))
+        small = select(a, (*head, row_i), (*head, col_j))
         rhs += permanent_ryser(big) * permanent_ryser(small)
     return SidePair(lhs, rhs, leq_scalar(lhs, rhs, kind))
 
@@ -160,30 +153,18 @@ def two_row_inequality_sides(
 
     per(B) = 0 is legal here (then lhs = 0 <= rhs).
     """
-    d = b.n
     if w.nrows != 2 or w.ncols != 2:
         raise DimensionMismatch("w must be 2x2")
-    if not (len(x1) == len(x2) == len(y1) == len(y2) == d):
-        raise DimensionMismatch(f"border vectors must have length {d}")
-    kind = b.kind
-    xs1 = [coerce(v, kind) for v in x1]
-    xs2 = [coerce(v, kind) for v in x2]
-    ys1 = [coerce(v, kind) for v in y1]
-    ys2 = [coerce(v, kind) for v in y2]
-    big_rows = [b.entries[i] + (ys1[i], ys2[i]) for i in range(d)]
-    big_rows.append(tuple(xs1) + (w.entries[0][0], w.entries[0][1]))
-    big_rows.append(tuple(xs2) + (w.entries[1][0], w.entries[1][1]))
-    big = Matrix(tuple(big_rows), kind)
+    (w11, w12), (w21, w22) = w.entries
+    big = bordered(bordered(b, x1, y1, w11), [*x2, w21], [*y2, w12], w22)
     if not big.is_nonneg():
         raise NegativeEntry("two-row inequality requires non-negative blocks")
     lhs = permanent_ryser(big) * permanent_ryser(b)
     rhs = (
-        permanent_ryser(bordered(b, xs1, ys1, w.entries[0][0]))
-        * permanent_ryser(bordered(b, xs2, ys2, w.entries[1][1]))
-        + permanent_ryser(bordered(b, xs1, ys2, w.entries[0][1]))
-        * permanent_ryser(bordered(b, xs2, ys1, w.entries[1][0]))
+        permanent_ryser(bordered(b, x1, y1, w11)) * permanent_ryser(bordered(b, x2, y2, w22))
+        + permanent_ryser(bordered(b, x1, y2, w12)) * permanent_ryser(bordered(b, x2, y1, w21))
     )
-    return SidePair(lhs, rhs, leq_scalar(lhs, rhs, kind))
+    return SidePair(lhs, rhs, leq_scalar(lhs, rhs, b.kind))
 
 
 def condense(b: Scalar, x: Sequence[Scalar], y: Sequence[Scalar], w: Matrix) -> Matrix:

@@ -72,7 +72,7 @@ def _permute(m: Matrix, perm: tuple[int, ...]) -> Matrix:
 
 
 def _sweep_float(rows, n: int, psd_mode: bool, keep: bool):
-    arr = np.array([[float(x) for x in r] for r in rows], dtype=np.float64)
+    arr = np.array(rows, dtype=np.float64)
     snaps = [arr.copy()] if keep else None
     for t in range(n - 1):
         p = arr[t, t]

@@ -19,7 +19,7 @@ from .matcore import (
 )
 from .scalars import RATIONAL, Scalar, SidePair, coerce, eq_scalar, leq_scalar, one, zero
 
-TENSOR_MAX_N = 6
+TENSOR_MAX_N = 5
 TENSOR_MAX_SPACE = 2_000_000
 
 
@@ -65,17 +65,22 @@ def gram_from_factor(v: Matrix | Sequence[Sequence]) -> GramMatrix:
     return GramMatrix(v, matmul(transpose(v), v))
 
 
+def tensor_fits(g: GramMatrix) -> bool:
+    """Whether permanent_tensor admits g: n <= 5 and d^n <= 2e6."""
+    return g.n <= TENSOR_MAX_N and g.d ** g.n <= TENSOR_MAX_SPACE
+
+
 def permanent_tensor(g: GramMatrix) -> Scalar:
     """per(A) = (1/n!) * || sum over sigma of v_sigma(1) x ... x v_sigma(n) ||^2.
 
-    The tensor lives in a d^n-dimensional space; guarded to n <= 6 and
-    d^n <= 2e6.  Exact in rational mode, and manifestly >= 0, which
-    certifies non-negativity of PSD permanents.
+    The tensor lives in a d^n-dimensional space; `tensor_fits` is the size
+    guard.  Exact in rational mode, and manifestly >= 0, which certifies
+    non-negativity of PSD permanents.
     """
     n = g.n
     d = g.d
-    if n > TENSOR_MAX_N or d ** n > TENSOR_MAX_SPACE:
-        raise DimensionTooLarge(f"tensor space d^n = {d}^{n} exceeds the guard")
+    if not tensor_fits(g):
+        raise DimensionTooLarge(f"permanent_tensor guard: n = {n}, d^n = {d}^{n}")
     kind = g.gram.kind
     cols = [g.column(j) for j in range(1, n + 1)]
     z = zero(kind)
@@ -89,9 +94,7 @@ def permanent_tensor(g: GramMatrix) -> Scalar:
         for idx, val in enumerate(vec):
             total[idx] += val
     norm_sq = sum((x * x for x in total), start=z)
-    if kind == RATIONAL:
-        return norm_sq / math.factorial(n)
-    return norm_sq / float(math.factorial(n))
+    return norm_sq / math.factorial(n)  # n! <= 120 is exact in float64 too
 
 
 def _solve_interpolation(points: list, values: list, kind: str):

@@ -339,3 +339,43 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["process_bound"] == "2"
+
+
+def test_json_number_entries_are_exact(capsys, tmp_path):
+    p = tmp_path / "tenth.json"
+    p.write_text('{"n": 1, "entries": [[0.10000000000000000001]]}')
+    code, out, _ = run_cli(capsys, "bound", str(p))
+    assert code == 0
+    assert json.loads(out)["exact_perm"] == "10000000000000000001/100000000000000000000"
+
+
+UNIT_DIAGONAL_3 = "1,1/2,1/3\n1/4,1,1/2\n1/3,1/5,1\n"
+
+SCHUR_LINES = "PASS rank1-identity\nPASS schur-bound\nPASS identity-dominance\n"
+UNCROSS_LINES = "PASS row-uncrossing\nPASS two-row-inequality\nPASS condense-inequality\n"
+
+
+@pytest.mark.parametrize("suite, expected", [
+    ("all", SCHUR_LINES + UNCROSS_LINES
+     + "PASS entry-bound\nPASS perm-ratio\nPASS cycle-sum\n"
+     + "SKIP psd: needs a gram-kind input with a factor\n"),
+    ("schur", SCHUR_LINES),
+    ("uncross", UNCROSS_LINES),
+])
+def test_verify_unit_diagonal_3x3_output(capsys, tmp_path, suite, expected):
+    # n = 3 runs every check: two-row at d = 1 and cycle-sum at n = 3
+    p = tmp_path / "ud3.csv"
+    p.write_text(UNIT_DIAGONAL_3)
+    code, out, err = run_cli(capsys, "verify", str(p), "--suite", suite)
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_verify_gram3_all_output(capsys, gram3):
+    code, out, err = run_cli(capsys, "verify", gram3, "--suite", "all")
+    expected = (
+        SCHUR_LINES + UNCROSS_LINES
+        + "SKIP boundedness: needs a unit-diagonal non-negative matrix\n"
+        + "PASS gram-consistency\nPASS tensor-permanent\nPASS psd-schur\n"
+        + "PASS alpha-nonneg\nPASS process-soundness\n"
+    )
+    assert (code, out, err) == (0, expected, "")

@@ -30,6 +30,7 @@ from permbound import (
     select,
     transpose,
 )
+from permbound.matcore import ryser_fits
 from randmat import integer_matrix, nonneg_matrix
 
 
@@ -162,6 +163,8 @@ def test_size_guards():
     big_float = Matrix(tuple(tuple(1.0 for _ in range(31)) for _ in range(31)), FLOAT64)
     with pytest.raises(DimensionTooLarge):
         permanent_ryser(big_float)
+    assert ryser_fits(ones(24)) and not ryser_fits(ones(25))
+    assert ryser_fits(select(big_float, range(1, 31), range(1, 31))) and not ryser_fits(big_float)
 
 
 def test_matrix_shape_validation():
@@ -199,8 +202,11 @@ def test_select_and_delete_are_complementary():
     m = matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert select(m, (1, 3), (2,)).entries == ((2,), (8,))
     assert delete(m, (2,), (1, 3)).entries == ((2,), (8,))
-    with pytest.raises(IndexOutOfRange):
-        select(m, (4,), (1,))
+    for fn in (select, delete):
+        with pytest.raises(IndexOutOfRange, match="row 4 outside"):
+            fn(m, (4,), (1,))
+        with pytest.raises(IndexOutOfRange, match="column 4 outside"):
+            fn(m, (1,), (4,))
 
 
 def test_arithmetic_helpers():

@@ -84,6 +84,8 @@ def test_json_flat_entries_and_validation():
     with pytest.raises(ParseError):
         parse_json_text('{"entries": ["1"]}', "j")
     with pytest.raises(ParseError):
+        parse_json_text('{"n": 2.9, "entries": [["1","1"],["1","1"]]}', "j")
+    with pytest.raises(ParseError):
         parse_json_text('{"n": 2, "kind": "odd", "entries": ["1","2","3","4"]}', "j")
     with pytest.raises(ParseError):
         parse_json_text("not json", "j")
@@ -94,6 +96,17 @@ def test_json_flat_entries_and_validation():
     ):
         with pytest.raises(ParseError):
             parse_json_text(non_array, "j")
+
+
+@pytest.mark.parametrize("literal, value", [
+    ("0.10000000000000000001", Fraction(10**19 + 1, 10**20)),
+    ("1e-400", Fraction(1, 10**400)),
+    ("1e400", Fraction(10**400)),
+])
+def test_json_numbers_parse_exactly_like_strings(literal, value):
+    as_number = parse_json_text(f'{{"n": 1, "entries": [[{literal}]]}}', "j")
+    as_string = parse_json_text(f'{{"n": 1, "entries": [["{literal}"]]}}', "j")
+    assert as_number.matrix.entries == as_string.matrix.entries == ((value,),)
 
 
 def test_parse_matrix_file_dispatch(tmp_path):

@@ -27,6 +27,7 @@ from permbound import (
     select,
     transpose,
 )
+from permbound.psd import tensor_fits
 from randmat import gram_instance
 
 
@@ -52,6 +53,12 @@ def test_tensor_permanent_guard():
     g = gram_from_factor(ones(7))
     with pytest.raises(DimensionTooLarge):
         permanent_tensor(g)
+    five, six = gram_from_factor([[1] * 5]), gram_from_factor([[1] * 6])
+    assert tensor_fits(five) and permanent_tensor(five) == 120
+    assert not tensor_fits(six)
+    with pytest.raises(DimensionTooLarge):
+        permanent_tensor(six)
+    assert not tensor_fits(gram_from_factor([[1] * 5] * 19))  # d^n = 19^5 > 2e6
 
 
 def test_gram_permanent_nonnegative():

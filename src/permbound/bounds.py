@@ -14,6 +14,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     ConditionViolated,
     DimensionMismatch,
@@ -24,7 +26,7 @@ from .errors import (
     ZeroPivot,
 )
 from .matcore import IndexSet, Matrix, permanent_ryser, select
-from .process import ProcessTrace, closed_recursion, cross_sum, recursive_u, run_process
+from .process import ProcessTrace, closed_recursion, cross_sums, recursive_u, run_process
 from .scalars import FLOAT64, RATIONAL, Scalar, SidePair, coerce, eq_scalar, leq_scalar, one, zero
 
 
@@ -100,29 +102,33 @@ def verify_majorant(cert: MajorantCertificate) -> MajorantCertificate:
         raise NegativeEntry("majorant certificates require non-negative matrices")
     if cert.mode not in ("inequality", "equality"):
         raise ParameterOutOfRange(f"unknown certificate mode {cert.mode!r}")
-    n = a.n
     kind = a.kind
-    for s in range(n - 1):
-        if a.entries[s][s] == 0:
-            raise ZeroPivot(s + 1)
-    diag = [a.entries[s][s] for s in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = a.entries[i][j] + cross_sum(b.entries, diag, i, j, kind)
-            ok = (
-                eq_scalar(lhs, b.entries[i][j], kind)
-                if cert.mode == "equality"
-                else leq_scalar(lhs, b.entries[i][j], kind)
-            )
-            if not ok:
-                raise ConditionViolated(i + 1, j + 1)
-    u = recursive_u(a).entries
-    for i in range(n):
-        for j in range(n):
-            assert leq_scalar(u[i][j], b.entries[i][j], kind), (
-                f"u exceeds the verified majorant at ({i + 1}, {j + 1})"
-            )
+    diag = [a.entries[s][s] for s in range(a.n)]
+    lhs = _array(a) + cross_sums(b.entries, diag, kind)
+    holds = eq_scalar if cert.mode == "equality" else leq_scalar
+    failure = _first_failure(lhs, _array(b), kind, holds)
+    if failure is not None:
+        raise ConditionViolated(*failure)
+    failure = _first_failure(_array(recursive_u(a)), _array(b), kind)
+    assert failure is None, f"u exceeds the verified majorant at {failure}"
     return replace(cert, verified=True)
+
+
+def _array(m: Matrix) -> np.ndarray:
+    return np.array(m.entries, dtype=object if m.kind == RATIONAL else np.float64)
+
+
+def _first_failure(lhs: np.ndarray, rhs: np.ndarray, kind: str, holds=leq_scalar):
+    """The first (i, j), 1-based in row-major order, where holds(lhs_ij, rhs_ij) fails.
+
+    holds is leq_scalar or eq_scalar, which can fail only where lhs <= rhs
+    (or lhs == rhs) fails outright, so only those entries are checked.
+    """
+    plain = lhs == rhs if holds is eq_scalar else lhs <= rhs
+    for i, j in np.argwhere(~plain):
+        if not holds(lhs[i, j], rhs[i, j], kind):
+            return int(i) + 1, int(j) + 1
+    return None
 
 
 def solve_majorant(a: Matrix) -> Matrix:
@@ -159,11 +165,9 @@ def diag_dominance_certify(a: Matrix, eps: Scalar) -> DiagDominanceResult:
     factor = (1 + e) ** 2 / e
     rows = a.entries
     diag = [rows[s][s] for s in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cross = cross_sum(rows, diag, i, j, kind)
-            if not leq_scalar(factor * cross, rows[i][j], kind):
-                return DiagDominanceResult(False, None, e, (i + 1, j + 1))
+    violation = _first_failure(factor * cross_sums(rows, diag, kind), _array(a), kind)
+    if violation is not None:
+        return DiagDominanceResult(False, None, e, violation)
     bound = (1 + e) ** n
     for s in range(n):
         bound *= rows[s][s]

@@ -7,17 +7,21 @@ Two formats:
   "kind": "nonneg" | "gram", "factor": optional d x n array,
   "majorant": optional n x n array}.
 
-Files are parsed exactly (decimals become exact decimal fractions) and
-converted to float64 afterwards when float arithmetic is requested, so the
-rational pipeline never sees binary rounding.
+JSON files, and CSV files read without a kind, are parsed exactly
+(decimals become exact decimal fractions) and converted to float64 by
+`to_kind` when float arithmetic is requested, so the rational pipeline never
+sees binary rounding.  A CSV file read for float64 rounds each cell once,
+straight from its literal, to the same value `to_kind` would give.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from .errors import NonFinite, ParseError
 from .matcore import Matrix, matmul, transpose
@@ -31,7 +35,7 @@ class ParsedMatrix:
 
     matrix_id: str
     kind_tag: str                     # "nonneg" | "gram"
-    matrix: Matrix                    # always rational (exact) at parse time
+    matrix: Matrix                    # rational, or float64 for a CSV read as float
     factor: Matrix | None = None      # present iff kind_tag == "gram"
     majorant: Matrix | None = None
 
@@ -43,24 +47,77 @@ def _parse_cell(text) -> Fraction:
         raise ParseError(f"bad numeric literal {text!r}") from exc
 
 
-def _rows_to_matrix(rows, what: str) -> Matrix:
+def _float64(row) -> tuple[float, ...]:
+    """Each entry rounded to the nearest float64; beyond the float64 range it is NonFinite."""
+    try:
+        return tuple(map(float, row))
+    except OverflowError as exc:
+        raise NonFinite(f"an entry is outside the float64 range: {exc}") from exc
+
+
+def _float_cell(text: str) -> float | Fraction:
+    """float(text), or the exact value where that could differ from rounding it.
+
+    float() rounds a decimal literal once, as float(Fraction(text)) does.
+    They differ on "p/q" (float() rejects it), on "inf" and "nan" (not
+    literals here), on "-0" (-0.0 against 0.0) and beyond the float64 range
+    (inf against NonFinite), so zero and non-finite results take the exact
+    route.
+    """
+    try:
+        v = float(text)
+    except ValueError:
+        return _parse_cell(text)
+    return v if v and math.isfinite(v) else _parse_cell(text)
+
+
+def _float_row(cells) -> tuple | list:
+    """A tuple of floats, or a list that may still hold exact cells for _float64."""
+    try:
+        row = tuple(map(float, cells))
+        if 0.0 not in row and all(map(math.isfinite, row)):
+            return row
+    except ValueError:
+        pass
+    return [_float_cell(c) for c in cells]
+
+
+def _exact_row(cells) -> list:
+    return [_parse_cell(c) for c in cells]
+
+
+def _parse_rows(rows, what: str, parse_row=_exact_row) -> list[list]:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ParseError(f"{what} must be an array of arrays")
     if not rows:
         raise ParseError(f"{what} is empty")
-    parsed = [tuple(_parse_cell(x) for x in row) for row in rows]
+    parsed = [parse_row(row) for row in rows]
     widths = {len(r) for r in parsed}
     if len(widths) != 1:
         raise ParseError(f"{what} has ragged rows")
-    return Matrix(tuple(parsed), RATIONAL)
+    return parsed
 
 
-def parse_csv_text(text: str, matrix_id: str = "stdin") -> ParsedMatrix:
+def _rows_to_matrix(rows, what: str) -> Matrix:
+    return Matrix(tuple(map(tuple, _parse_rows(rows, what))), RATIONAL)
+
+
+def parse_csv_text(
+    text: str, matrix_id: str = "stdin", pick_kind: Callable[[int], str] | None = None
+) -> ParsedMatrix:
+    """Parse CSV rows; pick_kind(n), given the row count n, names the cells' kind.
+
+    Without pick_kind the cells are exact.  Read as float64, every bad literal
+    and shape error is raised before an entry outside the float64 range.
+    """
     rows = [line.split(",") for line in text.strip().splitlines() if line.strip()]
-    m = _rows_to_matrix(rows, "csv matrix")
-    if not m.is_square:
-        raise ParseError(f"csv matrix is {m.nrows}x{m.ncols}, not square")
-    return ParsedMatrix(matrix_id, "nonneg", m)
+    kind = RATIONAL if pick_kind is None else pick_kind(len(rows))
+    parsed = _parse_rows(rows, "csv matrix", _float_row if kind == FLOAT64 else _exact_row)
+    if len(parsed) != len(parsed[0]):
+        raise ParseError(f"csv matrix is {len(parsed)}x{len(parsed[0])}, not square")
+    if kind == FLOAT64:
+        parsed = [row if type(row) is tuple else _float64(row) for row in parsed]
+    return ParsedMatrix(matrix_id, "nonneg", Matrix(tuple(map(tuple, parsed)), kind))
 
 
 def parse_json_text(text: str, matrix_id: str = "stdin") -> ParsedMatrix:
@@ -106,7 +163,10 @@ def parse_json_text(text: str, matrix_id: str = "stdin") -> ParsedMatrix:
     return ParsedMatrix(matrix_id, kind_tag, m, factor, majorant)
 
 
-def parse_matrix_file(path: str | Path) -> ParsedMatrix:
+def parse_matrix_file(
+    path: str | Path, pick_kind: Callable[[int], str] | None = None
+) -> ParsedMatrix:
+    """Parse a CSV or JSON matrix file; pick_kind applies to CSV only (see parse_csv_text)."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -114,17 +174,14 @@ def parse_matrix_file(path: str | Path) -> ParsedMatrix:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
         return parse_json_text(text, path.stem)
-    return parse_csv_text(text, path.stem)
+    return parse_csv_text(text, path.stem, pick_kind)
 
 
 def to_kind(m: Matrix, kind: str) -> Matrix:
     if m.kind == kind:
         return m
     if kind == FLOAT64:
-        try:
-            return Matrix(tuple(tuple(float(x) for x in row) for row in m.entries), kind)
-        except OverflowError as exc:
-            raise NonFinite(f"an entry is outside the float64 range: {exc}") from exc
+        return Matrix(tuple(map(_float64, m.entries)), kind)
     raise ParseError("cannot losslessly convert float64 entries to rationals")
 
 

@@ -165,6 +165,37 @@ def cross_sum(b, den, i: int, j: int, kind: str) -> Scalar:
     )
 
 
+def cross_sums(b, den, kind: str) -> np.ndarray:
+    """Every cross_sum(b, den, i, j, kind) at once, as an n x n array.
+
+    Entry (i, j) is row i of the lower factor L, L_{i,s} = b_{i,s} / den_s
+    for s < i, times column j of the strict upper triangle of b.  No s
+    reaches n - 1, so den_{n-1} is never read; a zero den_s below it raises
+    ZeroPivot(s + 1).  Float64 takes one matrix product, which sums in its
+    own order.  Rationals, and floats whose L overflows, sum upward from
+    zero with L built once; rationals then equal cross_sum exactly.  The
+    array holds Fractions (object dtype) or float64.
+    """
+    n = len(b)
+    for s in range(n - 1):
+        if den[s] == 0:
+            raise ZeroPivot(s + 1)
+    if kind == FLOAT64 and n > 1:
+        arr = np.array(b, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            lower = np.tril(arr, -1)[:, :-1] / np.array(den[:-1], dtype=np.float64)
+        if np.isfinite(lower).all():
+            return lower @ np.triu(arr, 1)[:-1]
+    lower = [[b[i][s] / den[s] for s in range(i)] for i in range(n)]
+    out = np.empty((n, n), dtype=object if kind == RATIONAL else np.float64)
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = sum(
+                (lower[i][s] * b[s][j] for s in range(min(i, j))), start=zero(kind)
+            )
+    return out
+
+
 def closed_recursion(a: Matrix, den=None) -> Matrix:
     """Solve b_{i,j} = a_{i,j} + cross_sum(b, den, i, j) in order of min(i,j).
 

@@ -15,6 +15,7 @@ from permbound import (
     NegativeEntry,
     ParameterOutOfRange,
     PreconditionViolated,
+    FLOAT64,
     RATIONAL,
     ZeroPivot,
     bound_function,
@@ -23,6 +24,7 @@ from permbound import (
     entry_bound_check,
     exp_family,
     exp_family_closed_form,
+    leq_scalar,
     matrix,
     ones,
     perm_ratio_check,
@@ -32,8 +34,10 @@ from permbound import (
     rowsum_bound,
     run_process,
     solve_majorant,
+    to_kind,
     verify_majorant,
 )
+from permbound.process import cross_sum
 from randmat import dominant_matrix, positive_matrix, unit_diag_matrix
 
 
@@ -128,6 +132,34 @@ def test_diag_dominance_random_certified_instances():
         assert res.bound == (1 + eps) ** n * diag_prod
         assert permanent_ryser(a) <= res.bound
         assert process_bound(a) <= res.bound
+
+
+def _first_violation_by_entry(a, eps):
+    """The per-entry loop over cross_sum that diag_dominance_certify replaced."""
+    kind, rows = a.kind, a.entries
+    diag = [rows[s][s] for s in range(a.n)]
+    factor = (1 + eps) ** 2 / eps
+    for i in range(a.n):
+        for j in range(a.n):
+            if not leq_scalar(factor * cross_sum(rows, diag, i, j, kind), rows[i][j], kind):
+                return (i + 1, j + 1)
+    return None
+
+
+def test_diag_dominance_reports_the_first_violation():
+    rng = random.Random(64)
+    seen = set()
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        a = positive_matrix(rng, n, hi=3)
+        eps = Fraction(rng.randint(1, 4), rng.randint(1, 4))
+        for m, e in ((a, eps), (to_kind(a, FLOAT64), float(eps))):
+            res = diag_dominance_certify(m, e)
+            expected = _first_violation_by_entry(m, e)
+            assert res.violation == expected
+            assert res.certified == (expected is None)
+            seen.add(expected)
+    assert len(seen) > 3  # violations at several different entries
 
 
 def test_diag_dominance_validation():

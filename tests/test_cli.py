@@ -143,6 +143,33 @@ def test_float_overflow_exits_3(capsys, tmp_path, text, argv):
     assert json.loads(err)["error"]["type"] == "NonFinite"
 
 
+@pytest.mark.parametrize("text, error", [
+    ("inf,1\n1,1\n", "ParseError"),
+    ("nan,1\n1,1\n", "ParseError"),
+    ("Infinity,1\n1,1\n", "ParseError"),
+    ("1,1e400\n1,abc\n", "ParseError"),  # a bad literal beats an overflow
+    ("1,1e400,1\n1,1,1\n", "ParseError"),  # so does a non-square shape
+    ("1e400,1\n1,1\n", "NonFinite"),
+])
+def test_float_parse_edges_exit_codes(capsys, tmp_path, text, error):
+    p = tmp_path / "edge.csv"
+    p.write_text(text)
+    code, out, err = run_cli(capsys, "bound", str(p), "--arithmetic", "float")
+    assert (code, out) == ({"ParseError": 2, "NonFinite": 3}[error], "")
+    assert json.loads(err)["error"]["type"] == error
+    if error == "NonFinite":
+        message = "an entry is outside the float64 range: integer division result too large for a float"
+        assert json.loads(err)["error"]["message"] == message
+
+
+def test_float_negative_zero_snapshot(capsys, tmp_path):
+    p = tmp_path / "negzero.csv"
+    p.write_text("1,-0\n1,2\n")
+    code, out, _ = run_cli(capsys, "bound", str(p), "--arithmetic", "float", "--snapshots")
+    assert code == 0
+    assert json.loads(out)["snapshots"][0] == [["1.0", "0.0"], ["1.0", "2.0"]]
+
+
 def test_family_exp_and_allones(capsys):
     code, out, _ = run_cli(capsys, "family", "exp", "n=3", "c=2")
     report = json.loads(out)
@@ -378,4 +405,30 @@ def test_verify_gram3_all_output(capsys, gram3):
         + "PASS gram-consistency\nPASS tensor-permanent\nPASS psd-schur\n"
         + "PASS alpha-nonneg\nPASS process-soundness\n"
     )
+    assert (code, out, err) == (0, expected, "")
+
+
+ZERO_BLOCK_2 = "0,1\n1,1\n"  # per(A) = 1, but the leading 1x1 block has permanent 0
+ZERO_BLOCK_SCHUR = (
+    "SKIP rank1-identity: per(B) = 0; permanental inverse undefined\n"
+    "SKIP schur-bound: per(B) = 0; permanental inverse undefined\n"
+    "PASS identity-dominance\n"
+)
+ZERO_BLOCK_UNCROSS = (
+    "PASS row-uncrossing\nPASS two-row-inequality\n"
+    "SKIP condense-inequality: per(B) = a_{1,1} = 0\n"
+)
+
+
+@pytest.mark.parametrize("suite, expected", [
+    ("all", ZERO_BLOCK_SCHUR + ZERO_BLOCK_UNCROSS
+     + "SKIP boundedness: needs a unit-diagonal non-negative matrix\n"
+     + "SKIP psd: needs a gram-kind input with a factor\n"),
+    ("schur", ZERO_BLOCK_SCHUR),
+    ("uncross", ZERO_BLOCK_UNCROSS),
+], ids=["all", "schur", "uncross"])
+def test_verify_zero_block_permanent_skips(capsys, tmp_path, suite, expected):
+    p = tmp_path / "zero_block.csv"
+    p.write_text(ZERO_BLOCK_2)
+    code, out, err = run_cli(capsys, "verify", str(p), "--suite", suite)
     assert (code, out, err) == (0, expected, "")

@@ -1,14 +1,17 @@
 """Matrix file parsing and serialization round trips."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permbound import (
     FLOAT64,
     GramMatrix,
     Matrix,
+    NonFinite,
     ParseError,
     RATIONAL,
     as_subject,
@@ -155,3 +158,96 @@ def test_majorant_field_round_trip():
     text = serialize_json(ParsedMatrix("m", "nonneg", a, majorant=b))
     parsed = parse_json_text(text, "m")
     assert parsed.majorant == b
+
+
+def test_parse_matrix_file_without_kind_is_exact(tmp_path):
+    # perfbench/run.py checks rational reports against this exact parse
+    p = tmp_path / "m.csv"
+    p.write_text("0.1,1/3\n2,1e-400\n")
+    m = parse_matrix_file(p).matrix
+    assert m.kind == RATIONAL
+    assert m.entries == ((Fraction(1, 10), Fraction(1, 3)), (2, Fraction(1, 10**400)))
+
+
+def as_float(text):
+    return parse_csv_text(text, "t", lambda n: FLOAT64)
+
+
+def test_pick_kind_sees_the_row_count(tmp_path):
+    seen = []
+    p = tmp_path / "m.csv"
+    p.write_text("1,2,3\n\n4,5,6\n7,8,9\n")
+    m = parse_matrix_file(p, lambda n: seen.append(n) or FLOAT64).matrix
+    assert seen == [3]
+    assert m.kind == FLOAT64 and m.entries[2] == (7.0, 8.0, 9.0)
+    assert parse_matrix_file(p, lambda n: RATIONAL).matrix.kind == RATIONAL
+
+
+@pytest.mark.parametrize("literal", ["inf", "-inf", "nan", "NaN", "Infinity", "+infinity"])
+def test_float_parse_rejects_non_finite_literals(literal):
+    # float() accepts these, Fraction does not; the float parse keeps them errors
+    with pytest.raises(ParseError, match="bad numeric literal"):
+        as_float(f"1,{literal}\n1,1\n")
+
+
+def test_float_parse_overflow_is_non_finite():
+    with pytest.raises(NonFinite, match="^an entry is outside the float64 range: "):
+        as_float("1,1e400\n1,1\n")
+    with pytest.raises(NonFinite):
+        as_float(f"1,-{10**400}/3\n1,1\n")
+
+
+def test_float_parse_bad_literal_and_shape_beat_overflow():
+    with pytest.raises(ParseError, match="bad numeric literal 'abc'"):
+        as_float("1,1e400\n1,abc\n")
+    with pytest.raises(ParseError, match="not square"):
+        as_float("1,1e400,1\n1,1,1\n")
+    with pytest.raises(ParseError, match="ragged"):
+        as_float("1,1e400\n1\n")
+
+
+def test_float_parse_negative_zero_reads_as_zero():
+    m = as_float("1,-0\n-0.0e5,2\n").matrix
+    assert m.entries == ((1.0, 0.0), (0.0, 2.0))
+    assert all(math.copysign(1.0, x) == 1.0 for row in m.entries for x in row)
+
+
+def _digits(draw, lo, hi):
+    return "".join(draw(st.lists(st.sampled_from("0123456789"), min_size=lo, max_size=hi)))
+
+
+@st.composite
+def numeric_literals(draw):
+    """Decimal, exponent and p/q literals, with 20+ digit and tiny cases."""
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    form = draw(st.sampled_from(["int", "dec", "exp", "pq", "tiny"]))
+    if form == "int":
+        return sign + _digits(draw, 1, 25)
+    if form == "dec":
+        return sign + _digits(draw, 0, 12) + "." + _digits(draw, 1, 25)
+    if form == "exp":
+        exp = draw(st.integers(-340, 320))
+        return f"{sign}{_digits(draw, 1, 3)}.{_digits(draw, 0, 22)}e{exp}"
+    if form == "pq":
+        return f"{sign}{_digits(draw, 1, 22)}/{draw(st.integers(1, 10**22))}"
+    # around and below the smallest subnormal, 4.9e-324
+    return f"{sign}{_digits(draw, 1, 20)}e{draw(st.integers(-345, -300))}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(numeric_literals(), min_size=1, max_size=9))
+def test_float_parse_equals_rounding_the_exact_parse(cells):
+    n = math.isqrt(len(cells))
+    text = "\n".join(",".join(cells[i * n:(i + 1) * n]) for i in range(n)) + "\n"
+    try:
+        rounded = to_kind(parse_csv_text(text, "t").matrix, FLOAT64)
+    except NonFinite:
+        with pytest.raises(NonFinite):
+            as_float(text)
+        return
+    direct = as_float(text).matrix
+    assert direct.kind == FLOAT64
+    # repr tells 0.0 from -0.0, which == does not
+    assert [[repr(x) for x in row] for row in direct.entries] == [
+        [repr(x) for x in row] for row in rounded.entries
+    ]

@@ -1,5 +1,6 @@
 """The permanent process, its Gaussian minus-variant, and the u-recursion."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from permbound import (
     run_process,
     select,
 )
+from permbound.process import cross_sum, cross_sums
 from randmat import (
     nonneg_matrix,
     nonzero_leading_minors_matrix,
@@ -274,3 +276,48 @@ def test_unit_diag_process_stays_rational_exact():
     trace = run_process(m)
     assert trace.arithmetic == RATIONAL
     assert permanent_ryser(m) <= trace.bound
+
+
+def test_cross_sums_equal_cross_sum_exactly():
+    rng = random.Random(97)
+    for _ in range(50):
+        n = rng.randint(1, 7)
+        b = nonneg_matrix(rng, n).entries
+        den = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)]
+        sums = cross_sums(b, den, RATIONAL)
+        assert sums.shape == (n, n)
+        for i in range(n):
+            for j in range(n):
+                assert sums[i, j] == cross_sum(b, den, i, j, RATIONAL)
+                assert type(sums[i, j]) is Fraction
+
+
+def test_cross_sums_float_close_to_cross_sum():
+    rng = random.Random(98)
+    for _ in range(30):
+        n = rng.randint(1, 12)
+        b = [[rng.uniform(0, 3) for _ in range(n)] for _ in range(n)]
+        den = [rng.uniform(0.1, 2) for _ in range(n)]
+        sums = cross_sums(b, den, FLOAT64)
+        for i in range(n):
+            for j in range(n):
+                assert math.isclose(sums[i, j], cross_sum(b, den, i, j, FLOAT64), rel_tol=1e-12)
+
+
+def test_cross_sums_never_read_the_last_denominator():
+    b = [[1.0, 2.0], [3.0, 4.0]]
+    assert cross_sums(b, [2.0, 0.0], FLOAT64).tolist() == [[0.0, 0.0], [0.0, 3.0]]
+    exact = [[Fraction(x) for x in row] for row in b]
+    assert cross_sums(exact, [Fraction(2), Fraction(0)], RATIONAL)[1, 1] == 3
+    with pytest.raises(ZeroPivot, match="step 1"):
+        cross_sums(b, [0.0, 1.0], FLOAT64)
+
+
+def test_cross_sums_float_overflow_matches_cross_sum():
+    # b_{2,1} / den_1 overflows, so the product would meet inf * 0 at (2, 1)
+    b = [[1e-300, 1.0, 1.0], [1e300, 1.0, 1.0], [1.0, 1.0, 1.0]]
+    den = [1e-300, 1.0, 1.0]
+    sums = cross_sums(b, den, FLOAT64)
+    for i in range(3):
+        for j in range(3):
+            assert sums[i, j] == cross_sum(b, den, i, j, FLOAT64)

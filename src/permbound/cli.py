@@ -290,12 +290,19 @@ def _check_schur(suite: _Suite, parsed: ParsedMatrix):
         return None
 
     def schur_bound():
+        zero = []
         for d in range(1, n):
-            pair = schur_permanent_bound(BlockSplit(m, d))
+            try:
+                pair = schur_permanent_bound(BlockSplit(m, d))
+            except ZeroPermanent as exc:  # no bound at this split; check the others
+                zero.append(exc)
+                continue
             if not pair.holds:
                 return f"exact > bound at d = {d}"
             if d == n - 1 and not eq_scalar(pair.lhs, pair.rhs, m.kind):
                 return f"k = 1 split not an equality: {pair.lhs} vs {pair.rhs}"
+        if len(zero) == n - 1:
+            raise zero[0]
         return None
 
     def dominance():

@@ -55,31 +55,22 @@ def _float64(row) -> tuple[float, ...]:
         raise NonFinite(f"an entry is outside the float64 range: {exc}") from exc
 
 
-def _float_cell(text: str) -> float | Fraction:
-    """float(text), or the exact value where that could differ from rounding it.
+def _float_row(cells) -> tuple | list:
+    """A tuple of floats, or the exact cells for _float64 to round.
 
     float() rounds a decimal literal once, as float(Fraction(text)) does.
     They differ on "p/q" (float() rejects it), on "inf" and "nan" (not
     literals here), on "-0" (-0.0 against 0.0) and beyond the float64 range
-    (inf against NonFinite), so zero and non-finite results take the exact
-    route.
+    (inf against NonFinite), so a row with a zero, a non-finite value or a
+    literal float() rejects is read exactly.
     """
-    try:
-        v = float(text)
-    except ValueError:
-        return _parse_cell(text)
-    return v if v and math.isfinite(v) else _parse_cell(text)
-
-
-def _float_row(cells) -> tuple | list:
-    """A tuple of floats, or a list that may still hold exact cells for _float64."""
     try:
         row = tuple(map(float, cells))
         if 0.0 not in row and all(map(math.isfinite, row)):
             return row
     except ValueError:
         pass
-    return [_float_cell(c) for c in cells]
+    return _exact_row(cells)
 
 
 def _exact_row(cells) -> list:
@@ -112,7 +103,10 @@ def parse_csv_text(
     """
     rows = [line.split(",") for line in text.strip().splitlines() if line.strip()]
     kind = RATIONAL if pick_kind is None else pick_kind(len(rows))
-    parsed = _parse_rows(rows, "csv matrix", _float_row if kind == FLOAT64 else _exact_row)
+    # float() takes digit-group underscores ("1_000") on every Python,
+    # Fraction only from 3.11, so such a file is read exactly
+    fast = kind == FLOAT64 and "_" not in text
+    parsed = _parse_rows(rows, "csv matrix", _float_row if fast else _exact_row)
     if len(parsed) != len(parsed[0]):
         raise ParseError(f"csv matrix is {len(parsed)}x{len(parsed[0])}, not square")
     if kind == FLOAT64:

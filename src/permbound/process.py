@@ -172,22 +172,33 @@ def cross_sums(b, den, kind: str) -> np.ndarray:
     for s < i, times column j of the strict upper triangle of b.  No s
     reaches n - 1, so den_{n-1} is never read; a zero den_s below it raises
     ZeroPivot(s + 1).  Float64 takes one matrix product, which sums in its
-    own order.  Rationals, and floats whose L overflows, sum upward from
-    zero with L built once; rationals then equal cross_sum exactly.  The
-    array holds Fractions (object dtype) or float64.
+    own order.  Where a float product b_{i,s} b_{s,j}, L or the result
+    leaves the float64 range, every entry is cross_sum itself, which
+    multiplies before it divides.  Rationals sum upward from zero with L
+    built once, so they equal cross_sum exactly.  The array holds Fractions
+    (object dtype) or float64.
     """
     n = len(b)
     for s in range(n - 1):
         if den[s] == 0:
             raise ZeroPivot(s + 1)
-    if kind == FLOAT64 and n > 1:
-        arr = np.array(b, dtype=np.float64)
-        with np.errstate(over="ignore"):
-            lower = np.tril(arr, -1)[:, :-1] / np.array(den[:-1], dtype=np.float64)
-        if np.isfinite(lower).all():
-            return lower @ np.triu(arr, 1)[:-1]
+    if kind == FLOAT64:
+        if n > 1:
+            arr = np.array(b, dtype=np.float64)
+            strict = np.tril(arr, -1)[:, :-1]
+            upper = np.triu(arr, 1)[:-1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                fits = np.isfinite(np.abs(strict).max() * np.abs(upper).max())
+                lower = strict / np.array(den[:-1], dtype=np.float64)
+                out = lower @ upper
+            if fits and np.isfinite(lower).all() and np.isfinite(out).all():
+                return out
+        return np.array(
+            [[cross_sum(b, den, i, j, kind) for j in range(n)] for i in range(n)],
+            dtype=np.float64,
+        )
     lower = [[b[i][s] / den[s] for s in range(i)] for i in range(n)]
-    out = np.empty((n, n), dtype=object if kind == RATIONAL else np.float64)
+    out = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
             out[i, j] = sum(

@@ -162,6 +162,12 @@ def test_diag_dominance_reports_the_first_violation():
     assert len(seen) > 3  # violations at several different entries
 
 
+def test_diag_dominance_float_zero_times_overflowing_factor():
+    # the lower factor 1e10 / 1e-300 overflows; its partner entry 0 keeps the sum 0
+    res = diag_dominance_certify(Matrix(((1e-300, 0.0), (1e10, 1.0)), FLOAT64), 1.0)
+    assert res.certified and res.violation is None
+
+
 def test_diag_dominance_validation():
     with pytest.raises(ParameterOutOfRange):
         diag_dominance_certify(ones(2), Fraction(0))

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from permbound.cli import main
+from permbound.permschur import schur_permanent_bound
+from permbound.scalars import SidePair
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SRC = PYPROJECT.parent / "src"
@@ -432,3 +434,29 @@ def test_verify_zero_block_permanent_skips(capsys, tmp_path, suite, expected):
     p.write_text(ZERO_BLOCK_2)
     code, out, err = run_cli(capsys, "verify", str(p), "--suite", suite)
     assert (code, out, err) == (0, expected, "")
+
+
+ZERO_CORNER_3 = "0,1,1\n1,1,1\n1,1,1\n"  # per(B) = 0 at d = 1 only
+
+
+def test_verify_schur_bound_checks_the_nonzero_splits(capsys, tmp_path):
+    p = tmp_path / "zero_corner.csv"
+    p.write_text(ZERO_CORNER_3)
+    code, out, err = run_cli(capsys, "verify", str(p), "--suite", "schur")
+    expected = "PASS rank1-identity\nPASS schur-bound\nPASS identity-dominance\n"
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_verify_schur_bound_fails_past_a_zero_split(capsys, tmp_path, monkeypatch):
+    def broken_at_2(split):
+        return SidePair(2, 1, False) if split.d == 2 else schur_permanent_bound(split)
+
+    monkeypatch.setattr("permbound.cli.schur_permanent_bound", broken_at_2)
+    p = tmp_path / "zero_corner.csv"
+    p.write_text(ZERO_CORNER_3)
+    code, out, err = run_cli(capsys, "verify", str(p), "--suite", "schur")
+    expected = (
+        "PASS rank1-identity\nFAIL schur-bound: exact > bound at d = 2\n"
+        "PASS identity-dominance\n"
+    )
+    assert (code, out, err) == (1, expected, "")

@@ -212,6 +212,19 @@ def test_float_parse_negative_zero_reads_as_zero():
     assert all(math.copysign(1.0, x) == 1.0 for row in m.entries for x in row)
 
 
+@pytest.mark.parametrize("literal", ["1_000", "1_000.5", "1e1_0", "1__0", "_1", "1_"])
+def test_float_parse_takes_underscores_as_the_exact_parse_does(literal):
+    # float() takes digit-group underscores on every Python, Fraction only from 3.11
+    text = f"{literal},1\n1,1\n"
+    try:
+        rounded = to_kind(parse_csv_text(text, "t").matrix, FLOAT64)
+    except ParseError:
+        with pytest.raises(ParseError):
+            as_float(text)
+        return
+    assert as_float(text).matrix == rounded
+
+
 def _digits(draw, lo, hi):
     return "".join(draw(st.lists(st.sampled_from("0123456789"), min_size=lo, max_size=hi)))
 

@@ -313,11 +313,15 @@ def test_cross_sums_never_read_the_last_denominator():
         cross_sums(b, [0.0, 1.0], FLOAT64)
 
 
-def test_cross_sums_float_overflow_matches_cross_sum():
+@pytest.mark.parametrize("b, den", [
     # b_{2,1} / den_1 overflows, so the product would meet inf * 0 at (2, 1)
-    b = [[1e-300, 1.0, 1.0], [1e300, 1.0, 1.0], [1.0, 1.0, 1.0]]
-    den = [1e-300, 1.0, 1.0]
-    sums = cross_sums(b, den, FLOAT64)
-    for i in range(3):
-        for j in range(3):
-            assert sums[i, j] == cross_sum(b, den, i, j, FLOAT64)
+    ([[1e-300, 1.0, 1.0], [1e300, 1.0, 1.0], [1.0, 1.0, 1.0]], [1e-300, 1.0, 1.0]),
+    # L_{2,1} = 1e10 / 1e-300 overflows, but b_{1,2} = 0 makes the sum 0, not nan
+    ([[1e-300, 0.0], [1e10, 1.0]], [1e-300, 1.0]),
+    # L fits, but b_{2,1} b_{1,2} = 1e400 overflows before the division
+    ([[1e200, 1e200], [1e200, 1e200]], [1e200, 1e200]),
+], ids=["overflowing-factor", "inf-times-zero", "product-overflow"])
+def test_cross_sums_float_overflow_matches_cross_sum(b, den):
+    n = len(b)
+    expected = [[cross_sum(b, den, i, j, FLOAT64) for j in range(n)] for i in range(n)]
+    assert cross_sums(b, den, FLOAT64).tolist() == expected

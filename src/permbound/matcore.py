@@ -3,6 +3,9 @@ exact permanent/determinant oracles used as ground truth everywhere else,
 and the one elimination kernel (`eliminate`) shared by the permanent
 process, its minus-variant and the exact PSD test.
 
+The Ryser oracle runs on Python integers for both kinds and divides once
+at the end, so a float64 permanent is the exact one rounded once.
+
 Conventions
 -----------
 * All row/column indices taken by the public API are 1-based, matching the
@@ -17,6 +20,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Sequence
@@ -29,7 +33,7 @@ from .errors import (
     NotSquare,
     ZeroPivot,
 )
-from .scalars import FLOAT64, KINDS, RATIONAL, Scalar, coerce, one, zero
+from .scalars import FLOAT64, KINDS, RATIONAL, Scalar, coerce, one, quotient, zero
 
 NAIVE_MAX = 10
 RYSER_MAX_RATIONAL = 24
@@ -238,11 +242,29 @@ def ryser_fits(m: Matrix) -> bool:
     return m.n <= (RYSER_MAX_RATIONAL if m.kind == RATIONAL else RYSER_MAX_FLOAT)
 
 
+def integer_rows(rows: Iterable[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
+    """Each row read exactly and scaled by the lcm of its entries' denominators.
+
+    Returns the integer rows and the product of the row scales.  A float64
+    entry is read exactly; inf or nan raises OverflowError or ValueError.
+    """
+    out = []
+    scale = 1
+    for row in rows:
+        ratios = [x.as_integer_ratio() for x in row]
+        s = math.lcm(*[q for _, q in ratios])
+        out.append([p * s // q for p, q in ratios])
+        scale *= s
+    return out, scale
+
+
 def permanent_ryser(m: Matrix) -> Scalar:
     """per(m) by Ryser's inclusion-exclusion over column subsets, O(2^n * n).
 
-    Gray-code iteration updates one column per subset; `ryser_fits` is
-    the size guard.
+    The Gray-code loop updates one column per subset and runs on the
+    `integer_rows` of m.  Float mode returns the exact value rounded once
+    (+-inf beyond the float64 range, nan for an inf or nan entry).
+    `ryser_fits` is the size guard.
     """
     n = m.n
     if not ryser_fits(m):
@@ -251,28 +273,25 @@ def permanent_ryser(m: Matrix) -> Scalar:
     if n == 0:
         return one(m.kind)
     if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] + rows[0][1] * rows[1][0]
-    z = zero(m.kind)
-    sums = [z] * n
-    total = z
+        return coerce(rows[0][0], m.kind)
+    try:
+        ints, scale = integer_rows(rows)
+    except (OverflowError, ValueError):
+        return math.nan
+    cols = list(zip(*ints))
+    sums = [0] * n
+    total = 0
     prev_gray = 0
+    sign = 1 if n % 2 else -1  # (-1)^(n - |S|), and |S| changes by one per step
     for k in range(1, 1 << n):
         gray = k ^ (k >> 1)
         bit = gray ^ prev_gray
-        j = bit.bit_length() - 1
-        if gray & bit:
-            for i in range(n):
-                sums[i] += rows[i][j]
-        else:
-            for i in range(n):
-                sums[i] -= rows[i][j]
         prev_gray = gray
-        term = math.prod(sums)
-        size = gray.bit_count()
-        total += term if (n - size) % 2 == 0 else -term
-    return total
+        step = operator.add if gray & bit else operator.sub
+        sums = list(map(step, sums, cols[bit.bit_length() - 1]))
+        total += sign * math.prod(sums)
+        sign = -sign
+    return quotient(total, scale, m.kind)
 
 
 def eliminate(rows, sign: int, every_row: bool = False, skip_zero: bool = False,

@@ -15,9 +15,10 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, DimensionTooLarge, InvalidGram, ZeroPivot
 from .matcore import (
-    Matrix, add, delete, eliminate, matmul, matrix, outer, permanent_ryser, transpose,
+    Matrix, add, delete, eliminate, integer_rows, matmul, matrix, outer, permanent_ryser,
+    transpose,
 )
-from .scalars import RATIONAL, Scalar, SidePair, coerce, eq_scalar, leq_scalar, one, zero
+from .scalars import RATIONAL, Scalar, SidePair, coerce, eq_scalar, leq_scalar, quotient, zero
 
 TENSOR_MAX_N = 5
 TENSOR_MAX_SPACE = 2_000_000
@@ -74,27 +75,30 @@ def permanent_tensor(g: GramMatrix) -> Scalar:
     """per(A) = (1/n!) * || sum over sigma of v_sigma(1) x ... x v_sigma(n) ||^2.
 
     The tensor lives in a d^n-dimensional space; `tensor_fits` is the size
-    guard.  Exact in rational mode, and manifestly >= 0, which certifies
-    non-negativity of PSD permanents.
+    guard.  The sum runs on the `integer_rows` of the factor columns, and
+    one division by scale^2 * n! gives the exact value (rounded once in
+    float mode).  Manifestly >= 0, which certifies non-negativity of PSD
+    permanents.
     """
     n = g.n
     d = g.d
     if not tensor_fits(g):
         raise DimensionTooLarge(f"permanent_tensor guard: n = {n}, d^n = {d}^{n}")
-    kind = g.gram.kind
-    cols = [g.column(j) for j in range(1, n + 1)]
-    z = zero(kind)
-    total = [z] * (d ** n)
+    try:
+        cols, scale = integer_rows(g.column(j) for j in range(1, n + 1))
+    except (OverflowError, ValueError):
+        return math.nan
+    total = [0] * (d ** n)
     for sigma in permutations(range(n)):
         # accumulate the Kronecker product v_sigma(1) x ... x v_sigma(n)
-        vec = [one(kind)]
+        vec = [1]
         for i in range(n):
             v = cols[sigma[i]]
             vec = [a * b for a in vec for b in v]
         for idx, val in enumerate(vec):
             total[idx] += val
-    norm_sq = sum((x * x for x in total), start=z)
-    return norm_sq / math.factorial(n)  # n! <= 120 is exact in float64 too
+    norm_sq = sum(x * x for x in total)
+    return quotient(norm_sq, scale * scale * math.factorial(n), g.gram.kind)
 
 
 def _solve_interpolation(points: list, values: list, kind: str):

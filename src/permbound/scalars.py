@@ -59,6 +59,19 @@ def one(kind: str) -> Scalar:
     return Fraction(1) if kind == RATIONAL else 1.0
 
 
+def quotient(num: int, den: int, kind: str) -> Scalar:
+    """num / den for ints with den > 0: exact, or rounded once to float64.
+
+    A float64 quotient beyond the float64 range is +-inf.
+    """
+    if kind == RATIONAL:
+        return Fraction(num, den)
+    try:
+        return num / den  # int true division rounds correctly
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
 def format_scalar(x: Scalar, kind: str) -> str:
     """Serialize a scalar as a decimal or "p/q" string (lossless).
 

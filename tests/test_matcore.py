@@ -108,6 +108,66 @@ def test_float_permanent_close_to_rational():
         assert permanent_ryser(f) == pytest.approx(float(permanent_ryser(m)), rel=1e-9)
 
 
+def gray_code_ryser(rows, z):
+    """Reference: the Gray-code Ryser loop in the entries' own arithmetic."""
+    n = len(rows)
+    if n == 0:
+        return z + 1
+    sums = [z] * n
+    total = z
+    prev_gray = 0
+    for k in range(1, 1 << n):
+        gray = k ^ (k >> 1)
+        bit = gray ^ prev_gray
+        j = bit.bit_length() - 1
+        for i in range(n):
+            sums[i] += rows[i][j] if gray & bit else -rows[i][j]
+        prev_gray = gray
+        term = math.prod(sums)
+        total += term if (n - gray.bit_count()) % 2 == 0 else -term
+    return total
+
+
+def test_ryser_matches_fraction_loop():
+    rng = random.Random(16)
+    for n in range(10):
+        for trial in range(3):
+            rows = [
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                for _ in range(n)
+            ]
+            if n and trial == 1:
+                rows[rng.randrange(n)] = [Fraction(0)] * n
+            if trial == 2:  # a rational Matrix built directly from plain ints
+                rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            m = Matrix(tuple(map(tuple, rows)), RATIONAL)
+            got = permanent_ryser(m)
+            assert type(got) is Fraction
+            assert got == gray_code_ryser([list(map(Fraction, r)) for r in rows], Fraction(0))
+
+
+def test_float_permanent_is_exact_value_rounded_once():
+    rng = random.Random(17)
+    for n in range(11):
+        for _ in range(3):
+            rows = [[rng.uniform(-3, 5) for _ in range(n)] for _ in range(n)]
+            f = Matrix(tuple(map(tuple, rows)), FLOAT64)
+            exact = Matrix(tuple(tuple(Fraction(x) for x in r) for r in rows), RATIONAL)
+            got = permanent_ryser(f)
+            assert type(got) is float
+            assert got == float(permanent_ryser(exact))
+    # n = 2 rounds once: per = a*a + (-1)*1, and a*a rounded alone drops its 2^-60 term
+    a = 1 + 2.0 ** -30
+    assert permanent_ryser(matrix([[a, -1.0], [1.0, a]])) == 2.0 ** -29 + 2.0 ** -60
+
+
+def test_float_permanent_out_of_range_is_infinite():
+    huge = matrix([[1e300] * 3] * 3)
+    assert permanent_ryser(huge) == math.inf
+    assert permanent_ryser(matrix([[-1e300, 1e300, 1e300]] * 3)) == -math.inf
+    assert math.isnan(permanent_ryser(matrix([[math.inf, 1.0, 1.0]] * 3)))
+
+
 def test_permanent_transpose_invariant():
     rng = random.Random(14)
     for _ in range(25):

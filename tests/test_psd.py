@@ -1,7 +1,9 @@
 """Gram certificates, the tensor permanent, alpha coefficients, PSD Schur."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -47,6 +49,46 @@ def test_tensor_permanent_matches_ryser():
         n = rng.randint(1, 5)
         g = gram_instance(rng, n)
         assert permanent_tensor(g) == permanent_ryser(g.gram)
+
+
+def tensor_loop(cols, d, z):
+    """Reference: the Kronecker-sum tensor permanent in the entries' own arithmetic."""
+    n = len(cols)
+    total = [z] * (d ** n)
+    for sigma in permutations(range(n)):
+        vec = [z + 1]
+        for i in range(n):
+            vec = [a * b for a in vec for b in cols[sigma[i]]]
+        for idx, val in enumerate(vec):
+            total[idx] += val
+    return sum((x * x for x in total), start=z) / math.factorial(n)
+
+
+def test_tensor_permanent_matches_reference_loop():
+    rng = random.Random(73)
+    for trial in range(30):
+        n, d = rng.randint(1, 5), rng.randint(1, 3)
+        factor = [
+            [Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(n)]
+            for _ in range(d)
+        ]
+        if trial % 3 == 0:
+            zero_col = rng.randrange(n)
+            for row in factor:
+                row[zero_col] = Fraction(0)
+        g = gram_from_factor(Matrix(tuple(map(tuple, factor)), RATIONAL))
+        cols = [g.column(j) for j in range(1, n + 1)]
+        got = permanent_tensor(g)
+        assert type(got) is Fraction
+        assert got == tensor_loop(cols, d, Fraction(0))
+        # the float Gram: the same exact value, rounded once
+        fg = gram_from_factor(matrix([[float(x) for x in row] for row in factor]))
+        exact = tensor_loop([[Fraction(x) for x in fg.column(j)] for j in range(1, n + 1)],
+                            d, Fraction(0))
+        got = permanent_tensor(fg)
+        assert type(got) is float
+        assert got == float(exact)
+    assert math.isnan(permanent_tensor(gram_from_factor([[math.inf, 1.0]])))
 
 
 def test_tensor_permanent_guard():

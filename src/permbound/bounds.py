@@ -25,7 +25,7 @@ from .errors import (
     ZeroPermanent,
     ZeroPivot,
 )
-from .matcore import IndexSet, Matrix, permanent_ryser, select
+from .matcore import IndexSet, Matrix, as_array, permanent_ryser, select
 from .process import ProcessTrace, closed_recursion, cross_sums, recursive_u, run_process
 from .scalars import FLOAT64, RATIONAL, Scalar, SidePair, coerce, eq_scalar, leq_scalar, one, zero
 
@@ -104,18 +104,14 @@ def verify_majorant(cert: MajorantCertificate) -> MajorantCertificate:
         raise ParameterOutOfRange(f"unknown certificate mode {cert.mode!r}")
     kind = a.kind
     diag = [a.entries[s][s] for s in range(a.n)]
-    lhs = _array(a) + cross_sums(b.entries, diag, kind)
+    lhs = as_array(a) + cross_sums(b.entries, diag, kind)
     holds = eq_scalar if cert.mode == "equality" else leq_scalar
-    failure = _first_failure(lhs, _array(b), kind, holds)
+    failure = _first_failure(lhs, as_array(b), kind, holds)
     if failure is not None:
         raise ConditionViolated(*failure)
-    failure = _first_failure(_array(recursive_u(a)), _array(b), kind)
+    failure = _first_failure(as_array(recursive_u(a)), as_array(b), kind)
     assert failure is None, f"u exceeds the verified majorant at {failure}"
     return replace(cert, verified=True)
-
-
-def _array(m: Matrix) -> np.ndarray:
-    return np.array(m.entries, dtype=object if m.kind == RATIONAL else np.float64)
 
 
 def _first_failure(lhs: np.ndarray, rhs: np.ndarray, kind: str, holds=leq_scalar):
@@ -165,7 +161,7 @@ def diag_dominance_certify(a: Matrix, eps: Scalar) -> DiagDominanceResult:
     factor = (1 + e) ** 2 / e
     rows = a.entries
     diag = [rows[s][s] for s in range(n)]
-    violation = _first_failure(factor * cross_sums(rows, diag, kind), _array(a), kind)
+    violation = _first_failure(factor * cross_sums(rows, diag, kind), as_array(a), kind)
     if violation is not None:
         return DiagDominanceResult(False, None, e, violation)
     bound = (1 + e) ** n

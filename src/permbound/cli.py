@@ -149,7 +149,10 @@ def _build_report(
 def _emit(lines: list[str], out: str | None):
     text = "\n".join(lines) + "\n"
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ParameterOutOfRange(f"cannot write --out {out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

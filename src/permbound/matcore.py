@@ -1,7 +1,8 @@
 """Dense matrices over exact rationals or float64, submatrix algebra, the
 exact permanent/determinant oracles used as ground truth everywhere else,
-and the one elimination kernel (`eliminate`) shared by the permanent
-process, its minus-variant and the exact PSD test.
+and the one elimination kernel (`eliminate`, on an ndarray of either
+kind) shared by the permanent process, its minus-variant and the exact
+PSD test.
 
 The Ryser oracle runs on Python integers for both kinds and divides once
 at the end, so a float64 permanent is the exact one rounded once.
@@ -25,6 +26,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -36,8 +39,7 @@ from .errors import (
 from .scalars import FLOAT64, KINDS, RATIONAL, Scalar, coerce, one, quotient, zero
 
 NAIVE_MAX = 10
-RYSER_MAX_RATIONAL = 24
-RYSER_MAX_FLOAT = 30
+RYSER_MAX_N = 24
 
 
 @dataclass(frozen=True)
@@ -238,8 +240,8 @@ def permanent_naive(m: Matrix) -> Scalar:
 
 
 def ryser_fits(m: Matrix) -> bool:
-    """Whether permanent_ryser admits m: n <= 24 in rational mode, n <= 30 in float mode."""
-    return m.n <= (RYSER_MAX_RATIONAL if m.kind == RATIONAL else RYSER_MAX_FLOAT)
+    """Whether permanent_ryser admits m: n <= 24 for both kinds, which share one integer loop."""
+    return m.n <= RYSER_MAX_N
 
 
 def integer_rows(rows: Iterable[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
@@ -268,7 +270,7 @@ def permanent_ryser(m: Matrix) -> Scalar:
     """
     n = m.n
     if not ryser_fits(m):
-        raise DimensionTooLarge(f"permanent_ryser guard: n = {n} too large for {m.kind}")
+        raise DimensionTooLarge(f"permanent_ryser guard: n = {n} > {RYSER_MAX_N}")
     rows = m.entries
     if n == 0:
         return one(m.kind)
@@ -294,43 +296,55 @@ def permanent_ryser(m: Matrix) -> Scalar:
     return quotient(total, scale, m.kind)
 
 
-def eliminate(rows, sign: int, every_row: bool = False, skip_zero: bool = False,
+def as_array(m: Matrix) -> np.ndarray:
+    """m's entries as one nrows x ncols ndarray: float64, or object dtype holding Fractions."""
+    dtype = object if m.kind == RATIONAL else np.float64
+    return np.array(m.entries, dtype=dtype).reshape(m.nrows, m.ncols)
+
+
+def eliminate(m: Matrix, sign: int, every_row: bool = False, skip_zero: bool = False,
               keep: bool = False):
     """Column-wise elimination a_{i,j} <- a_{i,j} + sign * a_{i,t} a_{t,j} / a_{t,t}.
 
-    For t = 1..n-1 and j > t the update runs over the rows below t, or over
-    every row when every_row is set (row t itself is then zeroed right of
-    the pivot).  sign = +1 is the permanent process, sign = -1 Gaussian
-    elimination.  A zero pivot raises ZeroPivot, unless skip_zero is set:
-    then the step is skipped when the pivot's trailing row and column are
-    zero, and InvalidGram is raised when they are not.
+    One ndarray kernel for both kinds: float64, or object dtype holding
+    Fractions.  For t = 1..n-1 and j > t the update runs over the rows
+    below t, or over every other row when every_row is set, and row t is
+    then zeroed right of the pivot.  sign = +1 is the permanent process,
+    sign = -1 Gaussian elimination (with every_row, the minus-variant).
+    A zero pivot raises ZeroPivot, unless skip_zero is set: then the step
+    is skipped when the pivot's trailing row and column are zero, and
+    InvalidGram is raised when they are not.
+
+    A float step computes (a_{i,t} a_{t,j}) / a_{t,t}, so it rounds as the
+    plain loop does; an exact step divides a_{i,t} by the pivot once per
+    row, which is the cheaper order for Fractions.
 
     Returns (pivots, snapshots): the final diagonal, and when keep is set
-    the n states A^(1)..A^(n) as tuples of row tuples (else None).
+    the n states A^(1)..A^(n) as a tuple of Matrix (else None).
     """
-    n = len(rows)
-    a = [list(r) for r in rows]
-    snaps = [tuple(tuple(r) for r in a)] if keep else None
+    n = m.n
+    a = as_array(m)
+    exact = m.kind == RATIONAL
+    snaps = [m] if keep else None
     for t in range(n - 1):
-        p = a[t][t]
+        p = a[t, t]
         if p == 0:
             if not skip_zero:
                 raise ZeroPivot(t + 1)
-            if any(a[i][t] != 0 or a[t][i] != 0 for i in range(t + 1, n)):
+            if (a[t + 1:, t] != 0).any() or (a[t, t + 1:] != 0).any():
                 raise InvalidGram(f"zero pivot with nonzero row/column at step {t + 1}")
         else:
-            row_t = a[t][:]  # step-start values; the every_row pass zeroes row t
-            for i in range(n) if every_row else range(t + 1, n):
-                lead = a[i][t]
-                if lead == 0:
-                    continue
-                f = lead / p if sign > 0 else -lead / p
-                ai = a[i]
-                for j in range(t + 1, n):
-                    ai[j] += f * row_t[j]
+            rows = slice(None) if every_row else slice(t + 1, None)
+            lead = a[rows, t] if sign > 0 else -a[rows, t]
+            if exact:
+                a[rows, t + 1:] += np.outer(lead / p, a[t, t + 1:])
+            else:
+                a[rows, t + 1:] += np.outer(lead, a[t, t + 1:]) / p
+            if every_row:
+                a[t, t + 1:] = zero(m.kind)  # p * x / p need not round back to x
         if keep:
-            snaps.append(tuple(tuple(r) for r in a))
-    return tuple(a[t][t] for t in range(n)), snaps
+            snaps.append(Matrix(tuple(map(tuple, a.tolist())), m.kind))
+    return tuple(a.diagonal().tolist()), tuple(snaps) if keep else None
 
 
 def determinant(m: Matrix) -> Scalar:

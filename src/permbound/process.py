@@ -8,10 +8,10 @@ t = 1..n-1 and i, j > t it performs
 and the product of the resulting diagonal pivots upper-bounds per(A) for
 non-negative and for PSD inputs.  The minus-variant (honest column-wise
 Gaussian elimination) reproduces det(A) exactly and serves as a sanity
-anchor.  Both run through `matcore.eliminate` in exact arithmetic.  The
-u-recursion is the closed dynamic program for the same values, and
-`closed_recursion` with the original diagonal as denominators gives the
-recursive majorant.
+anchor.  Both run through `matcore.eliminate`, one kernel for exact
+rationals and float64 alike.  The u-recursion is the closed dynamic
+program for the same values, and `closed_recursion` with the original
+diagonal as denominators gives the recursive majorant.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGram, NegativeInput, ParameterOutOfRange, ZeroPermanent, ZeroPivot
-from .matcore import Matrix, eliminate, permanent_ryser, select
+from .errors import NegativeInput, ParameterOutOfRange, ZeroPermanent, ZeroPivot
+from .matcore import Matrix, as_array, eliminate, permanent_ryser, select
 from .psd import GramMatrix
-from .scalars import FLOAT64, RATIONAL, Scalar, SidePair, leq_scalar, one, zero
+from .scalars import FLOAT64, Scalar, SidePair, leq_scalar, one, zero
 
 
 @dataclass(frozen=True)
@@ -71,26 +71,6 @@ def _permute(m: Matrix, perm: tuple[int, ...]) -> Matrix:
     return Matrix(rows, m.kind)
 
 
-def _sweep_float(rows, n: int, psd_mode: bool, keep: bool):
-    arr = np.array(rows, dtype=np.float64)
-    snaps = [arr.copy()] if keep else None
-    for t in range(n - 1):
-        p = arr[t, t]
-        if p == 0.0:
-            if not psd_mode:
-                raise ZeroPivot(t + 1)
-            if np.any(arr[t + 1:, t] != 0.0) or np.any(arr[t, t + 1:] != 0.0):
-                raise InvalidGram(f"zero pivot with nonzero row/column at step {t + 1}")
-        else:
-            arr[t + 1:, t + 1:] += np.outer(arr[t + 1:, t], arr[t, t + 1:]) / p
-        if keep:
-            snaps.append(arr.copy())
-    pivots = tuple(float(arr[t, t]) for t in range(n))
-    if keep:
-        snaps = [Matrix(tuple(tuple(row) for row in s.tolist()), FLOAT64) for s in snaps]
-    return pivots, snaps
-
-
 def run_process(
     a: Matrix | GramMatrix,
     keep_snapshots: bool = False,
@@ -122,19 +102,8 @@ def run_process(
     perm = _check_ordering(ordering, n)
     if perm is not None:
         m = _permute(m, perm)
-    if m.kind == RATIONAL:
-        pivots, snaps = eliminate(m.entries, +1, skip_zero=psd_mode, keep=keep_snapshots)
-        if keep_snapshots:
-            snaps = [Matrix(s, RATIONAL) for s in snaps]
-    else:
-        pivots, snaps = _sweep_float(m.entries, n, psd_mode, keep_snapshots)
-    return ProcessTrace(
-        n=n,
-        pivots=pivots,
-        arithmetic=m.kind,
-        ordering=perm,
-        snapshots=tuple(snaps) if keep_snapshots else None,
-    )
+    pivots, snaps = eliminate(m, +1, skip_zero=psd_mode, keep=keep_snapshots)
+    return ProcessTrace(n=n, pivots=pivots, arithmetic=m.kind, ordering=perm, snapshots=snaps)
 
 
 def process_bound(a: Matrix | GramMatrix) -> Scalar:
@@ -150,11 +119,8 @@ def run_gaussian_variant(a: Matrix, keep_snapshots: bool = False) -> ProcessTrac
     product is det(A) exactly in rational mode.  Any square input is
     accepted; a zero pivot is an error (no pivoting is performed).
     """
-    n = a.n
-    pivots, snaps = eliminate(a.entries, -1, every_row=True, keep=keep_snapshots)
-    if keep_snapshots:
-        snaps = tuple(Matrix(s, a.kind) for s in snaps)
-    return ProcessTrace(n=n, pivots=pivots, arithmetic=a.kind, snapshots=snaps)
+    pivots, snaps = eliminate(a, -1, every_row=True, keep=keep_snapshots)
+    return ProcessTrace(n=a.n, pivots=pivots, arithmetic=a.kind, snapshots=snaps)
 
 
 def cross_sum(b, den, i: int, j: int, kind: str) -> Scalar:
@@ -168,43 +134,31 @@ def cross_sum(b, den, i: int, j: int, kind: str) -> Scalar:
 def cross_sums(b, den, kind: str) -> np.ndarray:
     """Every cross_sum(b, den, i, j, kind) at once, as an n x n array.
 
-    Entry (i, j) is row i of the lower factor L, L_{i,s} = b_{i,s} / den_s
-    for s < i, times column j of the strict upper triangle of b.  No s
-    reaches n - 1, so den_{n-1} is never read; a zero den_s below it raises
-    ZeroPivot(s + 1).  Float64 takes one matrix product, which sums in its
-    own order.  Where a float product b_{i,s} b_{s,j}, L or the result
-    leaves the float64 range, every entry is cross_sum itself, which
-    multiplies before it divides.  Rationals sum upward from zero with L
-    built once, so they equal cross_sum exactly.  The array holds Fractions
+    No s reaches n - 1, so den_{n-1} is never read; a zero den_s below it
+    raises ZeroPivot(s + 1).  Float64 takes one matrix product: entry
+    (i, j) is row i of the lower factor L, L_{i,s} = b_{i,s} / den_s for
+    s < i, times column j of the strict upper triangle of b, summed in the
+    product's own order.  Rationals, and floats where a product
+    b_{i,s} b_{s,j}, L or the result leaves the float64 range, take every
+    entry from cross_sum itself.  The array is `as_array`'s: Fractions
     (object dtype) or float64.
     """
     n = len(b)
     for s in range(n - 1):
         if den[s] == 0:
             raise ZeroPivot(s + 1)
-    if kind == FLOAT64:
-        if n > 1:
-            arr = np.array(b, dtype=np.float64)
-            strict = np.tril(arr, -1)[:, :-1]
-            upper = np.triu(arr, 1)[:-1]
-            with np.errstate(over="ignore", invalid="ignore"):
-                fits = np.isfinite(np.abs(strict).max() * np.abs(upper).max())
-                lower = strict / np.array(den[:-1], dtype=np.float64)
-                out = lower @ upper
-            if fits and np.isfinite(lower).all() and np.isfinite(out).all():
-                return out
-        return np.array(
-            [[cross_sum(b, den, i, j, kind) for j in range(n)] for i in range(n)],
-            dtype=np.float64,
-        )
-    lower = [[b[i][s] / den[s] for s in range(i)] for i in range(n)]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = sum(
-                (lower[i][s] * b[s][j] for s in range(min(i, j))), start=zero(kind)
-            )
-    return out
+    if kind == FLOAT64 and n > 1:
+        arr = np.array(b, dtype=np.float64)
+        strict = np.tril(arr, -1)[:, :-1]
+        upper = np.triu(arr, 1)[:-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            fits = np.isfinite(np.abs(strict).max() * np.abs(upper).max())
+            lower = strict / np.array(den[:-1], dtype=np.float64)
+            out = lower @ upper
+        if fits and np.isfinite(lower).all() and np.isfinite(out).all():
+            return out
+    sums = tuple(tuple(cross_sum(b, den, i, j, kind) for j in range(n)) for i in range(n))
+    return as_array(Matrix(sums, kind))
 
 
 def closed_recursion(a: Matrix, den=None) -> Matrix:

@@ -191,7 +191,7 @@ def is_psd_exact(m: Matrix) -> bool:
             if rows[i][j] != rows[j][i]:
                 return False
     try:
-        pivots, _ = eliminate(rows, -1, skip_zero=True)
+        pivots, _ = eliminate(m, -1, skip_zero=True)
     except InvalidGram:
         return False
     return all(p >= 0 for p in pivots)

@@ -110,6 +110,28 @@ def test_bound_out_file_and_determinism(capsys, ones3, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["bound", "family"])
+def test_out_to_an_unwritable_path_exits_2(capsys, ones3, tmp_path, command):
+    target = tmp_path / "no" / "such" / "dir" / "x.json"
+    argv = ["bound", ones3] if command == "bound" else ["family", "allones", "n=3"]
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParameterOutOfRange"
+    assert error["message"].startswith("cannot write --out")
+    assert not target.exists()
+
+
+def test_float_exact_max_past_the_ryser_limit_skips_exact_perm(capsys, tmp_path):
+    p = tmp_path / "half25.csv"
+    p.write_text(_csv([["0.5"] * 25] * 25))
+    code, out, _ = run_cli(capsys, "bound", str(p), "--arithmetic", "float", "--exact-max", "30")
+    report = json.loads(out)
+    assert code == 0
+    assert "exact_perm" not in report and report["ratios"] is None
+    assert report["n"] == 25 and report["arithmetic"] == "float64"
+
+
 def test_bound_error_exit_codes(capsys, tmp_path):
     neg = tmp_path / "neg.csv"
     neg.write_text("1,-1\n1,1\n")

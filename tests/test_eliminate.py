@@ -1,0 +1,238 @@
+"""The one elimination kernel against the two loops it replaced.
+
+`list_eliminate` is the exact list loop and `numpy_sweep` the float64
+process sweep that `matcore.eliminate` used to be split into.  Exact runs
+must agree value for value and stay Fractions; float process runs must
+agree bit for bit.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from permbound import (
+    FLOAT64,
+    InvalidGram,
+    Matrix,
+    RATIONAL,
+    ZeroPivot,
+    determinant,
+    gram_from_factor,
+    run_gaussian_variant,
+    run_process,
+)
+from permbound.matcore import eliminate
+from permbound.psd import GramMatrix
+
+
+def list_eliminate(rows, sign, every_row=False, skip_zero=False, keep=False):
+    n = len(rows)
+    a = [list(r) for r in rows]
+    snaps = [tuple(tuple(r) for r in a)] if keep else None
+    for t in range(n - 1):
+        p = a[t][t]
+        if p == 0:
+            if not skip_zero:
+                raise ZeroPivot(t + 1)
+            if any(a[i][t] != 0 or a[t][i] != 0 for i in range(t + 1, n)):
+                raise InvalidGram(f"zero pivot with nonzero row/column at step {t + 1}")
+        else:
+            row_t = a[t][:]
+            for i in range(n) if every_row else range(t + 1, n):
+                lead = a[i][t]
+                if lead == 0:
+                    continue
+                f = lead / p if sign > 0 else -lead / p
+                ai = a[i]
+                for j in range(t + 1, n):
+                    ai[j] += f * row_t[j]
+        if keep:
+            snaps.append(tuple(tuple(r) for r in a))
+    return tuple(a[t][t] for t in range(n)), snaps
+
+
+def numpy_sweep(rows, psd_mode, keep):
+    n = len(rows)
+    arr = np.array(rows, dtype=np.float64).reshape(n, n)
+    snaps = [arr.copy()] if keep else None
+    for t in range(n - 1):
+        p = arr[t, t]
+        if p == 0.0:
+            if not psd_mode:
+                raise ZeroPivot(t + 1)
+            if np.any(arr[t + 1:, t] != 0.0) or np.any(arr[t, t + 1:] != 0.0):
+                raise InvalidGram(f"zero pivot with nonzero row/column at step {t + 1}")
+        else:
+            arr[t + 1:, t + 1:] += np.outer(arr[t + 1:, t], arr[t, t + 1:]) / p
+        if keep:
+            snaps.append(arr.copy())
+    pivots = tuple(float(arr[t, t]) for t in range(n))
+    if keep:
+        snaps = [tuple(tuple(row) for row in s.tolist()) for s in snaps]
+    return pivots, snaps
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the type, step and message of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ZeroPivot as exc:
+        return ("ZeroPivot", exc.t)
+    except InvalidGram as exc:
+        return ("InvalidGram", str(exc))
+
+
+def sparse_rational(rng, n, zero_share=0.4):
+    """Entries p/q in [-4, 4], q <= 3, with about zero_share of them 0."""
+    return Matrix(
+        tuple(
+            tuple(
+                Fraction(0) if rng.random() < zero_share
+                else Fraction(rng.randint(-12, 12), rng.randint(1, 3))
+                for _ in range(n)
+            )
+            for _ in range(n)
+        ),
+        RATIONAL,
+    )
+
+
+def rank_deficient_gram(rng, n, kind=RATIONAL):
+    """A Gram matrix whose factor has some zero columns, so some pivots are 0."""
+    d = rng.randint(1, n)
+    zero_cols = set(rng.sample(range(n), rng.randint(1, n)))
+    rows = [
+        [0 if j in zero_cols else rng.randint(-6, 6) for j in range(n)] for _ in range(d)
+    ]
+    cast = Fraction if kind == RATIONAL else float
+    return gram_from_factor(Matrix(tuple(tuple(cast(x) for x in r) for r in rows), kind))
+
+
+def bits(values):
+    return [float(x).hex() for x in values]
+
+
+def assert_exact_run(got, want):
+    if isinstance(want, tuple) and isinstance(want[0], str):
+        assert got == want
+        return
+    (pivots, snaps), (ref_pivots, ref_snaps) = got, want
+    assert pivots == ref_pivots
+    assert all(type(p) is Fraction for p in pivots)
+    if ref_snaps is None:
+        assert snaps is None
+        return
+    assert [s.entries for s in snaps] == ref_snaps
+    assert all(s.kind == RATIONAL for s in snaps)
+    assert all(type(x) is Fraction for s in snaps for row in s.entries for x in row)
+
+
+# every_row zeroes row t, which the list loop does only with sign -1, the
+# one sign its callers pair it with
+@pytest.mark.parametrize("sign, every_row", [(1, False), (-1, False), (-1, True)])
+def test_exact_kernel_matches_list_loop(sign, every_row):
+    rng = random.Random(900 + 2 * sign + every_row)
+    for n in range(9):
+        for _ in range(6):
+            m = sparse_rational(rng, n)
+            keep = rng.random() < 0.5
+            got = outcome(eliminate, m, sign, every_row=every_row, keep=keep)
+            want = outcome(list_eliminate, m.entries, sign, every_row=every_row, keep=keep)
+            assert_exact_run(got, want)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exact_kernel_skips_zero_gram_pivots_as_the_list_loop(sign):
+    rng = random.Random(910 + sign)
+    skipped = 0
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        m = rank_deficient_gram(rng, n).gram
+        got = outcome(eliminate, m, sign, skip_zero=True, keep=True)
+        want = outcome(list_eliminate, m.entries, sign, skip_zero=True, keep=True)
+        assert_exact_run(got, want)
+        skipped += 0 in got[0][:-1]
+    assert skipped > 0
+
+
+def test_exact_kernel_reports_the_invalid_gram_step():
+    rows = [[Fraction(x) for x in r] for r in ([1, -1, 2], [1, 1, 3], [2, 3, 9])]
+    m = Matrix(tuple(map(tuple, rows)), RATIONAL)
+    got = outcome(eliminate, m, 1, skip_zero=True)
+    assert got == outcome(list_eliminate, m.entries, 1, skip_zero=True)
+    assert got == ("InvalidGram", "zero pivot with nonzero row/column at step 2")
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, FLOAT64])
+def test_kernel_on_the_empty_matrix(kind):
+    m = Matrix((), kind)
+    assert eliminate(m, 1) == ((), None)
+    assert eliminate(m, -1, every_row=True, keep=True) == ((), (m,))
+
+
+def positive_floats(rng, n):
+    return tuple(tuple(rng.randint(1, 64) / 16 for _ in range(n)) for _ in range(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 34, 64])
+def test_float_process_matches_numpy_sweep_bitwise(n):
+    rng = random.Random(920 + n)
+    keep = n <= 21
+    for _ in range(3):
+        rows = positive_floats(rng, n)
+        trace = run_process(Matrix(rows, FLOAT64), keep_snapshots=keep)
+        pivots, snaps = numpy_sweep(rows, psd_mode=False, keep=keep)
+        assert bits(trace.pivots) == bits(pivots)
+        assert all(type(p) is float for p in trace.pivots)
+        if keep:
+            assert [s.entries for s in trace.snapshots] == snaps
+            assert [bits(x for r in s.entries for x in r) for s in trace.snapshots] == [
+                bits(x for r in s for x in r) for s in snaps
+            ]
+
+
+def test_float_gram_process_matches_numpy_sweep_bitwise():
+    rng = random.Random(930)
+    skipped = 0
+    for _ in range(30):
+        n = rng.randint(2, 12)
+        g = rank_deficient_gram(rng, n, FLOAT64)
+        got = outcome(run_process, g, keep_snapshots=True)
+        want = outcome(numpy_sweep, g.gram.entries, True, True)
+        if isinstance(want[0], str):
+            assert got == want
+            continue
+        assert bits(got.pivots) == bits(want[0])
+        assert [s.entries for s in got.snapshots] == want[1]
+        skipped += 0.0 in got.pivots[:-1]
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("n, k", [(2, 0), (5, 2), (9, 7), (64, 40)])
+def test_float_process_error_steps_match_numpy_sweep(n, k):
+    # a_{k,k} = 0 with the column above it zero stays 0 until step k + 1
+    rng = random.Random(940 + n)
+    rows = [list(r) for r in positive_floats(rng, n)]
+    for i in range(k + 1):
+        rows[i][k] = 0.0
+    m = Matrix(tuple(map(tuple, rows)), FLOAT64)
+    got = outcome(run_process, m)
+    assert got == outcome(numpy_sweep, m.entries, False, False) == ("ZeroPivot", k + 1)
+    rows[k][-1] = 1.0  # a nonzero trailing row contradicts a PSD certificate
+    bogus = GramMatrix(factor=m, gram=Matrix(tuple(map(tuple, rows)), FLOAT64))
+    want = ("InvalidGram", f"zero pivot with nonzero row/column at step {k + 1}")
+    assert outcome(run_process, bogus) == outcome(numpy_sweep, bogus.gram.entries, True, False) == want
+
+
+def test_float_gaussian_variant_final_matrix_lower_triangular():
+    rng = random.Random(950)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        rows = tuple(tuple(rng.uniform(-2, 2) for _ in range(n)) for _ in range(n))
+        m = Matrix(rows, FLOAT64)
+        trace = run_gaussian_variant(m, keep_snapshots=True)
+        final = trace.snapshot(n).entries
+        assert all(final[i][j] == 0.0 for i in range(n) for j in range(i + 1, n))
+        assert np.prod(trace.pivots) == pytest.approx(determinant(m), rel=1e-9, abs=1e-12)

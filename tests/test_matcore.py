@@ -224,7 +224,16 @@ def test_size_guards():
     with pytest.raises(DimensionTooLarge):
         permanent_ryser(big_float)
     assert ryser_fits(ones(24)) and not ryser_fits(ones(25))
-    assert ryser_fits(select(big_float, range(1, 31), range(1, 31))) and not ryser_fits(big_float)
+    assert ryser_fits(select(big_float, range(1, 25), range(1, 25)))
+    assert not ryser_fits(select(big_float, range(1, 26), range(1, 26)))
+
+
+def test_float_ryser_limit_equals_the_rational_one():
+    # both kinds run the same integer loop, so they share one size limit
+    floats = Matrix(tuple(tuple(0.5 for _ in range(25)) for _ in range(25)), FLOAT64)
+    assert not ryser_fits(floats)
+    with pytest.raises(DimensionTooLarge):
+        permanent_ryser(floats)
 
 
 def test_matrix_shape_validation():

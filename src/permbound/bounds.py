@@ -3,7 +3,8 @@
 Recursive majorants and their certificates, the diagonal-dominance
 guarantee, the exponential family with its closed form, the boundedness
 function B(n, k, t) = n! * M^(n+k) * (M+1)^(t-1) with its entry/ratio/cycle
-checks and their case generators, and the product-of-row-sums baseline.
+checks on one checked `BoundedInput` and their case generators, and the
+product-of-absolute-row-sums baseline.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
@@ -20,12 +22,13 @@ from .errors import (
     ConditionViolated,
     DimensionMismatch,
     NegativeEntry,
+    NonFinite,
     ParameterOutOfRange,
     PreconditionViolated,
     ZeroPermanent,
     ZeroPivot,
 )
-from .matcore import IndexSet, Matrix, as_array, permanent_ryser, select
+from .matcore import Matrix, as_array, integer_rows, permanent_ryser, select, sorted_indices
 from .process import ProcessTrace, closed_recursion, cross_sums, recursive_u, run_process
 from .scalars import FLOAT64, RATIONAL, Scalar, SidePair, coerce, eq_scalar, leq_scalar, one, zero
 
@@ -80,12 +83,14 @@ class DiagDominanceResult:
 
 
 def rowsum_bound(a: Matrix) -> Scalar:
-    """Product of row sums; the baseline upper bound for non-negative a."""
-    kind = a.kind
-    total = one(kind)
-    for row in a.entries:
-        total *= sum(row, start=zero(kind))
-    return total
+    """Product of absolute row sums, >= per(|a|) >= |per(a)| for any a; the baseline bound.
+
+    Exact rows are summed as their `integer_rows` and divided once.
+    """
+    if a.kind == FLOAT64:
+        return math.prod((sum(map(abs, row), start=0.0) for row in a.entries), start=1.0)
+    ints, scale = integer_rows(a.entries)
+    return Fraction(math.prod(sum(map(abs, row)) for row in ints), scale)
 
 
 def verify_majorant(cert: MajorantCertificate) -> MajorantCertificate:
@@ -158,16 +163,25 @@ def diag_dominance_certify(a: Matrix, eps: Scalar) -> DiagDominanceResult:
     for s in range(n):
         if a.entries[s][s] == 0:
             raise ZeroPivot(s + 1, f"zero diagonal entry at ({s + 1}, {s + 1})")
-    factor = (1 + e) ** 2 / e
+    factor = _finite(lambda: (1 + e) ** 2 / e, "the factor (1+eps)^2/eps")
     rows = a.entries
     diag = [rows[s][s] for s in range(n)]
     violation = _first_failure(factor * cross_sums(rows, diag, kind), as_array(a), kind)
     if violation is not None:
         return DiagDominanceResult(False, None, e, violation)
-    bound = (1 + e) ** n
-    for s in range(n):
-        bound *= rows[s][s]
+    bound = _finite(lambda: math.prod(diag, start=(1 + e) ** n), "the bound (1+eps)^n prod a_ii")
     return DiagDominanceResult(True, bound, e)
+
+
+def _finite(compute, what: str) -> Scalar:
+    """compute(), or NonFinite when that overflows float64."""
+    try:
+        value = compute()
+        if not isinstance(value, float) or math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise NonFinite(f"{what} overflows float64")
 
 
 def bound_function(n: int, M: Scalar, k: int, t: int) -> Scalar:
@@ -175,42 +189,54 @@ def bound_function(n: int, M: Scalar, k: int, t: int) -> Scalar:
     return BoundFunction(n, M)(k, t)
 
 
-def entry_bound_check(a: Matrix, M: Scalar, trace: ProcessTrace | None = None):
+@dataclass(frozen=True)
+class BoundedInput:
+    """A square matrix a with unit diagonal and entries in [0, M], checked once.
+
+    B = BoundFunction(n, M) and the process trace with its snapshots are
+    built on first use and shared by every check on this input.
+    """
+
+    a: Matrix
+    M: Scalar
+
+    def __post_init__(self):
+        a, M = self.a, self.M
+        n = a.n
+        if M < 1:
+            raise ParameterOutOfRange(f"M = {M} must be >= 1")
+        for i in range(n):
+            if not eq_scalar(a.entries[i][i], 1, a.kind):
+                raise PreconditionViolated(f"diagonal entry ({i + 1}, {i + 1}) is not 1")
+        for i, row in enumerate(a.entries, 1):
+            for j, x in enumerate(row, 1):
+                if x < 0 or not leq_scalar(x, M, a.kind):
+                    raise PreconditionViolated(f"entry ({i}, {j}) = {x} outside [0, {M}]")
+
+    @cached_property
+    def B(self) -> BoundFunction:
+        return BoundFunction(self.a.n, self.M)
+
+    @cached_property
+    def trace(self) -> ProcessTrace:
+        return run_process(self.a, keep_snapshots=True)
+
+
+def entry_bound_check(x: BoundedInput):
     """Scan process snapshots for entries exceeding B(n, 1, t).
 
-    Requires unit diagonal and entries in [0, M].  Checks
-    a^(t)_{i,j} <= B(n, 1, t) for every t <= min(i, j); returns None or the
-    first violating (i, j, t), smallest t first then row-major.
+    Checks a^(t)_{i,j} <= B(n, 1, t) for every t <= min(i, j); returns None
+    or the first violating (i, j, t), smallest t first then row-major.
     """
-    n = a.n
-    _require_unit_diagonal_bounded(a, M)
-    if trace is None:
-        trace = run_process(a, keep_snapshots=True)
-    bf = BoundFunction(n, M)
+    n, kind, B = x.a.n, x.a.kind, x.B
     for t in range(1, n + 1):
-        cap = bf(1, t)
-        snap = trace.snapshot(t).entries
-        for i in range(n):
-            for j in range(n):
-                if t <= min(i + 1, j + 1) and not leq_scalar(snap[i][j], cap, a.kind):
+        cap = B(1, t)
+        snap = x.trace.snapshot(t).entries
+        for i in range(t - 1, n):
+            for j in range(t - 1, n):
+                if not leq_scalar(snap[i][j], cap, kind):
                     return (i + 1, j + 1, t)
     return None
-
-
-def _require_unit_diagonal_bounded(a: Matrix, M: Scalar):
-    n = a.n
-    if M < 1:
-        raise ParameterOutOfRange(f"M = {M} must be >= 1")
-    for i in range(n):
-        if not eq_scalar(a.entries[i][i], 1, a.kind):
-            raise PreconditionViolated(f"diagonal entry ({i + 1}, {i + 1}) is not 1")
-    for i in range(n):
-        for j in range(n):
-            x = a.entries[i][j]
-            if x < 0 or not leq_scalar(x, M, a.kind):
-                raise PreconditionViolated(
-                    f"entry ({i + 1}, {j + 1}) = {x} outside [0, {M}]"
-                )
 
 
 def _full_cycles(members: Sequence[int]):
@@ -226,47 +252,37 @@ def _full_cycles(members: Sequence[int]):
         yield cyc
 
 
-def cycle_sum_ratio(
-    a: Matrix,
-    t: int,
-    s: Iterable[int] | IndexSet,
-    i0: int,
-    M: Scalar,
-    trace: ProcessTrace | None = None,
-) -> SidePair:
+def cycle_sum_ratio(x: BoundedInput, t: int, s: Iterable[int], i0: int) -> SidePair:
     """The cycle-sum to sub-permanent ratio at step t, against B(n, |S|, t).
 
     ratio = (sum over full cycles sigma of S of prod_{i in S} a^(t)_{i, sigma(i)})
             / per(A^(t)(S - i0, S - i0)).
 
-    S must lie in {t+1, ..., n} with |S| >= 2 and i0 in S; the matrix must
-    have unit diagonal and entries in [0, M].  lhs is the ratio, rhs the cap.
+    S must lie in {t+1, ..., n} with |S| >= 2 and i0 in S.  lhs is the
+    ratio, rhs the cap.
     """
-    n = a.n
-    _require_unit_diagonal_bounded(a, M)
-    ss = IndexSet.of(s)
+    n, kind = x.a.n, x.a.kind
+    ss = sorted_indices(s)
     if len(ss) < 2:
         raise ParameterOutOfRange(f"|S| = {len(ss)} must be >= 2")
-    if t < 1 or any(m <= t or m > n for m in ss):
-        raise ParameterOutOfRange(f"S = {ss.members} must lie within {{{t + 1}, ..., {n}}}")
+    if t < 1 or ss[0] <= t or ss[-1] > n:
+        raise ParameterOutOfRange(f"S = {ss} must lie within {{{t + 1}, ..., {n}}}")
     if i0 not in ss:
-        raise ParameterOutOfRange(f"i0 = {i0} is not in S = {ss.members}")
-    if trace is None:
-        trace = run_process(a, keep_snapshots=True)
-    snap = trace.snapshot(t).entries
-    kind = a.kind
+        raise ParameterOutOfRange(f"i0 = {i0} is not in S = {ss}")
+    snapshot = x.trace.snapshot(t)
+    snap = snapshot.entries
     num = zero(kind)
-    for cyc in _full_cycles(ss.members):
+    for cyc in _full_cycles(ss):
         term = one(kind)
         for i in ss:
             term *= snap[i - 1][cyc[i] - 1]
         num += term
-    rest = tuple(m for m in ss.members if m != i0)
-    den = permanent_ryser(select(trace.snapshot(t), rest, rest))
+    rest = tuple(m for m in ss if m != i0)
+    den = permanent_ryser(select(snapshot, rest, rest))
     if den == 0:
         raise ZeroPermanent(f"per(A^({t})(S - i0, S - i0)) = 0")
     ratio = num / den
-    cap = BoundFunction(n, M)(len(ss), t)
+    cap = x.B(len(ss), t)
     return SidePair(ratio, cap, leq_scalar(ratio, cap, kind))
 
 
@@ -307,28 +323,26 @@ def cycle_sum_cases(n: int, rng=None, count: int = 0):
         yield t, tuple(sorted(rng.sample(pool, size)))
 
 
-def perm_ratio_check(
-    a: Matrix, s: Iterable[int] | IndexSet, i: int, j: int, M: Scalar
-) -> SidePair:
+def perm_ratio_check(x: BoundedInput, s: Iterable[int], i: int, j: int) -> SidePair:
     """per(A(S+i, S+j)) / per(A(S, S)) against gamma_{|S|+1} = (|S|+1)! M^(|S|+1).
 
     i and j must lie outside S (i = j is fine); unit diagonal makes the
     denominator >= 1, so ZeroPermanent cannot actually fire here.  lhs is
     the ratio, rhs the cap.
     """
+    a = x.a
     n = a.n
-    _require_unit_diagonal_bounded(a, M)
-    ss = IndexSet.of(s)
-    if any(m > n for m in ss):
-        raise ParameterOutOfRange(f"S = {ss.members} must lie within [1, {n}]")
+    ss = sorted_indices(s)
+    if ss and ss[-1] > n:
+        raise ParameterOutOfRange(f"S = {ss} must lie within [1, {n}]")
     if i in ss or j in ss or not (1 <= i <= n and 1 <= j <= n):
         raise ParameterOutOfRange(f"i = {i}, j = {j} must lie in [1, {n}] outside S")
     den = permanent_ryser(select(a, ss, ss))
     if den == 0:
         raise ZeroPermanent("per(A(S, S)) = 0")
-    num = permanent_ryser(select(a, ss.members + (i,), ss.members + (j,)))
+    num = permanent_ryser(select(a, ss + (i,), ss + (j,)))
     ratio = num / den
-    cap = BoundFunction(n, M).gamma(len(ss) + 1)
+    cap = x.B.gamma(len(ss) + 1)
     return SidePair(ratio, cap, leq_scalar(ratio, cap, a.kind))
 
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bounds import (
+    BoundedInput,
     MajorantCertificate,
     cycle_sum_cases,
     cycle_sum_ratio,
@@ -364,17 +365,16 @@ def _has_unit_diagonal(m: Matrix) -> bool:
 def _check_boundedness(suite: _Suite, parsed: ParsedMatrix):
     m = parsed.matrix
     n = m.n
-    M = max(Fraction(1), *(x for row in m.entries for x in row))
-    trace = run_process(m, keep_snapshots=True)
+    x = BoundedInput(m, max(Fraction(1), *(e for row in m.entries for e in row)))
 
     def entry_scan():
-        violation = entry_bound_check(m, M, trace=trace)
+        violation = entry_bound_check(x)
         return None if violation is None else f"entry bound violated at {violation}"
 
     def perm_ratio():
         rng = random.Random(0) if n > 5 else None
         for s, i, j in perm_ratio_cases(n, rng, 60):
-            res = perm_ratio_check(m, s, i, j, M)
+            res = perm_ratio_check(x, s, i, j)
             if not res.holds:
                 return f"ratio {res.lhs} > {res.rhs} at S = {s}, i = {i}, j = {j}"
         return None
@@ -383,7 +383,7 @@ def _check_boundedness(suite: _Suite, parsed: ParsedMatrix):
         rng = random.Random(0) if n > 5 else None
         for t, s in cycle_sum_cases(n, rng, 60):
             for i0 in s if rng is None else (rng.choice(s),):
-                res = cycle_sum_ratio(m, t, s, i0, M, trace=trace)
+                res = cycle_sum_ratio(x, t, s, i0)
                 if not res.holds:
                     return f"ratio {res.lhs} > {res.rhs} at t = {t}, S = {s}, i0 = {i0}"
         return None

@@ -43,39 +43,6 @@ RYSER_MAX_N = 24
 
 
 @dataclass(frozen=True)
-class IndexSet:
-    """A strictly increasing tuple of 1-based indices."""
-
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        for m in self.members:
-            if not isinstance(m, int) or m < 1:
-                raise IndexOutOfRange(f"index {m!r} is not a positive integer")
-        if any(a >= b for a, b in zip(self.members, self.members[1:])):
-            raise IndexOutOfRange(f"indices must be strictly increasing: {self.members}")
-
-    @classmethod
-    def of(cls, items: Iterable[int] | "IndexSet") -> "IndexSet":
-        if isinstance(items, IndexSet):
-            return items
-        return cls(tuple(sorted(set(items))))
-
-    def complement(self, n: int) -> "IndexSet":
-        inside = set(self.members)
-        return IndexSet(tuple(i for i in range(1, n + 1) if i not in inside))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, item) -> bool:
-        return item in self.members
-
-
-@dataclass(frozen=True)
 class Matrix:
     """Immutable dense matrix; ``entries`` is a tuple of row tuples."""
 
@@ -194,10 +161,18 @@ def outer(x: Sequence[Scalar], y: Sequence[Scalar], kind: str) -> Matrix:
     return Matrix(tuple(tuple(xi * yj for yj in ys) for xi in xs), kind)
 
 
-def _index_sets(m: Matrix, rows, cols) -> tuple[IndexSet, IndexSet]:
-    """rows and cols as IndexSets, each index within m's shape."""
-    rs = IndexSet.of(rows)
-    cs = IndexSet.of(cols)
+def sorted_indices(items: Iterable[int]) -> tuple[int, ...]:
+    """items sorted and deduplicated; IndexOutOfRange unless each is a positive integer."""
+    idx = tuple(sorted(set(items)))
+    for i in idx:
+        if not isinstance(i, int) or i < 1:
+            raise IndexOutOfRange(f"index {i!r} is not a positive integer")
+    return idx
+
+
+def _within_shape(m: Matrix, rows: Iterable[int], cols: Iterable[int]):
+    """rows and cols as sorted index tuples, each index within m's shape."""
+    rs, cs = sorted_indices(rows), sorted_indices(cols)
     for what, idx, size in (("row", rs, m.nrows), ("column", cs, m.ncols)):
         for i in idx:
             if i > size:
@@ -205,23 +180,27 @@ def _index_sets(m: Matrix, rows, cols) -> tuple[IndexSet, IndexSet]:
     return rs, cs
 
 
-def select(m: Matrix, rows: Iterable[int] | IndexSet, cols: Iterable[int] | IndexSet) -> Matrix:
+def select(m: Matrix, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
     """m(S, T): the submatrix of rows S and columns T (1-based index sets).
 
     select(m, (), ()) is the 0x0 matrix, whose permanent and determinant
     are 1 by convention.
     """
-    rs, cs = _index_sets(m, rows, cols)
+    rs, cs = _within_shape(m, rows, cols)
+    cs = [c - 1 for c in cs]
+    entries = m.entries
+    return Matrix(tuple(tuple(map(entries[r - 1].__getitem__, cs)) for r in rs), m.kind)
+
+
+def delete(m: Matrix, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
+    """m(-S, -T): delete rows S and columns T; delete({i},{j}) is the (i,j) minor."""
+    rs, cs = _within_shape(m, rows, cols)
+    keep = [c for c in range(m.ncols) if c + 1 not in cs]
     return Matrix(
-        tuple(tuple(m.entries[r - 1][c - 1] for c in cs) for r in rs),
+        tuple(tuple(map(row.__getitem__, keep))
+              for r, row in enumerate(m.entries, 1) if r not in rs),
         m.kind,
     )
-
-
-def delete(m: Matrix, rows: Iterable[int] | IndexSet, cols: Iterable[int] | IndexSet) -> Matrix:
-    """m(-S, -T): delete rows S and columns T; delete({i},{j}) is the (i,j) minor."""
-    rs, cs = _index_sets(m, rows, cols)
-    return select(m, rs.complement(m.nrows), cs.complement(m.ncols))
 
 
 def permanent_naive(m: Matrix) -> Scalar:

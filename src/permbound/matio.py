@@ -60,17 +60,20 @@ def _float_row(cells) -> tuple | list:
 
     float() rounds a decimal literal once, as float(Fraction(text)) does.
     They differ on "p/q" (float() rejects it), on "inf" and "nan" (not
-    literals here), on "-0" (-0.0 against 0.0) and beyond the float64 range
-    (inf against NonFinite), so a row with a zero, a non-finite value or a
-    literal float() rejects is read exactly.
+    literals here) and beyond the float64 range (inf against NonFinite), so
+    a row with a non-finite value or a literal float() rejects is read
+    exactly.  They also differ on "-0" (-0.0 against 0.0), so a cell that
+    reads as +-0.0 is rounded from its exact value.
     """
     try:
         row = tuple(map(float, cells))
-        if 0.0 not in row and all(map(math.isfinite, row)):
-            return row
     except ValueError:
-        pass
-    return _exact_row(cells)
+        return _exact_row(cells)
+    if not all(map(math.isfinite, row)):
+        return _exact_row(cells)
+    if 0.0 in row:
+        row = tuple(float(_parse_cell(c)) if x == 0.0 else x for x, c in zip(row, cells))
+    return row
 
 
 def _exact_row(cells) -> list:
@@ -121,11 +124,9 @@ def parse_json_text(text: str, matrix_id: str = "stdin") -> ParsedMatrix:
         raise ParseError(f"invalid json: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("json matrix file must be an object")
-    try:
-        n = int(doc["n"])
-        entries = doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("json matrix file needs integer 'n' and 'entries'") from exc
+    if type(doc.get("n")) is not int or "entries" not in doc:  # not true, 3.0 or "3"
+        raise ParseError("json matrix file needs integer 'n' and 'entries'")
+    n, entries = doc["n"], doc["entries"]
     if not isinstance(entries, list):
         raise ParseError("json 'entries' must be an array")
     kind_tag = doc.get("kind", "nonneg")

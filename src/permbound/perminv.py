@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DimensionMismatch, NegativeEntry, ZeroPermanent
-from .matcore import IndexSet, Matrix, delete, matmul, permanent_ryser, select
+from .matcore import Matrix, delete, matmul, permanent_ryser, select, sorted_indices
 from .scalars import Scalar, SidePair, eq_scalar, leq_scalar, zero
 
 
@@ -82,8 +82,8 @@ def check_identity_dominance(b: Matrix) -> DominanceCheck:
 
 def minor_ratio_inequality(
     b: Matrix,
-    s: Iterable[int] | IndexSet,
-    t: Iterable[int] | IndexSet,
+    s: Iterable[int],
+    t: Iterable[int],
     inverse: PermanentalInverse | None = None,
 ) -> SidePair:
     """Check per(B(-S,-T))/per(B) <= per(B*(T,S)).
@@ -91,8 +91,8 @@ def minor_ratio_inequality(
     Equality holds when |S| = |T| = 1.  A precomputed inverse may be passed
     when sweeping many (S, T) pairs against one B.
     """
-    s = IndexSet.of(s)
-    t = IndexSet.of(t)
+    s = sorted_indices(s)
+    t = sorted_indices(t)
     if len(s) != len(t):
         raise DimensionMismatch(f"|S| = {len(s)} but |T| = {len(t)}")
     if inverse is None:

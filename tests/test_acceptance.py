@@ -17,6 +17,7 @@ from itertools import combinations
 
 from permbound import (
     BlockSplit,
+    BoundedInput,
     Matrix,
     RATIONAL,
     alpha_coefficients,
@@ -347,9 +348,8 @@ def test_criterion_8_boundedness_checks():
             rng = random.Random(1008 + 10 * n + cap)
             m_cap = Fraction(cap)
             for _ in range(200):
-                a = unit_diag_matrix(rng, n, cap)
-                trace = run_process(a, keep_snapshots=True)
-                assert entry_bound_check(a, m_cap, trace=trace) is None
+                x = BoundedInput(unit_diag_matrix(rng, n, cap), m_cap)
+                assert entry_bound_check(x) is None
                 if n <= 5:
                     ratio_cases = perm_ratio_cases(n)
                     cycle_cases = cycle_sum_cases(n)
@@ -357,10 +357,10 @@ def test_criterion_8_boundedness_checks():
                     ratio_cases = perm_ratio_cases(n, rng, 30)
                     cycle_cases = cycle_sum_cases(n, rng, 30)
                 for s, i, j in ratio_cases:
-                    assert perm_ratio_check(a, s, i, j, m_cap).holds, (n, cap, s, i, j)
+                    assert perm_ratio_check(x, s, i, j).holds, (n, cap, s, i, j)
                 for t, s in cycle_cases:
                     for pick in s:
-                        chk = cycle_sum_ratio(a, t, s, pick, m_cap, trace=trace)
+                        chk = cycle_sum_ratio(x, t, s, pick)
                         assert chk.holds, (n, cap, t, s, pick)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,16 +10,20 @@ from hypothesis import given, settings, strategies as st
 
 from permbound import (
     BoundFunction,
+    BoundedInput,
     ConditionViolated,
     MajorantCertificate,
     Matrix,
     NegativeEntry,
+    NonFinite,
+    NotSquare,
     ParameterOutOfRange,
     PreconditionViolated,
     FLOAT64,
     RATIONAL,
     ZeroPivot,
     bound_function,
+    cycle_sum_cases,
     cycle_sum_ratio,
     diag_dominance_certify,
     entry_bound_check,
@@ -27,6 +32,7 @@ from permbound import (
     leq_scalar,
     matrix,
     ones,
+    perm_ratio_cases,
     perm_ratio_check,
     permanent_ryser,
     process_bound,
@@ -37,6 +43,7 @@ from permbound import (
     to_kind,
     verify_majorant,
 )
+from permbound import bounds
 from permbound.process import cross_sum
 from randmat import dominant_matrix, positive_matrix, unit_diag_matrix
 
@@ -215,32 +222,31 @@ def test_entry_bound_check_passes_on_random_unit_diag():
         for cap in (1, 2, 5):
             for _ in range(200):
                 a = unit_diag_matrix(rng, n, cap)
-                assert entry_bound_check(a, Fraction(cap)) is None, (n, cap)
+                assert entry_bound_check(BoundedInput(a, Fraction(cap))) is None, (n, cap)
 
 
 def test_entry_bound_check_preconditions():
     with pytest.raises(PreconditionViolated):
-        entry_bound_check(matrix([[2, 0], [0, 1]]), Fraction(2))
+        BoundedInput(matrix([[2, 0], [0, 1]]), Fraction(2))
     # understated M is a precondition failure, not a violation report
     with pytest.raises(PreconditionViolated):
-        entry_bound_check(unit_diag_matrix(random.Random(0), 3, 5), Fraction(1))
+        BoundedInput(unit_diag_matrix(random.Random(0), 3, 5), Fraction(1))
     with pytest.raises(ParameterOutOfRange):
-        entry_bound_check(ones(2), Fraction(1, 2))
+        BoundedInput(ones(2), Fraction(1, 2))
 
 
 def test_cycle_sum_and_perm_ratio_validation():
-    a = unit_diag_matrix(random.Random(66), 4, 1)
-    m1 = Fraction(1)
+    x = BoundedInput(unit_diag_matrix(random.Random(66), 4, 1), Fraction(1))
     with pytest.raises(ParameterOutOfRange):
-        cycle_sum_ratio(a, 2, (2, 3), 2, m1)  # S must sit above t
+        cycle_sum_ratio(x, 2, (2, 3), 2)  # S must sit above t
     with pytest.raises(ParameterOutOfRange):
-        cycle_sum_ratio(a, 1, (3,), 3, m1)  # |S| >= 2
+        cycle_sum_ratio(x, 1, (3,), 3)  # |S| >= 2
     with pytest.raises(ParameterOutOfRange):
-        cycle_sum_ratio(a, 1, (2, 3), 4, m1)  # i0 must be in S
+        cycle_sum_ratio(x, 1, (2, 3), 4)  # i0 must be in S
     with pytest.raises(ParameterOutOfRange):
-        perm_ratio_check(a, (1, 2), 2, 3, m1)  # i outside S
+        perm_ratio_check(x, (1, 2), 2, 3)  # i outside S
     with pytest.raises(ParameterOutOfRange):
-        perm_ratio_check(a, (1,), 2, 5, m1)  # j out of range
+        perm_ratio_check(x, (1,), 2, 5)  # j out of range
 
 
 def test_cycle_sum_ratio_holds_on_random_instances():
@@ -248,11 +254,10 @@ def test_cycle_sum_ratio_holds_on_random_instances():
     for _ in range(10):
         n = rng.randint(4, 5)
         cap = rng.choice([1, 2])
-        a = unit_diag_matrix(rng, n, cap)
-        trace = run_process(a, keep_snapshots=True)
+        x = BoundedInput(unit_diag_matrix(rng, n, cap), Fraction(cap))
         for t in range(1, n - 1):
             members = tuple(range(t + 1, n + 1))
-            chk = cycle_sum_ratio(a, t, members, members[0], Fraction(cap), trace=trace)
+            chk = cycle_sum_ratio(x, t, members, members[0])
             assert chk.holds
 
 
@@ -262,7 +267,7 @@ def test_perm_ratio_holds_on_random_instances():
         n = rng.randint(3, 5)
         cap = rng.choice([1, 2, 5])
         a = unit_diag_matrix(rng, n, cap)
-        chk = perm_ratio_check(a, (1,), 2, 3, Fraction(cap))
+        chk = perm_ratio_check(BoundedInput(a, Fraction(cap)), (1,), 2, 3)
         assert chk.holds
         assert chk.rhs == 2 * Fraction(cap) ** 2
 
@@ -309,3 +314,48 @@ def test_exp_float_mode_runs_large():
     trace = run_process(a)
     assert trace.arithmetic == "float64"
     assert 1.0 < trace.bound < 4.0
+
+
+def test_rowsum_bound_takes_absolute_values():
+    assert rowsum_bound(matrix([[1, -1], [-1, 1]])) == 4
+    assert rowsum_bound(matrix([[1.0, -2.0], [0.5, -0.5]])) == 3.0
+
+
+def test_bounded_input_runs_the_process_once(monkeypatch):
+    runs = []
+    real = bounds.run_process
+    monkeypatch.setattr(bounds, "run_process", lambda *a, **k: runs.append(a) or real(*a, **k))
+    n = 5
+    x = BoundedInput(unit_diag_matrix(random.Random(69), n, 2), Fraction(2))
+    assert runs == []  # built on first use
+    assert entry_bound_check(x) is None
+    for t, s in cycle_sum_cases(n):
+        for i0 in s:
+            assert cycle_sum_ratio(x, t, s, i0).holds
+    for s, i, j in perm_ratio_cases(n):
+        assert perm_ratio_check(x, s, i, j).holds
+    assert len(runs) == 1
+    assert x.trace.snapshot(1) == x.a
+
+
+@pytest.mark.parametrize("rows, cap, error, message", [
+    ([[2, 0], [0, 1]], Fraction(1, 2), ParameterOutOfRange, "M = 1/2 must be >= 1"),
+    ([[1, 3], [0, 2]], Fraction(2), PreconditionViolated, "diagonal entry (2, 2) is not 1"),
+    ([[1, 3], [-1, 1]], Fraction(2), PreconditionViolated, "entry (1, 2) = 3 outside [0, 2]"),
+    ([[1, 0], [-1, 1]], Fraction(2), PreconditionViolated, "entry (2, 1) = -1 outside [0, 2]"),
+    ([[1, 0, 1]], Fraction(1), NotSquare, "1x3 matrix is not square"),
+], ids=["M-below-1-first", "diagonal-before-range", "range-row-major", "negative", "not-square"])
+def test_bounded_input_preconditions(rows, cap, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        BoundedInput(matrix(rows), cap)
+
+
+def test_float_eps_certificate_overflow_is_non_finite():
+    a = matrix([[1.0, 0.001], [0.001, 1.0]])
+    with pytest.raises(NonFinite, match="factor"):
+        diag_dominance_certify(a, 1e300)  # (1+eps)^2 overflows
+    with pytest.raises(NonFinite, match="factor"):
+        diag_dominance_certify(to_kind(ones(2), FLOAT64), 1e-320)  # (1+eps)^2/eps is inf
+    with pytest.raises(NonFinite, match="bound"):
+        diag_dominance_certify(matrix([[1e300, 0.0], [0.0, 1e300]]), 1.0)  # 4 * 1e600
+    assert diag_dominance_certify(matrix([[4, 0], [0, 1]]), Fraction(10**300)).certified

@@ -482,3 +482,35 @@ def test_verify_schur_bound_fails_past_a_zero_split(capsys, tmp_path, monkeypatc
         "PASS identity-dominance\n"
     )
     assert (code, out, err) == (1, expected, "")
+
+
+@pytest.mark.parametrize("argv, rowsum, exact", [
+    ([], "4", "2"),
+    (["--arithmetic", "float"], "4.0", "2.0"),
+], ids=["rational", "float"])
+def test_rowsum_bound_stays_above_per_on_a_gram_input(capsys, tmp_path, argv, rowsum, exact):
+    # row sums 0 and 0; absolute row sums 2 and 2
+    p = tmp_path / "g.json"
+    p.write_text('{"n": 2, "kind": "gram", "entries": [["1","-1"],["-1","1"]],'
+                 ' "factor": [["1","-1"]]}')
+    code, out, _ = run_cli(capsys, "bound", str(p), *argv)
+    report = json.loads(out)
+    assert code == 0
+    assert (report["rowsum_bound"], report["exact_perm"]) == (rowsum, exact)
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["bound", "{path}", "--eps", "20"], _csv(
+        [["1" if i == j else "0" for j in range(300)] for i in range(300)])),  # 21^300
+    (["bound", "{path}", "--eps", "1e300", "--arithmetic", "float"], "1,0.001\n0.001,1\n"),
+    (["family", "random-dd", "n=3", "eps=1e300", "delta=1/100", "seed=0",
+      "--arithmetic", "float"], None),
+    (["bound", "{path}", "--eps", "1e-320", "--arithmetic", "float"], "1,0\n0,1\n"),
+], ids=["bound-identity300", "factor-eps1e300", "family-eps1e300", "factor-times-zero"])
+def test_float_eps_certificate_overflow_exits_3(capsys, tmp_path, argv, text):
+    p = tmp_path / "m.csv"
+    if text is not None:
+        p.write_text(text)
+    code, out, err = run_cli(capsys, *(a.format(path=p) for a in argv))
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["type"] == "NonFinite"

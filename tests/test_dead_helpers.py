@@ -1,0 +1,66 @@
+"""Every private module-level name in permbound is referred to somewhere in it.
+
+A function, class or constant whose name starts with one underscore is
+internal to `src/permbound`, so once no module there refers to it, it is
+dead code.  No linter ships with the test dependencies, so each module is
+parsed with `ast`: a name read anywhere, an attribute name and a name
+imported from a module all count as references.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "permbound"
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Private names bound at module level, with their line numbers."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                found[name] = node.lineno
+    return found
+
+
+def references(tree: ast.Module) -> set[str]:
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    used = set().union(*map(references, trees.values()))
+    return sorted(
+        f"{module}: {name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in private_definitions(tree).items()
+        if name not in used
+    )
+
+
+def test_every_private_helper_is_referenced():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_helpers(sources) == []
+
+
+def test_dead_helper_is_reported():
+    sources = {
+        "a.py": "def _kept():\n    pass\n\n\ndef _dead():\n    pass\n\n\n_A, _B = 1, 2\n",
+        "b.py": "from .a import _kept\n\nx = _A\n",
+    }
+    assert dead_helpers(sources) == ["a.py: _B (line 9)", "a.py: _dead (line 5)"]

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from permbound import (
     DimensionMismatch,
     DimensionTooLarge,
     IndexOutOfRange,
-    IndexSet,
     Matrix,
     NotSquare,
     RATIONAL,
@@ -258,13 +258,15 @@ def test_matrix_kind_inference_and_indexing():
 
 
 def test_index_set_normalizes_and_complements():
-    s = IndexSet.of([3, 1, 3])
-    assert s.members == (1, 3)
-    assert s.complement(4).members == (2, 4)
-    assert list(s) == [1, 3]
-    assert 3 in s and 2 not in s
-    with pytest.raises(IndexOutOfRange):
-        IndexSet.of([0, 1])
+    m = matrix([[10 * i + j for j in range(1, 5)] for i in range(1, 5)])
+    # [3, 1, 3] is read as (1, 3): sorted and deduplicated; its complement is (2, 4)
+    assert select(m, [3, 1, 3], [1]).entries == ((11,), (31,))
+    assert select(m, [1], [3, 1, 3]).entries == ((11, 13),)
+    assert delete(m, [3, 1, 3], [1]).entries == ((22, 23, 24), (42, 43, 44))
+    assert delete(m, [1], [3, 1, 3]).entries == ((22, 24), (32, 34), (42, 44))
+    for fn in (select, delete):
+        with pytest.raises(IndexOutOfRange, match="index 0 is not a positive integer"):
+            fn(m, [0, 1], [1])
 
 
 def test_select_and_delete_are_complementary():
@@ -276,6 +278,37 @@ def test_select_and_delete_are_complementary():
             fn(m, (4,), (1,))
         with pytest.raises(IndexOutOfRange, match="column 4 outside"):
             fn(m, (1,), (4,))
+
+
+def test_delete_is_select_on_the_complements():
+    rng = random.Random(17)
+    for _ in range(200):
+        nr, nc = rng.randint(1, 6), rng.randint(0, 6)
+        m = Matrix(
+            tuple(tuple(Fraction(rng.randint(-9, 9)) for _ in range(nc)) for _ in range(nr)),
+            RATIONAL,
+        )
+        s = [rng.randint(1, nr) for _ in range(rng.randint(0, nr))]  # may repeat
+        t = [rng.randint(1, nc) for _ in range(rng.randint(0, nc))]
+        rest_s = [i for i in range(1, nr + 1) if i not in s]
+        rest_t = [j for j in range(1, nc + 1) if j not in t]
+        assert delete(m, s, t) == select(m, rest_s, rest_t), (m, s, t)
+        assert select(m, s, t) == delete(m, rest_s, rest_t), (m, s, t)
+
+
+@pytest.mark.parametrize("rows, cols, message", [
+    ((0,), (1,), "index 0 is not a positive integer"),
+    ((1,), (2, -2), "index -2 is not a positive integer"),
+    ((1.5,), (1,), "index 1.5 is not a positive integer"),
+    ((5, 4), (1,), "row 4 outside [1, 3]"),
+    ((1,), (9, 2, 7), "column 7 outside [1, 3]"),
+    ((4,), (0,), "index 0 is not a positive integer"),  # both sets are read before either is range-checked
+])
+def test_select_and_delete_reject_the_same_bad_indices(rows, cols, message):
+    m = matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    for fn in (select, delete):
+        with pytest.raises(IndexOutOfRange, match=re.escape(message)):
+            fn(m, rows, cols)
 
 
 def test_arithmetic_helpers():

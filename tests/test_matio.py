@@ -24,6 +24,7 @@ from permbound import (
     serialize_json,
     to_kind,
 )
+from permbound import matio
 from permbound.matio import ParsedMatrix
 from randmat import nonneg_matrix
 
@@ -264,3 +265,20 @@ def test_float_parse_equals_rounding_the_exact_parse(cells):
     assert [[repr(x) for x in row] for row in direct.entries] == [
         [repr(x) for x in row] for row in rounded.entries
     ]
+
+
+def test_float_parse_reads_only_zero_cells_exactly(monkeypatch):
+    calls = []
+    exact = matio._parse_cell
+    monkeypatch.setattr(matio, "_parse_cell", lambda text: calls.append(text) or exact(text))
+    m = as_float("0,0.5,0.25\n0.5,-0,1\n0.25,1,-1e-400\n").matrix
+    assert calls == ["0", "-0", "-1e-400"]
+    assert [[repr(x) for x in row] for row in m.entries] == [
+        ["0.0", "0.5", "0.25"], ["0.5", "0.0", "1.0"], ["0.25", "1.0", "-0.0"]
+    ]
+
+
+@pytest.mark.parametrize("n", ["true", '"3"', "1.0", "null", "[1]"])
+def test_json_n_must_be_a_json_integer(n):
+    with pytest.raises(ParseError, match="needs integer 'n'"):
+        parse_json_text(f'{{"n": {n}, "entries": [[5]]}}', "j")

@@ -8,7 +8,6 @@ import pytest
 
 from permbound import (
     DimensionMismatch,
-    IndexSet,
     NegativeEntry,
     ZeroPermanent,
     check_identity_dominance,
@@ -106,6 +105,6 @@ def test_full_index_minor_ratio_uses_empty_permanent():
     # S = T = everything: lhs = per(empty)/per(B) = 1/per(B), rhs = per(B*)
     n = 3
     m = ones(n)
-    chk = minor_ratio_inequality(m, IndexSet.of(range(1, n + 1)), range(1, n + 1))
+    chk = minor_ratio_inequality(m, range(1, n + 1), range(1, n + 1))
     assert chk.lhs == Fraction(1, 6)
     assert chk.holds

@@ -28,7 +28,7 @@ from .errors import (
     ZeroPermanent,
     ZeroPivot,
 )
-from .matcore import Matrix, as_array, integer_rows, permanent_ryser, select, sorted_indices
+from .matcore import Matrix, integer_rows, permanent_ryser, select, sorted_indices
 from .process import ProcessTrace, closed_recursion, cross_sums, recursive_u, run_process
 from .scalars import FLOAT64, RATIONAL, Scalar, SidePair, coerce, eq_scalar, leq_scalar, one, zero
 
@@ -85,11 +85,14 @@ class DiagDominanceResult:
 def rowsum_bound(a: Matrix) -> Scalar:
     """Product of absolute row sums, >= per(|a|) >= |per(a)| for any a; the baseline bound.
 
-    Exact rows are summed as their `integer_rows` and divided once.
+    Float rows are summed left to right from 0.0 (a sequential cumsum);
+    exact rows are summed as their `integer_rows` and divided once.
     """
     if a.kind == FLOAT64:
-        return math.prod((sum(map(abs, row), start=0.0) for row in a.entries), start=1.0)
-    ints, scale = integer_rows(a.entries)
+        with np.errstate(over="ignore"):
+            sums = np.cumsum(np.abs(a.entries), axis=1)[:, -1] if a.ncols else np.zeros(a.nrows)
+        return math.prod(sums.tolist(), start=1.0)
+    ints, scale = integer_rows(a.entries.tolist())
     return Fraction(math.prod(sum(map(abs, row)) for row in ints), scale)
 
 
@@ -108,13 +111,12 @@ def verify_majorant(cert: MajorantCertificate) -> MajorantCertificate:
     if cert.mode not in ("inequality", "equality"):
         raise ParameterOutOfRange(f"unknown certificate mode {cert.mode!r}")
     kind = a.kind
-    diag = [a.entries[s][s] for s in range(a.n)]
-    lhs = as_array(a) + cross_sums(b.entries, diag, kind)
+    lhs = a.entries + cross_sums(b.entries, a.diagonal(), kind)
     holds = eq_scalar if cert.mode == "equality" else leq_scalar
-    failure = _first_failure(lhs, as_array(b), kind, holds)
+    failure = _first_failure(lhs, b.entries, kind, holds)
     if failure is not None:
         raise ConditionViolated(*failure)
-    failure = _first_failure(as_array(recursive_u(a)), as_array(b), kind)
+    failure = _first_failure(recursive_u(a).entries, b.entries, kind)
     assert failure is None, f"u exceeds the verified majorant at {failure}"
     return replace(cert, verified=True)
 
@@ -122,12 +124,14 @@ def verify_majorant(cert: MajorantCertificate) -> MajorantCertificate:
 def _first_failure(lhs: np.ndarray, rhs: np.ndarray, kind: str, holds=leq_scalar):
     """The first (i, j), 1-based in row-major order, where holds(lhs_ij, rhs_ij) fails.
 
+    lhs and rhs are arrays, or a scalar on one side, broadcast to one shape.
     holds is leq_scalar or eq_scalar, which can fail only where lhs <= rhs
     (or lhs == rhs) fails outright, so only those entries are checked.
     """
+    lhs, rhs = np.broadcast_arrays(lhs, rhs)
     plain = lhs == rhs if holds is eq_scalar else lhs <= rhs
     for i, j in np.argwhere(~plain):
-        if not holds(lhs[i, j], rhs[i, j], kind):
+        if not holds(lhs.item(i, j), rhs.item(i, j), kind):
             return int(i) + 1, int(j) + 1
     return None
 
@@ -141,7 +145,7 @@ def solve_majorant(a: Matrix) -> Matrix:
     """
     if not a.is_nonneg():
         raise NegativeEntry("solve_majorant requires a non-negative matrix")
-    return closed_recursion(a, den=[a.entries[s][s] for s in range(a.n)])
+    return closed_recursion(a, den=a.diagonal())
 
 
 def diag_dominance_certify(a: Matrix, eps: Scalar) -> DiagDominanceResult:
@@ -160,13 +164,12 @@ def diag_dominance_certify(a: Matrix, eps: Scalar) -> DiagDominanceResult:
         raise ParameterOutOfRange(f"eps must be > 0, got {eps}")
     if not a.is_nonneg():
         raise NegativeEntry("diagonal dominance requires a non-negative matrix")
-    for s in range(n):
-        if a.entries[s][s] == 0:
-            raise ZeroPivot(s + 1, f"zero diagonal entry at ({s + 1}, {s + 1})")
+    diag = a.diagonal()
+    for s, d in enumerate(diag, 1):
+        if d == 0:
+            raise ZeroPivot(s, f"zero diagonal entry at ({s}, {s})")
     factor = _finite(lambda: (1 + e) ** 2 / e, "the factor (1+eps)^2/eps")
-    rows = a.entries
-    diag = [rows[s][s] for s in range(n)]
-    violation = _first_failure(factor * cross_sums(rows, diag, kind), as_array(a), kind)
+    violation = _first_failure(factor * cross_sums(a.entries, diag, kind), a.entries, kind)
     if violation is not None:
         return DiagDominanceResult(False, None, e, violation)
     bound = _finite(lambda: math.prod(diag, start=(1 + e) ** n), "the bound (1+eps)^n prod a_ii")
@@ -205,13 +208,13 @@ class BoundedInput:
         n = a.n
         if M < 1:
             raise ParameterOutOfRange(f"M = {M} must be >= 1")
-        for i in range(n):
-            if not eq_scalar(a.entries[i][i], 1, a.kind):
-                raise PreconditionViolated(f"diagonal entry ({i + 1}, {i + 1}) is not 1")
-        for i, row in enumerate(a.entries, 1):
-            for j, x in enumerate(row, 1):
-                if x < 0 or not leq_scalar(x, M, a.kind):
-                    raise PreconditionViolated(f"entry ({i}, {j}) = {x} outside [0, {M}]")
+        for i in range(1, n + 1):
+            if not eq_scalar(a.entry(i, i), 1, a.kind):
+                raise PreconditionViolated(f"diagonal entry ({i}, {i}) is not 1")
+        for i, j in np.argwhere(~((a.entries >= 0) & (a.entries <= M))):
+            x = a.entries.item(i, j)
+            if x < 0 or not leq_scalar(x, M, a.kind):
+                raise PreconditionViolated(f"entry ({i + 1}, {j + 1}) = {x} outside [0, {M}]")
 
     @cached_property
     def B(self) -> BoundFunction:
@@ -230,12 +233,10 @@ def entry_bound_check(x: BoundedInput):
     """
     n, kind, B = x.a.n, x.a.kind, x.B
     for t in range(1, n + 1):
-        cap = B(1, t)
-        snap = x.trace.snapshot(t).entries
-        for i in range(t - 1, n):
-            for j in range(t - 1, n):
-                if not leq_scalar(snap[i][j], cap, kind):
-                    return (i + 1, j + 1, t)
+        trailing = x.trace.snapshot(t).entries[t - 1:, t - 1:]
+        failure = _first_failure(trailing, B(1, t), kind)
+        if failure is not None:
+            return (failure[0] + t - 1, failure[1] + t - 1, t)
     return None
 
 
@@ -270,7 +271,7 @@ def cycle_sum_ratio(x: BoundedInput, t: int, s: Iterable[int], i0: int) -> SideP
     if i0 not in ss:
         raise ParameterOutOfRange(f"i0 = {i0} is not in S = {ss}")
     snapshot = x.trace.snapshot(t)
-    snap = snapshot.entries
+    snap = snapshot.entries.tolist()
     num = zero(kind)
     for cyc in _full_cycles(ss):
         term = one(kind)
@@ -366,9 +367,7 @@ def _exp_powers(n: int, c) -> tuple[Scalar, str, list]:
 def exp_family(n: int, c) -> Matrix:
     """The family (A_n)_{i,j} = c^(-|i-j|); rational when c is, float otherwise."""
     _, kind, powers = _exp_powers(n, c)
-    return Matrix(
-        tuple(tuple(powers[abs(i - j)] for j in range(n)) for i in range(n)), kind
-    )
+    return Matrix([[powers[abs(i - j)] for j in range(n)] for i in range(n)], kind)
 
 
 def exp_family_closed_form(n: int, c) -> Matrix:
@@ -385,9 +384,5 @@ def exp_family_closed_form(n: int, c) -> Matrix:
         prefix.append(prefix[-1] + term)
         term *= 2 * inv2
     return Matrix(
-        tuple(
-            tuple(powers[abs(i - j)] * prefix[min(i, j)] for j in range(n))
-            for i in range(n)
-        ),
-        kind,
+        [[powers[abs(i - j)] * prefix[min(i, j)] for j in range(n)] for i in range(n)], kind
     )

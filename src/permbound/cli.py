@@ -231,7 +231,7 @@ def _family_instances(name: str, params: dict[str, str], count: int):
             for i in range(n)
         ]
         ident = f"random-dd(n={n},eps={eps},delta={delta},seed={seed + idx})"
-        yield ParsedMatrix(ident, "nonneg", Matrix(tuple(tuple(r) for r in rows), RATIONAL)), eps
+        yield ParsedMatrix(ident, "nonneg", Matrix(rows, RATIONAL)), eps
 
 
 def cmd_family(args) -> int:
@@ -333,14 +333,9 @@ def _check_uncross(suite: _Suite, parsed: ParsedMatrix):
         return None
 
     def two_row():
-        # lists, not BlockSplit(m, d).y.col(...): at n = 2 the border is empty
-        d = n - 2
-        split = BlockSplit(m, d)
-        x1 = [m.entries[d][c] for c in range(d)]
-        x2 = [m.entries[d + 1][c] for c in range(d)]
-        y1 = [m.entries[r][d] for r in range(d)]
-        y2 = [m.entries[r][d + 1] for r in range(d)]
-        pair = two_row_inequality_sides(split.b, x1, x2, y1, y2, split.w)
+        split = BlockSplit(m, n - 2)  # at n = 2 the border blocks are 0x2 and 2x0
+        xt, y = split.xt, split.y
+        pair = two_row_inequality_sides(split.b, xt.row(1), xt.row(2), y.col(1), y.col(2), split.w)
         return None if pair.holds else f"lhs {pair.lhs} > rhs {pair.rhs}"
 
     def condense_check():
@@ -359,13 +354,13 @@ def _check_uncross(suite: _Suite, parsed: ParsedMatrix):
 
 
 def _has_unit_diagonal(m: Matrix) -> bool:
-    return all(eq_scalar(m.entries[i][i], 1, m.kind) for i in range(m.n))
+    return all(eq_scalar(x, 1, m.kind) for x in m.diagonal())
 
 
 def _check_boundedness(suite: _Suite, parsed: ParsedMatrix):
     m = parsed.matrix
     n = m.n
-    x = BoundedInput(m, max(Fraction(1), *(e for row in m.entries for e in row)))
+    x = BoundedInput(m, max(Fraction(1), m.entries.max()))
 
     def entry_scan():
         violation = entry_bound_check(x)

@@ -10,8 +10,9 @@ at the end, so a float64 permanent is the exact one rounded once.
 Conventions
 -----------
 * All row/column indices taken by the public API are 1-based, matching the
-  usual mathematical notation a_{i,j}, A(S, T), A(-S, -T).  Storage is a
-  plain 0-based tuple of row tuples.
+  usual mathematical notation a_{i,j}, A(S, T), A(-S, -T).  Storage is one
+  read-only 0-based ndarray (`Matrix.entries`): float64, or object dtype
+  holding Fractions and ints.
 * per(A(0x0)) = det(A(0x0)) = 1 by convention, so empty selections behave
   as neutral factors.
 * Rectangular matrices are legal carriers (blocks X, Y); the permanent and
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Sequence
 
@@ -36,33 +36,59 @@ from .errors import (
     NotSquare,
     ZeroPivot,
 )
-from .scalars import FLOAT64, KINDS, RATIONAL, Scalar, coerce, one, quotient, zero
+from .scalars import FLOAT64, RATIONAL, Scalar, coerce, one, quotient, zero
 
 NAIVE_MAX = 10
 RYSER_MAX_N = 24
 
 
-@dataclass(frozen=True)
+DTYPES = {RATIONAL: np.dtype(object), FLOAT64: np.dtype(np.float64)}
+
+
 class Matrix:
-    """Immutable dense matrix; ``entries`` is a tuple of row tuples."""
+    """Immutable dense matrix over one read-only ndarray, ``entries``.
 
-    entries: tuple[tuple[Scalar, ...], ...]
-    kind: str
+    ``Matrix(rows, kind)`` copies rows (nested sequences or an ndarray) into
+    the kind's dtype, and ``kind`` is read back from that dtype.  The
+    accessors return Python scalars, never numpy ones.
+    """
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown scalar kind: {self.kind!r}")
-        widths = {len(row) for row in self.entries}
-        if len(widths) > 1:
+    __slots__ = ("entries",)
+    __hash__ = None
+
+    def __init__(self, rows, kind: str):
+        if kind not in DTYPES:
+            raise ValueError(f"unknown scalar kind: {kind!r}")
+        if not isinstance(rows, np.ndarray) and len({len(row) for row in rows}) > 1:
             raise DimensionMismatch("ragged rows")
+        a = np.array(rows, dtype=DTYPES[kind])
+        if a.shape == (0,):
+            a = a.reshape(0, 0)
+        if a.ndim != 2:
+            raise DimensionMismatch(f"rows of scalars expected, got a {a.ndim}-d array")
+        a.flags.writeable = False
+        self.entries = a
+
+    @property
+    def kind(self) -> str:
+        return RATIONAL if self.entries.dtype == object else FLOAT64
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.kind == other.kind and self.entries.shape == other.entries.shape
+                and bool((self.entries == other.entries).all()))
+
+    def __repr__(self) -> str:
+        return f"Matrix({self.entries.tolist()!r}, {self.kind!r})"
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
+        return self.entries.shape[0]
 
     @property
     def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return self.entries.shape[1]
 
     @property
     def is_square(self) -> bool:
@@ -79,22 +105,26 @@ class Matrix:
         """Row i, 1-based."""
         if not 1 <= i <= self.nrows:
             raise IndexOutOfRange(f"row {i} outside [1, {self.nrows}]")
-        return self.entries[i - 1]
+        return tuple(self.entries[i - 1].tolist())
 
     def col(self, j: int) -> tuple[Scalar, ...]:
         """Column j, 1-based."""
         if not 1 <= j <= self.ncols:
             raise IndexOutOfRange(f"column {j} outside [1, {self.ncols}]")
-        return tuple(row[j - 1] for row in self.entries)
+        return tuple(self.entries[:, j - 1].tolist())
+
+    def diagonal(self) -> tuple[Scalar, ...]:
+        """a_{1,1}, a_{2,2}, ... up to the shorter side."""
+        return tuple(self.entries.diagonal().tolist())
 
     def entry(self, i: int, j: int) -> Scalar:
         """Entry a_{i,j}, 1-based."""
         if not (1 <= i <= self.nrows and 1 <= j <= self.ncols):
             raise IndexOutOfRange(f"entry ({i}, {j}) outside {self.nrows}x{self.ncols}")
-        return self.entries[i - 1][j - 1]
+        return self.entries.item(i - 1, j - 1)
 
     def is_nonneg(self) -> bool:
-        return all(x >= 0 for row in self.entries for x in row)
+        return bool((self.entries >= 0).all())
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return matmul(self, other)
@@ -110,21 +140,19 @@ def matrix(rows: Sequence[Sequence], kind: str | None = None) -> Matrix:
     if kind is None:
         has_float = any(isinstance(x, float) for r in rows for x in r)
         kind = FLOAT64 if has_float else RATIONAL
-    return Matrix(tuple(tuple(coerce(x, kind) for x in r) for r in rows), kind)
+    return Matrix([[coerce(x, kind) for x in r] for r in rows], kind)
 
 
 def identity(n: int, kind: str = RATIONAL) -> Matrix:
-    o, z = one(kind), zero(kind)
-    return Matrix(tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), kind)
+    return Matrix(np.where(np.eye(n, dtype=bool), one(kind), zero(kind)), kind)
 
 
 def ones(n: int, kind: str = RATIONAL) -> Matrix:
-    o = one(kind)
-    return Matrix(tuple(tuple(o for _ in range(n)) for _ in range(n)), kind)
+    return Matrix(np.full((n, n), one(kind)), kind)
 
 
 def transpose(m: Matrix) -> Matrix:
-    return Matrix(tuple(zip(*m.entries)) if m.entries else (), m.kind)
+    return Matrix(m.entries.T, m.kind)
 
 
 def _require_same_kind(a: Matrix, b: Matrix):
@@ -133,14 +161,14 @@ def _require_same_kind(a: Matrix, b: Matrix):
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """a b, each entry summed over k left to right from zero, as the plain loop rounds."""
     _require_same_kind(a, b)
     if a.ncols != b.nrows:
         raise DimensionMismatch(f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
-    bt = transpose(b).entries
-    out = tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), zero(a.kind)) for col in bt)
-        for row in a.entries
-    )
+    out = np.full((a.nrows, b.ncols), zero(a.kind))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(a.ncols):
+            out += np.outer(a.entries[:, k], b.entries[k])
     return Matrix(out, a.kind)
 
 
@@ -148,17 +176,16 @@ def add(a: Matrix, b: Matrix) -> Matrix:
     _require_same_kind(a, b)
     if (a.nrows, a.ncols) != (b.nrows, b.ncols):
         raise DimensionMismatch(f"cannot add {a.nrows}x{a.ncols} and {b.nrows}x{b.ncols}")
-    return Matrix(
-        tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)),
-        a.kind,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Matrix(a.entries + b.entries, a.kind)
 
 
 def outer(x: Sequence[Scalar], y: Sequence[Scalar], kind: str) -> Matrix:
     """The |x| x |y| matrix with entries x_i * y_j."""
     xs = [coerce(v, kind) for v in x]
     ys = [coerce(v, kind) for v in y]
-    return Matrix(tuple(tuple(xi * yj for yj in ys) for xi in xs), kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Matrix(np.outer(xs, ys), kind)
 
 
 def sorted_indices(items: Iterable[int]) -> tuple[int, ...]:
@@ -171,13 +198,13 @@ def sorted_indices(items: Iterable[int]) -> tuple[int, ...]:
 
 
 def _within_shape(m: Matrix, rows: Iterable[int], cols: Iterable[int]):
-    """rows and cols as sorted index tuples, each index within m's shape."""
+    """rows and cols as sorted 0-based index lists, each index within m's shape."""
     rs, cs = sorted_indices(rows), sorted_indices(cols)
     for what, idx, size in (("row", rs, m.nrows), ("column", cs, m.ncols)):
         for i in idx:
             if i > size:
                 raise IndexOutOfRange(f"{what} {i} outside [1, {size}]")
-    return rs, cs
+    return [i - 1 for i in rs], [j - 1 for j in cs]
 
 
 def select(m: Matrix, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
@@ -187,20 +214,15 @@ def select(m: Matrix, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
     are 1 by convention.
     """
     rs, cs = _within_shape(m, rows, cols)
-    cs = [c - 1 for c in cs]
-    entries = m.entries
-    return Matrix(tuple(tuple(map(entries[r - 1].__getitem__, cs)) for r in rs), m.kind)
+    return Matrix(m.entries.take(rs, 0).take(cs, 1), m.kind)
 
 
 def delete(m: Matrix, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
     """m(-S, -T): delete rows S and columns T; delete({i},{j}) is the (i,j) minor."""
     rs, cs = _within_shape(m, rows, cols)
-    keep = [c for c in range(m.ncols) if c + 1 not in cs]
-    return Matrix(
-        tuple(tuple(map(row.__getitem__, keep))
-              for r, row in enumerate(m.entries, 1) if r not in rs),
-        m.kind,
-    )
+    keep_rows = [i for i in range(m.nrows) if i not in rs]
+    keep_cols = [j for j in range(m.ncols) if j not in cs]
+    return Matrix(m.entries.take(keep_rows, 0).take(keep_cols, 1), m.kind)
 
 
 def permanent_naive(m: Matrix) -> Scalar:
@@ -208,7 +230,7 @@ def permanent_naive(m: Matrix) -> Scalar:
     n = m.n
     if n > NAIVE_MAX:
         raise DimensionTooLarge(f"permanent_naive guard: n = {n} > {NAIVE_MAX}")
-    rows = m.entries
+    rows = m.entries.tolist()
     total = zero(m.kind)
     for sigma in permutations(range(n)):
         term = one(m.kind)
@@ -250,7 +272,7 @@ def permanent_ryser(m: Matrix) -> Scalar:
     n = m.n
     if not ryser_fits(m):
         raise DimensionTooLarge(f"permanent_ryser guard: n = {n} > {RYSER_MAX_N}")
-    rows = m.entries
+    rows = m.entries.tolist()
     if n == 0:
         return one(m.kind)
     if n == 1:
@@ -275,12 +297,6 @@ def permanent_ryser(m: Matrix) -> Scalar:
     return quotient(total, scale, m.kind)
 
 
-def as_array(m: Matrix) -> np.ndarray:
-    """m's entries as one nrows x ncols ndarray: float64, or object dtype holding Fractions."""
-    dtype = object if m.kind == RATIONAL else np.float64
-    return np.array(m.entries, dtype=dtype).reshape(m.nrows, m.ncols)
-
-
 def eliminate(m: Matrix, sign: int, every_row: bool = False, skip_zero: bool = False,
               keep: bool = False):
     """Column-wise elimination a_{i,j} <- a_{i,j} + sign * a_{i,t} a_{t,j} / a_{t,t}.
@@ -302,7 +318,7 @@ def eliminate(m: Matrix, sign: int, every_row: bool = False, skip_zero: bool = F
     the n states A^(1)..A^(n) as a tuple of Matrix (else None).
     """
     n = m.n
-    a = as_array(m)
+    a = m.entries.copy()
     exact = m.kind == RATIONAL
     snaps = [m] if keep else None
     for t in range(n - 1):
@@ -318,11 +334,12 @@ def eliminate(m: Matrix, sign: int, every_row: bool = False, skip_zero: bool = F
             if exact:
                 a[rows, t + 1:] += np.outer(lead / p, a[t, t + 1:])
             else:
-                a[rows, t + 1:] += np.outer(lead, a[t, t + 1:]) / p
+                with np.errstate(over="ignore", invalid="ignore"):  # inf and nan end in NonFinite
+                    a[rows, t + 1:] += np.outer(lead, a[t, t + 1:]) / p
             if every_row:
                 a[t, t + 1:] = zero(m.kind)  # p * x / p need not round back to x
         if keep:
-            snaps.append(Matrix(tuple(map(tuple, a.tolist())), m.kind))
+            snaps.append(Matrix(a, m.kind))
     return tuple(a.diagonal().tolist()), tuple(snaps) if keep else None
 
 
@@ -331,7 +348,7 @@ def determinant(m: Matrix) -> Scalar:
     n = m.n
     if n == 0:
         return one(m.kind)
-    a = [list(row) for row in m.entries]
+    a = m.entries.tolist()
     sign = 1
     det = one(m.kind)
     for t in range(n):

@@ -11,7 +11,8 @@ JSON files, and CSV files read without a kind, are parsed exactly
 (decimals become exact decimal fractions) and converted to float64 by
 `to_kind` when float arithmetic is requested, so the rational pipeline never
 sees binary rounding.  A CSV file read for float64 rounds each cell once,
-straight from its literal, to the same value `to_kind` would give.
+straight from its literal, to the same value `to_kind` would give; both
+keep a nonzero value below the float64 range nonzero (`_float64`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from .errors import NonFinite, ParseError
 from .matcore import Matrix, matmul, transpose
@@ -47,12 +50,16 @@ def _parse_cell(text) -> Fraction:
         raise ParseError(f"bad numeric literal {text!r}") from exc
 
 
-def _float64(row) -> tuple[float, ...]:
-    """Each entry rounded to the nearest float64; beyond the float64 range it is NonFinite."""
+def _float64(x) -> float:
+    """Exact x rounded to float64, except that a nonzero x that rounds to +-0.0 becomes
+    +-5e-324, the smallest subnormal of its sign; beyond the float64 range it is NonFinite."""
     try:
-        return tuple(map(float, row))
+        f = float(x)
     except OverflowError as exc:
         raise NonFinite(f"an entry is outside the float64 range: {exc}") from exc
+    if f == 0 and x != 0:
+        return math.copysign(5e-324, f)
+    return f
 
 
 def _float_row(cells) -> tuple | list:
@@ -62,8 +69,8 @@ def _float_row(cells) -> tuple | list:
     They differ on "p/q" (float() rejects it), on "inf" and "nan" (not
     literals here) and beyond the float64 range (inf against NonFinite), so
     a row with a non-finite value or a literal float() rejects is read
-    exactly.  They also differ on "-0" (-0.0 against 0.0), so a cell that
-    reads as +-0.0 is rounded from its exact value.
+    exactly.  A cell that reads as +-0.0 ("-0", or a value below the float64
+    range) is read exactly and rounded by _float64.
     """
     try:
         row = tuple(map(float, cells))
@@ -72,7 +79,7 @@ def _float_row(cells) -> tuple | list:
     if not all(map(math.isfinite, row)):
         return _exact_row(cells)
     if 0.0 in row:
-        row = tuple(float(_parse_cell(c)) if x == 0.0 else x for x, c in zip(row, cells))
+        row = tuple(_float64(_parse_cell(c)) if x == 0.0 else x for x, c in zip(row, cells))
     return row
 
 
@@ -93,7 +100,7 @@ def _parse_rows(rows, what: str, parse_row=_exact_row) -> list[list]:
 
 
 def _rows_to_matrix(rows, what: str) -> Matrix:
-    return Matrix(tuple(map(tuple, _parse_rows(rows, what))), RATIONAL)
+    return Matrix(_parse_rows(rows, what), RATIONAL)
 
 
 def parse_csv_text(
@@ -113,8 +120,8 @@ def parse_csv_text(
     if len(parsed) != len(parsed[0]):
         raise ParseError(f"csv matrix is {len(parsed)}x{len(parsed[0])}, not square")
     if kind == FLOAT64:
-        parsed = [row if type(row) is tuple else _float64(row) for row in parsed]
-    return ParsedMatrix(matrix_id, "nonneg", Matrix(tuple(map(tuple, parsed)), kind))
+        parsed = [row if type(row) is tuple else list(map(_float64, row)) for row in parsed]
+    return ParsedMatrix(matrix_id, "nonneg", Matrix(parsed, kind))
 
 
 def parse_json_text(text: str, matrix_id: str = "stdin") -> ParsedMatrix:
@@ -176,7 +183,7 @@ def to_kind(m: Matrix, kind: str) -> Matrix:
     if m.kind == kind:
         return m
     if kind == FLOAT64:
-        return Matrix(tuple(map(_float64, m.entries)), kind)
+        return Matrix(np.vectorize(_float64, otypes=[np.float64])(m.entries), kind)
     raise ParseError("cannot losslessly convert float64 entries to rationals")
 
 
@@ -189,12 +196,12 @@ def as_subject(parsed: ParsedMatrix, kind: str) -> Matrix | GramMatrix:
 
 def serialize_csv(m: Matrix) -> str:
     return "\n".join(
-        ",".join(format_scalar(x, m.kind) for x in row) for row in m.entries
+        ",".join(format_scalar(x, m.kind) for x in row) for row in m.entries.tolist()
     ) + "\n"
 
 
 def matrix_as_strings(m: Matrix) -> list[list[str]]:
-    return [[format_scalar(x, m.kind) for x in row] for row in m.entries]
+    return [[format_scalar(x, m.kind) for x in row] for row in m.entries.tolist()]
 
 
 def serialize_json(parsed: ParsedMatrix) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .bounds import _first_failure
 from .errors import DimensionMismatch, NegativeEntry, ZeroPermanent
 from .matcore import Matrix, delete, matmul, permanent_ryser, select, sorted_indices
 from .scalars import Scalar, SidePair, eq_scalar, leq_scalar, zero
@@ -48,35 +49,27 @@ def permanental_inverse(b: Matrix) -> PermanentalInverse:
     total = permanent_ryser(b)
     if total == 0:
         raise ZeroPermanent("per(B) = 0; permanental inverse undefined")
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            row.append(permanent_ryser(delete(b, (j,), (i,))) / total)
-        rows.append(tuple(row))
-    return PermanentalInverse(Matrix(tuple(rows), b.kind), total)
+    rows = [[permanent_ryser(delete(b, (j,), (i,))) / total for j in range(1, n + 1)]
+            for i in range(1, n + 1)]
+    return PermanentalInverse(Matrix(rows, b.kind), total)
 
 
 def check_identity_dominance(b: Matrix) -> DominanceCheck:
     """Form B*B and BB* and check both dominate I entrywise.
 
     In rational mode the diagonals must equal 1 exactly; off-diagonals must
-    be >= 0.  Float mode applies the standard tolerance policy.
+    be >= 0.  Float mode applies the standard tolerance policy.  A diagonal
+    entry equal to 1 is also >= 0, so every entry is checked against 0.
     """
     star = permanental_inverse(b).matrix
     left = matmul(star, b)
     right = matmul(b, star)
     kind = b.kind
-    holds = True
-    for prod in (left, right):
-        for i in range(prod.n):
-            for j in range(prod.n):
-                x = prod.entries[i][j]
-                if i == j:
-                    if not eq_scalar(x, 1, kind):
-                        holds = False
-                elif not leq_scalar(zero(kind), x, kind):
-                    holds = False
+    holds = all(
+        _first_failure(zero(kind), prod.entries, kind) is None
+        and all(eq_scalar(x, 1, kind) for x in prod.diagonal())
+        for prod in (left, right)
+    )
     return DominanceCheck(left, right, holds)
 
 

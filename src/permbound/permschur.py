@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DimensionMismatch, NegativeEntry, ZeroPivot
 from .matcore import Matrix, add, delete, matmul, outer, permanent_ryser, select
 from .perminv import permanental_inverse
@@ -65,11 +67,11 @@ def bordered(b: Matrix, x: Sequence[Scalar], y: Sequence[Scalar], w: Scalar) -> 
     if len(x) != d or len(y) != d:
         raise DimensionMismatch(f"border vectors must have length {d}")
     kind = b.kind
-    xs = [coerce(v, kind) for v in x]
-    ys = [coerce(v, kind) for v in y]
-    rows = [b.entries[i] + (ys[i],) for i in range(d)]
-    rows.append(tuple(xs) + (coerce(w, kind),))
-    return Matrix(tuple(rows), kind)
+    a = np.empty((d + 1, d + 1), b.entries.dtype)
+    a[:d, :d] = b.entries
+    a[:d, d] = [coerce(v, kind) for v in y]
+    a[d] = [*(coerce(v, kind) for v in x), coerce(w, kind)]
+    return Matrix(a, kind)
 
 
 def rank1_update_permanent(
@@ -84,10 +86,10 @@ def rank1_update_permanent(
         raise NegativeEntry("rank-1 update formula requires non-negative blocks")
     lhs = permanent_ryser(block)
     inv = permanental_inverse(b)
-    star = inv.matrix
+    star = inv.matrix.entries.tolist()
     kind = b.kind
     quad = sum(
-        (coerce(xi, kind) * star.entries[i][j] * coerce(yj, kind)
+        (coerce(xi, kind) * star[i][j] * coerce(yj, kind)
          for i, xi in enumerate(x) for j, yj in enumerate(y)),
         start=coerce(0, kind),
     )
@@ -155,7 +157,7 @@ def two_row_inequality_sides(
     """
     if w.nrows != 2 or w.ncols != 2:
         raise DimensionMismatch("w must be 2x2")
-    (w11, w12), (w21, w22) = w.entries
+    (w11, w12), (w21, w22) = w.entries.tolist()
     big = bordered(bordered(b, x1, y1, w11), [*x2, w21], [*y2, w12], w22)
     if not big.is_nonneg():
         raise NegativeEntry("two-row inequality requires non-negative blocks")

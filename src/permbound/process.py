@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeInput, ParameterOutOfRange, ZeroPermanent, ZeroPivot
-from .matcore import Matrix, as_array, eliminate, permanent_ryser, select
+from .matcore import DTYPES, Matrix, eliminate, permanent_ryser, select
 from .psd import GramMatrix
 from .scalars import FLOAT64, Scalar, SidePair, leq_scalar, one, zero
 
@@ -64,13 +64,6 @@ def _check_ordering(ordering, n: int) -> tuple[int, ...] | None:
     return perm
 
 
-def _permute(m: Matrix, perm: tuple[int, ...]) -> Matrix:
-    rows = tuple(
-        tuple(m.entries[pi - 1][pj - 1] for pj in perm) for pi in perm
-    )
-    return Matrix(rows, m.kind)
-
-
 def run_process(
     a: Matrix | GramMatrix,
     keep_snapshots: bool = False,
@@ -101,7 +94,8 @@ def run_process(
     n = m.n
     perm = _check_ordering(ordering, n)
     if perm is not None:
-        m = _permute(m, perm)
+        idx = [p - 1 for p in perm]
+        m = Matrix(m.entries.take(idx, 0).take(idx, 1), m.kind)
     pivots, snaps = eliminate(m, +1, skip_zero=psd_mode, keep=keep_snapshots)
     return ProcessTrace(n=n, pivots=pivots, arithmetic=m.kind, ordering=perm, snapshots=snaps)
 
@@ -140,15 +134,15 @@ def cross_sums(b, den, kind: str) -> np.ndarray:
     s < i, times column j of the strict upper triangle of b, summed in the
     product's own order.  Rationals, and floats where a product
     b_{i,s} b_{s,j}, L or the result leaves the float64 range, take every
-    entry from cross_sum itself.  The array is `as_array`'s: Fractions
-    (object dtype) or float64.
+    entry from cross_sum itself.  b is an ndarray or nested rows; the result
+    has the kind's `Matrix` dtype (object holding Fractions, or float64).
     """
     n = len(b)
     for s in range(n - 1):
         if den[s] == 0:
             raise ZeroPivot(s + 1)
     if kind == FLOAT64 and n > 1:
-        arr = np.array(b, dtype=np.float64)
+        arr = np.asarray(b, dtype=np.float64)
         strict = np.tril(arr, -1)[:, :-1]
         upper = np.triu(arr, 1)[:-1]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -157,8 +151,10 @@ def cross_sums(b, den, kind: str) -> np.ndarray:
             out = lower @ upper
         if fits and np.isfinite(lower).all() and np.isfinite(out).all():
             return out
-    sums = tuple(tuple(cross_sum(b, den, i, j, kind) for j in range(n)) for i in range(n))
-    return as_array(Matrix(sums, kind))
+    if isinstance(b, np.ndarray):
+        b = b.tolist()  # Python floats, which overflow to inf without a warning
+    sums = [[cross_sum(b, den, i, j, kind) for j in range(n)] for i in range(n)]
+    return np.array(sums, DTYPES[kind]).reshape(n, n)
 
 
 def closed_recursion(a: Matrix, den=None) -> Matrix:
@@ -169,7 +165,7 @@ def closed_recursion(a: Matrix, den=None) -> Matrix:
     step divides by raises ZeroPivot with its 1-based index.
     """
     n = a.n
-    rows = a.entries
+    rows = a.entries.tolist()
     b = [[None] * n for _ in range(n)]
     d = [None] * n if den is None else list(den)
     for m in range(n):
@@ -181,7 +177,7 @@ def closed_recursion(a: Matrix, den=None) -> Matrix:
             d[m] = b[m][m]
         if d[m] == 0 and m < n - 1:
             raise ZeroPivot(m + 1)
-    return Matrix(tuple(tuple(r) for r in b), a.kind)
+    return Matrix(b, a.kind)
 
 
 def recursive_u(a: Matrix) -> Matrix:

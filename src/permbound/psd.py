@@ -137,9 +137,7 @@ def alpha_coefficients(b: Matrix, x: Sequence[Scalar]) -> AlphaCoefficients:
     points = list(range(1, d + 2))
     values = []
     for a in points:
-        scaled = Matrix(
-            tuple(tuple(coerce(a, kind) * v for v in row) for row in b.entries), kind
-        )
+        scaled = Matrix(coerce(a, kind) * b.entries, kind)
         values.append(permanent_ryser(add(scaled, xx)))
     coeffs = _solve_interpolation(points, values, kind)
     return AlphaCoefficients(d, tuple(coeffs))
@@ -157,12 +155,12 @@ def psd_schur_check(g: GramMatrix) -> SidePair:
     n = gram.n
     if n < 2:
         raise DimensionMismatch("need n >= 2 to split off the last pivot")
-    a = gram.entries[n - 1][n - 1]
+    a = gram.entry(n, n)
     if a == 0:
         raise ZeroPivot(n)
     kind = gram.kind
     b = delete(gram, (n,), (n,))
-    x = [gram.entries[i][n - 1] for i in range(n - 1)]
+    x = gram.col(n)[:-1]
     exact = permanent_ryser(gram)
     corrected = add(b, outer(x, [coerce(v, kind) / a for v in x], kind))
     rhs = a * permanent_ryser(corrected)
@@ -180,18 +178,12 @@ def is_psd_exact(m: Matrix) -> bool:
 
     Symmetric elimination (`eliminate` with the minus sign): a zero pivot
     with a nonzero row refutes PSD-ness, one with a zero row is skipped,
-    and otherwise the input is PSD iff every pivot is >= 0.
+    and otherwise the input is PSD iff it is symmetric and no pivot is < 0.
     """
     if m.kind != RATIONAL:
         raise ValueError("exact PSD test requires rational entries")
-    n = m.n
-    rows = m.entries
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                return False
     try:
         pivots, _ = eliminate(m, -1, skip_zero=True)
     except InvalidGram:
         return False
-    return all(p >= 0 for p in pivots)
+    return m == transpose(m) and all(p >= 0 for p in pivots)

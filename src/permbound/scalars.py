@@ -21,7 +21,6 @@ Scalar = Union[Fraction, float]
 
 RATIONAL = "rational"
 FLOAT64 = "float64"
-KINDS = (RATIONAL, FLOAT64)
 
 REL_EQ = 1e-9
 ABS_EQ = 1e-12

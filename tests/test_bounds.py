@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from permbound import (
     exp_family,
     exp_family_closed_form,
     leq_scalar,
+    matmul,
     matrix,
     ones,
     perm_ratio_cases,
@@ -225,6 +227,26 @@ def test_entry_bound_check_passes_on_random_unit_diag():
                 assert entry_bound_check(BoundedInput(a, Fraction(cap))) is None, (n, cap)
 
 
+def test_entry_bound_check_reports_the_first_violation_as_the_loop_does():
+    rng = random.Random(67)
+    found = 0
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        x = BoundedInput(unit_diag_matrix(rng, n, 2), Fraction(2))
+        caps = {t: Fraction(rng.randint(4, 40), 4) for t in range(1, n + 1)}
+        x.__dict__["B"] = lambda k, t: caps[t]  # B(1, t) is the only cap read
+        want = None
+        for t in range(1, n + 1):
+            snap = x.trace.snapshot(t)
+            want = next(((i, j, t) for i in range(t, n + 1) for j in range(t, n + 1)
+                         if not snap.entry(i, j) <= caps[t]), None)
+            if want:
+                break
+        assert entry_bound_check(x) == want
+        found += want is not None
+    assert found > 20
+
+
 def test_entry_bound_check_preconditions():
     with pytest.raises(PreconditionViolated):
         BoundedInput(matrix([[2, 0], [0, 1]]), Fraction(2))
@@ -274,11 +296,11 @@ def test_perm_ratio_holds_on_random_instances():
 
 def test_exp_family_entries_and_validation():
     a = exp_family(3, Fraction(2))
-    assert a.entries == (
-        (1, Fraction(1, 2), Fraction(1, 4)),
-        (Fraction(1, 2), 1, Fraction(1, 2)),
-        (Fraction(1, 4), Fraction(1, 2), 1),
-    )
+    assert a.entries.tolist() == [
+        [1, Fraction(1, 2), Fraction(1, 4)],
+        [Fraction(1, 2), 1, Fraction(1, 2)],
+        [Fraction(1, 4), Fraction(1, 2), 1],
+    ]
     with pytest.raises(ParameterOutOfRange):
         exp_family(0, Fraction(2))
     with pytest.raises(ParameterOutOfRange):
@@ -290,7 +312,7 @@ def test_exp_closed_form_matches_process_snapshots():
         for n in (1, 2, 3, 5, 7):
             a = exp_family(n, c)
             trace = run_process(a, keep_snapshots=True)
-            assert exp_family_closed_form(n, c).entries == trace.snapshot(n).entries
+            assert exp_family_closed_form(n, c).entries.tolist() == trace.snapshot(n).entries.tolist()
 
 
 def test_exp_closed_form_worked_diagonal():
@@ -319,6 +341,47 @@ def test_exp_float_mode_runs_large():
 def test_rowsum_bound_takes_absolute_values():
     assert rowsum_bound(matrix([[1, -1], [-1, 1]])) == 4
     assert rowsum_bound(matrix([[1.0, -2.0], [0.5, -0.5]])) == 3.0
+
+
+def test_float_rowsum_bound_is_the_sequential_sum_bitwise():
+    rng = random.Random(71)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        rows = [[rng.uniform(-1, 1) * 10.0 ** rng.randint(-30, 30) for _ in range(n)]
+                for _ in range(n)]
+        if rng.random() < 0.1:
+            rows[0] = [1e308] * n  # the row sum overflows to inf
+        expected = 1.0
+        for row in rows:
+            total = 0.0
+            for x in row:
+                total += abs(x)
+            expected *= total
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rowsum_bound(Matrix(rows, FLOAT64))
+        assert type(got) is float
+        assert got.hex() == expected.hex()
+    assert rowsum_bound(Matrix((), FLOAT64)) == 1.0
+
+
+def test_float_matmul_is_the_sequential_loop_bitwise():
+    rng = random.Random(72)
+    for _ in range(100):
+        d, k, n = rng.randint(1, 5), rng.randint(1, 6), rng.randint(1, 5)
+        a = [[rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20) for _ in range(k)] for _ in range(d)]
+        b = [[rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20) for _ in range(n)] for _ in range(k)]
+        expected = []
+        for row in a:
+            expected.append([])
+            for j in range(n):
+                total = 0.0
+                for s in range(k):
+                    total += row[s] * b[s][j]
+                expected[-1].append(total.hex())
+        got = matmul(Matrix(a, FLOAT64), Matrix(b, FLOAT64)).entries
+        assert got.shape == (d, n)
+        assert [[x.hex() for x in row] for row in got.tolist()] == expected
 
 
 def test_bounded_input_runs_the_process_once(monkeypatch):

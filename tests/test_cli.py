@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -158,7 +159,9 @@ def _csv(rows):
     (_csv([["1"] * 64] * 64), ["--arithmetic", "float"]),  # process bound 2^2016
     (_csv([["1e400", "1"], ["1", "1"]]), ["--arithmetic", "float"]),
     (_csv([["1e400"] + ["1"] * 12] + [["1"] * 13] * 12), []),  # n > 12 picks float
-], ids=["ones64", "cell-1e400", "auto-float-1e400"])
+    # 1e-400 reads as the nonzero 5e-324, so the sweep overflows (a_22 = 1e400)
+    (_csv([["1e-400", "1"], ["1", "1"]]), ["--arithmetic", "float"]),
+], ids=["ones64", "cell-1e400", "auto-float-1e400", "cell-1e-400"])
 def test_float_overflow_exits_3(capsys, tmp_path, text, argv):
     p = tmp_path / "big.csv"
     p.write_text(text)
@@ -184,6 +187,35 @@ def test_float_parse_edges_exit_codes(capsys, tmp_path, text, error):
     if error == "NonFinite":
         message = "an entry is outside the float64 range: integer division result too large for a float"
         assert json.loads(err)["error"]["message"] == message
+
+
+@pytest.mark.parametrize("text", ["1e-300,1\n1e300,1\n", "1e-400,1\n1,1\n"])
+def test_float_sweep_overflow_raises_no_numpy_warning(capsys, tmp_path, text):
+    # stderr carries one JSON error object, so the sweep's inf must not also warn
+    p = tmp_path / "sweep.csv"
+    p.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, "bound", str(p), "--arithmetic", "float")
+    assert code == 3
+    assert json.loads(err)["error"]["type"] == "NonFinite"
+
+
+@pytest.mark.parametrize("text, code, report", [
+    ("1e-400,1e-300\n1e-300,1\n", 0, "5e-324"),  # the first pivot stays nonzero
+    ("1,-1e-400\n1,1\n", 2, "NegativeInput"),  # the cell stays negative
+])
+def test_float_mode_keeps_an_underflowing_entry_nonzero_and_signed(capsys, tmp_path, text, code,
+                                                                   report):
+    p = tmp_path / "tiny.csv"
+    p.write_text(text)
+    assert run_cli(capsys, "bound", str(p), "--arithmetic", "rational")[0] == code
+    got, out, err = run_cli(capsys, "bound", str(p), "--arithmetic", "float")
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["process_bound"] == report
+    else:
+        assert json.loads(err)["error"]["type"] == report
 
 
 def test_float_negative_zero_snapshot(capsys, tmp_path):

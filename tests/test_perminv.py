@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from permbound import perminv
 from permbound import (
     DimensionMismatch,
     NegativeEntry,
@@ -27,22 +28,22 @@ def test_worked_inverse_values():
     inv = permanental_inverse(B)
     assert inv.source_perm == 10
     tenth = Fraction(1, 10)
-    assert inv.matrix.entries == (
-        (4 * tenth, 2 * tenth),
-        (3 * tenth, 1 * tenth),
-    )
+    assert inv.matrix.entries.tolist() == [
+        [4 * tenth, 2 * tenth],
+        [3 * tenth, 1 * tenth],
+    ]
 
 
 def test_worked_dominance_products():
     chk = check_identity_dominance(B)
     assert chk.holds
-    assert chk.left.entries == ((1, Fraction(8, 5)), (Fraction(3, 5), 1))
-    assert chk.right.entries == ((1, Fraction(2, 5)), (Fraction(12, 5), 1))
+    assert chk.left.entries.tolist() == [[1, Fraction(8, 5)], [Fraction(3, 5), 1]]
+    assert chk.right.entries.tolist() == [[1, Fraction(2, 5)], [Fraction(12, 5), 1]]
 
 
 def test_products_do_not_commute():
     chk = check_identity_dominance(B)
-    assert chk.left.entries != chk.right.entries
+    assert chk.left.entries.tolist() != chk.right.entries.tolist()
 
 
 def test_diagonals_exactly_one_on_random_instances():
@@ -53,6 +54,21 @@ def test_diagonals_exactly_one_on_random_instances():
         assert chk.holds
         for prod in (chk.left, chk.right):
             assert all(prod.entry(i, i) == 1 for i in range(1, prod.n + 1))
+
+
+@pytest.mark.parametrize("left, holds", [
+    ([[1, Fraction(1, 2)], [0, 1]], True),
+    ([[1, Fraction(-1, 100)], [0, 1]], False),  # a negative off-diagonal entry
+    ([[1, 0], [0, 1 + Fraction(1, 10**12)]], False),  # rational diagonals are exactly 1
+    ([[1.0, -1e-20], [0.0, 1.0 + 1e-10]], True),  # inside the float slack and tolerance
+    ([[1.0, -1e-3], [0.0, 1.0]], False),
+    ([[1.0, 0.0], [0.0, 1.0 + 1e-6]], False),
+])
+def test_identity_dominance_flags_a_failing_product(monkeypatch, left, holds):
+    products = iter([matrix(left), matrix([[1, 0], [0, 1]], matrix(left).kind)])
+    monkeypatch.setattr(perminv, "matmul", lambda a, b: next(products))
+    b = B if matrix(left).kind == "rational" else matrix([[1.0, 2.0], [3.0, 4.0]])
+    assert check_identity_dominance(b).holds is holds
 
 
 def test_inverse_permanent_product_at_least_one():

@@ -35,7 +35,7 @@ from randmat import gram_instance
 
 def test_gram_from_factor_basic():
     g = gram_from_factor([[1, 0, 1], [0, 1, 1]])
-    assert g.gram.entries == ((1, 0, 1), (0, 1, 1), (1, 1, 2))
+    assert g.gram.entries.tolist() == [[1, 0, 1], [0, 1, 1], [1, 1, 2]]
     assert (g.n, g.d) == (3, 2)
     assert g.column(3) == (1, 1)
     assert g.gram == matmul(transpose(g.factor), g.factor)

@@ -92,8 +92,8 @@ def rowsum_bound(a: Matrix) -> Scalar:
         with np.errstate(over="ignore"):
             sums = np.cumsum(np.abs(a.entries), axis=1)[:, -1] if a.ncols else np.zeros(a.nrows)
         return math.prod(sums.tolist(), start=1.0)
-    ints, scale = integer_rows(a.entries.tolist())
-    return Fraction(math.prod(sum(map(abs, row)) for row in ints), scale)
+    ints, scales = integer_rows(a.entries.tolist())
+    return Fraction(math.prod(sum(map(abs, row)) for row in ints), math.prod(scales))
 
 
 def verify_majorant(cert: MajorantCertificate) -> MajorantCertificate:

@@ -5,7 +5,9 @@ kind) shared by the permanent process, its minus-variant and the exact
 PSD test.
 
 The Ryser oracle runs on Python integers for both kinds and divides once
-at the end, so a float64 permanent is the exact one rounded once.
+at the end, so a float64 permanent is the exact one rounded once.  The
+exact elimination also runs on integer rows (`integer_rows`), each with
+one integer scale, under a bit budget (`BIT_BUDGET`).
 
 Conventions
 -----------
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Sequence
 
@@ -40,6 +43,7 @@ from .scalars import FLOAT64, RATIONAL, Scalar, coerce, one, quotient, zero
 
 NAIVE_MAX = 10
 RYSER_MAX_N = 24
+BIT_BUDGET = 1 << 24  # rows x columns x bits of the trailing block an exact step may hold
 
 
 DTYPES = {RATIONAL: np.dtype(object), FLOAT64: np.dtype(np.float64)}
@@ -245,20 +249,20 @@ def ryser_fits(m: Matrix) -> bool:
     return m.n <= RYSER_MAX_N
 
 
-def integer_rows(rows: Iterable[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
+def integer_rows(rows: Iterable[Sequence[Scalar]]) -> tuple[list[list[int]], list[int]]:
     """Each row read exactly and scaled by the lcm of its entries' denominators.
 
-    Returns the integer rows and the product of the row scales.  A float64
-    entry is read exactly; inf or nan raises OverflowError or ValueError.
+    Returns the integer rows and the row scales: row i is ints[i] / scales[i].
+    A float64 entry is read exactly; inf or nan raises OverflowError or
+    ValueError.
     """
-    out = []
-    scale = 1
+    ints, scales = [], []
     for row in rows:
         ratios = [x.as_integer_ratio() for x in row]
         s = math.lcm(*[q for _, q in ratios])
-        out.append([p * s // q for p, q in ratios])
-        scale *= s
-    return out, scale
+        ints.append([p * s // q for p, q in ratios])
+        scales.append(s)
+    return ints, scales
 
 
 def permanent_ryser(m: Matrix) -> Scalar:
@@ -278,7 +282,7 @@ def permanent_ryser(m: Matrix) -> Scalar:
     if n == 1:
         return coerce(rows[0][0], m.kind)
     try:
-        ints, scale = integer_rows(rows)
+        ints, scales = integer_rows(rows)
     except (OverflowError, ValueError):
         return math.nan
     cols = list(zip(*ints))
@@ -294,53 +298,94 @@ def permanent_ryser(m: Matrix) -> Scalar:
         sums = list(map(step, sums, cols[bit.bit_length() - 1]))
         total += sign * math.prod(sums)
         sign = -sign
-    return quotient(total, scale, m.kind)
+    return quotient(total, math.prod(scales), m.kind)
+
+
+def _check_bit_budget(block: np.ndarray, t: int):
+    """DimensionTooLarge when rows x columns x the largest bit length of the integer block
+    that exact step t + 1 works on passes BIT_BUDGET."""
+    bits = max(map(int.bit_length, block.ravel().tolist()), default=0)
+    if block.size * bits > BIT_BUDGET:
+        rows, cols = block.shape
+        raise DimensionTooLarge(
+            f"exact elimination at step {t + 1}: a {rows}x{cols} block of {bits}-bit "
+            f"integers is past the budget of 2^{BIT_BUDGET.bit_length() - 1} bits; "
+            "use --arithmetic float"
+        )
 
 
 def eliminate(m: Matrix, sign: int, every_row: bool = False, skip_zero: bool = False,
               keep: bool = False):
     """Column-wise elimination a_{i,j} <- a_{i,j} + sign * a_{i,t} a_{t,j} / a_{t,t}.
 
-    One ndarray kernel for both kinds: float64, or object dtype holding
-    Fractions.  For t = 1..n-1 and j > t the update runs over the rows
-    below t, or over every other row when every_row is set, and row t is
-    then zeroed right of the pivot.  sign = +1 is the permanent process,
-    sign = -1 Gaussian elimination (with every_row, the minus-variant).
-    A zero pivot raises ZeroPivot, unless skip_zero is set: then the step
-    is skipped when the pivot's trailing row and column are zero, and
-    InvalidGram is raised when they are not.
+    For t = 1..n-1 and j > t the update runs over the rows below t, or over
+    every other row when every_row is set, and row t is then zeroed right of
+    the pivot.  sign = +1 is the permanent process, sign = -1 Gaussian
+    elimination (with every_row, the minus-variant).  A zero pivot raises
+    ZeroPivot, unless skip_zero is set: then the step is skipped when the
+    pivot's trailing row and column are zero, and InvalidGram is raised
+    when they are not.
 
-    A float step computes (a_{i,t} a_{t,j}) / a_{t,t}, so it rounds as the
-    plain loop does; an exact step divides a_{i,t} by the pivot once per
-    row, which is the cheaper order for Fractions.
+    A float64 step computes (a_{i,t} a_{t,j}) / a_{t,t} on the ndarray, so
+    it rounds as the plain loop does.  An exact step runs on the
+    `integer_rows` of m, row i standing for its integers over an integer
+    scale s_i.  With the integer pivot P it sets the columns j > t of each
+    updated row to P a_{i,j} + sign a_{i,t} a_{t,j}, divides them by g, the
+    part of their gcd that divides s_i P, and sets s_i <- s_i P / g (an
+    integer again).  Columns left of t + 1 go stale in the integers, so
+    pivot t is read as P / s_t at step t.  The block each step works on is
+    held to BIT_BUDGET (rows x columns x the largest bit length;
+    DimensionTooLarge past it).
 
-    Returns (pivots, snapshots): the final diagonal, and when keep is set
-    the n states A^(1)..A^(n) as a tuple of Matrix (else None).
+    Returns (pivots, snapshots): the final diagonal (Fractions when exact),
+    and when keep is set the n states A^(1)..A^(n) as a tuple of Matrix
+    (else None).
     """
     n = m.n
-    a = m.entries.copy()
     exact = m.kind == RATIONAL
     snaps = [m] if keep else None
-    for t in range(n - 1):
+    a = state = m.entries.copy()  # state: the true values, for the snapshots
+    if exact:
+        ints, scales = integer_rows(m.entries.tolist())
+        a = np.array(ints, dtype=object).reshape(n, n)
+        scale = np.array(scales, dtype=object)
+        fractions = np.frompyfunc(Fraction, 2, 1)
+        _check_bit_budget(a, 0)
+    pivots = []
+    for t in range(n):
         p = a[t, t]
+        pivots.append(Fraction(p, scale[t]) if exact else float(p))
+        if t == n - 1:
+            break
         if p == 0:
             if not skip_zero:
                 raise ZeroPivot(t + 1)
             if (a[t + 1:, t] != 0).any() or (a[t, t + 1:] != 0).any():
                 raise InvalidGram(f"zero pivot with nonzero row/column at step {t + 1}")
         else:
-            rows = slice(None) if every_row else slice(t + 1, None)
+            rows = np.arange(n) != t if every_row else slice(t + 1, None)
             lead = a[rows, t] if sign > 0 else -a[rows, t]
             if exact:
-                a[rows, t + 1:] += np.outer(lead / p, a[t, t + 1:])
+                block = p * a[rows, t + 1:] + np.outer(lead, a[t, t + 1:])
+                sp = scale[rows] * p
+                if t < n - 2:  # no later step reads the last step's integers
+                    g = np.gcd(np.gcd.reduce(block, axis=1), sp)  # an all-zero row gets |s_i P|
+                    block //= g[:, None]
+                    sp //= g
+                    _check_bit_budget(block, t + 1)
+                a[rows, t + 1:] = block
+                scale[rows] = sp
+                if keep:
+                    state[rows, t + 1:] = fractions(block, sp[:, None])
             else:
                 with np.errstate(over="ignore", invalid="ignore"):  # inf and nan end in NonFinite
                     a[rows, t + 1:] += np.outer(lead, a[t, t + 1:]) / p
-            if every_row:
-                a[t, t + 1:] = zero(m.kind)  # p * x / p need not round back to x
+            if every_row:  # a float p * x / p need not round back to x
+                a[t, t + 1:] = 0
+                state[t, t + 1:] = zero(m.kind)
         if keep:
-            snaps.append(Matrix(a, m.kind))
-    return tuple(a.diagonal().tolist()), tuple(snaps) if keep else None
+            snaps.append(Matrix(state, m.kind))
+    return tuple(pivots), tuple(snaps) if keep else None
 
 
 def determinant(m: Matrix) -> Scalar:

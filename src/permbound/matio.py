@@ -183,7 +183,13 @@ def to_kind(m: Matrix, kind: str) -> Matrix:
     if m.kind == kind:
         return m
     if kind == FLOAT64:
-        return Matrix(np.vectorize(_float64, otypes=[np.float64])(m.entries), kind)
+        try:
+            out = m.entries.astype(np.float64)
+        except OverflowError:  # an entry past the float64 range: let _float64 name it
+            out = np.vectorize(_float64, otypes=[np.float64])(m.entries)
+        zeros = out == 0
+        out[zeros] = [_float64(x) for x in m.entries[zeros].tolist()]
+        return Matrix(out, kind)
     raise ParseError("cannot losslessly convert float64 entries to rationals")
 
 

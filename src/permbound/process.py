@@ -17,6 +17,7 @@ diagonal as denominators gives the recursive majorant.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import NegativeInput, ParameterOutOfRange, ZeroPermanent, ZeroPivot
 from .matcore import DTYPES, Matrix, eliminate, permanent_ryser, select
 from .psd import GramMatrix
-from .scalars import FLOAT64, Scalar, SidePair, leq_scalar, one, zero
+from .scalars import FLOAT64, RATIONAL, Scalar, SidePair, leq_scalar, one, zero
 
 
 @dataclass(frozen=True)
@@ -132,10 +133,11 @@ def cross_sums(b, den, kind: str) -> np.ndarray:
     raises ZeroPivot(s + 1).  Float64 takes one matrix product: entry
     (i, j) is row i of the lower factor L, L_{i,s} = b_{i,s} / den_s for
     s < i, times column j of the strict upper triangle of b, summed in the
-    product's own order.  Rationals, and floats where a product
-    b_{i,s} b_{s,j}, L or the result leaves the float64 range, take every
-    entry from cross_sum itself.  b is an ndarray or nested rows; the result
-    has the kind's `Matrix` dtype (object holding Fractions, or float64).
+    product's own order.  Rationals build L once and sum L_{i,s} b_{s,j};
+    floats where a product b_{i,s} b_{s,j}, L or the result leaves the
+    float64 range take every entry from cross_sum itself.  b is an ndarray
+    or nested rows; the result has the kind's `Matrix` dtype (object holding
+    Fractions, or float64).
     """
     n = len(b)
     for s in range(n - 1):
@@ -153,7 +155,13 @@ def cross_sums(b, den, kind: str) -> np.ndarray:
             return out
     if isinstance(b, np.ndarray):
         b = b.tolist()  # Python floats, which overflow to inf without a warning
-    sums = [[cross_sum(b, den, i, j, kind) for j in range(n)] for i in range(n)]
+    if kind == RATIONAL:
+        lower = [[b[i][s] / den[s] for s in range(i)] for i in range(n)]
+        cols = list(zip(*b))
+        sums = [[sum(map(operator.mul, lower[i], cols[j][:j]), zero(kind)) for j in range(n)]
+                for i in range(n)]
+    else:
+        sums = [[cross_sum(b, den, i, j, kind) for j in range(n)] for i in range(n)]
     return np.array(sums, DTYPES[kind]).reshape(n, n)
 
 

@@ -85,7 +85,7 @@ def permanent_tensor(g: GramMatrix) -> Scalar:
     if not tensor_fits(g):
         raise DimensionTooLarge(f"permanent_tensor guard: n = {n}, d^n = {d}^{n}")
     try:
-        cols, scale = integer_rows(g.column(j) for j in range(1, n + 1))
+        cols, scales = integer_rows(g.column(j) for j in range(1, n + 1))
     except (OverflowError, ValueError):
         return math.nan
     total = [0] * (d ** n)
@@ -98,7 +98,7 @@ def permanent_tensor(g: GramMatrix) -> Scalar:
         for idx, val in enumerate(vec):
             total[idx] += val
     norm_sq = sum(x * x for x in total)
-    return quotient(norm_sq, scale * scale * math.factorial(n), g.gram.kind)
+    return quotient(norm_sq, math.prod(scales) ** 2 * math.factorial(n), g.gram.kind)
 
 
 def _solve_interpolation(points: list, values: list, kind: str):

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -546,3 +547,22 @@ def test_float_eps_certificate_overflow_exits_3(capsys, tmp_path, argv, text):
     code, out, err = run_cli(capsys, *(a.format(path=p) for a in argv))
     assert code == 3 and out == ""
     assert json.loads(err)["error"]["type"] == "NonFinite"
+
+
+def test_rational_sweep_past_the_bit_budget_exits_3_fast(tmp_path):
+    # 64x64 six-decimal cells: with no bit budget the exact sweep ran for minutes
+    rng = random.Random(64)
+    p = tmp_path / "dec64.csv"
+    p.write_text("".join(",".join(f"{rng.random():.6f}" for _ in range(64)) + "\n" for _ in range(64)))
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "permbound.cli", "bound", str(p), "--arithmetic", "rational"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=30,
+    )
+    assert proc.returncode == 3
+    error = json.loads(proc.stderr)["error"]
+    assert error["type"] == "DimensionTooLarge"
+    assert "use --arithmetic float" in error["message"]

@@ -6,6 +6,7 @@ must agree value for value and stay Fractions; float process runs must
 agree bit for bit.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ import pytest
 
 from permbound import (
     FLOAT64,
+    DimensionTooLarge,
     InvalidGram,
     Matrix,
     RATIONAL,
@@ -23,6 +25,7 @@ from permbound import (
     run_gaussian_variant,
     run_process,
 )
+from permbound import matcore
 from permbound.matcore import eliminate
 from permbound.psd import GramMatrix
 
@@ -236,3 +239,59 @@ def test_float_gaussian_variant_final_matrix_lower_triangular():
         final = trace.snapshot(n).entries
         assert all(final[i][j] == 0.0 for i in range(n) for j in range(i + 1, n))
         assert np.prod(trace.pivots) == pytest.approx(determinant(m), rel=1e-9, abs=1e-12)
+
+
+def positive_rational(rng, n, lo=10, hi=99):
+    return Matrix(
+        tuple(tuple(Fraction(rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(n))
+              for _ in range(n)),
+        RATIONAL,
+    )
+
+
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("sign, every_row", [(1, False), (-1, False), (-1, True)])
+def test_exact_kernel_matches_list_loop_on_long_entries(sign, every_row, keep):
+    # p/q in 10..99 up to n = 14: the plus-sign pivots reach ~10^5 bits
+    rng = random.Random(960 + 4 * sign + 2 * every_row + keep)
+    for n in range(9, 15):
+        m = positive_rational(rng, n)
+        got = outcome(eliminate, m, sign, every_row=every_row, keep=keep)
+        want = outcome(list_eliminate, m.entries, sign, every_row=every_row, keep=keep)
+        assert_exact_run(got, want)
+
+
+@pytest.mark.parametrize("sign, every_row", [(1, False), (-1, False), (-1, True)])
+def test_exact_kernel_on_an_all_zero_trailing_row(sign, every_row):
+    # the last row clears after step 1 (minus sign: it is twice row 1) or is zero
+    # from the start (plus sign), so its row gcd is 0 at every later step
+    r1 = [Fraction(1), Fraction(2, 3), Fraction(3), Fraction(4, 5)]
+    last = [2 * x for x in r1] if sign < 0 else [Fraction(0)] * 4
+    rows = (r1, [Fraction(x) for x in (1, 5, 2, 7)], [Fraction(x, 2) for x in (3, 1, 4, 1)], last)
+    m = Matrix(rows, RATIONAL)
+    got = eliminate(m, sign, every_row=every_row, keep=True)
+    assert_exact_run(got, list_eliminate(m.entries, sign, every_row=every_row, keep=True))
+    assert got[0][-1] == 0
+    assert all(x == 0 for x in got[1][-1].row(4)[1:])
+
+
+@pytest.mark.parametrize("every_row", [False, True])
+def test_exact_minus_variant_with_negative_pivots(every_row):
+    rows = ([-2, 1, 3, Fraction(1, 2)], [4, -1, 2, 5], [1, 5, -7, Fraction(-2, 3)],
+            [3, Fraction(1, 4), 2, -1])
+    m = Matrix(tuple(tuple(Fraction(x) for x in r) for r in rows), RATIONAL)
+    got = eliminate(m, -1, every_row=every_row, keep=True)
+    assert_exact_run(got, list_eliminate(m.entries, -1, every_row=every_row, keep=True))
+    pivots = got[0]
+    assert sum(p < 0 for p in pivots) >= 2
+    assert math.prod(pivots) == determinant(m)
+
+
+def test_exact_kernel_stops_past_the_bit_budget(monkeypatch):
+    m = positive_rational(random.Random(970), 8)
+    monkeypatch.setattr(matcore, "BIT_BUDGET", 1 << 10)
+    with pytest.raises(DimensionTooLarge, match=r"past the budget of 2\^10 bits; use --arithmetic float"):
+        eliminate(m, 1)
+    # the float64 sweep has no bit growth and no budget
+    floats = Matrix(m.entries.astype(np.float64), FLOAT64)
+    assert len(eliminate(floats, 1)[0]) == 8

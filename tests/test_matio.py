@@ -282,3 +282,24 @@ def test_float_parse_reads_only_zero_cells_exactly(monkeypatch):
 def test_json_n_must_be_a_json_integer(n):
     with pytest.raises(ParseError, match="needs integer 'n'"):
         parse_json_text(f'{{"n": {n}, "entries": [[5]]}}', "j")
+
+
+def test_to_kind_rounds_each_cell_as_the_per_entry_rule():
+    tiny = Fraction(1, 10**400)  # below the float64 range
+    cells = [Fraction(1, 10**310), -Fraction(3, 10**320), tiny, -tiny, Fraction(0), -Fraction(0),
+             Fraction(-7, 3), Fraction(2**1023) * 3 // 2, 5]
+    m = Matrix([cells], RATIONAL)
+    got = to_kind(m, FLOAT64).entries.tolist()[0]
+    want = [matio._float64(x) for x in cells]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert got[2:4] == [5e-324, -5e-324]
+    assert math.copysign(1, got[4]) == math.copysign(1, got[5]) == 1.0
+
+
+@pytest.mark.parametrize("cell", [Fraction(10**400), -Fraction(10**309, 3), 10**400])
+def test_to_kind_overflow_keeps_the_per_entry_message(cell):
+    with pytest.raises(NonFinite) as want:
+        matio._float64(cell)
+    with pytest.raises(NonFinite) as got:
+        to_kind(Matrix([[1, cell], [0, 2]], RATIONAL), FLOAT64)
+    assert str(got.value) == str(want.value)

@@ -25,3 +25,18 @@ def test_script_exits_zero(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_sweep_timing_prints_one_row_per_size():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "sweep_timing.py"), "--repeat", "1",
+         "--rational-sizes", "3", "4", "--float-sizes", "8"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split()[:2] for line in proc.stdout.splitlines()[1:]]
+    assert rows == [["rational", "3"], ["rational", "4"], ["float64", "8"]]

@@ -187,11 +187,6 @@ def _finite(compute, what: str) -> Scalar:
     raise NonFinite(f"{what} overflows float64")
 
 
-def bound_function(n: int, M: Scalar, k: int, t: int) -> Scalar:
-    """B(n, k, t) = n! * M^(n+k) * (M+1)^(t-1)."""
-    return BoundFunction(n, M)(k, t)
-
-
 @dataclass(frozen=True)
 class BoundedInput:
     """A square matrix a with unit diagonal and entries in [0, M], checked once.

@@ -1,21 +1,22 @@
 """Permanental Schur machinery for block matrices A = [[B, Y], [X^T, W]].
 
-The exact rank-1 identity, the permanental Schur upper bound
-per(A) <= per(B) * per(W + X^T B* Y), the row-uncrossing inequality, the
-two-row inequality, and the condense step used by the pivot analysis.
+Every lemma takes one `BlockSplit` and cuts its blocks from the source
+matrix.  `condense` computes the permanental Schur complement
+W + X^T B* Y, the one place it is formed; the permanental Schur upper bound
+per(A) <= per(B) * per(W + X^T B* Y) and the exact rank-1 identity (k = 1)
+read it from there.  At d = 1 the complement is one step of the permanent
+process.  The row-uncrossing inequality and the two-row inequality (k = 2)
+compare products of permanents of (d+1)-blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-import numpy as np
-
-from .errors import DimensionMismatch, NegativeEntry, ZeroPivot
-from .matcore import Matrix, add, delete, matmul, outer, permanent_ryser, select
+from .errors import DimensionMismatch, NegativeEntry
+from .matcore import Matrix, add, delete, matmul, permanent_ryser, select
 from .perminv import permanental_inverse
-from .scalars import Scalar, SidePair, coerce, eq_scalar, leq_scalar
+from .scalars import Scalar, SidePair, eq_scalar, leq_scalar, zero
 
 
 @dataclass(frozen=True)
@@ -61,40 +62,36 @@ class BlockSplit:
         return select(self.source, r, r)
 
 
-def bordered(b: Matrix, x: Sequence[Scalar], y: Sequence[Scalar], w: Scalar) -> Matrix:
-    """The (d+1) x (d+1) block matrix [[B, y], [x^T, w]]."""
-    d = b.n
-    if len(x) != d or len(y) != d:
-        raise DimensionMismatch(f"border vectors must have length {d}")
-    kind = b.kind
-    a = np.empty((d + 1, d + 1), b.entries.dtype)
-    a[:d, :d] = b.entries
-    a[:d, d] = [coerce(v, kind) for v in y]
-    a[d] = [*(coerce(v, kind) for v in x), coerce(w, kind)]
-    return Matrix(a, kind)
+def _complement(split: BlockSplit) -> tuple[Matrix, Scalar]:
+    """W + X^T B* Y and per(B); see condense."""
+    a = split.source
+    if not a.is_nonneg():
+        raise NegativeEntry("the permanental Schur complement requires a non-negative matrix")
+    star = permanental_inverse(split.b)
+    return add(split.w, matmul(matmul(split.xt, star.matrix), split.y)), star.source_perm
 
 
-def rank1_update_permanent(
-    b: Matrix, x: Sequence[Scalar], y: Sequence[Scalar], w: Scalar
-) -> SidePair:
-    """Exact identity per([[B, y], [x^T, w]]) = per(B) * (w + x^T B* y).
+def condense(split: BlockSplit) -> Matrix:
+    """The permanental Schur complement C = W + X^T B* Y of a non-negative split.
+
+    per(A) <= per(B) * per(C), with equality at k = 1.  At d = 1, B* is
+    1 / a_{1,1} and c_{i,j} = w_{i,j} + x_i y_j / a_{1,1}: one step of the
+    permanent process.  per(B) = 0 raises ZeroPermanent.
+    """
+    return _complement(split)[0]
+
+
+def rank1_update_permanent(split: BlockSplit) -> SidePair:
+    """Exact identity per([[B, y], [x^T, w]]) = per(B) * (w + x^T B* y) for k = 1.
 
     Both sides are returned; they agree exactly in rational arithmetic.
     """
-    block = bordered(b, x, y, w)
-    if not block.is_nonneg():
-        raise NegativeEntry("rank-1 update formula requires non-negative blocks")
-    lhs = permanent_ryser(block)
-    inv = permanental_inverse(b)
-    star = inv.matrix.entries.tolist()
-    kind = b.kind
-    quad = sum(
-        (coerce(xi, kind) * star[i][j] * coerce(yj, kind)
-         for i, xi in enumerate(x) for j, yj in enumerate(y)),
-        start=coerce(0, kind),
-    )
-    rhs = inv.source_perm * (coerce(w, kind) + quad)
-    return SidePair(lhs, rhs, eq_scalar(lhs, rhs, kind))
+    if split.k != 1:
+        raise DimensionMismatch(f"the rank-1 identity needs k = 1, got k = {split.k}")
+    c, per_b = _complement(split)
+    lhs = permanent_ryser(split.source)
+    rhs = per_b * c.entry(1, 1)
+    return SidePair(lhs, rhs, eq_scalar(lhs, rhs, c.kind))
 
 
 def schur_permanent_bound(split: BlockSplit) -> SidePair:
@@ -102,14 +99,10 @@ def schur_permanent_bound(split: BlockSplit) -> SidePair:
 
     Equality is guaranteed when k = 1 (rank-1 update identity).
     """
-    a = split.source
-    if not a.is_nonneg():
-        raise NegativeEntry("permanental Schur bound requires a non-negative matrix")
-    exact = permanent_ryser(a)
-    star = permanental_inverse(split.b)
-    inner = add(split.w, matmul(matmul(split.xt, star.matrix), split.y))
-    bound = star.source_perm * permanent_ryser(inner)
-    return SidePair(exact, bound, leq_scalar(exact, bound, a.kind))
+    c, per_b = _complement(split)
+    exact = permanent_ryser(split.source)
+    bound = per_b * permanent_ryser(c)
+    return SidePair(exact, bound, leq_scalar(exact, bound, c.kind))
 
 
 def row_uncrossing_sides(split: BlockSplit, i_star: int) -> SidePair:
@@ -129,7 +122,7 @@ def row_uncrossing_sides(split: BlockSplit, i_star: int) -> SidePair:
         raise DimensionMismatch(f"i_star = {i_star} outside [1, {k}]")
     lhs = permanent_ryser(a) * permanent_ryser(split.b)
     kind = a.kind
-    rhs = coerce(0, kind)
+    rhs = zero(kind)
     row_i = d + i_star
     head = range(1, d + 1)
     for col_j in range(d + 1, n + 1):
@@ -139,50 +132,27 @@ def row_uncrossing_sides(split: BlockSplit, i_star: int) -> SidePair:
     return SidePair(lhs, rhs, leq_scalar(lhs, rhs, kind))
 
 
-def two_row_inequality_sides(
-    b: Matrix,
-    x1: Sequence[Scalar],
-    x2: Sequence[Scalar],
-    y1: Sequence[Scalar],
-    y2: Sequence[Scalar],
-    w: Matrix,
-) -> SidePair:
-    """The two-row inequality for the (d+2) block with rows x1, x2 appended.
+def two_row_inequality_sides(split: BlockSplit) -> SidePair:
+    """The two-row inequality for a split with k = 2.
 
-    lhs = per([[B, y1, y2], [x1^T, w11, w12], [x2^T, w21, w22]]) * per(B);
-    rhs = per([[B,y1],[x1^T,w11]]) * per([[B,y2],[x2^T,w22]])
-        + per([[B,y2],[x1^T,w12]]) * per([[B,y1],[x2^T,w21]]).
+    With p_{r,c} = per([[B, y_c], [x_r^T, w_{r,c}]]), the (d+1)-block cut
+    on bottom row r and column c:
+    lhs = per(A) * per(B);
+    rhs = p_{1,1} * p_{2,2} + p_{1,2} * p_{2,1}.
 
     per(B) = 0 is legal here (then lhs = 0 <= rhs).
     """
-    if w.nrows != 2 or w.ncols != 2:
-        raise DimensionMismatch("w must be 2x2")
-    (w11, w12), (w21, w22) = w.entries.tolist()
-    big = bordered(bordered(b, x1, y1, w11), [*x2, w21], [*y2, w12], w22)
-    if not big.is_nonneg():
-        raise NegativeEntry("two-row inequality requires non-negative blocks")
-    lhs = permanent_ryser(big) * permanent_ryser(b)
-    rhs = (
-        permanent_ryser(bordered(b, x1, y1, w11)) * permanent_ryser(bordered(b, x2, y2, w22))
-        + permanent_ryser(bordered(b, x1, y2, w12)) * permanent_ryser(bordered(b, x2, y1, w21))
-    )
-    return SidePair(lhs, rhs, leq_scalar(lhs, rhs, b.kind))
+    if split.k != 2:
+        raise DimensionMismatch(f"the two-row inequality needs k = 2, got k = {split.k}")
+    a = split.source
+    if not a.is_nonneg():
+        raise NegativeEntry("two-row inequality requires a non-negative matrix")
+    d = split.d
+    head = range(1, d + 1)
 
+    def block(r: int, c: int) -> Scalar:
+        return permanent_ryser(select(a, (*head, d + r), (*head, d + c)))
 
-def condense(b: Scalar, x: Sequence[Scalar], y: Sequence[Scalar], w: Matrix) -> Matrix:
-    """Condense the pivot b out of [[b, y^T], [x, W]]: c_{i,j} = w_{i,j} + x_i y_j / b.
-
-    The downstream inequality is per([[b, y^T], [x, W]]) / b <= per(C).
-    """
-    k = w.n
-    kind = w.kind
-    pivot = coerce(b, kind)
-    if pivot == 0:
-        raise ZeroPivot(1)
-    if len(x) != k or len(y) != k:
-        raise DimensionMismatch(f"x and y must have length {k}")
-    xs = [coerce(v, kind) for v in x]
-    ys = [coerce(v, kind) for v in y]
-    if pivot < 0 or any(v < 0 for v in xs + ys) or not w.is_nonneg():
-        raise NegativeEntry("condense requires non-negative inputs and b > 0")
-    return add(w, outer(xs, [v / pivot for v in ys], kind))
+    lhs = permanent_ryser(a) * permanent_ryser(split.b)
+    rhs = block(1, 1) * block(2, 2) + block(1, 2) * block(2, 1)
+    return SidePair(lhs, rhs, leq_scalar(lhs, rhs, a.kind))

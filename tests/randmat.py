@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from permbound import Matrix, RATIONAL, determinant, gram_from_factor, select
+from permbound import Matrix, RATIONAL, determinant, gram_from_factor, matrix, select
 
 
 def rational_entry(rng, lo=0, hi=5, max_den=4) -> Fraction:
@@ -44,6 +44,12 @@ def unit_diag_matrix(rng, n, cap, max_den=4) -> Matrix:
                 row.append(Fraction(rng.randint(0, int(cap * den)), den))
         rows.append(tuple(row))
     return Matrix(tuple(rows), RATIONAL)
+
+
+def block_matrix(b, xs, ys, w) -> Matrix:
+    """[[B, Y], [X^T, W]] from B, the rows x_r of X^T, the columns y_c of Y and the rows of W."""
+    top = [[*row, *(y[i] for y in ys)] for i, row in enumerate(b.entries.tolist())]
+    return matrix(top + [[*x, *w_row] for x, w_row in zip(xs, w)], RATIONAL)
 
 
 def integer_matrix(rng, n, lo=-4, hi=4) -> Matrix:

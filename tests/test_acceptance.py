@@ -50,6 +50,7 @@ from permbound import (
     two_row_inequality_sides,
 )
 from randmat import (
+    block_matrix,
     dominant_matrix,
     gram_instance,
     nonzero_leading_minors_matrix,
@@ -139,7 +140,7 @@ def test_criterion_4_rank1_identity():
         x = [rational_entry(rng, 0, 4, 3) for _ in range(d)]
         y = [rational_entry(rng, 0, 4, 3) for _ in range(d)]
         w = rational_entry(rng, 0, 4, 3)
-        pair = rank1_update_permanent(b, x, y, w)
+        pair = rank1_update_permanent(BlockSplit(block_matrix(b, [x], [y], [[w]]), d))
         assert pair.lhs == pair.rhs
 
 
@@ -229,7 +230,8 @@ def test_criterion_5_two_row_suite():
             tuple(tuple(rational_entry(rng, 0, 3, 3) for _ in range(2)) for _ in range(2)),
             RATIONAL,
         )
-        assert two_row_inequality_sides(b, x1, x2, y1, y2, w).holds
+        a = block_matrix(b, [x1, x2], [y1, y2], w.entries.tolist())
+        assert two_row_inequality_sides(BlockSplit(a, d)).holds
 
 
 def test_criterion_5_condense_suite():
@@ -238,9 +240,7 @@ def test_criterion_5_condense_suite():
     for _ in range(300):
         n = rng.randint(2, 5)
         a = positive_matrix(rng, n, hi=3)
-        x = [a.entry(i, 1) for i in range(2, n + 1)]
-        y = [a.entry(1, j) for j in range(2, n + 1)]
-        c = condense(a.entry(1, 1), x, y, BlockSplit(a, 1).w)
+        c = condense(BlockSplit(a, 1))
         assert permanent_ryser(a) / a.entry(1, 1) <= permanent_ryser(c)
 
 

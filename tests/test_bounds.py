@@ -23,7 +23,6 @@ from permbound import (
     FLOAT64,
     RATIONAL,
     ZeroPivot,
-    bound_function,
     cycle_sum_cases,
     cycle_sum_ratio,
     diag_dominance_certify,
@@ -185,8 +184,8 @@ def test_diag_dominance_validation():
 
 
 def test_bound_function_values():
-    assert bound_function(3, Fraction(1), 1, 2) == 12
     bf = BoundFunction(3, Fraction(1))
+    assert bf(1, 2) == 12
     assert bf.gamma(2) == 2
     assert bf.gamma(0) == 1
     with pytest.raises(ParameterOutOfRange):

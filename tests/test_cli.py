@@ -491,6 +491,15 @@ def test_verify_zero_block_permanent_skips(capsys, tmp_path, suite, expected):
     assert (code, out, err) == (0, expected, "")
 
 
+def test_verify_majorant_zero_pivot_skips_and_keeps_the_other_lines(capsys, tmp_path):
+    # the majorant recursion divides by a_{1,1} = 0; the suite lines before it still print
+    p = tmp_path / "zero_pivot_majorant.json"
+    p.write_text('{"n": 2, "entries": [[0,1],[1,1]], "majorant": [[0,1],[1,2]]}')
+    code, out, err = run_cli(capsys, "verify", str(p), "--suite", "uncross")
+    expected = ZERO_BLOCK_UNCROSS + "SKIP majorant-recursion: zero pivot at step 1\n"
+    assert (code, out, err) == (0, expected, "")
+
+
 ZERO_CORNER_3 = "0,1,1\n1,1,1\n1,1,1\n"  # per(B) = 0 at d = 1 only
 
 

@@ -20,7 +20,6 @@ from permbound import (
     FLOAT64,
     BlockSplit,
     add,
-    bordered,
     delete,
     determinant,
     identity,
@@ -36,7 +35,7 @@ from permbound import (
     transpose,
 )
 from permbound.matcore import ryser_fits
-from randmat import integer_matrix, nonneg_matrix
+from randmat import block_matrix, integer_matrix, nonneg_matrix
 
 
 def laplace_permanent(rows):
@@ -419,11 +418,11 @@ def test_determinant_uncrossing_identity():
         y2 = [scalar() for _ in range(d)]
         w = [[scalar(), scalar()], [scalar(), scalar()]]
         small = {
-            (i, j): determinant(bordered(b, x, y, w[i][j]))
+            (i, j): determinant(block_matrix(b, [x], [y], [[w[i][j]]]))
             for i, x in enumerate((x1, x2))
             for j, y in enumerate((y1, y2))
         }
-        big = bordered(bordered(b, x1, y1, w[0][0]), x2 + [w[1][0]], y2 + [w[0][1]], w[1][1])
+        big = block_matrix(b, [x1, x2], [y1, y2], w)
         lhs = determinant(big) * determinant(b)
         rhs = small[0, 0] * small[1, 1] - small[0, 1] * small[1, 0]
         assert lhs == rhs, d

@@ -9,19 +9,20 @@ from permbound import (
     BlockSplit,
     DimensionMismatch,
     NegativeEntry,
-    ZeroPivot,
-    bordered,
+    ZeroPermanent,
     condense,
-    identity,
     matrix,
     ones,
     permanent_ryser,
+    permanental_inverse,
     rank1_update_permanent,
     row_uncrossing_sides,
+    run_process,
     schur_permanent_bound,
+    select,
     two_row_inequality_sides,
 )
-from randmat import nonneg_matrix, positive_matrix
+from randmat import block_matrix, nonneg_matrix, positive_matrix
 
 
 def test_block_split_slices():
@@ -39,17 +40,10 @@ def test_block_split_slices():
         BlockSplit(m, -1)
 
 
-def test_bordered_layout():
-    b = matrix([[1, 2], [3, 4]])
-    big = bordered(b, [5, 6], [7, 8], 9)
-    assert big.entries.tolist() == [[1, 2, 7], [3, 4, 8], [5, 6, 9]]
-    with pytest.raises(DimensionMismatch):
-        bordered(b, [5], [7, 8], 9)
-
-
 def test_rank1_identity_by_hand():
     # per([[1,2,1],[3,4,1],[1,1,2]]) = 30 = per(B) * (w + x^T B* y)
-    pair = rank1_update_permanent(matrix([[1, 2], [3, 4]]), [1, 1], [1, 1], 2)
+    a = block_matrix(matrix([[1, 2], [3, 4]]), [[1, 1]], [[1, 1]], [[2]])
+    pair = rank1_update_permanent(BlockSplit(a, 2))
     assert pair.lhs == 30
     assert pair.rhs == 30
     assert pair.holds
@@ -63,7 +57,7 @@ def test_rank1_identity_random():
         x = [Fraction(rng.randint(0, 6), 2) for _ in range(d)]
         y = [Fraction(rng.randint(0, 6), 2) for _ in range(d)]
         w = Fraction(rng.randint(0, 8), 2)
-        pair = rank1_update_permanent(b, x, y, w)
+        pair = rank1_update_permanent(BlockSplit(block_matrix(b, [x], [y], [[w]]), d))
         assert pair.lhs == pair.rhs
 
 
@@ -134,7 +128,7 @@ def test_row_uncrossing_bad_row_rejected():
 
 def test_two_row_inequality_by_hand():
     # B = [1], all border entries 1: lhs = per(J_3)*1 = 6, rhs = 2*2 + 2*2 = 8
-    pair = two_row_inequality_sides(matrix([[1]]), [1], [1], [1], [1], ones(2))
+    pair = two_row_inequality_sides(BlockSplit(ones(3), 1))
     assert (pair.lhs, pair.rhs) == (6, 8)
     assert pair.holds
 
@@ -145,23 +139,25 @@ def test_two_row_inequality_random():
         d = rng.randint(1, 4)
         b = positive_matrix(rng, d, hi=3)
         vec = lambda: [Fraction(rng.randint(0, 4), 2) for _ in range(d)]
+        x1, x2, y1, y2 = vec(), vec(), vec(), vec()
         w = nonneg_matrix(rng, 2, hi=3)
-        pair = two_row_inequality_sides(b, vec(), vec(), vec(), vec(), w)
+        a = block_matrix(b, [x1, x2], [y1, y2], w.entries.tolist())
+        pair = two_row_inequality_sides(BlockSplit(a, d))
         assert pair.holds
 
 
 def test_two_row_shape_validation():
     with pytest.raises(DimensionMismatch):
-        two_row_inequality_sides(matrix([[1]]), [1], [1], [1], [1], ones(3))
+        two_row_inequality_sides(BlockSplit(ones(4), 1))
     with pytest.raises(DimensionMismatch):
-        two_row_inequality_sides(matrix([[1]]), [1, 2], [1], [1], [1], ones(2))
+        two_row_inequality_sides(BlockSplit(ones(3), 2))
 
 
 def test_condense_worked_example():
     # A = [[1,1,1],[1,1,0],[1,0,1]]: per(A)/a11 = 3, C = [[2,1],[1,2]], per = 5
-    c = condense(Fraction(1), [1, 1], [1, 1], identity(2))
-    assert c.entries.tolist() == [[2, 1], [1, 2]]
     a = matrix([[1, 1, 1], [1, 1, 0], [1, 0, 1]])
+    c = condense(BlockSplit(a, 1))
+    assert c.entries.tolist() == [[2, 1], [1, 2]]
     assert permanent_ryser(a) == 3
     assert permanent_ryser(c) == 5
     assert permanent_ryser(a) / 1 <= permanent_ryser(c)
@@ -172,18 +168,55 @@ def test_condense_inequality_random():
     for _ in range(40):
         n = rng.randint(2, 5)
         a = positive_matrix(rng, n, hi=3)
-        x = [a.entry(i, 1) for i in range(2, n + 1)]
-        y = [a.entry(1, j) for j in range(2, n + 1)]
-        w = BlockSplit(a, 1).w
-        c = condense(a.entry(1, 1), x, y, w)
+        c = condense(BlockSplit(a, 1))
         assert permanent_ryser(a) / a.entry(1, 1) <= permanent_ryser(c)
 
 
+def test_condense_is_one_process_step():
+    rng = random.Random(36)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        a = positive_matrix(rng, n, hi=3)
+        trailing = range(2, n + 1)
+        step = select(run_process(a, keep_snapshots=True).snapshot(2), trailing, trailing)
+        assert condense(BlockSplit(a, 1)) == step
+
+
+def test_condense_is_the_permanental_schur_complement():
+    # C = W + X^T B* Y, summed entry by entry from B* for d >= 2
+    rng = random.Random(37)
+    for _ in range(40):
+        n = rng.randint(3, 6)
+        d = rng.randint(2, n - 1)
+        split = BlockSplit(nonneg_matrix(rng, n, hi=3), d)
+        try:
+            star = permanental_inverse(split.b).matrix
+        except ZeroPermanent:
+            continue
+        expected = [
+            [
+                split.w.entry(i, j) + sum(
+                    split.xt.entry(i, p) * star.entry(p, q) * split.y.entry(q, j)
+                    for p in range(1, d + 1) for q in range(1, d + 1)
+                )
+                for j in range(1, split.k + 1)
+            ]
+            for i in range(1, split.k + 1)
+        ]
+        assert condense(split).entries.tolist() == expected
+
+
 def test_condense_validation():
-    with pytest.raises(ZeroPivot) as err:
-        condense(Fraction(0), [1], [1], ones(1))
-    assert err.value.t == 1
-    with pytest.raises(NegativeEntry):
-        condense(Fraction(1), [-1], [1], ones(1))
+    # condense and the two lemmas that read the complement from it
+    zero_block = BlockSplit(matrix([[0, 1], [1, 1]]), 1)
+    negative = BlockSplit(matrix([[1, 1], [-1, 1]]), 1)
+    for lemma in (condense, schur_permanent_bound, rank1_update_permanent):
+        with pytest.raises(ZeroPermanent):
+            lemma(zero_block)
+        with pytest.raises(NegativeEntry):
+            lemma(negative)
+
+
+def test_rank1_needs_k1():
     with pytest.raises(DimensionMismatch):
-        condense(Fraction(1), [1, 2], [1], ones(1))
+        rank1_update_permanent(BlockSplit(ones(3), 1))

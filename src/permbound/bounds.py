@@ -30,7 +30,9 @@ from .errors import (
 )
 from .matcore import Matrix, integer_rows, permanent_ryser, select, sorted_indices
 from .process import ProcessTrace, closed_recursion, cross_sums, recursive_u, run_process
-from .scalars import FLOAT64, RATIONAL, Scalar, SidePair, coerce, eq_scalar, leq_scalar, one, zero
+from .scalars import (
+    FLOAT64, RATIONAL, Scalar, SidePair, coerce, eq_scalar, first_failure, leq_scalar, one, zero,
+)
 
 
 @dataclass(frozen=True)
@@ -113,27 +115,12 @@ def verify_majorant(cert: MajorantCertificate) -> MajorantCertificate:
     kind = a.kind
     lhs = a.entries + cross_sums(b.entries, a.diagonal(), kind)
     holds = eq_scalar if cert.mode == "equality" else leq_scalar
-    failure = _first_failure(lhs, b.entries, kind, holds)
+    failure = first_failure(lhs, b.entries, kind, holds)
     if failure is not None:
         raise ConditionViolated(*failure)
-    failure = _first_failure(recursive_u(a).entries, b.entries, kind)
+    failure = first_failure(recursive_u(a).entries, b.entries, kind)
     assert failure is None, f"u exceeds the verified majorant at {failure}"
     return replace(cert, verified=True)
-
-
-def _first_failure(lhs: np.ndarray, rhs: np.ndarray, kind: str, holds=leq_scalar):
-    """The first (i, j), 1-based in row-major order, where holds(lhs_ij, rhs_ij) fails.
-
-    lhs and rhs are arrays, or a scalar on one side, broadcast to one shape.
-    holds is leq_scalar or eq_scalar, which can fail only where lhs <= rhs
-    (or lhs == rhs) fails outright, so only those entries are checked.
-    """
-    lhs, rhs = np.broadcast_arrays(lhs, rhs)
-    plain = lhs == rhs if holds is eq_scalar else lhs <= rhs
-    for i, j in np.argwhere(~plain):
-        if not holds(lhs.item(i, j), rhs.item(i, j), kind):
-            return int(i) + 1, int(j) + 1
-    return None
 
 
 def solve_majorant(a: Matrix) -> Matrix:
@@ -169,7 +156,7 @@ def diag_dominance_certify(a: Matrix, eps: Scalar) -> DiagDominanceResult:
         if d == 0:
             raise ZeroPivot(s, f"zero diagonal entry at ({s}, {s})")
     factor = _finite(lambda: (1 + e) ** 2 / e, "the factor (1+eps)^2/eps")
-    violation = _first_failure(factor * cross_sums(a.entries, diag, kind), a.entries, kind)
+    violation = first_failure(factor * cross_sums(a.entries, diag, kind), a.entries, kind)
     if violation is not None:
         return DiagDominanceResult(False, None, e, violation)
     bound = _finite(lambda: math.prod(diag, start=(1 + e) ** n), "the bound (1+eps)^n prod a_ii")
@@ -229,7 +216,7 @@ def entry_bound_check(x: BoundedInput):
     n, kind, B = x.a.n, x.a.kind, x.B
     for t in range(1, n + 1):
         trailing = x.trace.snapshot(t).entries[t - 1:, t - 1:]
-        failure = _first_failure(trailing, B(1, t), kind)
+        failure = first_failure(trailing, B(1, t), kind)
         if failure is not None:
             return (failure[0] + t - 1, failure[1] + t - 1, t)
     return None

@@ -7,7 +7,8 @@
 Reports serialize every numeric field as a string ("p/q" for rationals,
 decimal for floats) and are byte-identical across runs; timing is opt-in
 via --timing since it would break that determinism.  Exit codes: 0 ok,
-1 check failed, 2 input error, 3 numeric error.
+1 check failed, 2 input error, 3 numeric error; an error exits with its
+class's `exit_code`.
 """
 
 from __future__ import annotations
@@ -34,21 +35,8 @@ from .bounds import (
     verify_majorant,
 )
 from .errors import (
-    ConditionViolated,
-    DimensionMismatch,
-    DimensionTooLarge,
-    IndexOutOfRange,
-    InvalidGram,
-    NegativeEntry,
-    NegativeInput,
-    NonFinite,
-    NotSquare,
-    ParameterOutOfRange,
-    ParseError,
-    PermboundError,
-    PreconditionViolated,
-    ZeroPermanent,
-    ZeroPivot,
+    ConditionViolated, ParameterOutOfRange, ParseError, PermboundError, PreconditionViolated,
+    ZeroPermanent, ZeroPivot,
 )
 from .matcore import Matrix, ones, permanent_ryser, ryser_fits
 from .matio import ParsedMatrix, as_subject, matrix_as_strings, parse_matrix_file
@@ -58,32 +46,15 @@ from .process import run_process
 from .psd import GramMatrix, alpha_coefficients, permanent_tensor, psd_schur_check, tensor_fits
 from .scalars import FLOAT64, RATIONAL, eq_scalar, format_scalar, leq_scalar
 
-OK, CHECK_FAILED, INPUT_ERROR, NUMERIC_ERROR = 0, 1, 2, 3
+OK, CHECK_FAILED = 0, 1
 
 RATIONAL_DEFAULT_MAX_N = 12
 
-_INPUT_ERRORS = (
-    ParseError,
-    NegativeInput,
-    NegativeEntry,
-    ParameterOutOfRange,
-    PreconditionViolated,
-    InvalidGram,
-    NotSquare,
-    IndexOutOfRange,
-    DimensionMismatch,
-)
-_NUMERIC_ERRORS = (ZeroPivot, ZeroPermanent, DimensionTooLarge, NonFinite)
 
-
-def _error_exit(exc: Exception) -> int:
+def _error_exit(exc: PermboundError) -> int:
     payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-    if isinstance(exc, _INPUT_ERRORS):
-        return INPUT_ERROR
-    if isinstance(exc, _NUMERIC_ERRORS):
-        return NUMERIC_ERROR
-    return CHECK_FAILED
+    return exc.exit_code
 
 
 def _pick_arithmetic(flag: str | None, n: int) -> str:

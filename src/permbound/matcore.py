@@ -43,7 +43,7 @@ from .scalars import FLOAT64, RATIONAL, Scalar, coerce, one, quotient, zero
 
 NAIVE_MAX = 10
 RYSER_MAX_N = 24
-BIT_BUDGET = 1 << 24  # rows x columns x bits of the trailing block an exact step may hold
+BIT_BUDGET = 1 << 24  # cost of the trailing block an exact step may hold; see _check_bit_budget
 
 
 DTYPES = {RATIONAL: np.dtype(object), FLOAT64: np.dtype(np.float64)}
@@ -302,10 +302,11 @@ def permanent_ryser(m: Matrix) -> Scalar:
 
 
 def _check_bit_budget(block: np.ndarray, t: int):
-    """DimensionTooLarge when rows x columns x the largest bit length of the integer block
-    that exact step t + 1 works on passes BIT_BUDGET."""
+    """DimensionTooLarge when the integer block that exact step t + 1 works on passes
+    BIT_BUDGET: rows x columns x its largest bit length, plus bits^2 / 2^12 for
+    the gcds, each of which costs about bits^2."""
     bits = max(map(int.bit_length, block.ravel().tolist()), default=0)
-    if block.size * bits > BIT_BUDGET:
+    if block.size * bits + (bits * bits >> 12) > BIT_BUDGET:
         rows, cols = block.shape
         raise DimensionTooLarge(
             f"exact elimination at step {t + 1}: a {rows}x{cols} block of {bits}-bit "
@@ -314,17 +315,16 @@ def _check_bit_budget(block: np.ndarray, t: int):
         )
 
 
-def eliminate(m: Matrix, sign: int, every_row: bool = False, skip_zero: bool = False,
-              keep: bool = False):
+def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False):
     """Column-wise elimination a_{i,j} <- a_{i,j} + sign * a_{i,t} a_{t,j} / a_{t,t}.
 
-    For t = 1..n-1 and j > t the update runs over the rows below t, or over
-    every other row when every_row is set, and row t is then zeroed right of
-    the pivot.  sign = +1 is the permanent process, sign = -1 Gaussian
-    elimination (with every_row, the minus-variant).  A zero pivot raises
-    ZeroPivot, unless skip_zero is set: then the step is skipped when the
-    pivot's trailing row and column are zero, and InvalidGram is raised
-    when they are not.
+    For t = 1..n-1 and j > t the update runs over the rows below t.  sign =
+    +1 is the permanent process; sign = -1 is Gaussian elimination, the
+    minus-variant, which then zeroes row t right of the pivot (the rows
+    above t are zero there already, so updating them would change nothing).
+    A zero pivot raises ZeroPivot, unless skip_zero is set: then the step is
+    skipped when the pivot's trailing row and column are zero, and
+    InvalidGram is raised when they are not.
 
     A float64 step computes (a_{i,t} a_{t,j}) / a_{t,t} on the ndarray, so
     it rounds as the plain loop does.  An exact step runs on the
@@ -363,24 +363,23 @@ def eliminate(m: Matrix, sign: int, every_row: bool = False, skip_zero: bool = F
             if (a[t + 1:, t] != 0).any() or (a[t, t + 1:] != 0).any():
                 raise InvalidGram(f"zero pivot with nonzero row/column at step {t + 1}")
         else:
-            rows = np.arange(n) != t if every_row else slice(t + 1, None)
-            lead = a[rows, t] if sign > 0 else -a[rows, t]
+            lead = a[t + 1:, t] if sign > 0 else -a[t + 1:, t]
             if exact:
-                block = p * a[rows, t + 1:] + np.outer(lead, a[t, t + 1:])
-                sp = scale[rows] * p
+                block = p * a[t + 1:, t + 1:] + np.outer(lead, a[t, t + 1:])
+                sp = scale[t + 1:] * p
                 if t < n - 2:  # no later step reads the last step's integers
                     g = np.gcd(np.gcd.reduce(block, axis=1), sp)  # an all-zero row gets |s_i P|
                     block //= g[:, None]
                     sp //= g
                     _check_bit_budget(block, t + 1)
-                a[rows, t + 1:] = block
-                scale[rows] = sp
+                a[t + 1:, t + 1:] = block
+                scale[t + 1:] = sp
                 if keep:
-                    state[rows, t + 1:] = fractions(block, sp[:, None])
+                    state[t + 1:, t + 1:] = fractions(block, sp[:, None])
             else:
                 with np.errstate(over="ignore", invalid="ignore"):  # inf and nan end in NonFinite
-                    a[rows, t + 1:] += np.outer(lead, a[t, t + 1:]) / p
-            if every_row:  # a float p * x / p need not round back to x
+                    a[t + 1:, t + 1:] += np.outer(lead, a[t, t + 1:]) / p
+            if sign < 0:
                 a[t, t + 1:] = 0
                 state[t, t + 1:] = zero(m.kind)
         if keep:

@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bounds import _first_failure
 from .errors import DimensionMismatch, NegativeEntry, ZeroPermanent
 from .matcore import Matrix, delete, matmul, permanent_ryser, select, sorted_indices
-from .scalars import Scalar, SidePair, eq_scalar, leq_scalar, zero
+from .scalars import Scalar, SidePair, eq_scalar, first_failure, leq_scalar, zero
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ def check_identity_dominance(b: Matrix) -> DominanceCheck:
     right = matmul(b, star)
     kind = b.kind
     holds = all(
-        _first_failure(zero(kind), prod.entries, kind) is None
+        first_failure(zero(kind), prod.entries, kind) is None
         and all(eq_scalar(x, 1, kind) for x in prod.diagonal())
         for prod in (left, right)
     )

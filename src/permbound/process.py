@@ -110,11 +110,12 @@ def run_gaussian_variant(a: Matrix, keep_snapshots: bool = False) -> ProcessTrac
     """The minus-variant: column-wise Gaussian elimination without pivoting.
 
     Updates a_{i,j} <- a_{i,j} - a_{i,t} * a_{t,j} / a_{t,t} for j > t and
-    every row i, producing a lower-triangular final matrix whose diagonal
-    product is det(A) exactly in rational mode.  Any square input is
+    every row i > t, then zeroes row t right of the pivot, producing a
+    lower-triangular final matrix whose diagonal product is det(A) exactly
+    in rational mode.  Any square input is
     accepted; a zero pivot is an error (no pivoting is performed).
     """
-    pivots, snaps = eliminate(a, -1, every_row=True, keep=keep_snapshots)
+    pivots, snaps = eliminate(a, -1, keep=keep_snapshots)
     return ProcessTrace(n=a.n, pivots=pivots, arithmetic=a.kind, snapshots=snaps)
 
 

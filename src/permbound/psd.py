@@ -1,5 +1,6 @@
 """PSD-specific machinery: Gram factorizations, the tensor-product permanent
-formula, alpha-coefficient decompositions, and the PSD Schur inequality.
+formula, the alpha coefficients of per(aB + xx^T) read off Ryser's formula
+in one pass, and the PSD Schur inequality.
 
 A PSD matrix enters the rest of the package only as a GramMatrix, i.e.
 together with a factor V such that A = V^T V.  That constructor is the PSD
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Sequence
 
 from .errors import DimensionMismatch, DimensionTooLarge, InvalidGram, ZeroPivot
@@ -101,46 +102,46 @@ def permanent_tensor(g: GramMatrix) -> Scalar:
     return quotient(norm_sq, math.prod(scales) ** 2 * math.factorial(n), g.gram.kind)
 
 
-def _solve_interpolation(points: list, values: list, kind: str):
-    """Solve the Vandermonde system for polynomial coefficients, highest first."""
-    m = len(points)
-    aug = [[coerce(p, kind) ** (m - 1 - j) for j in range(m)] + [values[i]]
-           for i, p in enumerate(points)]
-    for col in range(m):
-        pivot_row = next(r for r in range(col, m) if aug[r][col] != 0)
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        for r in range(m):
-            if r == col:
-                continue
-            factor = aug[r][col] / pivot
-            if factor == 0:
-                continue
-            for c in range(col, m + 1):
-                aug[r][c] -= factor * aug[col][c]
-    return [aug[r][m] / aug[r][r] for r in range(m)]
-
-
 def alpha_coefficients(b: Matrix, x: Sequence[Scalar]) -> AlphaCoefficients:
-    """Recover the coefficients of per(a*B + xx^T) by exact interpolation.
+    """The coefficients of per(a*B + xx^T) in one Ryser pass over column subsets.
 
-    The permanent is evaluated at the d + 1 sample points a = 1, ..., d+1
-    and the Vandermonde system is solved exactly (rational mode).  The
-    leading coefficient is per(B); the next one is
+    Row i of a*B + xx^T sums over a column set S to a*r_i(S) + x_i*x(S),
+    which is linear in a, so per = sum over S of (-1)^(d - |S|) times the
+    product of those d linear factors, multiplied out one factor at a time.
+    The pass runs on the `integer_rows` of B and x, and each coefficient is
+    divided once (rounded once in float mode; nan for an inf or nan entry).
+    The leading coefficient is per(B); the next one is
     sum_{i,j} x_i x_j per(B_{i,j}).
     """
     d = b.n
     kind = b.kind
     if len(x) != d:
         raise DimensionMismatch(f"x must have length {d}")
-    xx = outer(x, x, kind)
-    points = list(range(1, d + 2))
-    values = []
-    for a in points:
-        scaled = Matrix(coerce(a, kind) * b.entries, kind)
-        values.append(permanent_ryser(add(scaled, xx)))
-    coeffs = _solve_interpolation(points, values, kind)
-    return AlphaCoefficients(d, tuple(coeffs))
+    try:
+        rows, scales = integer_rows([*b.entries.tolist(), [coerce(v, kind) for v in x]])
+    except (OverflowError, ValueError):
+        return AlphaCoefficients(d, (math.nan,) * (d + 1))
+    xs, sx = rows.pop(), scales.pop()
+    # row i times its scale s_i sums over S to a*r_i(S) + s_i*x_i*x(S) / sx^2 on
+    # these integers, so a term with k factors from xx^T is over prod(s_i) * sx^(2k)
+    cols = list(zip(*rows, xs))  # column j: b_1j, ..., b_dj, x_j
+    weights = [s * v for s, v in zip(scales, xs)]
+    zeros = [0] * (d + 1)
+    total = [0] * (d + 1)  # total[k]: the terms with k factors from xx^T
+    for size in range(d + 1):
+        sign = -1 if (d - size) % 2 else 1
+        for subset in combinations(cols, size):
+            *r, x_s = map(sum, zip(zeros, *subset))
+            poly = [1]
+            for r_i, w in zip(r, weights):
+                v = w * x_s
+                poly = [p * r_i + q * v for p, q in zip(poly + [0], [0] + poly)]
+            for k, c in enumerate(poly):
+                total[k] += sign * c
+    den = math.prod(scales)
+    return AlphaCoefficients(
+        d, tuple(quotient(c, den * sx ** (2 * k), kind) for k, c in enumerate(total))
+    )
 
 
 def psd_schur_check(g: GramMatrix) -> SidePair:

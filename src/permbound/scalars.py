@@ -4,8 +4,9 @@ Every matrix carries one of two scalar kinds: exact rationals backed by
 ``fractions.Fraction`` (the default, used for all equality contracts) and
 IEEE float64.  Float mode compares equalities at relative tolerance 1e-9
 and checks inequalities with a 1e-12 relative slack to absorb rounding;
-rational mode compares exactly.  A `SidePair` records both sides of one
-such check together with its verdict.
+rational mode compares exactly; `first_failure` applies that policy
+entrywise to arrays.  A `SidePair` records both sides of one such check
+together with its verdict.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+import numpy as np
 
 from .errors import NonFinite
 
@@ -99,6 +102,21 @@ def leq_scalar(x: Scalar, y: Scalar, kind: str) -> bool:
     if kind == RATIONAL:
         return x <= y
     return x <= y + INEQ_SLACK * max(1.0, abs(x), abs(y))
+
+
+def first_failure(lhs: np.ndarray, rhs: np.ndarray, kind: str, holds=leq_scalar):
+    """The first (i, j), 1-based in row-major order, where holds(lhs_ij, rhs_ij) fails.
+
+    lhs and rhs are arrays, or a scalar on one side, broadcast to one shape.
+    holds is leq_scalar or eq_scalar, which can fail only where lhs <= rhs
+    (or lhs == rhs) fails outright, so only those entries are checked.
+    """
+    lhs, rhs = np.broadcast_arrays(lhs, rhs)
+    plain = lhs == rhs if holds is eq_scalar else lhs <= rhs
+    for i, j in np.argwhere(~plain):
+        if not holds(lhs.item(i, j), rhs.item(i, j), kind):
+            return int(i) + 1, int(j) + 1
+    return None
 
 
 @dataclass(frozen=True)

@@ -559,19 +559,28 @@ def test_float_eps_certificate_overflow_exits_3(capsys, tmp_path, argv, text):
 
 
 def test_rational_sweep_past_the_bit_budget_exits_3_fast(tmp_path):
-    # 64x64 six-decimal cells: with no bit budget the exact sweep ran for minutes
+    # with no bit budget the exact sweep ran for minutes on 64x64 six-decimal
+    # cells, and with a budget of cells x bits alone on 22x22 p/q cells (p, q in
+    # 1..6), whose last blocks are a few cells of 10^5-10^6-bit integers
     rng = random.Random(64)
-    p = tmp_path / "dec64.csv"
-    p.write_text("".join(",".join(f"{rng.random():.6f}" for _ in range(64)) + "\n" for _ in range(64)))
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "permbound.cli", "bound", str(p), "--arithmetic", "rational"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=30,
+    dec64 = "".join(",".join(f"{rng.random():.6f}" for _ in range(64)) + "\n" for _ in range(64))
+    rng = random.Random(22)
+    pq22 = "".join(
+        ",".join(f"{rng.randint(1, 6)}/{rng.randint(1, 6)}" for _ in range(22)) + "\n"
+        for _ in range(22)
     )
-    assert proc.returncode == 3
-    error = json.loads(proc.stderr)["error"]
-    assert error["type"] == "DimensionTooLarge"
-    assert "use --arithmetic float" in error["message"]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    for name, text in (("dec64.csv", dec64), ("pq22.csv", pq22)):
+        p = tmp_path / name
+        p.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "permbound.cli", "bound", str(p), "--arithmetic", "rational"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=30,
+        )
+        assert proc.returncode == 3, name
+        error = json.loads(proc.stderr)["error"]
+        assert error["type"] == "DimensionTooLarge"
+        assert "use --arithmetic float" in error["message"]

@@ -1,10 +1,12 @@
-"""Every private module-level name in permbound is referred to somewhere in it.
+"""Every private module-level name in permbound is referred to somewhere in
+it, and only in the module that defines it.
 
 A function, class or constant whose name starts with one underscore is
-internal to `src/permbound`, so once no module there refers to it, it is
-dead code.  No linter ships with the test dependencies, so each module is
-parsed with `ast`: a name read anywhere, an attribute name and a name
-imported from a module all count as references.
+internal to its module in `src/permbound`: once no module there refers to
+it, it is dead code, and no other module imports it.  No linter ships with
+the test dependencies, so each module is parsed with `ast`: a name read
+anywhere, an attribute name and a name imported from a module all count as
+references.
 """
 
 import ast
@@ -64,3 +66,32 @@ def test_dead_helper_is_reported():
         "b.py": "from .a import _kept\n\nx = _A\n",
     }
     assert dead_helpers(sources) == ["a.py: _B (line 9)", "a.py: _dead (line 5)"]
+
+
+def private_imports(sources: dict[str, str]) -> list[str]:
+    """Private names one package module imports from another (`from .x import _y`)."""
+    return sorted(
+        f"{module}: {alias.name} from {'.' * node.level}{node.module or ''} (line {node.lineno})"
+        for module, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "permbound")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+
+
+def test_no_module_imports_a_private_name():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert private_imports(sources) == []
+
+
+def test_private_import_is_reported():
+    sources = {
+        "a.py": "from __future__ import annotations\n\nfrom .b import _helper, kept\n",
+        "b.py": "from permbound.a import _B\nfrom . import __version__\nfrom os import _exit\n",
+    }
+    assert private_imports(sources) == [
+        "a.py: _helper from .b (line 3)",
+        "b.py: _B from permbound.a (line 1)",
+    ]

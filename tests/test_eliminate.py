@@ -51,6 +51,8 @@ def list_eliminate(rows, sign, every_row=False, skip_zero=False, keep=False):
                 ai = a[i]
                 for j in range(t + 1, n):
                     ai[j] += f * row_t[j]
+            if sign < 0 and not every_row:  # what updating row t by itself would give
+                a[t][t + 1:] = [0 * p] * (n - t - 1)
         if keep:
             snaps.append(tuple(tuple(r) for r in a))
     return tuple(a[t][t] for t in range(n)), snaps
@@ -132,18 +134,21 @@ def assert_exact_run(got, want):
     assert all(type(x) is Fraction for s in snaps for row in s.entries for x in row)
 
 
-# every_row zeroes row t, which the list loop does only with sign -1, the
-# one sign its callers pair it with
-@pytest.mark.parametrize("sign, every_row", [(1, False), (-1, False), (-1, True)])
-def test_exact_kernel_matches_list_loop(sign, every_row):
-    rng = random.Random(900 + 2 * sign + every_row)
+def reference(rows, sign, **kwargs):
+    """The list loop the kernel matches: with sign -1 it runs over every row,
+    and its update of row t by itself zeroes that row right of the pivot."""
+    return list_eliminate(rows, sign, every_row=sign < 0, **kwargs)
+
+
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exact_kernel_matches_list_loop(sign, keep):
+    rng = random.Random(900 + 2 * sign + keep)
     for n in range(9):
         for _ in range(6):
             m = sparse_rational(rng, n)
-            keep = rng.random() < 0.5
-            got = outcome(eliminate, m, sign, every_row=every_row, keep=keep)
-            want = outcome(list_eliminate, m.entries, sign, every_row=every_row, keep=keep)
-            assert_exact_run(got, want)
+            got = outcome(eliminate, m, sign, keep=keep)
+            assert_exact_run(got, outcome(reference, m.entries, sign, keep=keep))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -154,7 +159,7 @@ def test_exact_kernel_skips_zero_gram_pivots_as_the_list_loop(sign):
         n = rng.randint(2, 8)
         m = rank_deficient_gram(rng, n).gram
         got = outcome(eliminate, m, sign, skip_zero=True, keep=True)
-        want = outcome(list_eliminate, m.entries, sign, skip_zero=True, keep=True)
+        want = outcome(reference, m.entries, sign, skip_zero=True, keep=True)
         assert_exact_run(got, want)
         skipped += 0 in got[0][:-1]
     assert skipped > 0
@@ -172,7 +177,7 @@ def test_exact_kernel_reports_the_invalid_gram_step():
 def test_kernel_on_the_empty_matrix(kind):
     m = Matrix((), kind)
     assert eliminate(m, 1) == ((), None)
-    assert eliminate(m, -1, every_row=True, keep=True) == ((), (m,))
+    assert eliminate(m, -1, keep=True) == ((), (m,))
 
 
 def positive_floats(rng, n):
@@ -249,6 +254,8 @@ def positive_rational(rng, n, lo=10, hi=99):
     )
 
 
+# every_row picks the rows the list loop updates; with sign -1 both of its
+# ways end with row t zero right of the pivot, as the kernel does
 @pytest.mark.parametrize("keep", [False, True])
 @pytest.mark.parametrize("sign, every_row", [(1, False), (-1, False), (-1, True)])
 def test_exact_kernel_matches_list_loop_on_long_entries(sign, every_row, keep):
@@ -256,32 +263,34 @@ def test_exact_kernel_matches_list_loop_on_long_entries(sign, every_row, keep):
     rng = random.Random(960 + 4 * sign + 2 * every_row + keep)
     for n in range(9, 15):
         m = positive_rational(rng, n)
-        got = outcome(eliminate, m, sign, every_row=every_row, keep=keep)
+        got = outcome(eliminate, m, sign, keep=keep)
         want = outcome(list_eliminate, m.entries, sign, every_row=every_row, keep=keep)
         assert_exact_run(got, want)
 
 
-@pytest.mark.parametrize("sign, every_row", [(1, False), (-1, False), (-1, True)])
-def test_exact_kernel_on_an_all_zero_trailing_row(sign, every_row):
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exact_kernel_on_an_all_zero_trailing_row(sign, keep):
     # the last row clears after step 1 (minus sign: it is twice row 1) or is zero
     # from the start (plus sign), so its row gcd is 0 at every later step
     r1 = [Fraction(1), Fraction(2, 3), Fraction(3), Fraction(4, 5)]
     last = [2 * x for x in r1] if sign < 0 else [Fraction(0)] * 4
     rows = (r1, [Fraction(x) for x in (1, 5, 2, 7)], [Fraction(x, 2) for x in (3, 1, 4, 1)], last)
     m = Matrix(rows, RATIONAL)
-    got = eliminate(m, sign, every_row=every_row, keep=True)
-    assert_exact_run(got, list_eliminate(m.entries, sign, every_row=every_row, keep=True))
+    got = eliminate(m, sign, keep=keep)
+    assert_exact_run(got, reference(m.entries, sign, keep=keep))
     assert got[0][-1] == 0
-    assert all(x == 0 for x in got[1][-1].row(4)[1:])
+    if keep:
+        assert all(x == 0 for x in got[1][-1].row(4)[1:])
 
 
-@pytest.mark.parametrize("every_row", [False, True])
-def test_exact_minus_variant_with_negative_pivots(every_row):
+@pytest.mark.parametrize("keep", [False, True])
+def test_exact_minus_variant_with_negative_pivots(keep):
     rows = ([-2, 1, 3, Fraction(1, 2)], [4, -1, 2, 5], [1, 5, -7, Fraction(-2, 3)],
             [3, Fraction(1, 4), 2, -1])
     m = Matrix(tuple(tuple(Fraction(x) for x in r) for r in rows), RATIONAL)
-    got = eliminate(m, -1, every_row=every_row, keep=True)
-    assert_exact_run(got, list_eliminate(m.entries, -1, every_row=every_row, keep=True))
+    got = eliminate(m, -1, keep=keep)
+    assert_exact_run(got, reference(m.entries, -1, keep=keep))
     pivots = got[0]
     assert sum(p < 0 for p in pivots) >= 2
     assert math.prod(pivots) == determinant(m)

@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -11,17 +11,20 @@ from permbound import (
     BlockSplit,
     DimensionMismatch,
     DimensionTooLarge,
+    FLOAT64,
     GramMatrix,
     Matrix,
     RATIONAL,
     ZeroPivot,
     alpha_coefficients,
+    delete,
     gram_from_factor,
     identity,
     is_psd_exact,
     matmul,
     matrix,
     ones,
+    permanent_naive,
     permanent_ryser,
     permanent_tensor,
     psd_schur_check,
@@ -151,6 +154,54 @@ def test_alpha_nonnegative_for_gram_splits():
         split = BlockSplit(g.gram, n - 1)
         x = [g.gram.entries[i][n - 1] for i in range(n - 1)]
         assert all(c >= 0 for c in alpha_coefficients(split.b, x).coeffs)
+
+
+def alpha_expansion(b, x):
+    """alpha_k = k! * sum over |S| = |T| = k of x^S x^T per(B(-S, -T)).
+
+    Laplace expansion of per(aB + xx^T) along the k rows S and columns T
+    taken from xx^T, whose k x k block has permanent k! x^S x^T.
+    """
+    idx = range(1, b.n + 1)
+    return tuple(
+        math.factorial(k) * sum(
+            math.prod(x[i - 1] for i in s) * math.prod(x[j - 1] for j in t)
+            * permanent_naive(delete(b, s, t))
+            for s in combinations(idx, k)
+            for t in combinations(idx, k)
+        )
+        for k in range(b.n + 1)
+    )
+
+
+def test_alpha_coefficients_match_the_expansion_exactly():
+    rng = random.Random(75)
+    for d in range(5):
+        for _ in range(8):
+            b = Matrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)]
+                        for _ in range(d)], RATIONAL)
+            x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)]
+            coeffs = alpha_coefficients(b, x).coeffs
+            assert coeffs == alpha_expansion(b, x)
+            assert all(type(c) is Fraction for c in coeffs)
+
+
+def test_float_alpha_coefficients_are_the_exact_ones_rounded_once():
+    rng = random.Random(76)
+    for d in range(5):
+        b = Matrix([[rng.uniform(-3, 3) for _ in range(d)] for _ in range(d)], FLOAT64)
+        x = [rng.uniform(-3, 3) for _ in range(d)]
+        exact = alpha_expansion(
+            Matrix([[Fraction(v) for v in row] for row in b.entries.tolist()], RATIONAL),
+            [Fraction(v) for v in x],
+        )
+        assert alpha_coefficients(b, x).coeffs == tuple(map(float, exact))
+    for bad in (math.inf, math.nan):
+        b = Matrix([[1.0, bad], [2.0, 3.0]], FLOAT64)
+        coeffs = alpha_coefficients(b, [1.0, 2.0]).coeffs
+        assert len(coeffs) == 3 and all(math.isnan(c) for c in coeffs)
+    coeffs = alpha_coefficients(identity(2, FLOAT64), [1.0, math.inf]).coeffs
+    assert len(coeffs) == 3 and all(math.isnan(c) for c in coeffs)
 
 
 def test_psd_schur_check_worked_example():

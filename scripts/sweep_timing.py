@@ -6,7 +6,10 @@ For each n, draws one random positive matrix and prints the best of k
 (entries p/q with p, q in 1..6) at n = 6..14, where the bit length of the
 largest pivot numerator or denominator is shown, and float64 (entries in
 [0.001, 0.999]) at n = 64..512, where the log2 range of the pivots is shown.
-Parsing, kind conversion and the report are not timed.
+Parsing, kind conversion and the report are not timed in those rows.  At
+each float n it also prints the best of k float64 `parse_csv_text` timings
+of a random n x n CSV, once with 3-decimal cells ("csv-3dec") and once with
+20-significant-digit cells ("csv-20sig").
 
 Usage: python scripts/sweep_timing.py [--repeat 5] [--rational-sizes 6 7 ... 14]
                                       [--float-sizes 64 128 256 512] [--seed 0]
@@ -18,7 +21,7 @@ import random
 import time
 from fractions import Fraction
 
-from permbound import FLOAT64, Matrix, RATIONAL, run_process
+from permbound import FLOAT64, Matrix, RATIONAL, parse_csv_text, run_process
 
 
 def rational_matrix(rng, n):
@@ -30,13 +33,24 @@ def float_matrix(rng, n):
     return Matrix([[rng.randint(1, 999) / 1000 for _ in range(n)] for _ in range(n)], FLOAT64)
 
 
-def best_ms(m, repeat):
+CSV_CELLS = {
+    "csv-3dec": lambda rng: f"0.{rng.randint(1, 999):03d}",
+    "csv-20sig": lambda rng: f"0.{rng.randint(10**19, 10**20 - 1)}",
+}
+
+
+def csv_text(rng, n, cell):
+    return "".join(",".join(cell(rng) for _ in range(n)) + "\n" for _ in range(n))
+
+
+def best_ms(fn, repeat):
+    """The best of repeat timings of fn(), in ms, and fn's last result."""
     best = math.inf
     for _ in range(repeat):
         started = time.perf_counter()
-        trace = run_process(m)
+        result = fn()
         best = min(best, time.perf_counter() - started)
-    return best * 1e3, trace.pivots
+    return best * 1e3, result
 
 
 def pivot_size(pivots, kind):
@@ -56,12 +70,21 @@ def main():
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
-    print(f"{'arithmetic':>10} {'n':>4} {'best ms':>10}  pivots")
+    csv_rng = random.Random(args.seed)  # its own stream: the swept matrices stay the same
+    print(f"{'timing':>10} {'n':>4} {'best ms':>10}  pivots")
     for kind, sizes, build in ((RATIONAL, args.rational_sizes, rational_matrix),
                                (FLOAT64, args.float_sizes, float_matrix)):
         for n in sizes:
-            ms, pivots = best_ms(build(rng, n), args.repeat)
-            print(f"{kind:>10} {n:>4} {ms:>10.3f}  {pivot_size(pivots, kind)}")
+            m = build(rng, n)
+            ms, trace = best_ms(lambda: run_process(m), args.repeat)
+            print(f"{kind:>10} {n:>4} {ms:>10.3f}  {pivot_size(trace.pivots, kind)}")
+            if kind != FLOAT64:
+                continue
+            for label, cell in CSV_CELLS.items():
+                text = csv_text(csv_rng, n, cell)
+                ms, _ = best_ms(lambda: parse_csv_text(text, label, lambda rows: FLOAT64),
+                                args.repeat)
+                print(f"{label:>10} {n:>4} {ms:>10.3f}")
 
 
 if __name__ == "__main__":

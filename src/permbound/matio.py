@@ -10,15 +10,17 @@ Two formats:
 JSON files, and CSV files read without a kind, are parsed exactly
 (decimals become exact decimal fractions) and converted to float64 by
 `to_kind` when float arithmetic is requested, so the rational pipeline never
-sees binary rounding.  A CSV file read for float64 rounds each cell once,
-straight from its literal, to the same value `to_kind` would give; both
-keep a nonzero value below the float64 range nonzero (`_float64`).
+sees binary rounding.  A CSV file read for float64 is one float64 array
+conversion, which rounds each cell once straight from its literal; a cell
+that reads as +-0 or non-finite is re-read exactly, and a file with a "p/q"
+cell is read exactly.  Every route ends in the one rule `to_float64`, so a
+nonzero value below the float64 range stays nonzero and one past it is
+NonFinite.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +31,7 @@ import numpy as np
 from .errors import NonFinite, ParseError
 from .matcore import Matrix, matmul, transpose
 from .psd import GramMatrix, gram_from_factor
-from .scalars import FLOAT64, RATIONAL, format_scalar
+from .scalars import FLOAT64, RATIONAL, format_scalar, to_float64
 
 
 @dataclass(frozen=True)
@@ -50,49 +52,12 @@ def _parse_cell(text) -> Fraction:
         raise ParseError(f"bad numeric literal {text!r}") from exc
 
 
-def _float64(x) -> float:
-    """Exact x rounded to float64, except that a nonzero x that rounds to +-0.0 becomes
-    +-5e-324, the smallest subnormal of its sign; beyond the float64 range it is NonFinite."""
-    try:
-        f = float(x)
-    except OverflowError as exc:
-        raise NonFinite(f"an entry is outside the float64 range: {exc}") from exc
-    if f == 0 and x != 0:
-        return math.copysign(5e-324, f)
-    return f
-
-
-def _float_row(cells) -> tuple | list:
-    """A tuple of floats, or the exact cells for _float64 to round.
-
-    float() rounds a decimal literal once, as float(Fraction(text)) does.
-    They differ on "p/q" (float() rejects it), on "inf" and "nan" (not
-    literals here) and beyond the float64 range (inf against NonFinite), so
-    a row with a non-finite value or a literal float() rejects is read
-    exactly.  A cell that reads as +-0.0 ("-0", or a value below the float64
-    range) is read exactly and rounded by _float64.
-    """
-    try:
-        row = tuple(map(float, cells))
-    except ValueError:
-        return _exact_row(cells)
-    if not all(map(math.isfinite, row)):
-        return _exact_row(cells)
-    if 0.0 in row:
-        row = tuple(_float64(_parse_cell(c)) if x == 0.0 else x for x, c in zip(row, cells))
-    return row
-
-
-def _exact_row(cells) -> list:
-    return [_parse_cell(c) for c in cells]
-
-
-def _parse_rows(rows, what: str, parse_row=_exact_row) -> list[list]:
+def _parse_rows(rows, what: str) -> list[list]:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ParseError(f"{what} must be an array of arrays")
     if not rows:
         raise ParseError(f"{what} is empty")
-    parsed = [parse_row(row) for row in rows]
+    parsed = [[_parse_cell(c) for c in row] for row in rows]
     widths = {len(r) for r in parsed}
     if len(widths) != 1:
         raise ParseError(f"{what} has ragged rows")
@@ -115,13 +80,27 @@ def parse_csv_text(
     kind = RATIONAL if pick_kind is None else pick_kind(len(rows))
     # float() takes digit-group underscores ("1_000") on every Python,
     # Fraction only from 3.11, so such a file is read exactly
-    fast = kind == FLOAT64 and "_" not in text
-    parsed = _parse_rows(rows, "csv matrix", _float_row if fast else _exact_row)
-    if len(parsed) != len(parsed[0]):
-        raise ParseError(f"csv matrix is {len(parsed)}x{len(parsed[0])}, not square")
-    if kind == FLOAT64:
-        parsed = [row if type(row) is tuple else list(map(_float64, row)) for row in parsed]
-    return ParsedMatrix(matrix_id, "nonneg", Matrix(parsed, kind))
+    if kind == FLOAT64 and rows and "_" not in text:
+        try:
+            # float() of each cell: one rounding, as float(Fraction(cell)) gives
+            cells = np.array(rows, dtype=np.float64)
+        except ValueError:  # a p/q cell, a bad literal or ragged rows: read exactly
+            pass
+        else:
+            # -0, below the range, past it, inf or nan: re-read exactly
+            odd = (cells == 0) | ~np.isfinite(cells)
+            exact = [_parse_cell(rows[i][j]) for i, j in np.argwhere(odd).tolist()]
+            _require_square(*cells.shape)
+            cells[odd] = [to_float64(x) for x in exact]
+            return ParsedMatrix(matrix_id, "nonneg", Matrix(cells, kind))
+    parsed = _parse_rows(rows, "csv matrix")
+    _require_square(len(parsed), len(parsed[0]))
+    return ParsedMatrix(matrix_id, "nonneg", to_kind(Matrix(parsed, RATIONAL), kind))
+
+
+def _require_square(nrows: int, ncols: int):
+    if nrows != ncols:
+        raise ParseError(f"csv matrix is {nrows}x{ncols}, not square")
 
 
 def parse_json_text(text: str, matrix_id: str = "stdin") -> ParsedMatrix:
@@ -184,11 +163,11 @@ def to_kind(m: Matrix, kind: str) -> Matrix:
         return m
     if kind == FLOAT64:
         try:
-            out = m.entries.astype(np.float64)
-        except OverflowError:  # an entry past the float64 range: let _float64 name it
-            out = np.vectorize(_float64, otypes=[np.float64])(m.entries)
+            out = m.entries.astype(np.float64)  # float() of each entry
+        except OverflowError as exc:
+            raise NonFinite(f"an entry is outside the float64 range: {exc}") from exc
         zeros = out == 0
-        out[zeros] = [_float64(x) for x in m.entries[zeros].tolist()]
+        out[zeros] = [to_float64(x) for x in m.entries[zeros].tolist()]
         return Matrix(out, kind)
     raise ParseError("cannot losslessly convert float64 entries to rationals")
 

@@ -3,10 +3,10 @@
 Every lemma takes one `BlockSplit` and cuts its blocks from the source
 matrix.  `condense` computes the permanental Schur complement
 W + X^T B* Y, the one place it is formed; the permanental Schur upper bound
-per(A) <= per(B) * per(W + X^T B* Y) and the exact rank-1 identity (k = 1)
-read it from there.  At d = 1 the complement is one step of the permanent
-process.  The row-uncrossing inequality and the two-row inequality (k = 2)
-compare products of permanents of (d+1)-blocks.
+per(A) <= per(B) * per(W + X^T B* Y) reads it from there, and the exact
+rank-1 identity is that bound at k = 1.  At d = 1 the complement is one step
+of the permanent process.  The row-uncrossing inequality compares products
+of permanents of (d+1)-blocks; the two-row inequality is its k = 2 case.
 """
 
 from __future__ import annotations
@@ -84,14 +84,14 @@ def condense(split: BlockSplit) -> Matrix:
 def rank1_update_permanent(split: BlockSplit) -> SidePair:
     """Exact identity per([[B, y], [x^T, w]]) = per(B) * (w + x^T B* y) for k = 1.
 
-    Both sides are returned; they agree exactly in rational arithmetic.
+    The Schur bound's pair, judged as an equality: at k = 1 the complement
+    is the 1x1 matrix [w + x^T B* y].  Both sides agree exactly in rational
+    arithmetic.
     """
     if split.k != 1:
         raise DimensionMismatch(f"the rank-1 identity needs k = 1, got k = {split.k}")
-    c, per_b = _complement(split)
-    lhs = permanent_ryser(split.source)
-    rhs = per_b * c.entry(1, 1)
-    return SidePair(lhs, rhs, eq_scalar(lhs, rhs, c.kind))
+    pair = schur_permanent_bound(split)
+    return SidePair(pair.lhs, pair.rhs, eq_scalar(pair.lhs, pair.rhs, split.source.kind))
 
 
 def schur_permanent_bound(split: BlockSplit) -> SidePair:
@@ -133,26 +133,16 @@ def row_uncrossing_sides(split: BlockSplit, i_star: int) -> SidePair:
 
 
 def two_row_inequality_sides(split: BlockSplit) -> SidePair:
-    """The two-row inequality for a split with k = 2.
+    """The two-row inequality for a split with k = 2: row uncrossing at i_star = 1.
 
     With p_{r,c} = per([[B, y_c], [x_r^T, w_{r,c}]]), the (d+1)-block cut
     on bottom row r and column c:
     lhs = per(A) * per(B);
-    rhs = p_{1,1} * p_{2,2} + p_{1,2} * p_{2,1}.
+    rhs = p_{2,2} * p_{1,1} + p_{2,1} * p_{1,2}, since the minors of row d+1
+    are p_{2,2} and p_{2,1}.
 
     per(B) = 0 is legal here (then lhs = 0 <= rhs).
     """
     if split.k != 2:
         raise DimensionMismatch(f"the two-row inequality needs k = 2, got k = {split.k}")
-    a = split.source
-    if not a.is_nonneg():
-        raise NegativeEntry("two-row inequality requires a non-negative matrix")
-    d = split.d
-    head = range(1, d + 1)
-
-    def block(r: int, c: int) -> Scalar:
-        return permanent_ryser(select(a, (*head, d + r), (*head, d + c)))
-
-    lhs = permanent_ryser(a) * permanent_ryser(split.b)
-    rhs = block(1, 1) * block(2, 2) + block(1, 2) * block(2, 1)
-    return SidePair(lhs, rhs, leq_scalar(lhs, rhs, a.kind))
+    return row_uncrossing_sides(split, 1)

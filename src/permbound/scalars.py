@@ -5,7 +5,8 @@ Every matrix carries one of two scalar kinds: exact rationals backed by
 IEEE float64.  Float mode compares equalities at relative tolerance 1e-9
 and checks inequalities with a 1e-12 relative slack to absorb rounding;
 rational mode compares exactly; `first_failure` applies that policy
-entrywise to arrays.  A `SidePair` records both sides of one such check
+entrywise to arrays.  `to_float64` is the one rounding rule from an exact
+value to float64.  A `SidePair` records both sides of one such check
 together with its verdict.
 """
 
@@ -36,7 +37,8 @@ def coerce(value, kind: str) -> Scalar:
     Rational mode accepts int, Fraction, and strings like "3", "-7/2" or
     "0.25" (decimals are parsed exactly).  Floats are rejected in rational
     mode: silently expanding a binary float into a fraction invites
-    surprises in exactness contracts.
+    surprises in exactness contracts.  Float mode rounds the exact value once
+    by `to_float64`.
     """
     if kind == RATIONAL:
         if isinstance(value, bool):
@@ -47,10 +49,20 @@ def coerce(value, kind: str) -> Scalar:
             return Fraction(value)
         raise TypeError(f"cannot use {type(value).__name__} as an exact rational")
     if kind == FLOAT64:
-        if isinstance(value, str):
-            return float(Fraction(value))
-        return float(value)
+        return to_float64(Fraction(value) if isinstance(value, str) else value)
     raise ValueError(f"unknown scalar kind: {kind!r}")
+
+
+def to_float64(x) -> float:
+    """Exact x rounded to float64, except that a nonzero x that rounds to +-0.0 becomes
+    +-5e-324, the smallest subnormal of its sign; beyond the float64 range it is NonFinite."""
+    try:
+        f = float(x)
+    except OverflowError as exc:
+        raise NonFinite(f"an entry is outside the float64 range: {exc}") from exc
+    if f == 0 and x != 0:
+        return math.copysign(5e-324, f)
+    return f
 
 
 def zero(kind: str) -> Scalar:

@@ -15,8 +15,10 @@ from permbound import (
     ParseError,
     RATIONAL,
     as_subject,
+    coerce,
     matrix,
     ones,
+    outer,
     parse_csv_text,
     parse_json_text,
     parse_matrix_file,
@@ -26,6 +28,7 @@ from permbound import (
 )
 from permbound import matio
 from permbound.matio import ParsedMatrix
+from permbound.scalars import to_float64
 from randmat import nonneg_matrix
 
 
@@ -252,19 +255,31 @@ def numeric_literals(draw):
 @given(st.lists(numeric_literals(), min_size=1, max_size=9))
 def test_float_parse_equals_rounding_the_exact_parse(cells):
     n = math.isqrt(len(cells))
-    text = "\n".join(",".join(cells[i * n:(i + 1) * n]) for i in range(n)) + "\n"
+    grid = [cells[i * n:(i + 1) * n] for i in range(n)]
+    text = "\n".join(map(",".join, grid)) + "\n"
     try:
         rounded = to_kind(parse_csv_text(text, "t").matrix, FLOAT64)
     except NonFinite:
         with pytest.raises(NonFinite):
             as_float(text)
+        with pytest.raises(NonFinite):
+            matrix(grid, FLOAT64)
         return
-    direct = as_float(text).matrix
-    assert direct.kind == FLOAT64
     # repr tells 0.0 from -0.0, which == does not
-    assert [[repr(x) for x in row] for row in direct.entries] == [
-        [repr(x) for x in row] for row in rounded.entries
+    want = [[repr(x) for x in row] for row in rounded.entries.tolist()]
+    for direct in (as_float(text).matrix, matrix(grid, FLOAT64)):
+        assert direct.kind == FLOAT64
+        assert [[repr(x) for x in row] for row in direct.entries.tolist()] == want
+
+
+def test_float_csv_with_a_pq_cell_is_its_exact_parse_rounded():
+    text = "0.1,1/3,1e-400\n-0,2.5,0.3\n1e308,7,-1e-330\n"
+    exact = parse_csv_text(text, "t").matrix.entries.tolist()
+    got = as_float(text).matrix.entries.tolist()
+    assert [[x.hex() for x in row] for row in got] == [
+        [to_float64(x).hex() for x in row] for row in exact
     ]
+    assert got[0] == [0.1, 1 / 3, 5e-324] and got[2][2] == -5e-324
 
 
 def test_float_parse_reads_only_zero_cells_exactly(monkeypatch):
@@ -290,7 +305,7 @@ def test_to_kind_rounds_each_cell_as_the_per_entry_rule():
              Fraction(-7, 3), Fraction(2**1023) * 3 // 2, 5]
     m = Matrix([cells], RATIONAL)
     got = to_kind(m, FLOAT64).entries.tolist()[0]
-    want = [matio._float64(x) for x in cells]
+    want = [to_float64(x) for x in cells]
     assert [x.hex() for x in got] == [x.hex() for x in want]
     assert got[2:4] == [5e-324, -5e-324]
     assert math.copysign(1, got[4]) == math.copysign(1, got[5]) == 1.0
@@ -299,7 +314,12 @@ def test_to_kind_rounds_each_cell_as_the_per_entry_rule():
 @pytest.mark.parametrize("cell", [Fraction(10**400), -Fraction(10**309, 3), 10**400])
 def test_to_kind_overflow_keeps_the_per_entry_message(cell):
     with pytest.raises(NonFinite) as want:
-        matio._float64(cell)
-    with pytest.raises(NonFinite) as got:
-        to_kind(Matrix([[1, cell], [0, 2]], RATIONAL), FLOAT64)
-    assert str(got.value) == str(want.value)
+        to_float64(cell)
+    for route in (
+        lambda: to_kind(Matrix([[1, cell], [0, 2]], RATIONAL), FLOAT64),
+        lambda: coerce(cell, FLOAT64),
+        lambda: outer([cell], [1], FLOAT64),
+    ):
+        with pytest.raises(NonFinite) as got:
+            route()
+        assert str(got.value) == str(want.value)

@@ -8,8 +8,12 @@ largest pivot numerator or denominator is shown, and float64 (entries in
 [0.001, 0.999]) at n = 64..512, where the log2 range of the pivots is shown.
 Parsing, kind conversion and the report are not timed in those rows.  At
 each float n it also prints the best of k float64 `parse_csv_text` timings
-of a random n x n CSV, once with 3-decimal cells ("csv-3dec") and once with
-20-significant-digit cells ("csv-20sig").
+of a random n x n CSV: with 3-decimal cells ("csv-3dec"), with
+20-significant-digit cells ("csv-20sig"), and with n distinct
+20-significant-digit literals each used n times, laid out along the
+diagonals like the exp family ("csv-20sig-rep").  The last two time the
+float reader's two routes: one array conversion of mostly distinct cells,
+and a table that converts each distinct literal once.
 
 Usage: python scripts/sweep_timing.py [--repeat 5] [--rational-sizes 6 7 ... 14]
                                       [--float-sizes 64 128 256 512] [--seed 0]
@@ -33,14 +37,29 @@ def float_matrix(rng, n):
     return Matrix([[rng.randint(1, 999) / 1000 for _ in range(n)] for _ in range(n)], FLOAT64)
 
 
-CSV_CELLS = {
-    "csv-3dec": lambda rng: f"0.{rng.randint(1, 999):03d}",
-    "csv-20sig": lambda rng: f"0.{rng.randint(10**19, 10**20 - 1)}",
-}
+def dec3(rng):
+    return f"0.{rng.randint(1, 999):03d}"
+
+
+def sig20(rng):
+    return f"0.{rng.randint(10**19, 10**20 - 1)}"
 
 
 def csv_text(rng, n, cell):
     return "".join(",".join(cell(rng) for _ in range(n)) + "\n" for _ in range(n))
+
+
+def repeated_csv_text(rng, n, cell):
+    """n distinct literals, each used n times: cell (i, j) is literal (i - j) mod n."""
+    literals = [cell(rng) for _ in range(n)]
+    return "".join(",".join(literals[(i - j) % n] for j in range(n)) + "\n" for i in range(n))
+
+
+CSV_TEXTS = {
+    "csv-3dec": lambda rng, n: csv_text(rng, n, dec3),
+    "csv-20sig": lambda rng, n: csv_text(rng, n, sig20),
+    "csv-20sig-rep": lambda rng, n: repeated_csv_text(rng, n, sig20),
+}
 
 
 def best_ms(fn, repeat):
@@ -71,20 +90,20 @@ def main():
 
     rng = random.Random(args.seed)
     csv_rng = random.Random(args.seed)  # its own stream: the swept matrices stay the same
-    print(f"{'timing':>10} {'n':>4} {'best ms':>10}  pivots")
+    print(f"{'timing':>13} {'n':>4} {'best ms':>10}  pivots")
     for kind, sizes, build in ((RATIONAL, args.rational_sizes, rational_matrix),
                                (FLOAT64, args.float_sizes, float_matrix)):
         for n in sizes:
             m = build(rng, n)
             ms, trace = best_ms(lambda: run_process(m), args.repeat)
-            print(f"{kind:>10} {n:>4} {ms:>10.3f}  {pivot_size(trace.pivots, kind)}")
+            print(f"{kind:>13} {n:>4} {ms:>10.3f}  {pivot_size(trace.pivots, kind)}")
             if kind != FLOAT64:
                 continue
-            for label, cell in CSV_CELLS.items():
-                text = csv_text(csv_rng, n, cell)
+            for label, make_text in CSV_TEXTS.items():
+                text = make_text(csv_rng, n)
                 ms, _ = best_ms(lambda: parse_csv_text(text, label, lambda rows: FLOAT64),
                                 args.repeat)
-                print(f"{label:>10} {n:>4} {ms:>10.3f}")
+                print(f"{label:>13} {n:>4} {ms:>10.3f}")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Matrix file parsing and serialization for the CLI.
+"""Matrix file parsing for the CLI, and the entry strings its reports print.
 
 Two formats:
 
@@ -10,11 +10,12 @@ Two formats:
 JSON files, and CSV files read without a kind, are parsed exactly
 (decimals become exact decimal fractions) and converted to float64 by
 `to_kind` when float arithmetic is requested, so the rational pipeline never
-sees binary rounding.  A CSV file read for float64 is one float64 array
-conversion, which rounds each cell once straight from its literal; a cell
-that reads as +-0 or non-finite is re-read exactly, and a file with a "p/q"
-cell is read exactly.  Every route ends in the one rule `to_float64`, so a
-nonzero value below the float64 range stays nonzero and one past it is
+sees binary rounding.  A CSV file read for float64 rounds each cell once
+straight from its literal, converting each distinct literal once, or all
+cells in one array conversion once distinct ones pass 1/16 of the cells; a
+cell that reads as +-0 or non-finite is re-read exactly, and a file with a
+"p/q" cell is read exactly.  Every route ends in the one rule `to_float64`,
+so a nonzero value below the float64 range stays nonzero and one past it is
 NonFinite.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -82,8 +84,7 @@ def parse_csv_text(
     # Fraction only from 3.11, so such a file is read exactly
     if kind == FLOAT64 and rows and "_" not in text:
         try:
-            # float() of each cell: one rounding, as float(Fraction(cell)) gives
-            cells = np.array(rows, dtype=np.float64)
+            cells = _float_cells(rows)
         except ValueError:  # a p/q cell, a bad literal or ragged rows: read exactly
             pass
         else:
@@ -96,6 +97,24 @@ def parse_csv_text(
     parsed = _parse_rows(rows, "csv matrix")
     _require_square(len(parsed), len(parsed[0]))
     return ParsedMatrix(matrix_id, "nonneg", to_kind(Matrix(parsed, RATIONAL), kind))
+
+
+_MAX_DISTINCT_SHARE = 1 / 16  # past it a table costs more than the float() calls it saves
+
+
+def _float_cells(rows: list[list[str]]) -> np.ndarray:
+    """float() of each cell, one rounding each; ValueError on a bad literal or ragged rows."""
+    shape = len(rows), len(rows[0])
+    distinct = set()
+    for row in rows:
+        if len(row) != shape[1]:
+            raise ValueError("ragged rows")
+        distinct.update(row)
+        if len(distinct) > _MAX_DISTINCT_SHARE * shape[0] * shape[1]:
+            return np.array(rows, dtype=np.float64)  # mostly distinct: convert every cell
+    table = {cell: float(cell) for cell in distinct}
+    cells = map(table.__getitem__, chain.from_iterable(rows))
+    return np.fromiter(cells, np.float64, shape[0] * shape[1]).reshape(shape)
 
 
 def _require_square(nrows: int, ncols: int):
@@ -150,8 +169,8 @@ def parse_matrix_file(
     """Parse a CSV or JSON matrix file; pick_kind applies to CSV only (see parse_csv_text)."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8-sig")  # Excel's "CSV UTF-8" starts with a BOM
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
         return parse_json_text(text, path.stem)
@@ -179,24 +198,6 @@ def as_subject(parsed: ParsedMatrix, kind: str) -> Matrix | GramMatrix:
     return to_kind(parsed.matrix, kind)
 
 
-def serialize_csv(m: Matrix) -> str:
-    return "\n".join(
-        ",".join(format_scalar(x, m.kind) for x in row) for row in m.entries.tolist()
-    ) + "\n"
-
-
 def matrix_as_strings(m: Matrix) -> list[list[str]]:
     return [[format_scalar(x, m.kind) for x in row] for row in m.entries.tolist()]
 
-
-def serialize_json(parsed: ParsedMatrix) -> str:
-    doc = {
-        "n": parsed.matrix.n,
-        "entries": matrix_as_strings(parsed.matrix),
-        "kind": parsed.kind_tag,
-    }
-    if parsed.factor is not None:
-        doc["factor"] = matrix_as_strings(parsed.factor)
-    if parsed.majorant is not None:
-        doc["majorant"] = matrix_as_strings(parsed.majorant)
-    return json.dumps(doc, sort_keys=True)

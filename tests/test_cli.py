@@ -152,6 +152,32 @@ def test_bound_error_exit_codes(capsys, tmp_path):
     assert json.loads(err)["error"]["type"] == "ParseError"
 
 
+BOM = "\ufeff"  # Excel's "CSV UTF-8" export starts with one
+
+
+@pytest.mark.parametrize("name, text, argv, key, value", [
+    ("bom.csv", BOM + "1,2\n3,4\n", [], "exact_perm", "10"),
+    ("bom.csv", BOM + "1,2\n3,4\n", ["--arithmetic", "float"], "exact_perm", "10.0"),
+    ("bom.json", BOM + '{"n": 1, "entries": [["5"]]}', [], "process_bound", "5"),
+])
+def test_input_with_a_utf8_byte_order_mark_reads_as_without(capsys, tmp_path, name, text, argv,
+                                                            key, value):
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "bound", str(p), *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)[key] == value
+
+
+def test_input_that_is_not_utf8_exits_2(capsys, tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"1,2\n3,\xff\n")
+    code, out, err = run_cli(capsys, "bound", str(p))
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParseError" and "can't decode byte 0xff" in error["message"]
+
+
 def _csv(rows):
     return "\n".join(",".join(row) for row in rows) + "\n"
 

@@ -1,4 +1,4 @@
-"""Matrix file parsing and serialization round trips."""
+"""Matrix file parsing, and round trips through the test serializers."""
 
 import math
 import random
@@ -22,13 +22,12 @@ from permbound import (
     parse_csv_text,
     parse_json_text,
     parse_matrix_file,
-    serialize_csv,
-    serialize_json,
     to_kind,
 )
 from permbound import matio
 from permbound.matio import ParsedMatrix
 from permbound.scalars import to_float64
+from matwrite import serialize_csv, serialize_json
 from randmat import nonneg_matrix
 
 
@@ -291,6 +290,88 @@ def test_float_parse_reads_only_zero_cells_exactly(monkeypatch):
     assert [[repr(x) for x in row] for row in m.entries.tolist()] == [
         ["0.0", "0.5", "0.25"], ["0.5", "0.0", "1.0"], ["0.25", "1.0", "-5e-324"]
     ]
+
+
+# 16 x 16 cells take the distinct-literal table with up to 16 distinct literals
+TABLE_SIDE = 16
+
+
+def tiled(literals, nrows=TABLE_SIDE, ncols=TABLE_SIDE):
+    """An nrows x ncols CSV whose cell (i, j) is literals[(i + j) % len(literals)]."""
+    return "".join(
+        ",".join(literals[(i + j) % len(literals)] for j in range(ncols)) + "\n"
+        for i in range(nrows)
+    )
+
+
+def test_table_route_converts_each_distinct_literal_once(monkeypatch):
+    converted = []
+    monkeypatch.setattr(matio, "float", lambda s: converted.append(s) or float(s), raising=False)
+    m = as_float(tiled(["0.5", "2", "0.25", "4"])).matrix
+    assert sorted(converted) == ["0.25", "0.5", "2", "4"]
+    assert m.entries[1].tolist()[:5] == [2.0, 0.25, 4.0, 0.5, 2.0]
+    # past 1/16 distinct the whole file is one array conversion, which calls no float()
+    converted.clear()
+    literals = [str(k) for k in range(TABLE_SIDE + 1)]
+    assert as_float(tiled(literals)).matrix.entries[0].tolist() == list(range(TABLE_SIDE))
+    assert converted == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(numeric_literals(), st.sampled_from(["abc", "inf", "-nan", "1/0", ""])),
+                min_size=1, max_size=TABLE_SIDE))
+def test_table_route_equals_rounding_the_exact_parse(literals):
+    text = tiled(literals)
+    try:
+        rounded = to_kind(parse_csv_text(text, "t").matrix, FLOAT64)
+    except (NonFinite, ParseError) as exc:
+        with pytest.raises(type(exc)) as got:
+            as_float(text)
+        assert str(got.value) == str(exc)
+        return
+    got = as_float(text).matrix
+    assert got.kind == FLOAT64
+    # repr tells 0.0 from -0.0, which == does not
+    assert [[repr(x) for x in row] for row in got.entries.tolist()] == [
+        [repr(x) for x in row] for row in rounded.entries.tolist()
+    ]
+
+
+def test_table_route_reads_only_zero_cells_exactly(monkeypatch):
+    literals = ["0", "0.5", "-0", "1", "-1e-400", "0.25"]
+    text = tiled(literals)
+    calls = []
+    exact = matio._parse_cell
+    monkeypatch.setattr(matio, "_parse_cell", lambda text: calls.append(text) or exact(text))
+    m = as_float(text).matrix
+    zeros = {"0", "-0", "-1e-400"}
+    assert calls == [cell for line in text.splitlines() for cell in line.split(",") if cell in zeros]
+    want = {"0": "0.0", "0.5": "0.5", "-0": "0.0", "1": "1.0", "-1e-400": "-5e-324", "0.25": "0.25"}
+    assert [[repr(x) for x in row] for row in m.entries.tolist()] == [
+        [want[literals[(i + j) % len(literals)]] for j in range(TABLE_SIDE)]
+        for i in range(TABLE_SIDE)
+    ]
+
+
+def _with_row(text, i, row):
+    lines = text.splitlines()
+    lines[i] = row
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text, error, message", [
+    (_with_row(tiled(["0.5", "2"]), 7, "0.5,2"), ParseError, "^csv matrix has ragged rows$"),
+    (_with_row(tiled(["0.5", "2"]), 7, "0.5," * 15 + "abc"), ParseError,
+     "^bad numeric literal 'abc'$"),
+    (_with_row(tiled(["0.5", "2"]), 3, "1e400," * 15 + "2") + "0.5,abc\n", ParseError,
+     "^bad numeric literal 'abc'$"),
+    (tiled(["0.5", "2"], TABLE_SIDE, TABLE_SIDE + 1), ParseError, "^csv matrix is 16x17, not square$"),
+    (_with_row(tiled(["0.5", "2"]), 3, "1e400," * 15 + "2"), NonFinite,
+     "^an entry is outside the float64 range: "),
+])
+def test_table_route_keeps_the_error_messages(text, error, message):
+    with pytest.raises(error, match=message):
+        as_float(text)
 
 
 @pytest.mark.parametrize("n", ["true", '"3"', "1.0", "null", "[1]"])

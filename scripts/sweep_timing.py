@@ -7,11 +7,13 @@ For each n, draws one random positive matrix and prints the best of k
 largest pivot numerator or denominator is shown, and float64 (entries in
 [0.001, 0.999]) at n = 64..512, where the log2 range of the pivots is shown.
 Parsing, kind conversion and the report are not timed in those rows.  At
-each float n it also prints the best of k float64 `parse_csv_text` timings
-of a random n x n CSV: with 3-decimal cells ("csv-3dec"), with
-20-significant-digit cells ("csv-20sig"), and with n distinct
-20-significant-digit literals each used n times, laid out along the
-diagonals like the exp family ("csv-20sig-rep").  The last two time the
+each rational n it also prints the best of k `permanent_ryser` timings on
+the same matrix ("permanent", the exact oracle), with its 2^(n-1) Glynn
+terms.  At each float n it also prints the best of k float64
+`parse_csv_text` timings of a random n x n CSV: with 3-decimal cells
+("csv-3dec"), with 20-significant-digit cells ("csv-20sig"), and with n
+distinct 20-significant-digit literals each used n times, laid out along
+the diagonals like the exp family ("csv-20sig-rep").  The last two time the
 float reader's two routes: one array conversion of mostly distinct cells,
 and a table that converts each distinct literal once.
 
@@ -25,7 +27,7 @@ import random
 import time
 from fractions import Fraction
 
-from permbound import FLOAT64, Matrix, RATIONAL, parse_csv_text, run_process
+from permbound import FLOAT64, Matrix, RATIONAL, parse_csv_text, permanent_ryser, run_process
 
 
 def rational_matrix(rng, n):
@@ -98,6 +100,8 @@ def main():
             ms, trace = best_ms(lambda: run_process(m), args.repeat)
             print(f"{kind:>13} {n:>4} {ms:>10.3f}  {pivot_size(trace.pivots, kind)}")
             if kind != FLOAT64:
+                ms, _ = best_ms(lambda: permanent_ryser(m), args.repeat)
+                print(f"{'permanent':>13} {n:>4} {ms:>10.3f}  {1 << (n - 1)} terms")
                 continue
             for label, make_text in CSV_TEXTS.items():
                 text = make_text(csv_rng, n)

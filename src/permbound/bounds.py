@@ -4,7 +4,9 @@ Recursive majorants and their certificates, the diagonal-dominance
 guarantee, the exponential family with its closed form, the boundedness
 function B(n, k, t) = n! * M^(n+k) * (M+1)^(t-1) with its entry/ratio/cycle
 checks on one checked `BoundedInput` and their case generators, and the
-product-of-absolute-row-sums baseline.
+product-of-absolute-row-sums baseline.  Row sums and cycle sums run on
+`integer_rows` and divide once, so a float64 value is the exact one
+rounded once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .errors import (
 from .matcore import Matrix, integer_rows, permanent_ryser, select, sorted_indices
 from .process import ProcessTrace, closed_recursion, cross_sums, recursive_u, run_process
 from .scalars import (
-    FLOAT64, RATIONAL, Scalar, SidePair, coerce, eq_scalar, first_failure, leq_scalar, one, zero,
+    FLOAT64, RATIONAL, Scalar, SidePair, coerce, eq_scalar, first_failure, leq_scalar, one, quotient,
 )
 
 
@@ -222,17 +224,10 @@ def entry_bound_check(x: BoundedInput):
     return None
 
 
-def _full_cycles(members: Sequence[int]):
-    """All |S|-cycles on S as {i: sigma(i)} maps; (|S|-1)! of them."""
-    first, rest = members[0], members[1:]
-    for tail in permutations(rest):
-        cyc = {}
-        cur = first
-        for nxt in tail:
-            cyc[cur] = nxt
-            cur = nxt
-        cyc[cur] = first
-        yield cyc
+def _full_cycles(k: int):
+    """All k-cycles on {0, ..., k-1}, each as its visiting order from 0; (k-1)! of them."""
+    for tail in permutations(range(1, k)):
+        yield (0, *tail, 0)
 
 
 def cycle_sum_ratio(x: BoundedInput, t: int, s: Iterable[int], i0: int) -> SidePair:
@@ -241,8 +236,10 @@ def cycle_sum_ratio(x: BoundedInput, t: int, s: Iterable[int], i0: int) -> SideP
     ratio = (sum over full cycles sigma of S of prod_{i in S} a^(t)_{i, sigma(i)})
             / per(A^(t)(S - i0, S - i0)).
 
-    S must lie in {t+1, ..., n} with |S| >= 2 and i0 in S.  lhs is the
-    ratio, rhs the cap.
+    The cycle products are summed on the `integer_rows` of the S x S block
+    and divided once, so a float numerator is the exact sum rounded once (nan
+    for an inf or nan entry, as in `permanent_ryser`).  S must lie in
+    {t+1, ..., n} with |S| >= 2 and i0 in S.  lhs is the ratio, rhs the cap.
     """
     n, kind = x.a.n, x.a.kind
     ss = sorted_indices(s)
@@ -253,13 +250,14 @@ def cycle_sum_ratio(x: BoundedInput, t: int, s: Iterable[int], i0: int) -> SideP
     if i0 not in ss:
         raise ParameterOutOfRange(f"i0 = {i0} is not in S = {ss}")
     snapshot = x.trace.snapshot(t)
-    snap = snapshot.entries.tolist()
-    num = zero(kind)
-    for cyc in _full_cycles(ss):
-        term = one(kind)
-        for i in ss:
-            term *= snap[i - 1][cyc[i] - 1]
-        num += term
+    try:
+        ints, scales = integer_rows(select(snapshot, ss, ss).entries.tolist())
+    except (OverflowError, ValueError):
+        num = math.nan
+    else:
+        total = sum(math.prod(ints[i][j] for i, j in zip(order, order[1:]))
+                    for order in _full_cycles(len(ss)))
+        num = quotient(total, math.prod(scales), kind)
     rest = tuple(m for m in ss if m != i0)
     den = permanent_ryser(select(snapshot, rest, rest))
     if den == 0:

@@ -38,7 +38,7 @@ from .errors import (
     ConditionViolated, ParameterOutOfRange, ParseError, PermboundError, PreconditionViolated,
     ZeroPermanent, ZeroPivot,
 )
-from .matcore import Matrix, ones, permanent_ryser, ryser_fits
+from .matcore import Matrix, ones, permanent_memo, permanent_ryser, ryser_fits
 from .matio import ParsedMatrix, as_subject, matrix_as_strings, parse_matrix_file
 from .permschur import BlockSplit, condense, rank1_update_permanent, row_uncrossing_sides, schur_permanent_bound, two_row_inequality_sides
 from .perminv import check_identity_dominance
@@ -419,17 +419,18 @@ def cmd_verify(args) -> int:
     """
     parsed = parse_matrix_file(args.input)
     suite = _Suite(parsed.matrix.n)
-    for name, (checks, requires, needs) in _SUITES.items():
-        if args.suite not in (name, "all"):
-            continue
-        if requires is not None and not requires(parsed):
-            if args.suite != "all":
-                raise PreconditionViolated(f"{name} suite needs {needs}")
-            suite.skip(name, f"needs {needs}")
-            continue
-        checks(suite, parsed)
-    if parsed.majorant is not None:
-        _check_majorant(suite, parsed)
+    with permanent_memo():  # the suites share many permanents; each is computed once
+        for name, (checks, requires, needs) in _SUITES.items():
+            if args.suite not in (name, "all"):
+                continue
+            if requires is not None and not requires(parsed):
+                if args.suite != "all":
+                    raise PreconditionViolated(f"{name} suite needs {needs}")
+                suite.skip(name, f"needs {needs}")
+                continue
+            checks(suite, parsed)
+        if parsed.majorant is not None:
+            _check_majorant(suite, parsed)
     print("\n".join(suite.lines))
     return CHECK_FAILED if suite.failed else OK
 

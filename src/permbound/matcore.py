@@ -4,10 +4,12 @@ and the one elimination kernel (`eliminate`, on an ndarray of either
 kind) shared by the permanent process, its minus-variant and the exact
 PSD test.
 
-The Ryser oracle runs on Python integers for both kinds and divides once
-at the end, so a float64 permanent is the exact one rounded once.  The
-exact elimination also runs on integer rows (`integer_rows`), each with
-one integer scale, under a bit budget (`BIT_BUDGET`).
+The permanent oracle (`permanent_ryser`, by Glynn's formula) runs on
+Python integers for both kinds and divides once at the end, so a float64
+permanent is the exact one rounded once.  Inside `permanent_memo` each
+distinct permanent is computed once.  The exact elimination also runs on
+integer rows (`integer_rows`), each with one integer scale, under a bit
+budget (`BIT_BUDGET`).
 
 Conventions
 -----------
@@ -25,8 +27,10 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -265,40 +269,72 @@ def integer_rows(rows: Iterable[Sequence[Scalar]]) -> tuple[list[list[int]], lis
     return ints, scales
 
 
-def permanent_ryser(m: Matrix) -> Scalar:
-    """per(m) by Ryser's inclusion-exclusion over column subsets, O(2^n * n).
+_MEMO: ContextVar[dict | None] = ContextVar("permanent_memo", default=None)
 
-    The Gray-code loop updates one column per subset and runs on the
-    `integer_rows` of m.  Float mode returns the exact value rounded once
-    (+-inf beyond the float64 range, nan for an inf or nan entry).
-    `ryser_fits` is the size guard.
+
+@contextmanager
+def permanent_memo():
+    """Within the block, `permanent_ryser` computes each distinct permanent once.
+
+    The memo is keyed by (kind, integer rows, row scales) and is dropped when
+    the block ends, also on an exception; nothing outlives it.
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def permanent_ryser(m: Matrix) -> Scalar:
+    """per(m) by Glynn's formula over column sign vectors, O(2^(n-1) * n).
+
+    per(m) = sum over d in {+-1}^n with d_1 = +1 of
+    (prod_j d_j) prod_i (sum_j d_j a_{i,j}) / 2^(n-1).  The Gray-code loop
+    flips one column sign per step on the `integer_rows` of m, adding or
+    subtracting twice that column, and divides once by prod s_i * 2^(n-1).
+    Float mode returns the exact value rounded once (+-inf beyond the
+    float64 range, nan for an inf or nan entry).  `ryser_fits` is the size
+    guard; inside `permanent_memo` a repeated matrix is looked up.
     """
     n = m.n
     if not ryser_fits(m):
         raise DimensionTooLarge(f"permanent_ryser guard: n = {n} > {RYSER_MAX_N}")
-    rows = m.entries.tolist()
     if n == 0:
         return one(m.kind)
-    if n == 1:
-        return coerce(rows[0][0], m.kind)
     try:
-        ints, scales = integer_rows(rows)
+        ints, scales = integer_rows(m.entries.tolist())
     except (OverflowError, ValueError):
         return math.nan
-    cols = list(zip(*ints))
-    sums = [0] * n
-    total = 0
+    memo = _MEMO.get()
+    if memo is None:
+        return _glynn(ints, scales, m.kind)
+    # one flat tuple (its length fixes n): half the memory of a tuple of row tuples
+    key = (m.kind, *chain.from_iterable(ints), *scales)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = _glynn(ints, scales, m.kind)
+    return value
+
+
+def _glynn(ints: list[list[int]], scales: list[int], kind: str) -> Scalar:
+    """Glynn's sum on integer rows ints[i] / scales[i], n >= 1, divided once."""
+    n = len(ints)
+    twice = [[2 * x for x in col] for col in zip(*ints)]
+    sums = [sum(row) for row in ints]  # every sign +1
+    total = math.prod(sums)
     prev_gray = 0
-    sign = 1 if n % 2 else -1  # (-1)^(n - |S|), and |S| changes by one per step
-    for k in range(1, 1 << n):
+    for k in range(1, 1 << (n - 1)):
         gray = k ^ (k >> 1)
         bit = gray ^ prev_gray
         prev_gray = gray
-        step = operator.add if gray & bit else operator.sub
-        sums = list(map(step, sums, cols[bit.bit_length() - 1]))
-        total += sign * math.prod(sums)
-        sign = -sign
-    return quotient(total, math.prod(scales), m.kind)
+        step = operator.sub if gray & bit else operator.add  # column sign goes to -1 or back to +1
+        sums = list(map(step, sums, twice[bit.bit_length()]))  # column 1 keeps its + sign
+        if k & 1:  # prod_j d_j flips with every step
+            total -= math.prod(sums)
+        else:
+            total += math.prod(sums)
+    return quotient(total, math.prod(scales) << (n - 1), kind)
 
 
 def _check_bit_budget(block: np.ndarray, t: int):

@@ -12,11 +12,11 @@ JSON files, and CSV files read without a kind, are parsed exactly
 `to_kind` when float arithmetic is requested, so the rational pipeline never
 sees binary rounding.  A CSV file read for float64 rounds each cell once
 straight from its literal, converting each distinct literal once, or all
-cells in one array conversion once distinct ones pass 1/16 of the cells; a
-cell that reads as +-0 or non-finite is re-read exactly, and a file with a
-"p/q" cell is read exactly.  Every route ends in the one rule `to_float64`,
-so a nonzero value below the float64 range stays nonzero and one past it is
-NonFinite.
+cells in one array conversion once distinct ones pass 1/16 of the cells;
+each distinct literal that reads as +-0 or non-finite is re-read exactly
+once, and a file with a "p/q" cell is read exactly.  Every route ends in
+the one rule `to_float64`, so a nonzero value below the float64 range stays
+nonzero and one past it is NonFinite.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ class ParsedMatrix:
     matrix: Matrix                    # rational, or float64 for a CSV read as float
     factor: Matrix | None = None      # present iff kind_tag == "gram"
     majorant: Matrix | None = None
+
+
+_BOM = "\ufeff"  # a leading byte-order mark, as Excel's "CSV UTF-8" writes, is not data
 
 
 def _parse_cell(text) -> Fraction:
@@ -76,8 +79,10 @@ def parse_csv_text(
     """Parse CSV rows; pick_kind(n), given the row count n, names the cells' kind.
 
     Without pick_kind the cells are exact.  Read as float64, every bad literal
-    and shape error is raised before an entry outside the float64 range.
+    and shape error is raised before an entry outside the float64 range.  A
+    leading byte-order mark is skipped.
     """
+    text = text.removeprefix(_BOM)
     rows = [line.split(",") for line in text.strip().splitlines() if line.strip()]
     kind = RATIONAL if pick_kind is None else pick_kind(len(rows))
     # float() takes digit-group underscores ("1_000") on every Python,
@@ -88,11 +93,13 @@ def parse_csv_text(
         except ValueError:  # a p/q cell, a bad literal or ragged rows: read exactly
             pass
         else:
-            # -0, below the range, past it, inf or nan: re-read exactly
+            # -0, below the range, past it, inf or nan: re-read each distinct literal exactly
             odd = (cells == 0) | ~np.isfinite(cells)
-            exact = [_parse_cell(rows[i][j]) for i, j in np.argwhere(odd).tolist()]
+            literals = [rows[i][j] for i, j in np.argwhere(odd).tolist()]
+            exact = {cell: _parse_cell(cell) for cell in dict.fromkeys(literals)}
             _require_square(*cells.shape)
-            cells[odd] = [to_float64(x) for x in exact]
+            rounded = {cell: to_float64(x) for cell, x in exact.items()}
+            cells[odd] = [rounded[cell] for cell in literals]
             return ParsedMatrix(matrix_id, "nonneg", Matrix(cells, kind))
     parsed = _parse_rows(rows, "csv matrix")
     _require_square(len(parsed), len(parsed[0]))
@@ -124,7 +131,7 @@ def _require_square(nrows: int, ncols: int):
 
 def parse_json_text(text: str, matrix_id: str = "stdin") -> ParsedMatrix:
     try:
-        doc = json.loads(text, parse_float=str)  # keep number literals exact
+        doc = json.loads(text.removeprefix(_BOM), parse_float=str)  # keep number literals exact
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid json: {exc}") from exc
     if not isinstance(doc, dict):

@@ -1,5 +1,6 @@
 """Majorants, diagonal dominance, the B(n,k,t) machinery, and the exp family."""
 
+import itertools
 import math
 import random
 import re
@@ -35,11 +36,13 @@ from permbound import (
     ones,
     perm_ratio_cases,
     perm_ratio_check,
+    permanent_naive,
     permanent_ryser,
     process_bound,
     recursive_u,
     rowsum_bound,
     run_process,
+    select,
     solve_majorant,
     to_kind,
     verify_majorant,
@@ -280,6 +283,47 @@ def test_cycle_sum_ratio_holds_on_random_instances():
             members = tuple(range(t + 1, n + 1))
             chk = cycle_sum_ratio(x, t, members, members[0])
             assert chk.holds
+
+
+def fraction_cycle_sum(snapshot, members):
+    """Reference: sum over the full cycles sigma of S of prod a_{i, sigma(i)}, each entry
+    read exactly and the sum kept in Fractions."""
+    first, rest = members[0], members[1:]
+    total = Fraction(0)
+    for tail in itertools.permutations(rest):
+        order = (first, *tail, first)
+        term = Fraction(1)
+        for i, j in zip(order, order[1:]):
+            term *= Fraction(snapshot.entry(i, j))
+        total += term
+    return total
+
+
+def test_integer_cycle_sum_equals_the_fraction_loop():
+    rng = random.Random(70)
+    for _ in range(12):
+        n = rng.randint(3, 7)
+        cap = rng.choice([1, 2, 3])
+        x = BoundedInput(unit_diag_matrix(rng, n, cap, max_den=6), Fraction(cap))
+        for t, s in cycle_sum_cases(n, rng, 8):
+            i0 = rng.choice(s)
+            snapshot = x.trace.snapshot(t)
+            rest = tuple(m for m in s if m != i0)
+            want = fraction_cycle_sum(snapshot, s) / permanent_naive(select(snapshot, rest, rest))
+            got = cycle_sum_ratio(x, t, s, i0)
+            assert type(got.lhs) is Fraction
+            assert (got.lhs, got.rhs) == (want, x.B(len(s), t))
+
+
+def test_float_cycle_sum_is_the_exact_sum_rounded_once():
+    # on this input a float sum rounded at every term misses the last bit for several (t, S)
+    exact = BoundedInput(unit_diag_matrix(random.Random(71), 6, 2, max_den=6), Fraction(2))
+    floats = BoundedInput(to_kind(exact.a, FLOAT64), 2.0)
+    for t, s in cycle_sum_cases(6):
+        snapshot = floats.trace.snapshot(t)
+        rounded = float(fraction_cycle_sum(snapshot, s))
+        den = permanent_ryser(select(snapshot, s[1:], s[1:]))
+        assert cycle_sum_ratio(floats, t, s, s[0]).lhs == rounded / den
 
 
 def test_perm_ratio_holds_on_random_instances():

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from permbound import cli, matcore
 from permbound.cli import main
 from permbound.permschur import schur_permanent_bound
 from permbound.scalars import SidePair
@@ -515,6 +516,43 @@ def test_verify_zero_block_permanent_skips(capsys, tmp_path, suite, expected):
     p.write_text(ZERO_BLOCK_2)
     code, out, err = run_cli(capsys, "verify", str(p), "--suite", suite)
     assert (code, out, err) == (0, expected, "")
+
+
+def test_verify_computes_permanents_in_one_memo_per_request(capsys, tmp_path, monkeypatch):
+    memos = []
+    glynn = matcore._glynn
+    monkeypatch.setattr(matcore, "_glynn", lambda *a: memos.append(matcore._MEMO.get()) or glynn(*a))
+    p = tmp_path / "zero_block.csv"
+    p.write_text(ZERO_BLOCK_2)
+    per_request = []
+    for _ in range(2):
+        memos.clear()
+        assert run_cli(capsys, "verify", str(p))[0] == 0
+        assert matcore._MEMO.get() is None
+        assert memos and memos[0] is not None and all(m is memos[0] for m in memos)
+        per_request.append(list(memos))
+    # nothing outlives a request: the second one computes the same permanents afresh
+    assert len(per_request[1]) == len(per_request[0])
+    assert per_request[1][0] is not per_request[0][0]
+    # bound never enters the memo
+    memos.clear()
+    p.write_text("1,2\n3,4\n")
+    assert run_cli(capsys, "bound", str(p))[0] == 0
+    assert memos and all(m is None for m in memos)
+
+
+def test_verify_drops_its_memo_when_a_suite_raises(capsys, tmp_path, monkeypatch):
+    memos = []
+    rank1 = cli.rank1_update_permanent
+    monkeypatch.setattr(cli, "rank1_update_permanent",
+                        lambda split: memos.append(matcore._MEMO.get()) or rank1(split))
+    p = tmp_path / "negative_gram.json"
+    p.write_text('{"n": 2, "kind": "gram", "entries": [[2, -1], [-1, 1]],'
+                 ' "factor": [[1, 0], [-1, 1]]}')
+    code, out, err = run_cli(capsys, "verify", str(p), "--suite", "all")
+    assert (code, out, json.loads(err)["error"]["type"]) == (2, "", "NegativeEntry")
+    assert len(memos) == 1 and memos[0] is not None  # the suite raised inside the memo
+    assert matcore._MEMO.get() is None
 
 
 def test_verify_majorant_zero_pivot_skips_and_keeps_the_other_lines(capsys, tmp_path):

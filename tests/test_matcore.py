@@ -34,7 +34,8 @@ from permbound import (
     select,
     transpose,
 )
-from permbound.matcore import ryser_fits
+from permbound import matcore
+from permbound.matcore import permanent_memo, ryser_fits
 from randmat import block_matrix, integer_matrix, nonneg_matrix
 
 
@@ -170,6 +171,99 @@ def test_float_permanent_out_of_range_is_infinite():
     assert permanent_ryser(huge) == math.inf
     assert permanent_ryser(matrix([[-1e300, 1e300, 1e300]] * 3)) == -math.inf
     assert math.isnan(permanent_ryser(matrix([[math.inf, 1.0, 1.0]] * 3)))
+
+
+@st.composite
+def square_rows(draw, entries, min_n=0):
+    n = draw(st.integers(min_n, 8))
+    return [[draw(entries) for _ in range(n)] for _ in range(n)]
+
+
+SIGNED_RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+SIGNED_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+def naive_permanent(rows):
+    """permanent_naive of rows, each row first scaled to integers so the n! terms multiply ints."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    ints = [[int(x * s) for x in row] for row, s in zip(rows, scales)]
+    return permanent_naive(Matrix(ints, RATIONAL)) / math.prod(scales)
+
+
+@settings(max_examples=25, deadline=None)  # permanent_naive takes ~0.6 s at n = 8
+@given(square_rows(SIGNED_RATIONALS))
+def test_glynn_equals_the_permutation_sum(rows):
+    got = permanent_ryser(Matrix(rows, RATIONAL))
+    assert type(got) is Fraction
+    assert got == naive_permanent(rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(square_rows(SIGNED_FLOATS))
+def test_glynn_float_is_the_permutation_sum_rounded_once(rows):
+    # repr tells 0.0 from -0.0, which == does not
+    assert repr(permanent_ryser(Matrix(rows, FLOAT64))) == repr(float(naive_permanent(rows)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(square_rows(SIGNED_FLOATS, min_n=1), st.sampled_from([math.inf, -math.inf, math.nan]),
+       st.integers(0, 63))
+def test_glynn_float_with_an_inf_or_nan_entry_is_nan(rows, bad, where):
+    n = len(rows)
+    rows[where % n][where // n % n] = bad
+    assert math.isnan(permanent_ryser(Matrix(rows, FLOAT64)))
+
+
+def record_glynn_memos(monkeypatch):
+    """Record the memo in force at each permanent actually computed."""
+    seen = []
+    glynn = matcore._glynn
+    monkeypatch.setattr(matcore, "_glynn", lambda *a: seen.append(matcore._MEMO.get()) or glynn(*a))
+    return seen
+
+
+def test_memo_computes_each_distinct_permanent_once(monkeypatch):
+    seen = record_glynn_memos(monkeypatch)
+    a = matrix([[1, 2], [3, 4]])
+    with permanent_memo():
+        assert [permanent_ryser(a), permanent_ryser(matrix([[1, 2], [3, 4]]))] == [10, 10]
+        # the same values written with other row scales are the same key
+        assert permanent_ryser(matrix([[Fraction(2, 2), 2], [3, Fraction(8, 2)]])) == 10
+    assert len(seen) == 1 and seen[0] is not None
+    assert permanent_ryser(a) == 10  # outside the block nothing is kept
+    assert seen[1:] == [None]
+
+
+def test_memo_keys_carry_the_kind(monkeypatch):
+    seen = record_glynn_memos(monkeypatch)
+    exact = matrix([[Fraction(1, 2), 1], [1, 1]])
+    floats = matrix([[0.5, 1.0], [1.0, 1.0]])
+    with permanent_memo():
+        got = [permanent_ryser(m) for m in (exact, floats, exact, floats)]
+        memo = matcore._MEMO.get()
+        assert len(memo) == 2
+    assert [type(x) for x in got] == [Fraction, float, Fraction, float]
+    assert got == [Fraction(3, 2), 1.5] * 2
+    assert len(seen) == 2
+
+
+def test_memo_is_reset_when_its_block_raises():
+    with pytest.raises(ZeroDivisionError):
+        with permanent_memo():
+            permanent_ryser(ones(3))
+            with permanent_memo():  # a nested block has its own memo
+                assert matcore._MEMO.get() == {}
+            assert len(matcore._MEMO.get()) == 1
+            1 / 0
+    assert matcore._MEMO.get() is None
 
 
 def test_permanent_transpose_invariant():

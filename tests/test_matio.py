@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -344,13 +345,28 @@ def test_table_route_reads_only_zero_cells_exactly(monkeypatch):
     exact = matio._parse_cell
     monkeypatch.setattr(matio, "_parse_cell", lambda text: calls.append(text) or exact(text))
     m = as_float(text).matrix
-    zeros = {"0", "-0", "-1e-400"}
-    assert calls == [cell for line in text.splitlines() for cell in line.split(",") if cell in zeros]
+    assert calls == ["0", "-0", "-1e-400"]  # each distinct zero literal once, first seen first
     want = {"0": "0.0", "0.5": "0.5", "-0": "0.0", "1": "1.0", "-1e-400": "-5e-324", "0.25": "0.25"}
     assert [[repr(x) for x in row] for row in m.entries.tolist()] == [
         [want[literals[(i + j) % len(literals)]] for j in range(TABLE_SIDE)]
         for i in range(TABLE_SIDE)
     ]
+
+
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("read", [lambda t: parse_csv_text(t, "t"), as_float],
+                         ids=["exact", "float64"])
+def test_csv_text_skips_a_leading_byte_order_mark(read):
+    assert read(BOM + "1,2\n3,4\n").matrix == read("1,2\n3,4\n").matrix
+    with pytest.raises(ParseError, match=re.escape("bad numeric literal '\\ufeff2'")):
+        read("1," + BOM + "2\n3,4\n")  # only a leading one is skipped
+
+
+def test_json_text_skips_a_leading_byte_order_mark():
+    doc = '{"n": 2, "entries": [["1", "2"], ["3", "4/5"]]}'
+    assert parse_json_text(BOM + doc, "t") == parse_json_text(doc, "t")
 
 
 def _with_row(text, i, row):

@@ -9,7 +9,11 @@ largest pivot numerator or denominator is shown, and float64 (entries in
 Parsing, kind conversion and the report are not timed in those rows.  At
 each rational n it also prints the best of k `permanent_ryser` timings on
 the same matrix ("permanent", the exact oracle), with its 2^(n-1) Glynn
-terms.  At each float n it also prints the best of k float64
+terms, and the best of k whole `permbound bound` requests (`cli.main`) on
+that matrix written to a temporary CSV ("cli-bound"): parsing, the sweep
+in the default arithmetic (float above n = 12), the exact permanent up to
+the default --exact-max and the report, with the fixed cost of each
+request.  At each float n it also prints the best of k float64
 `parse_csv_text` timings of a random n x n CSV: with 3-decimal cells
 ("csv-3dec"), with 20-significant-digit cells ("csv-20sig"), and with n
 distinct 20-significant-digit literals each used n times, laid out along
@@ -22,12 +26,16 @@ Usage: python scripts/sweep_timing.py [--repeat 5] [--rational-sizes 6 7 ... 14]
 """
 
 import argparse
+import contextlib
+import io
 import math
 import random
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
-from permbound import FLOAT64, Matrix, RATIONAL, parse_csv_text, permanent_ryser, run_process
+from permbound import FLOAT64, Matrix, RATIONAL, cli, parse_csv_text, permanent_ryser, run_process
 
 
 def rational_matrix(rng, n):
@@ -62,6 +70,18 @@ CSV_TEXTS = {
     "csv-20sig": lambda rng, n: csv_text(rng, n, sig20),
     "csv-20sig-rep": lambda rng, n: repeated_csv_text(rng, n, sig20),
 }
+
+
+def cli_bound_ms(m, repeat):
+    """The best of repeat `permbound bound` requests on m, written as a p/q CSV, in ms."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "matrix.csv"
+        path.write_text("".join(",".join(map(str, row)) + "\n" for row in m.entries.tolist()))
+        with contextlib.redirect_stdout(io.StringIO()):
+            ms, code = best_ms(lambda: cli.main(["bound", str(path)]), repeat)
+    if code != 0:
+        raise SystemExit(f"bound on the n = {m.n} matrix exited {code}")
+    return ms
 
 
 def best_ms(fn, repeat):
@@ -102,6 +122,7 @@ def main():
             if kind != FLOAT64:
                 ms, _ = best_ms(lambda: permanent_ryser(m), args.repeat)
                 print(f"{'permanent':>13} {n:>4} {ms:>10.3f}  {1 << (n - 1)} terms")
+                print(f"{'cli-bound':>13} {n:>4} {cli_bound_ms(m, args.repeat):>10.3f}")
                 continue
             for label, make_text in CSV_TEXTS.items():
                 text = make_text(csv_rng, n)

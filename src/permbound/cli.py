@@ -442,28 +442,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bound = sub.add_parser("bound", help="compute bounds for one matrix file")
-    p_bound.add_argument("input", help="csv or json matrix file")
-    p_bound.add_argument("--arithmetic", choices=["float", "rational"], default=None,
+    reports = argparse.ArgumentParser(add_help=False)  # the options bound and family share
+    reports.add_argument("--arithmetic", choices=["float", "rational"], default=None,
                          help="default: rational for n <= 12, float above")
-    p_bound.add_argument("--exact-max", type=int, default=10, dest="exact_max",
+    reports.add_argument("--exact-max", type=int, default=10, dest="exact_max",
                          help="compute the exact permanent when n <= this (default 10)")
+    reports.add_argument("--timing", action="store_true", help="include elapsed_ms")
+    reports.add_argument("--out", default=None, help="write the output here instead of stdout")
+
+    p_bound = sub.add_parser("bound", parents=[reports], help="compute bounds for one matrix file")
+    p_bound.add_argument("input", help="csv or json matrix file")
     p_bound.add_argument("--ordering", default=None, help="permutation like 2,1,3")
     p_bound.add_argument("--eps", default=None, help="run the diagonal-dominance certificate")
     p_bound.add_argument("--snapshots", action="store_true", help="include A^(t) sequence")
-    p_bound.add_argument("--timing", action="store_true", help="include elapsed_ms")
-    p_bound.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_bound.set_defaults(fn=cmd_bound)
 
-    p_family = sub.add_parser("family", help="run a parametrized matrix family")
+    p_family = sub.add_parser("family", parents=[reports],
+                              help="run a parametrized matrix family")
     p_family.add_argument("name", choices=["exp", "allones", "random-dd"])
     p_family.add_argument("params", nargs="*", help="key=value family parameters")
     p_family.add_argument("--count", type=int, default=1,
                           help="instances for random families (seed, seed+1, ...)")
-    p_family.add_argument("--arithmetic", choices=["float", "rational"], default=None)
-    p_family.add_argument("--exact-max", type=int, default=10, dest="exact_max")
-    p_family.add_argument("--timing", action="store_true")
-    p_family.add_argument("--out", default=None)
     p_family.set_defaults(fn=cmd_family)
 
     p_verify = sub.add_parser("verify", help="run property checks against a matrix file")
@@ -473,8 +472,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # built once per process; parse_args leaves it unchanged
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except PermboundError as exc:

@@ -13,12 +13,12 @@ class PermboundError(Exception):
 
 
 class NotSquare(PermboundError):
-    """A square matrix was required (permanent, determinant, process)."""
+    """A square matrix was required (permanent, process)."""
     exit_code = 2
 
 
 class DimensionTooLarge(PermboundError):
-    """Input exceeds an exact-oracle guard (factorial or 2^n blowup)."""
+    """Input exceeds an exact computation's guard (2^n or d^n terms, or the bit budget)."""
     exit_code = 3
 
 
@@ -34,11 +34,6 @@ class IndexOutOfRange(PermboundError):
 
 class NegativeEntry(PermboundError):
     """A matrix that must be entrywise non-negative has a negative entry."""
-    exit_code = 2
-
-
-class NegativeInput(PermboundError):
-    """The process requires a non-negative matrix or a certified Gram matrix."""
     exit_code = 2
 
 

@@ -1,15 +1,11 @@
 """Dense matrices over exact rationals or float64, submatrix algebra, the
-exact permanent/determinant oracles used as ground truth everywhere else,
-and the one elimination kernel (`eliminate`, on an ndarray of either
-kind) shared by the permanent process, its minus-variant and the exact
-PSD test.
+exact permanent (`permanent_ryser`, the ground truth everywhere else), and
+the one elimination kernel (`eliminate`, on an ndarray of either kind)
+shared by the permanent process, its minus-variant and the exact PSD test.
 
-The permanent oracle (`permanent_ryser`, by Glynn's formula) runs on
-Python integers for both kinds and divides once at the end, so a float64
-permanent is the exact one rounded once.  Inside `permanent_memo` each
-distinct permanent is computed once.  The exact elimination also runs on
-integer rows (`integer_rows`), each with one integer scale, under a bit
-budget (`BIT_BUDGET`).
+The permanent (of either kind) and the exact elimination run on integer
+rows (`integer_rows`), each with one integer scale.  Inside
+`permanent_memo` each distinct permanent is computed once.
 
 Conventions
 -----------
@@ -20,7 +16,7 @@ Conventions
 * per(A(0x0)) = det(A(0x0)) = 1 by convention, so empty selections behave
   as neutral factors.
 * Rectangular matrices are legal carriers (blocks X, Y); the permanent and
-  determinant reject them with NotSquare.
+  the elimination reject them with NotSquare.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,7 +41,6 @@ from .errors import (
 )
 from .scalars import FLOAT64, RATIONAL, Scalar, coerce, one, quotient, zero
 
-NAIVE_MAX = 10
 RYSER_MAX_N = 24
 BIT_BUDGET = 1 << 24  # cost of the trailing block an exact step may hold; see _check_bit_budget
 
@@ -233,21 +228,6 @@ def delete(m: Matrix, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
     return Matrix(m.entries.take(keep_rows, 0).take(keep_cols, 1), m.kind)
 
 
-def permanent_naive(m: Matrix) -> Scalar:
-    """per(m) by the n!-term permutation sum; guard n <= 10."""
-    n = m.n
-    if n > NAIVE_MAX:
-        raise DimensionTooLarge(f"permanent_naive guard: n = {n} > {NAIVE_MAX}")
-    rows = m.entries.tolist()
-    total = zero(m.kind)
-    for sigma in permutations(range(n)):
-        term = one(m.kind)
-        for i in range(n):
-            term *= rows[i][sigma[i]]
-        total += term
-    return total
-
-
 def ryser_fits(m: Matrix) -> bool:
     """Whether permanent_ryser admits m: n <= 24 for both kinds, which share one integer loop."""
     return m.n <= RYSER_MAX_N
@@ -421,41 +401,3 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
         if keep:
             snaps.append(Matrix(state, m.kind))
     return tuple(pivots), tuple(snaps) if keep else None
-
-
-def determinant(m: Matrix) -> Scalar:
-    """det(m) by elimination with row pivoting; exact on rationals."""
-    n = m.n
-    if n == 0:
-        return one(m.kind)
-    a = m.entries.tolist()
-    sign = 1
-    det = one(m.kind)
-    for t in range(n):
-        # rational mode: first nonzero pivot; float: largest magnitude
-        pivot_row = None
-        if m.kind == RATIONAL:
-            for i in range(t, n):
-                if a[i][t] != 0:
-                    pivot_row = i
-                    break
-        else:
-            best = 0.0
-            for i in range(t, n):
-                if abs(a[i][t]) > best:
-                    best = abs(a[i][t])
-                    pivot_row = i
-        if pivot_row is None:
-            return zero(m.kind)
-        if pivot_row != t:
-            a[t], a[pivot_row] = a[pivot_row], a[t]
-            sign = -sign
-        pivot = a[t][t]
-        det *= pivot
-        for i in range(t + 1, n):
-            if a[i][t] == 0:
-                continue
-            factor = a[i][t] / pivot
-            for j in range(t, n):
-                a[i][j] -= factor * a[t][j]
-    return det if sign == 1 else -det

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeInput, ParameterOutOfRange, ZeroPermanent, ZeroPivot
+from .errors import NegativeEntry, ParameterOutOfRange, ZeroPermanent, ZeroPivot
 from .matcore import DTYPES, Matrix, eliminate, permanent_ryser, select
 from .psd import GramMatrix
 from .scalars import FLOAT64, RATIONAL, Scalar, SidePair, leq_scalar, one, zero
@@ -87,7 +87,7 @@ def run_process(
     elif isinstance(a, Matrix):
         m, psd_mode = a, False
         if not m.is_nonneg():
-            raise NegativeInput(
+            raise NegativeEntry(
                 "run_process needs a non-negative matrix or a GramMatrix certificate"
             )
     else:
@@ -197,7 +197,7 @@ def recursive_u(a: Matrix) -> Matrix:
     equivalence test.
     """
     if not a.is_nonneg():
-        raise NegativeInput("the u-recursion is defined for non-negative matrices")
+        raise NegativeEntry("the u-recursion is defined for non-negative matrices")
     return closed_recursion(a)
 
 

@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from permbound import Matrix, RATIONAL, determinant, gram_from_factor, matrix, select
+from oracles import determinant
+from permbound import Matrix, RATIONAL, gram_from_factor, matrix, select
 
 
 def rational_entry(rng, lo=0, hi=5, max_den=4) -> Fraction:

@@ -25,7 +25,6 @@ from permbound import (
     condense,
     cycle_sum_cases,
     cycle_sum_ratio,
-    determinant,
     diag_dominance_certify,
     entry_bound_check,
     exp_family,
@@ -34,7 +33,6 @@ from permbound import (
     ones,
     perm_ratio_cases,
     perm_ratio_check,
-    permanent_naive,
     permanent_ryser,
     permanental_inverse,
     process_bound,
@@ -49,6 +47,7 @@ from permbound import (
     select,
     two_row_inequality_sides,
 )
+from oracles import determinant, permanent_naive
 from randmat import (
     block_matrix,
     dominant_matrix,

@@ -3,6 +3,7 @@
 import types
 
 import permbound
+from permbound import matcore
 
 
 def test_all_names_resolve_and_are_unique():
@@ -18,3 +19,11 @@ def test_every_public_import_is_listed():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public <= set(permbound.__all__), sorted(public - set(permbound.__all__))
+
+
+def test_oracles_and_negative_input_are_not_in_the_package():
+    # the n! sum and row-pivoted elimination live in tests/oracles.py; a
+    # negative entry raises NegativeEntry everywhere
+    for name in ("permanent_naive", "determinant", "NAIVE_MAX", "NegativeInput"):
+        assert not hasattr(permbound, name), name
+        assert not hasattr(matcore, name), name

@@ -36,7 +36,6 @@ from permbound import (
     ones,
     perm_ratio_cases,
     perm_ratio_check,
-    permanent_naive,
     permanent_ryser,
     process_bound,
     recursive_u,
@@ -49,6 +48,7 @@ from permbound import (
 )
 from permbound import bounds
 from permbound.process import cross_sum
+from oracles import permanent_naive
 from randmat import dominant_matrix, positive_matrix, unit_diag_matrix
 
 

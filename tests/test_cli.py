@@ -140,7 +140,7 @@ def test_bound_error_exit_codes(capsys, tmp_path):
     neg.write_text("1,-1\n1,1\n")
     code, _, err = run_cli(capsys, "bound", str(neg))
     assert code == 2
-    assert json.loads(err)["error"]["type"] == "NegativeInput"
+    assert json.loads(err)["error"]["type"] == "NegativeEntry"
 
     zero = tmp_path / "zero.csv"
     zero.write_text("0,1\n1,0\n")
@@ -231,7 +231,7 @@ def test_float_sweep_overflow_raises_no_numpy_warning(capsys, tmp_path, text):
 
 @pytest.mark.parametrize("text, code, report", [
     ("1e-400,1e-300\n1e-300,1\n", 0, "5e-324"),  # the first pivot stays nonzero
-    ("1,-1e-400\n1,1\n", 2, "NegativeInput"),  # the cell stays negative
+    ("1,-1e-400\n1,1\n", 2, "NegativeEntry"),  # the cell stays negative
 ])
 def test_float_mode_keeps_an_underflowing_entry_nonzero_and_signed(capsys, tmp_path, text, code,
                                                                    report):
@@ -294,6 +294,33 @@ def test_family_parameter_validation(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "family", "allones", "n=0")
     assert code == 2
+
+
+def test_main_builds_no_parser_per_call(capsys, ones3, monkeypatch):
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(capsys, "bound", ones3)[0] == 0
+    assert run_cli(capsys, "family", "allones", "n=3")[0] == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("command", ["bound", "family"])
+def test_shared_report_options_are_documented(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+    for help_text in ("default: rational for n <= 12, float above",
+                      "compute the exact permanent when n <= this (default 10)",
+                      "include elapsed_ms",
+                      "write the output here instead of stdout"):
+        assert help_text in text
 
 
 @pytest.mark.parametrize(

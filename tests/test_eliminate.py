@@ -20,7 +20,6 @@ from permbound import (
     Matrix,
     RATIONAL,
     ZeroPivot,
-    determinant,
     gram_from_factor,
     run_gaussian_variant,
     run_process,
@@ -28,6 +27,7 @@ from permbound import (
 from permbound import matcore
 from permbound.matcore import eliminate
 from permbound.psd import GramMatrix
+from oracles import determinant
 
 
 def list_eliminate(rows, sign, every_row=False, skip_zero=False, keep=False):

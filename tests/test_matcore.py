@@ -1,4 +1,4 @@
-"""Core matrix layer: permanent oracles, determinant, and shape plumbing."""
+"""Core matrix layer: the permanent, checked against the oracles in `oracles.py`, and shape plumbing."""
 
 import math
 import random
@@ -21,13 +21,11 @@ from permbound import (
     BlockSplit,
     add,
     delete,
-    determinant,
     identity,
     matmul,
     matrix,
     ones,
     outer,
-    permanent_naive,
     permanent_ryser,
     run_gaussian_variant,
     run_process,
@@ -36,6 +34,7 @@ from permbound import (
 )
 from permbound import matcore
 from permbound.matcore import permanent_memo, ryser_fits
+from oracles import determinant, permanent_naive
 from randmat import block_matrix, integer_matrix, nonneg_matrix
 
 

@@ -12,11 +12,10 @@ from permbound import (
     GramMatrix,
     InvalidGram,
     Matrix,
-    NegativeInput,
+    NegativeEntry,
     ParameterOutOfRange,
     RATIONAL,
     ZeroPivot,
-    determinant,
     exp_family,
     gram_from_factor,
     matrix,
@@ -30,6 +29,7 @@ from permbound import (
     select,
 )
 from permbound.process import cross_sum, cross_sums
+from oracles import determinant
 from randmat import (
     nonneg_matrix,
     nonzero_leading_minors_matrix,
@@ -142,9 +142,9 @@ def test_ordering_can_change_the_bound():
 
 
 def test_negative_input_rejected():
-    with pytest.raises(NegativeInput):
+    with pytest.raises(NegativeEntry, match="GramMatrix certificate"):
         run_process(matrix([[1, -1], [1, 1]]))
-    with pytest.raises(NegativeInput):
+    with pytest.raises(NegativeEntry):
         recursive_u(matrix([[1, -1], [1, 1]]))
 
 

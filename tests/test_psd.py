@@ -24,7 +24,6 @@ from permbound import (
     matmul,
     matrix,
     ones,
-    permanent_naive,
     permanent_ryser,
     permanent_tensor,
     psd_schur_check,
@@ -33,6 +32,7 @@ from permbound import (
     transpose,
 )
 from permbound.psd import tensor_fits
+from oracles import permanent_naive
 from randmat import gram_instance
 
 

@@ -9,8 +9,10 @@ largest pivot numerator or denominator is shown, and float64 (entries in
 Parsing, kind conversion and the report are not timed in those rows.  At
 each rational n it also prints the best of k `permanent_ryser` timings on
 the same matrix ("permanent", the exact oracle), with its 2^(n-1) Glynn
-terms, and the best of k whole `permbound bound` requests (`cli.main`) on
-that matrix written to a temporary CSV ("cli-bound"): parsing, the sweep
+terms, the best of k `alpha_coefficients` timings ("alpha") with d = n - 1
+on the matrix's leading (n-1) x (n-1) block and the top n - 1 entries of
+its last column, and the best of k whole `permbound bound` requests
+(`cli.main`) on that matrix written to a temporary CSV ("cli-bound"): parsing, the sweep
 in the default arithmetic (float above n = 12), the exact permanent up to
 the default --exact-max and the report, with the fixed cost of each
 request.  At each float n it also prints the best of k float64
@@ -35,7 +37,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from permbound import FLOAT64, Matrix, RATIONAL, cli, parse_csv_text, permanent_ryser, run_process
+from permbound import (
+    FLOAT64, Matrix, RATIONAL, alpha_coefficients, cli, parse_csv_text, permanent_ryser,
+    run_process, select,
+)
 
 
 def rational_matrix(rng, n):
@@ -122,6 +127,10 @@ def main():
             if kind != FLOAT64:
                 ms, _ = best_ms(lambda: permanent_ryser(m), args.repeat)
                 print(f"{'permanent':>13} {n:>4} {ms:>10.3f}  {1 << (n - 1)} terms")
+                lead = select(m, range(1, n), range(1, n))
+                x = m.col(n)[:-1]
+                ms, _ = best_ms(lambda: alpha_coefficients(lead, x), args.repeat)
+                print(f"{'alpha':>13} {n:>4} {ms:>10.3f}  d = {n - 1}")
                 print(f"{'cli-bound':>13} {n:>4} {cli_bound_ms(m, args.repeat):>10.3f}")
                 continue
             for label, make_text in CSV_TEXTS.items():

@@ -150,7 +150,7 @@ def diag_dominance_certify(a: Matrix, eps: Scalar) -> DiagDominanceResult:
     kind = a.kind
     e = coerce(eps, kind)
     if e <= 0:
-        raise ParameterOutOfRange(f"eps must be > 0, got {eps}")
+        raise ParameterOutOfRange(f"eps must be > 0, got {e}")
     if not a.is_nonneg():
         raise NegativeEntry("diagonal dominance requires a non-negative matrix")
     diag = a.diagonal()

@@ -63,12 +63,11 @@ def _pick_arithmetic(flag: str | None, n: int) -> str:
     return RATIONAL if n <= RATIONAL_DEFAULT_MAX_N else FLOAT64
 
 
-def _number(key: str, text: str, kind: str = RATIONAL):
-    """Parse a decimal or "p/q" parameter; a malformed one is an input error."""
+def _number(key: str, text: str) -> Fraction:
+    """Parse a decimal or "p/q" parameter exactly; a malformed one is an input error."""
     try:
-        value = Fraction(text)
-        return value if kind == RATIONAL else float(value)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParameterOutOfRange(f"bad {key} value {text!r}: {exc}") from exc
 
 
@@ -103,7 +102,7 @@ def _build_report(
                 "rowsum_over_exact": format_scalar(rowsum / exact, arithmetic),
             }
     if eps is not None:
-        res = diag_dominance_certify(m, _number("eps", eps, arithmetic))
+        res = diag_dominance_certify(m, _number("eps", eps))
         report["diag_dominance"] = {
             "eps": format_scalar(res.eps, arithmetic),
             "certified": res.certified,
@@ -151,6 +150,10 @@ def cmd_bound(args) -> int:
     return OK
 
 
+# family name -> the parameters it takes; argparse rejects any other name
+_FAMILIES = {"exp": {"n", "c"}, "allones": {"n"}, "random-dd": {"n", "eps", "delta", "seed"}}
+
+
 def _family_instances(name: str, params: dict[str, str], count: int):
     """Yield (ParsedMatrix, eps-or-None) pairs for a named family."""
     def need(key):
@@ -164,10 +167,7 @@ def _family_instances(name: str, params: dict[str, str], count: int):
         except ValueError as exc:
             raise ParameterOutOfRange(f"{key} must be an integer") from exc
 
-    known = {"exp": {"n", "c"}, "allones": {"n"}, "random-dd": {"n", "eps", "delta", "seed"}}
-    if name not in known:
-        raise ParameterOutOfRange(f"unknown family {name!r}")
-    extra = set(params) - known[name]
+    extra = set(params) - _FAMILIES[name]
     if extra:
         raise ParameterOutOfRange(f"unknown parameters for {name!r}: {sorted(extra)}")
     if count < 1:
@@ -459,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_family = sub.add_parser("family", parents=[reports],
                               help="run a parametrized matrix family")
-    p_family.add_argument("name", choices=["exp", "allones", "random-dd"])
+    p_family.add_argument("name", choices=list(_FAMILIES))
     p_family.add_argument("params", nargs="*", help="key=value family parameters")
     p_family.add_argument("--count", type=int, default=1,
                           help="instances for random families (seed, seed+1, ...)")

@@ -1,7 +1,7 @@
 """Dense matrices over exact rationals or float64, submatrix algebra, the
 exact permanent (`permanent_ryser`, the ground truth everywhere else), and
 the one elimination kernel (`eliminate`, on an ndarray of either kind)
-shared by the permanent process, its minus-variant and the exact PSD test.
+shared by the permanent process and its minus-variant.
 
 The permanent (of either kind) and the exact elimination run on integer
 rows (`integer_rows`), each with one integer scale.  Inside

@@ -1,6 +1,6 @@
 """PSD-specific machinery: Gram factorizations, the tensor-product permanent
-formula, the alpha coefficients of per(aB + xx^T) read off Ryser's formula
-in one pass, and the PSD Schur inequality.
+formula, the alpha coefficients of per(aB + xx^T) read off one
+`permanent_ryser` call in base 2^K, and the PSD Schur inequality.
 
 A PSD matrix enters the rest of the package only as a GramMatrix, i.e.
 together with a factor V such that A = V^T V.  That constructor is the PSD
@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Sequence
 
-from .errors import DimensionMismatch, DimensionTooLarge, InvalidGram, ZeroPivot
+from .errors import DimensionMismatch, DimensionTooLarge, ZeroPivot
 from .matcore import (
-    Matrix, add, delete, eliminate, integer_rows, matmul, matrix, outer, permanent_ryser,
-    transpose,
+    Matrix, add, delete, integer_rows, matmul, matrix, outer, permanent_ryser, transpose,
 )
 from .scalars import RATIONAL, Scalar, SidePair, coerce, eq_scalar, leq_scalar, quotient, zero
 
@@ -103,15 +102,17 @@ def permanent_tensor(g: GramMatrix) -> Scalar:
 
 
 def alpha_coefficients(b: Matrix, x: Sequence[Scalar]) -> AlphaCoefficients:
-    """The coefficients of per(a*B + xx^T) in one Ryser pass over column subsets.
+    """The coefficients of per(a*B + xx^T), read off one permanent in base 2^K.
 
-    Row i of a*B + xx^T sums over a column set S to a*r_i(S) + x_i*x(S),
-    which is linear in a, so per = sum over S of (-1)^(d - |S|) times the
-    product of those d linear factors, multiplied out one factor at a time.
-    The pass runs on the `integer_rows` of B and x, and each coefficient is
-    divided once (rounded once in float mode; nan for an inf or nan entry).
-    The leading coefficient is per(B); the next one is
-    sum_{i,j} x_i x_j per(B_{i,j}).
+    On the `integer_rows` of B (row B_i over s_i) and x (X over sx), row i
+    of s_i sx^2 (a*B + xx^T) at a*sx^2 = t is t*B_i + w_i*X with w_i =
+    s_i X_i.  Its permanent is sum_k c_k t^(d-k), and alpha_k = c_k /
+    (prod s_i * sx^(2k)).  As sum_k |c_k| <= cap = prod_i (sum_j |B_ij| +
+    |w_i| sum_j |X_j|), one `permanent_ryser` call at t = 2^K > 2 cap holds
+    every c_k as one balanced base-2^K digit (Kronecker substitution).
+    Each coefficient is divided once (rounded once in float mode; nan for
+    an inf or nan entry).  The leading coefficient is per(B); the next one
+    is sum_{i,j} x_i x_j per(B_{i,j}).
     """
     d = b.n
     kind = b.kind
@@ -122,25 +123,24 @@ def alpha_coefficients(b: Matrix, x: Sequence[Scalar]) -> AlphaCoefficients:
     except (OverflowError, ValueError):
         return AlphaCoefficients(d, (math.nan,) * (d + 1))
     xs, sx = rows.pop(), scales.pop()
-    # row i times its scale s_i sums over S to a*r_i(S) + s_i*x_i*x(S) / sx^2 on
-    # these integers, so a term with k factors from xx^T is over prod(s_i) * sx^(2k)
-    cols = list(zip(*rows, xs))  # column j: b_1j, ..., b_dj, x_j
     weights = [s * v for s, v in zip(scales, xs)]
-    zeros = [0] * (d + 1)
-    total = [0] * (d + 1)  # total[k]: the terms with k factors from xx^T
-    for size in range(d + 1):
-        sign = -1 if (d - size) % 2 else 1
-        for subset in combinations(cols, size):
-            *r, x_s = map(sum, zip(zeros, *subset))
-            poly = [1]
-            for r_i, w in zip(r, weights):
-                v = w * x_s
-                poly = [p * r_i + q * v for p, q in zip(poly + [0], [0] + poly)]
-            for k, c in enumerate(poly):
-                total[k] += sign * c
+    x_abs = sum(map(abs, xs))
+    cap = math.prod(sum(map(abs, r)) + abs(w) * x_abs for r, w in zip(rows, weights))
+    bits = cap.bit_length() + 1
+    t = 1 << bits
+    m = Matrix([[t * r_j + w * x_j for r_j, x_j in zip(r, xs)] for r, w in zip(rows, weights)],
+               RATIONAL)
+    value = permanent_ryser(m).numerator
+    digits = []  # c_d, ..., c_0
+    for _ in range(d + 1):
+        c = value & (t - 1)
+        if c >= t >> 1:
+            c -= t
+        digits.append(c)
+        value = (value - c) >> bits
     den = math.prod(scales)
     return AlphaCoefficients(
-        d, tuple(quotient(c, den * sx ** (2 * k), kind) for k, c in enumerate(total))
+        d, tuple(quotient(c, den * sx ** (2 * k), kind) for k, c in enumerate(reversed(digits)))
     )
 
 
@@ -172,19 +172,3 @@ def psd_schur_check(g: GramMatrix) -> SidePair:
             f"alpha expansion mismatch: per = {exact}, a*alpha0 + alpha1 = {expansion}"
         )
     return SidePair(exact, rhs, leq_scalar(exact, rhs, kind))
-
-
-def is_psd_exact(m: Matrix) -> bool:
-    """Exact PSD test for symmetric rational matrices, no square roots.
-
-    Symmetric elimination (`eliminate` with the minus sign): a zero pivot
-    with a nonzero row refutes PSD-ness, one with a zero row is skipped,
-    and otherwise the input is PSD iff it is symmetric and no pivot is < 0.
-    """
-    if m.kind != RATIONAL:
-        raise ValueError("exact PSD test requires rational entries")
-    try:
-        pivots, _ = eliminate(m, -1, skip_zero=True)
-    except InvalidGram:
-        return False
-    return m == transpose(m) and all(p >= 0 for p in pivots)

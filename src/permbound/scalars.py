@@ -5,9 +5,10 @@ Every matrix carries one of two scalar kinds: exact rationals backed by
 IEEE float64.  Float mode compares equalities at relative tolerance 1e-9
 and checks inequalities with a 1e-12 relative slack to absorb rounding;
 rational mode compares exactly; `first_failure` applies that policy
-entrywise to arrays.  `to_float64` is the one rounding rule from an exact
-value to float64.  A `SidePair` records both sides of one such check
-together with its verdict.
+entrywise to arrays.  `to_float64` is the rounding rule from an exact
+value to float64; `quotient` divides int by int, exactly or rounded once.
+A `SidePair` records both sides of one such check together with its
+verdict.
 """
 
 from __future__ import annotations

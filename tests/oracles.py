@@ -1,14 +1,16 @@
 """Reference implementations the tests check the package against.
 
-The n! permutation sum for the permanent and row-pivoted elimination for
-the determinant.  Neither runs in the package itself: its one permanent
-algorithm is `permanent_ryser` (Glynn's formula) and its one elimination
-loop is `matcore.eliminate`.
+The n! permutation sum for the permanent, row-pivoted elimination for the
+determinant, and an exact PSD test by symmetric elimination.  None runs in
+the package itself: its one permanent algorithm is `permanent_ryser`
+(Glynn's formula, which also gives the PSD alpha coefficients) and its one
+elimination loop is `matcore.eliminate`, which the PSD test calls.
 """
 
 from itertools import permutations
 
-from permbound import DimensionTooLarge, Matrix, RATIONAL
+from permbound import DimensionTooLarge, InvalidGram, Matrix, RATIONAL, transpose
+from permbound.matcore import eliminate
 from permbound.scalars import Scalar, one, zero
 
 NAIVE_MAX = 10
@@ -65,3 +67,19 @@ def determinant(m: Matrix) -> Scalar:
             for j in range(t, n):
                 a[i][j] -= factor * a[t][j]
     return det if sign == 1 else -det
+
+
+def is_psd_exact(m: Matrix) -> bool:
+    """Exact PSD test for symmetric rational matrices, no square roots.
+
+    Symmetric elimination (`eliminate` with the minus sign): a zero pivot
+    with a nonzero row refutes PSD-ness, one with a zero row is skipped,
+    and otherwise the input is PSD iff it is symmetric and no pivot is < 0.
+    """
+    if m.kind != RATIONAL:
+        raise ValueError("exact PSD test requires rational entries")
+    try:
+        pivots, _ = eliminate(m, -1, skip_zero=True)
+    except InvalidGram:
+        return False
+    return m == transpose(m) and all(p >= 0 for p in pivots)

@@ -3,7 +3,7 @@
 import types
 
 import permbound
-from permbound import matcore
+from permbound import matcore, psd
 
 
 def test_all_names_resolve_and_are_unique():
@@ -22,8 +22,9 @@ def test_every_public_import_is_listed():
 
 
 def test_oracles_and_negative_input_are_not_in_the_package():
-    # the n! sum and row-pivoted elimination live in tests/oracles.py; a
-    # negative entry raises NegativeEntry everywhere
-    for name in ("permanent_naive", "determinant", "NAIVE_MAX", "NegativeInput"):
+    # the n! sum, row-pivoted elimination and the exact PSD test live in
+    # tests/oracles.py; a negative entry raises NegativeEntry everywhere
+    for name in ("permanent_naive", "determinant", "NAIVE_MAX", "NegativeInput", "is_psd_exact"):
         assert not hasattr(permbound, name), name
         assert not hasattr(matcore, name), name
+        assert not hasattr(psd, name), name

@@ -78,6 +78,9 @@ def test_bound_ordering_flag(capsys, tmp_path):
     code, _, err = run_cli(capsys, "bound", str(p), "--ordering", "1,2")
     assert code == 2
     assert json.loads(err)["error"]["type"] == "ParameterOutOfRange"
+    code, out, err = run_cli(capsys, "bound", str(p), "--ordering", "1,x")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"type": "ParseError", "message": "bad --ordering '1,x'"}
 
 
 def test_bound_eps_flag(capsys, tmp_path):
@@ -294,6 +297,15 @@ def test_family_parameter_validation(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "family", "allones", "n=0")
     assert code == 2
+    for argv, message in (
+        (["random-dd", "n=3", "eps=1", "delta=1/12", "seed=0", "--count", "0"],
+         "count must be >= 1"),
+        (["allones", "n=x"], "n must be an integer"),
+        (["random-dd", "n=3", "eps=1", "delta=-1", "seed=0"], "delta = -1 must be >= 0"),
+    ):
+        code, out, err = run_cli(capsys, "family", *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {"type": "ParameterOutOfRange", "message": message}
 
 
 def test_main_builds_no_parser_per_call(capsys, ones3, monkeypatch):
@@ -639,7 +651,11 @@ def test_rowsum_bound_stays_above_per_on_a_gram_input(capsys, tmp_path, argv, ro
     (["family", "random-dd", "n=3", "eps=1e300", "delta=1/100", "seed=0",
       "--arithmetic", "float"], None),
     (["bound", "{path}", "--eps", "1e-320", "--arithmetic", "float"], "1,0\n0,1\n"),
-], ids=["bound-identity300", "factor-eps1e300", "family-eps1e300", "factor-times-zero"])
+    # an eps outside the float64 range rounds by the rule every exact value does
+    (["bound", "{path}", "--eps", "1e-400", "--arithmetic", "float"], "1,0.5\n0.25,1\n"),
+    (["bound", "{path}", "--eps", "1e400", "--arithmetic", "float"], "1,0.5\n0.25,1\n"),
+], ids=["bound-identity300", "factor-eps1e300", "family-eps1e300", "factor-times-zero",
+        "eps-1e-400", "eps-1e400"])
 def test_float_eps_certificate_overflow_exits_3(capsys, tmp_path, argv, text):
     p = tmp_path / "m.csv"
     if text is not None:

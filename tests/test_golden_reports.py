@@ -89,6 +89,10 @@ CASES = {
     "verify-psd-5": ("g.json", gram_json(16, 5, 3),
                      ["verify", "{path}", "--suite", "psd"], 0,
                      "2a7140970bfc09b916466a0055e04f05d97e112d6098d5a800322dd5391fc373"),
+    # n = 7 is past the tensor guard (n <= 5), so this pins its SKIP line
+    "verify-psd-7": ("g.json", gram_json(17, 7, 3),
+                     ["verify", "{path}", "--suite", "psd"], 0,
+                     "de611a53fb308ba48272c1495f383928bffabc9989ed029b1ce058f436e1b261"),
 }
 
 

@@ -105,6 +105,21 @@ def test_json_flat_entries_and_validation():
             parse_json_text(non_array, "j")
 
 
+@pytest.mark.parametrize("text, message", [
+    ('[["1"]]', "json matrix file must be an object"),
+    ('{"n": 2, "entries": [["1","2","3"],["4","5","6"]]}', "declared n = 2 but entries form 2x3"),
+    ('{"n": 1, "kind": "gram", "entries": [["1"]]}', "gram kind requires a 'factor' array"),
+    ('{"n": 2, "kind": "gram", "entries": [["1","0"],["0","1"]], "factor": [["1"]]}',
+     "factor has 1 columns, expected n = 2"),
+    ('{"n": 2, "entries": [["1","0"],["0","1"]], "majorant": [["1","1"]]}',
+     "majorant must be 2x2"),
+], ids=["not-an-object", "n-against-2x3", "gram-without-factor", "factor-columns",
+        "majorant-shape"])
+def test_json_structure_errors(text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_json_text(text, "j")
+
+
 @pytest.mark.parametrize("literal, value", [
     ("0.10000000000000000001", Fraction(10**19 + 1, 10**20)),
     ("1e-400", Fraction(1, 10**400)),

@@ -15,6 +15,7 @@ from permbound import (
     NegativeEntry,
     ParameterOutOfRange,
     RATIONAL,
+    ZeroPermanent,
     ZeroPivot,
     exp_family,
     gram_from_factor,
@@ -268,6 +269,9 @@ def test_pivot_lower_bound_checks_hold_and_telescope():
         for c in checks:
             prod *= c.lhs
         assert prod == permanent_ryser(m)
+    # per(A) = 0 = per of the trailing 1x1 block: the step-1 ratio is 0/0
+    with pytest.raises(ZeroPermanent):
+        pivot_lower_bound_check(matrix([[1, 0], [0, 0]]))
 
 
 def test_unit_diag_process_stays_rational_exact():

@@ -20,7 +20,6 @@ from permbound import (
     delete,
     gram_from_factor,
     identity,
-    is_psd_exact,
     matmul,
     matrix,
     ones,
@@ -31,8 +30,9 @@ from permbound import (
     select,
     transpose,
 )
+from permbound import psd
 from permbound.psd import tensor_fits
-from oracles import permanent_naive
+from oracles import is_psd_exact, permanent_naive
 from randmat import gram_instance
 
 
@@ -129,7 +129,7 @@ def test_alpha_coefficients_zero_vector():
 def test_alpha_polynomial_evaluates_to_permanent():
     rng = random.Random(73)
     for _ in range(15):
-        n = rng.randint(2, 5)
+        n = rng.randint(2, 8)
         g = gram_instance(rng, n)
         split = BlockSplit(g.gram, n - 1)
         x = [g.gram.entries[i][n - 1] for i in range(n - 1)]
@@ -144,6 +144,30 @@ def test_alpha_polynomial_evaluates_to_permanent():
             for c in coeffs:
                 horner = horner * a0 + c
             assert horner == direct
+
+
+def test_alpha_coefficients_are_one_permanent_call(monkeypatch):
+    # every coefficient is a base-2^K digit of one permanent_ryser value
+    calls = []
+
+    def counting(m):
+        calls.append(m.n)
+        return permanent_ryser(m)
+
+    monkeypatch.setattr(psd, "permanent_ryser", counting)
+    rng = random.Random(78)
+    for d in range(6):
+        b = Matrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)]
+                    for _ in range(d)], RATIONAL)
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)]
+        calls.clear()
+        assert alpha_coefficients(b, x).coeffs == alpha_expansion(b, x)
+        assert calls == [d]
+
+
+def test_alpha_coefficients_guard():
+    with pytest.raises(DimensionTooLarge):
+        alpha_coefficients(identity(25), [0] * 25)
 
 
 def test_alpha_nonnegative_for_gram_splits():

@@ -7,7 +7,10 @@ For each n, draws one random positive matrix and prints the best of k
 largest pivot numerator or denominator is shown, and float64 (entries in
 [0.001, 0.999]) at n = 64..512, where the log2 range of the pivots is shown.
 Parsing, kind conversion and the report are not timed in those rows.  At
-each rational n it also prints the best of k `permanent_ryser` timings on
+every n it then prints the best of k `diag_dominance_certify(m, 1)` timings
+("certificate") with its verdict: the float64 cross sums take one matrix
+product when every value in it is finite, the rational ones the running
+sum.  At each rational n it also prints the best of k `permanent_ryser` timings on
 the same matrix ("permanent", the exact oracle), with its 2^(n-1) Glynn
 terms, the best of k `alpha_coefficients` timings ("alpha") with d = n - 1
 on the matrix's leading (n-1) x (n-1) block and the top n - 1 entries of
@@ -38,8 +41,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from permbound import (
-    FLOAT64, Matrix, RATIONAL, alpha_coefficients, cli, parse_csv_text, permanent_ryser,
-    run_process, select,
+    FLOAT64, Matrix, RATIONAL, alpha_coefficients, cli, diag_dominance_certify, parse_csv_text,
+    permanent_ryser, run_process, select,
 )
 
 
@@ -124,6 +127,9 @@ def main():
             m = build(rng, n)
             ms, trace = best_ms(lambda: run_process(m), args.repeat)
             print(f"{kind:>13} {n:>4} {ms:>10.3f}  {pivot_size(trace.pivots, kind)}")
+            ms, res = best_ms(lambda: diag_dominance_certify(m, 1), args.repeat)
+            verdict = "certified" if res.certified else f"violation at {res.violation}"
+            print(f"{'certificate':>13} {n:>4} {ms:>10.3f}  {verdict}")
             if kind != FLOAT64:
                 ms, _ = best_ms(lambda: permanent_ryser(m), args.repeat)
                 print(f"{'permanent':>13} {n:>4} {ms:>10.3f}  {1 << (n - 1)} terms")

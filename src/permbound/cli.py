@@ -44,7 +44,7 @@ from .permschur import BlockSplit, condense, rank1_update_permanent, row_uncross
 from .perminv import check_identity_dominance
 from .process import run_process
 from .psd import GramMatrix, alpha_coefficients, permanent_tensor, psd_schur_check, tensor_fits
-from .scalars import FLOAT64, RATIONAL, eq_scalar, format_scalar, leq_scalar
+from .scalars import FLOAT64, RATIONAL, coerce, eq_scalar, format_scalar, leq_scalar
 
 OK, CHECK_FAILED = 0, 1
 
@@ -66,7 +66,7 @@ def _pick_arithmetic(flag: str | None, n: int) -> str:
 def _number(key: str, text: str) -> Fraction:
     """Parse a decimal or "p/q" parameter exactly; a malformed one is an input error."""
     try:
-        return Fraction(text)
+        return coerce(text, RATIONAL)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParameterOutOfRange(f"bad {key} value {text!r}: {exc}") from exc
 

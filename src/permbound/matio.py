@@ -33,7 +33,7 @@ import numpy as np
 from .errors import NonFinite, ParseError
 from .matcore import Matrix, matmul, transpose
 from .psd import GramMatrix, gram_from_factor
-from .scalars import FLOAT64, RATIONAL, format_scalar, to_float64
+from .scalars import FLOAT64, RATIONAL, coerce, format_scalar, to_float64
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ _BOM = "\ufeff"  # a leading byte-order mark, as Excel's "CSV UTF-8" writes, is 
 
 def _parse_cell(text) -> Fraction:
     try:
-        return Fraction(str(text).strip())
+        return coerce(str(text).strip(), RATIONAL)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad numeric literal {text!r}") from exc
 
@@ -132,7 +132,7 @@ def _require_square(nrows: int, ncols: int):
 def parse_json_text(text: str, matrix_id: str = "stdin") -> ParsedMatrix:
     try:
         doc = json.loads(text.removeprefix(_BOM), parse_float=str)  # keep number literals exact
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an int literal past Python's digit limit
         raise ParseError(f"invalid json: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("json matrix file must be an object")

@@ -11,21 +11,22 @@ Gaussian elimination) reproduces det(A) exactly and serves as a sanity
 anchor.  Both run through `matcore.eliminate`, one kernel for exact
 rationals and float64 alike.  The u-recursion is the closed dynamic
 program for the same values, and `closed_recursion` with the original
-diagonal as denominators gives the recursive majorant.
+diagonal as denominators gives the recursive majorant.  It and the
+certificates' `cross_sums` share one loop, a running sum of outer products.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import NegativeEntry, ParameterOutOfRange, ZeroPermanent, ZeroPivot
+from .errors import NegativeEntry, NotSquare, ParameterOutOfRange, ZeroPermanent, ZeroPivot
 from .matcore import DTYPES, Matrix, eliminate, permanent_ryser, select
 from .psd import GramMatrix
-from .scalars import FLOAT64, RATIONAL, Scalar, SidePair, leq_scalar, one, zero
+from .scalars import FLOAT64, Scalar, SidePair, leq_scalar, one, zero
 
 
 @dataclass(frozen=True)
@@ -119,73 +120,71 @@ def run_gaussian_variant(a: Matrix, keep_snapshots: bool = False) -> ProcessTrac
     return ProcessTrace(n=a.n, pivots=pivots, arithmetic=a.kind, snapshots=snaps)
 
 
-def cross_sum(b, den, i: int, j: int, kind: str) -> Scalar:
-    """sum_{s < min(i,j)} b_{i,s} b_{s,j} / den_s over 0-based i, j, s upward from zero."""
-    return sum(
-        (b[i][s] * b[s][j] / den[s] for s in range(min(i, j))),
-        start=zero(kind),
-    )
+def _running_sums(b: np.ndarray, den, kind: str, a: np.ndarray | None = None) -> np.ndarray:
+    """sum_{s < min(i,j)} b_{i,s} b_{s,j} / den_s at every (i, j), as one running sum.
+
+    Step s = 0..n-2 adds the outer product of column s below the diagonal
+    and row s right of it, divided by den_s (b_{s,s} when den is None),
+    into the trailing block; a zero den_s raises ZeroPivot(s + 1).  Floats
+    divide each product, so every entry rounds as the sum from 0.0 in order
+    of s does; exact entries divide the column first.  Given a, row and
+    column s + 1 of b are then set to a plus their finished sums, before
+    step s + 1 reads them: that solves the closed recursion in b, in place.
+    """
+    n = len(b)
+    sums = np.full((n, n), zero(kind), DTYPES[kind])
+    for s in range(n - 1):
+        d = b[s, s] if den is None else den[s]
+        if d == 0:
+            raise ZeroPivot(s + 1)
+        t = s + 1
+        col, row = b[t:, s], b[s, t:]
+        if kind == FLOAT64:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums[t:, t:] += np.multiply.outer(col, row) / d
+        else:
+            sums[t:, t:] += np.multiply.outer(col / Fraction(d), row)  # ints stay exact
+        if a is not None:
+            b[t, t:] = a[t, t:] + sums[t, t:]
+            b[t:, t] = a[t:, t] + sums[t:, t]
+    return sums
 
 
 def cross_sums(b, den, kind: str) -> np.ndarray:
-    """Every cross_sum(b, den, i, j, kind) at once, as an n x n array.
+    """sum_{s < min(i,j)} b_{i,s} b_{s,j} / den_s over 0-based i, j, s, as an n x n array.
 
     No s reaches n - 1, so den_{n-1} is never read; a zero den_s below it
-    raises ZeroPivot(s + 1).  Float64 takes one matrix product: entry
-    (i, j) is row i of the lower factor L, L_{i,s} = b_{i,s} / den_s for
-    s < i, times column j of the strict upper triangle of b, summed in the
-    product's own order.  Rationals build L once and sum L_{i,s} b_{s,j};
-    floats where a product b_{i,s} b_{s,j}, L or the result leaves the
-    float64 range take every entry from cross_sum itself.  b is an ndarray
-    or nested rows; the result has the kind's `Matrix` dtype (object holding
-    Fractions, or float64).
+    raises ZeroPivot(s + 1).  Float64 takes one matrix product, L times the
+    strict upper triangle of b with L_{i,s} = b_{i,s} / den_s for s < i,
+    when every factor and sum in it is finite; all else takes the running
+    sum.  b is an ndarray or nested rows; the result has the kind's
+    `Matrix` dtype (object holding Fractions, or float64).
     """
-    n = len(b)
-    for s in range(n - 1):
-        if den[s] == 0:
-            raise ZeroPivot(s + 1)
-    if kind == FLOAT64 and n > 1:
-        arr = np.asarray(b, dtype=np.float64)
-        strict = np.tril(arr, -1)[:, :-1]
-        upper = np.triu(arr, 1)[:-1]
-        with np.errstate(over="ignore", invalid="ignore"):
+    b = np.asarray(b, DTYPES[kind])
+    if kind == FLOAT64 and len(b) > 1:
+        strict = np.tril(b, -1)[:, :-1]
+        upper = np.triu(b, 1)[:-1]
+        with np.errstate(all="ignore"):  # a zero den_s leaves L non-finite: the loop raises
             fits = np.isfinite(np.abs(strict).max() * np.abs(upper).max())
             lower = strict / np.array(den[:-1], dtype=np.float64)
             out = lower @ upper
         if fits and np.isfinite(lower).all() and np.isfinite(out).all():
             return out
-    if isinstance(b, np.ndarray):
-        b = b.tolist()  # Python floats, which overflow to inf without a warning
-    if kind == RATIONAL:
-        lower = [[b[i][s] / den[s] for s in range(i)] for i in range(n)]
-        cols = list(zip(*b))
-        sums = [[sum(map(operator.mul, lower[i], cols[j][:j]), zero(kind)) for j in range(n)]
-                for i in range(n)]
-    else:
-        sums = [[cross_sum(b, den, i, j, kind) for j in range(n)] for i in range(n)]
-    return np.array(sums, DTYPES[kind]).reshape(n, n)
+    return _running_sums(b, den, kind)
 
 
 def closed_recursion(a: Matrix, den=None) -> Matrix:
-    """Solve b_{i,j} = a_{i,j} + cross_sum(b, den, i, j) in order of min(i,j).
+    """Solve b_{i,j} = a_{i,j} + sum_{s < min(i,j)} b_{i,s} b_{s,j} / den_s in order of min(i,j).
 
     den is a fixed sequence of denominators, or None for b's own diagonal
     (den_s = b_{s,s}, the u-recursion).  A zero denominator that a later
-    step divides by raises ZeroPivot with its 1-based index.
+    step divides by raises ZeroPivot with its 1-based index.  Each b_{i,j}
+    is a_{i,j} plus its running sum, so -0.0 reads 0.0 and ints Fractions.
     """
-    n = a.n
-    rows = a.entries.tolist()
-    b = [[None] * n for _ in range(n)]
-    d = [None] * n if den is None else list(den)
-    for m in range(n):
-        for j in range(m, n):
-            b[m][j] = rows[m][j] + cross_sum(b, d, m, j, a.kind)
-        for i in range(m + 1, n):
-            b[i][m] = rows[i][m] + cross_sum(b, d, i, m, a.kind)
-        if den is None:
-            d[m] = b[m][m]
-        if d[m] == 0 and m < n - 1:
-            raise ZeroPivot(m + 1)
+    if not a.is_square:
+        raise NotSquare(f"closed_recursion needs a square matrix, got {a.nrows}x{a.ncols}")
+    b = a.entries + zero(a.kind)  # writable; row and column 0 are final
+    _running_sums(b, den, a.kind, a.entries)
     return Matrix(b, a.kind)
 
 

@@ -30,6 +30,7 @@ FLOAT64 = "float64"
 REL_EQ = 1e-9
 ABS_EQ = 1e-12
 INEQ_SLACK = 1e-12
+_MAX_DIGITS = 4300  # CPython's int <-> decimal string limit; a longer exact literal is refused
 
 
 def coerce(value, kind: str) -> Scalar:
@@ -39,7 +40,8 @@ def coerce(value, kind: str) -> Scalar:
     "0.25" (decimals are parsed exactly).  Floats are rejected in rational
     mode: silently expanding a binary float into a fraction invites
     surprises in exactness contracts.  Float mode rounds the exact value once
-    by `to_float64`.
+    by `to_float64`.  A string is a ValueError when malformed, or when its
+    exponent magnitude plus its length passes 4300, before 10^exp is built.
     """
     if kind == RATIONAL:
         if isinstance(value, bool):
@@ -47,11 +49,23 @@ def coerce(value, kind: str) -> Scalar:
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         if isinstance(value, str):
-            return Fraction(value)
+            return _exact(value)
         raise TypeError(f"cannot use {type(value).__name__} as an exact rational")
     if kind == FLOAT64:
-        return to_float64(Fraction(value) if isinstance(value, str) else value)
+        return to_float64(_exact(value) if isinstance(value, str) else value)
     raise ValueError(f"unknown scalar kind: {kind!r}")
+
+
+def _exact(text: str) -> Fraction:
+    """Fraction(text), once an exponent is known not to build an int past _MAX_DIGITS."""
+    if "e" in text or "E" in text:
+        try:
+            digits = abs(int(text.lower().rpartition("e")[2])) + len(text)
+        except ValueError:  # not an exponent: Fraction names the bad literal
+            digits = 0
+        if digits > _MAX_DIGITS:
+            raise ValueError(f"{text[:40]!r} has over {_MAX_DIGITS} digits")
+    return Fraction(text)
 
 
 def to_float64(x) -> float:

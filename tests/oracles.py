@@ -1,15 +1,17 @@
 """Reference implementations the tests check the package against.
 
 The n! permutation sum for the permanent, row-pivoted elimination for the
-determinant, and an exact PSD test by symmetric elimination.  None runs in
-the package itself: its one permanent algorithm is `permanent_ryser`
-(Glynn's formula, which also gives the PSD alpha coefficients) and its one
-elimination loop is `matcore.eliminate`, which the PSD test calls.
+determinant, an exact PSD test by symmetric elimination, and the cross sum
+and closed recursion entry by entry.  None runs in the package itself: its
+one permanent algorithm is `permanent_ryser` (Glynn's formula, which also
+gives the PSD alpha coefficients), its one elimination loop is
+`matcore.eliminate`, which the PSD test calls, and its one cross-sum loop is
+the running sum behind `process.cross_sums` and `process.closed_recursion`.
 """
 
 from itertools import permutations
 
-from permbound import DimensionTooLarge, InvalidGram, Matrix, RATIONAL, transpose
+from permbound import DimensionTooLarge, InvalidGram, Matrix, RATIONAL, ZeroPivot, transpose
 from permbound.matcore import eliminate
 from permbound.scalars import Scalar, one, zero
 
@@ -83,3 +85,34 @@ def is_psd_exact(m: Matrix) -> bool:
     except InvalidGram:
         return False
     return m == transpose(m) and all(p >= 0 for p in pivots)
+
+
+def cross_sum(b, den, i: int, j: int, kind: str) -> Scalar:
+    """sum_{s < min(i,j)} b_{i,s} b_{s,j} / den_s over 0-based i, j, s, added in order of s from zero."""
+    total = zero(kind)
+    for s in range(min(i, j)):
+        total = total + b[i][s] * b[s][j] / den[s]
+    return total
+
+
+def closed_recursion_by_entry(a: Matrix, den=None) -> Matrix:
+    """b_{i,j} = a_{i,j} + cross_sum(b, den, i, j), one entry at a time in order of min(i,j).
+
+    den as in `process.closed_recursion`: fixed denominators, or None for
+    b's own diagonal.  A zero denominator that a later step divides by
+    raises ZeroPivot with its 1-based index.
+    """
+    n = a.n
+    rows = a.entries.tolist()
+    b = [[None] * n for _ in range(n)]
+    d = [None] * n if den is None else list(den)
+    for m in range(n):
+        for j in range(m, n):
+            b[m][j] = rows[m][j] + cross_sum(b, d, m, j, a.kind)
+        for i in range(m + 1, n):
+            b[i][m] = rows[i][m] + cross_sum(b, d, i, m, a.kind)
+        if den is None:
+            d[m] = b[m][m]
+        if d[m] == 0 and m < n - 1:
+            raise ZeroPivot(m + 1)
+    return Matrix(b, a.kind)

@@ -47,8 +47,7 @@ from permbound import (
     verify_majorant,
 )
 from permbound import bounds
-from permbound.process import cross_sum
-from oracles import permanent_naive
+from oracles import cross_sum, permanent_naive
 from randmat import dominant_matrix, positive_matrix, unit_diag_matrix
 
 

@@ -83,6 +83,25 @@ def test_bound_ordering_flag(capsys, tmp_path):
     assert json.loads(err)["error"] == {"type": "ParseError", "message": "bad --ordering '1,x'"}
 
 
+def test_literals_past_the_digit_limit_exit_2(capsys, tmp_path):
+    ones2 = tmp_path / "ones.csv"
+    ones2.write_text("1,1\n1,1\n")
+    cell = tmp_path / "cell.csv"
+    cell.write_text("1e5000,1\n1,1\n")
+    big = tmp_path / "big.json"
+    big.write_text('{"n": 1, "entries": [[' + "7" * 5000 + "]]}")
+    for argv, error in [
+        (["family", "exp", "n=3", "c=1e5000"], "ParameterOutOfRange"),
+        (["bound", str(ones2), "--eps", "1e5000"], "ParameterOutOfRange"),
+        (["bound", str(cell)], "ParseError"),
+        (["bound", str(cell), "--arithmetic", "float"], "ParseError"),
+        (["bound", str(big)], "ParseError"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == error
+
+
 def test_bound_eps_flag(capsys, tmp_path):
     p = tmp_path / "dd.csv"
     rows = "\n".join(",".join("1" if i == j else "1/12" for j in range(4)) for i in range(4))

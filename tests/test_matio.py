@@ -225,6 +225,29 @@ def test_float_parse_bad_literal_and_shape_beat_overflow():
         as_float("1,1e400\n1\n")
 
 
+@pytest.mark.parametrize("literal", ["1e5000", "-2.5E-5000", "1e4295", "1e+4_295"])
+def test_exponent_past_the_digit_limit_is_refused_before_it_is_built(literal):
+    for kind in (RATIONAL, FLOAT64):
+        with pytest.raises(ValueError, match="over 4300 digits"):
+            coerce(literal, kind)
+    with pytest.raises(ParseError, match="bad numeric literal"):
+        parse_csv_text(f"1,{literal}\n1,1\n")
+    with pytest.raises(ParseError, match="bad numeric literal"):
+        as_float(f"1,{literal}\n1,1\n")
+    with pytest.raises(ParseError, match="bad numeric literal"):
+        parse_json_text(f'{{"n": 1, "entries": [[{literal.replace("_", "")}]]}}')
+
+
+def test_exponent_up_to_the_digit_limit_is_read_exactly():
+    assert coerce("1e4294", RATIONAL) == 10 ** 4294
+    assert coerce("1e-4293", RATIONAL) == Fraction(1, 10 ** 4293)
+
+
+def test_json_int_literal_past_the_digit_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match="invalid json"):
+        parse_json_text('{"n": 1, "entries": [[' + "7" * 5000 + "]]}")
+
+
 def test_float_parse_negative_zero_reads_as_zero():
     m = as_float("1,-0\n-0.0e5,2\n").matrix
     assert m.entries.tolist() == [[1.0, 0.0], [0.0, 2.0]]

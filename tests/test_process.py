@@ -29,8 +29,8 @@ from permbound import (
     run_process,
     select,
 )
-from permbound.process import cross_sum, cross_sums
-from oracles import determinant
+from permbound.process import closed_recursion, cross_sums
+from oracles import closed_recursion_by_entry, cross_sum, determinant
 from randmat import (
     nonneg_matrix,
     nonzero_leading_minors_matrix,
@@ -317,6 +317,14 @@ def test_cross_sums_never_read_the_last_denominator():
         cross_sums(b, [0.0, 1.0], FLOAT64)
 
 
+def test_cross_sums_of_int_entries_stay_exact():
+    # a rational Matrix keeps Python ints as given, and int / int is a float
+    m = Matrix([[1, 1, 1], [1, 3, 1], [1, 1, 3]], RATIONAL)
+    sums = cross_sums(m.entries, m.diagonal(), RATIONAL)
+    assert sums.tolist() == [[0, 0, 0], [0, 1, 1], [0, 1, Fraction(4, 3)]]
+    assert {type(x) for x in sums.flat} == {Fraction}
+
+
 @pytest.mark.parametrize("b, den", [
     # b_{2,1} / den_1 overflows, so the product would meet inf * 0 at (2, 1)
     ([[1e-300, 1.0, 1.0], [1e300, 1.0, 1.0], [1.0, 1.0, 1.0]], [1e-300, 1.0, 1.0]),
@@ -329,3 +337,53 @@ def test_cross_sums_float_overflow_matches_cross_sum(b, den):
     n = len(b)
     expected = [[cross_sum(b, den, i, j, FLOAT64) for j in range(n)] for i in range(n)]
     assert cross_sums(b, den, FLOAT64).tolist() == expected
+
+
+# 0, a subnormal, and magnitudes up to where products overflow float64
+MAGNITUDES = [0.0, 1e-310, 1e-200, 1e-20, 0.5, 1.0, 3.0, 1e20, 1e200, 1e300]
+floats = st.builds(lambda sign, m: sign * m, st.sampled_from([1.0, -1.0]), st.sampled_from(MAGNITUDES))
+rationals = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=5))
+
+
+@st.composite
+def square_rows(draw, cells, min_n=0, max_n=6):
+    n = draw(st.integers(min_n, max_n))
+    return [draw(st.lists(cells, min_size=n, max_size=n)) for _ in range(n)]
+
+
+def _solved(fn, a, den):
+    """fn(a, den) as rows of repr strings and entry types, or the ZeroPivot step it raised."""
+    try:
+        return [[(repr(x), type(x)) for x in row] for row in fn(a, den).entries.tolist()]
+    except ZeroPivot as exc:
+        return ("ZeroPivot", exc.t)
+
+
+@given(square_rows(floats), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_closed_recursion_float_matches_entry_by_entry(rows, fixed, data):
+    a = Matrix(rows, FLOAT64)
+    den = data.draw(st.lists(floats, min_size=a.n, max_size=a.n)) if fixed else None
+    assert _solved(closed_recursion, a, den) == _solved(closed_recursion_by_entry, a, den)
+
+
+@given(square_rows(rationals), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_closed_recursion_rational_matches_entry_by_entry(rows, fixed, data):
+    a = Matrix(rows, RATIONAL)
+    den = data.draw(st.lists(st.fractions(-4, 4, max_denominator=5), min_size=a.n,
+                             max_size=a.n)) if fixed else None
+    got = _solved(closed_recursion, a, den)
+    assert got == _solved(closed_recursion_by_entry, a, den)
+    if isinstance(got, list):
+        assert {t for row in got for _, t in row} <= {Fraction}
+
+
+@given(square_rows(floats, min_n=2), st.data())
+@settings(max_examples=200, deadline=None)
+def test_cross_sums_float_loop_matches_cross_sum_bit_for_bit(rows, data):
+    n = len(rows)
+    rows[1][0] = rows[0][1] = 1e300  # their product overflows, so the matrix product is skipped
+    den = data.draw(st.lists(floats.filter(bool), min_size=n, max_size=n))
+    expected = [[repr(cross_sum(rows, den, i, j, FLOAT64)) for j in range(n)] for i in range(n)]
+    assert [list(map(repr, row)) for row in cross_sums(rows, den, FLOAT64).tolist()] == expected

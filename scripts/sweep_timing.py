@@ -14,7 +14,9 @@ sum.  At each rational n it also prints the best of k `permanent_ryser` timings 
 the same matrix ("permanent", the exact oracle), with its 2^(n-1) Glynn
 terms, the best of k `alpha_coefficients` timings ("alpha") with d = n - 1
 on the matrix's leading (n-1) x (n-1) block and the top n - 1 entries of
-its last column, and the best of k whole `permbound bound` requests
+its last column (each of these timings runs on a fresh copy of the matrix,
+so it includes the one read of its integer rows that a `Matrix` keeps
+afterwards), and the best of k whole `permbound bound` requests
 (`cli.main`) on that matrix written to a temporary CSV ("cli-bound"): parsing, the sweep
 in the default arithmetic (float above n = 12), the exact permanent up to
 the default --exact-max and the report, with the fixed cost of each
@@ -131,11 +133,12 @@ def main():
             verdict = "certified" if res.certified else f"violation at {res.violation}"
             print(f"{'certificate':>13} {n:>4} {ms:>10.3f}  {verdict}")
             if kind != FLOAT64:
-                ms, _ = best_ms(lambda: permanent_ryser(m), args.repeat)
+                ms, _ = best_ms(lambda: permanent_ryser(Matrix(m.entries, m.kind)), args.repeat)
                 print(f"{'permanent':>13} {n:>4} {ms:>10.3f}  {1 << (n - 1)} terms")
                 lead = select(m, range(1, n), range(1, n))
                 x = m.col(n)[:-1]
-                ms, _ = best_ms(lambda: alpha_coefficients(lead, x), args.repeat)
+                ms, _ = best_ms(lambda: alpha_coefficients(Matrix(lead.entries, lead.kind), x),
+                                args.repeat)
                 print(f"{'alpha':>13} {n:>4} {ms:>10.3f}  d = {n - 1}")
                 print(f"{'cli-bound':>13} {n:>4} {cli_bound_ms(m, args.repeat):>10.3f}")
                 continue

@@ -30,7 +30,7 @@ from .errors import (
     ZeroPermanent,
     ZeroPivot,
 )
-from .matcore import Matrix, integer_rows, permanent_ryser, select, sorted_indices
+from .matcore import Matrix, permanent_ryser, select, sorted_indices
 from .process import ProcessTrace, closed_recursion, cross_sums, recursive_u, run_process
 from .scalars import (
     FLOAT64, RATIONAL, Scalar, SidePair, coerce, eq_scalar, first_failure, leq_scalar, one, quotient,
@@ -96,7 +96,7 @@ def rowsum_bound(a: Matrix) -> Scalar:
         with np.errstate(over="ignore"):
             sums = np.cumsum(np.abs(a.entries), axis=1)[:, -1] if a.ncols else np.zeros(a.nrows)
         return math.prod(sums.tolist(), start=1.0)
-    ints, scales = integer_rows(a.entries.tolist())
+    ints, scales = a._integer_rows()
     return Fraction(math.prod(sum(map(abs, row)) for row in ints), math.prod(scales))
 
 
@@ -251,7 +251,7 @@ def cycle_sum_ratio(x: BoundedInput, t: int, s: Iterable[int], i0: int) -> SideP
         raise ParameterOutOfRange(f"i0 = {i0} is not in S = {ss}")
     snapshot = x.trace.snapshot(t)
     try:
-        ints, scales = integer_rows(select(snapshot, ss, ss).entries.tolist())
+        ints, scales = select(snapshot, ss, ss)._integer_rows()
     except (OverflowError, ValueError):
         num = math.nan
     else:

@@ -3,9 +3,13 @@ exact permanent (`permanent_ryser`, the ground truth everywhere else), and
 the one elimination kernel (`eliminate`, on an ndarray of either kind)
 shared by the permanent process and its minus-variant.
 
-The permanent (of either kind) and the exact elimination run on integer
-rows (`integer_rows`), each with one integer scale.  Inside
-`permanent_memo` each distinct permanent is computed once.
+The permanent (of either kind), the exact elimination and the exact
+product run on integer rows (`integer_rows`), each with one integer scale.
+A `Matrix` reads its integer rows once, on first use, and `select` and
+`delete` cut a child's rows from a parent's that are already read, so
+every permanent of a minor or block shares one read.  An exact product
+sums each entry on integers and divides once.  Inside `permanent_memo`
+each distinct permanent is computed once.
 
 Conventions
 -----------
@@ -53,10 +57,11 @@ class Matrix:
 
     ``Matrix(rows, kind)`` copies rows (nested sequences or an ndarray) into
     the kind's dtype, and ``kind`` is read back from that dtype.  The
-    accessors return Python scalars, never numpy ones.
+    accessors return Python scalars, never numpy ones.  The `integer_rows`
+    of the entries are kept, as tuples, once something reads them.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_rows")
     __hash__ = None
 
     def __init__(self, rows, kind: str):
@@ -71,6 +76,18 @@ class Matrix:
             raise DimensionMismatch(f"rows of scalars expected, got a {a.ndim}-d array")
         a.flags.writeable = False
         self.entries = a
+        self._rows = None
+
+    def _integer_rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """`integer_rows` of the entries, read on first use and kept.
+
+        An inf or nan entry raises OverflowError or ValueError on every call;
+        nothing is kept then.
+        """
+        if self._rows is None:
+            ints, scales = integer_rows(self.entries.tolist())
+            self._rows = tuple(map(tuple, ints)), tuple(scales)
+        return self._rows
 
     @property
     def kind(self) -> str:
@@ -164,10 +181,25 @@ def _require_same_kind(a: Matrix, b: Matrix):
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """a b, each entry summed over k left to right from zero, as the plain loop rounds."""
+    """a b.
+
+    Exact: on the `integer_rows` of a (A_i over s_i) and of b, each row of b
+    rescaled to L, the lcm of b's scales, entry (i, j) is the integer dot
+    product of A_i and column j divided once, by s_i L.  Float64: each entry
+    summed over k left to right from zero, as the plain loop rounds.
+    """
     _require_same_kind(a, b)
     if a.ncols != b.nrows:
         raise DimensionMismatch(f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
+    if a.kind == RATIONAL:
+        a_ints, a_scales = a._integer_rows()
+        b_ints, b_scales = b._integer_rows()
+        lcm = math.lcm(*b_scales)
+        scaled = [[x * (lcm // s) for x in row] for row, s in zip(b_ints, b_scales)]
+        cols = list(zip(*scaled)) if scaled else [()] * b.ncols
+        out = [[Fraction(sum(map(operator.mul, row, col)), s * lcm) for col in cols]
+               for row, s in zip(a_ints, a_scales)]
+        return Matrix(np.array(out, dtype=object).reshape(a.nrows, b.ncols), RATIONAL)
     out = np.full((a.nrows, b.ncols), zero(a.kind))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(a.ncols):
@@ -217,7 +249,7 @@ def select(m: Matrix, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
     are 1 by convention.
     """
     rs, cs = _within_shape(m, rows, cols)
-    return Matrix(m.entries.take(rs, 0).take(cs, 1), m.kind)
+    return _cut(m, rs, cs)
 
 
 def delete(m: Matrix, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
@@ -225,7 +257,28 @@ def delete(m: Matrix, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
     rs, cs = _within_shape(m, rows, cols)
     keep_rows = [i for i in range(m.nrows) if i not in rs]
     keep_cols = [j for j in range(m.ncols) if j not in cs]
-    return Matrix(m.entries.take(keep_rows, 0).take(keep_cols, 1), m.kind)
+    return _cut(m, keep_rows, keep_cols)
+
+
+def _cut(m: Matrix, rs: list[int], cs: list[int]) -> Matrix:
+    """Rows rs and columns cs of m (0-based).
+
+    When m keeps its integer rows, the child's are cut from them: each kept
+    row and its scale s divided by g = gcd(s, *row).  That is the child's
+    `integer_rows` exactly, since the lcm of the reduced denominators of the
+    row_j / s is s / g, so a cut and a fresh read give one memo key.
+    """
+    child = Matrix(m.entries.take(rs, 0).take(cs, 1), m.kind)
+    if m._rows is not None:
+        parent_ints, parent_scales = m._rows
+        ints, scales = [], []
+        for i in rs:
+            row, s = tuple(map(parent_ints[i].__getitem__, cs)), parent_scales[i]
+            g = math.gcd(s, *row)
+            ints.append(row if g == 1 else tuple(map(g.__rfloordiv__, row)))  # x // g
+            scales.append(s // g)
+        child._rows = tuple(ints), tuple(scales)
+    return child
 
 
 def ryser_fits(m: Matrix) -> bool:
@@ -271,8 +324,9 @@ def permanent_ryser(m: Matrix) -> Scalar:
 
     per(m) = sum over d in {+-1}^n with d_1 = +1 of
     (prod_j d_j) prod_i (sum_j d_j a_{i,j}) / 2^(n-1).  The Gray-code loop
-    flips one column sign per step on the `integer_rows` of m, adding or
-    subtracting twice that column, and divides once by prod s_i * 2^(n-1).
+    flips one column sign per step on the `integer_rows` of m (kept by m
+    once read), adding or subtracting twice that column, and divides once
+    by prod s_i * 2^(n-1).
     Float mode returns the exact value rounded once (+-inf beyond the
     float64 range, nan for an inf or nan entry).  `ryser_fits` is the size
     guard; inside `permanent_memo` a repeated matrix is looked up.
@@ -283,7 +337,7 @@ def permanent_ryser(m: Matrix) -> Scalar:
     if n == 0:
         return one(m.kind)
     try:
-        ints, scales = integer_rows(m.entries.tolist())
+        ints, scales = m._integer_rows()
     except (OverflowError, ValueError):
         return math.nan
     memo = _MEMO.get()
@@ -297,7 +351,7 @@ def permanent_ryser(m: Matrix) -> Scalar:
     return value
 
 
-def _glynn(ints: list[list[int]], scales: list[int], kind: str) -> Scalar:
+def _glynn(ints: Sequence[Sequence[int]], scales: Sequence[int], kind: str) -> Scalar:
     """Glynn's sum on integer rows ints[i] / scales[i], n >= 1, divided once."""
     n = len(ints)
     twice = [[2 * x for x in col] for col in zip(*ints)]
@@ -362,7 +416,7 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
     snaps = [m] if keep else None
     a = state = m.entries.copy()  # state: the true values, for the snapshots
     if exact:
-        ints, scales = integer_rows(m.entries.tolist())
+        ints, scales = m._integer_rows()
         a = np.array(ints, dtype=object).reshape(n, n)
         scale = np.array(scales, dtype=object)
         fractions = np.frompyfunc(Fraction, 2, 1)

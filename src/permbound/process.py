@@ -6,10 +6,10 @@ t = 1..n-1 and i, j > t it performs
     a_{i,j} <- a_{i,j} + a_{i,t} * a_{t,j} / a_{t,t}
 
 and the product of the resulting diagonal pivots upper-bounds per(A) for
-non-negative and for PSD inputs.  The minus-variant (honest column-wise
-Gaussian elimination) reproduces det(A) exactly and serves as a sanity
-anchor.  Both run through `matcore.eliminate`, one kernel for exact
-rationals and float64 alike.  The u-recursion is the closed dynamic
+non-negative and for PSD inputs.  It runs through `matcore.eliminate`,
+one kernel for exact rationals and float64 alike, whose sign -1 is the
+minus-variant (honest column-wise Gaussian elimination, the determinant
+anchor in the tests).  The u-recursion is the closed dynamic
 program for the same values, and `closed_recursion` with the original
 diagonal as denominators gives the recursive majorant.  It and the
 certificates' `cross_sums` share one loop, a running sum of outer products.
@@ -105,19 +105,6 @@ def run_process(
 def process_bound(a: Matrix | GramMatrix) -> Scalar:
     """Product of the process pivots; upper-bounds per(A)."""
     return run_process(a).bound
-
-
-def run_gaussian_variant(a: Matrix, keep_snapshots: bool = False) -> ProcessTrace:
-    """The minus-variant: column-wise Gaussian elimination without pivoting.
-
-    Updates a_{i,j} <- a_{i,j} - a_{i,t} * a_{t,j} / a_{t,t} for j > t and
-    every row i > t, then zeroes row t right of the pivot, producing a
-    lower-triangular final matrix whose diagonal product is det(A) exactly
-    in rational mode.  Any square input is
-    accepted; a zero pivot is an error (no pivoting is performed).
-    """
-    pivots, snaps = eliminate(a, -1, keep=keep_snapshots)
-    return ProcessTrace(n=a.n, pivots=pivots, arithmetic=a.kind, snapshots=snaps)
 
 
 def _running_sums(b: np.ndarray, den, kind: str, a: np.ndarray | None = None) -> np.ndarray:

@@ -1,17 +1,24 @@
 """Reference implementations the tests check the package against.
 
 The n! permutation sum for the permanent, row-pivoted elimination for the
-determinant, an exact PSD test by symmetric elimination, and the cross sum
-and closed recursion entry by entry.  None runs in the package itself: its
-one permanent algorithm is `permanent_ryser` (Glynn's formula, which also
-gives the PSD alpha coefficients), its one elimination loop is
-`matcore.eliminate`, which the PSD test calls, and its one cross-sum loop is
-the running sum behind `process.cross_sums` and `process.closed_recursion`.
+determinant, the minus-variant of the process (Gaussian elimination, whose
+pivots multiply to the determinant), an exact PSD test by symmetric
+elimination, the cross sum and closed recursion entry by entry, and the
+matrix product as a running sum of outer products.  None runs in the
+package itself: its one permanent algorithm is `permanent_ryser` (Glynn's
+formula, which also gives the PSD alpha coefficients), its one elimination
+loop is `matcore.eliminate`, which the minus-variant and the PSD test call,
+its one cross-sum loop is the running sum behind `process.cross_sums` and
+`process.closed_recursion`, and its exact product sums integer rows.
 """
 
 from itertools import permutations
 
-from permbound import DimensionTooLarge, InvalidGram, Matrix, RATIONAL, ZeroPivot, transpose
+import numpy as np
+
+from permbound import (
+    DimensionTooLarge, InvalidGram, Matrix, ProcessTrace, RATIONAL, ZeroPivot, transpose,
+)
 from permbound.matcore import eliminate
 from permbound.scalars import Scalar, one, zero
 
@@ -69,6 +76,29 @@ def determinant(m: Matrix) -> Scalar:
             for j in range(t, n):
                 a[i][j] -= factor * a[t][j]
     return det if sign == 1 else -det
+
+
+def run_gaussian_variant(a: Matrix, keep_snapshots: bool = False) -> ProcessTrace:
+    """The minus-variant: column-wise Gaussian elimination without pivoting.
+
+    Updates a_{i,j} <- a_{i,j} - a_{i,t} * a_{t,j} / a_{t,t} for j > t and
+    every row i > t, then zeroes row t right of the pivot, producing a
+    lower-triangular final matrix whose diagonal product is det(A) exactly
+    in rational mode.  Any square input is
+    accepted; a zero pivot is an error (no pivoting is performed).
+    """
+    pivots, snaps = eliminate(a, -1, keep=keep_snapshots)
+    return ProcessTrace(n=a.n, pivots=pivots, arithmetic=a.kind, snapshots=snaps)
+
+
+def matmul_running_sum(a: Matrix, b: Matrix) -> Matrix:
+    """a b as a running sum from zero of the outer products of column k of a
+    and row k of b, k = 1, 2, ... (exact entries come out as Fractions)."""
+    out = np.full((a.nrows, b.ncols), zero(a.kind))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(a.ncols):
+            out += np.outer(a.entries[:, k], b.entries[k])
+    return Matrix(out, a.kind)
 
 
 def is_psd_exact(m: Matrix) -> bool:

@@ -41,13 +41,12 @@ from permbound import (
     recursive_u,
     row_uncrossing_sides,
     rowsum_bound,
-    run_gaussian_variant,
     run_process,
     schur_permanent_bound,
     select,
     two_row_inequality_sides,
 )
-from oracles import determinant, permanent_naive
+from oracles import determinant, permanent_naive, run_gaussian_variant
 from randmat import (
     block_matrix,
     dominant_matrix,

@@ -22,9 +22,10 @@ def test_every_public_import_is_listed():
 
 
 def test_oracles_and_negative_input_are_not_in_the_package():
-    # the n! sum, row-pivoted elimination and the exact PSD test live in
-    # tests/oracles.py; a negative entry raises NegativeEntry everywhere
-    for name in ("permanent_naive", "determinant", "NAIVE_MAX", "NegativeInput", "is_psd_exact"):
+    # the n! sum, row-pivoted elimination, the minus-variant and the exact PSD
+    # test live in tests/oracles.py; a negative entry raises NegativeEntry everywhere
+    for name in ("permanent_naive", "determinant", "NAIVE_MAX", "NegativeInput", "is_psd_exact",
+                 "run_gaussian_variant"):
         assert not hasattr(permbound, name), name
         assert not hasattr(matcore, name), name
         assert not hasattr(psd, name), name

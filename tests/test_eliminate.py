@@ -21,13 +21,12 @@ from permbound import (
     RATIONAL,
     ZeroPivot,
     gram_from_factor,
-    run_gaussian_variant,
     run_process,
 )
 from permbound import matcore
 from permbound.matcore import eliminate
 from permbound.psd import GramMatrix
-from oracles import determinant
+from oracles import determinant, run_gaussian_variant
 
 
 def list_eliminate(rows, sign, every_row=False, skip_zero=False, keep=False):

@@ -27,14 +27,13 @@ from permbound import (
     ones,
     outer,
     permanent_ryser,
-    run_gaussian_variant,
     run_process,
     select,
     transpose,
 )
 from permbound import matcore
-from permbound.matcore import permanent_memo, ryser_fits
-from oracles import determinant, permanent_naive
+from permbound.matcore import integer_rows, permanent_memo, ryser_fits
+from oracles import determinant, matmul_running_sum, permanent_naive, run_gaussian_variant
 from randmat import block_matrix, integer_matrix, nonneg_matrix
 
 
@@ -463,6 +462,113 @@ def test_delete_is_select_on_the_complements():
         rest_t = [j for j in range(1, nc + 1) if j not in t]
         assert delete(m, s, t) == select(m, rest_s, rest_t), (m, s, t)
         assert select(m, s, t) == delete(m, rest_s, rest_t), (m, s, t)
+
+
+def read_rows(m):
+    """The `integer_rows` of m's entries, read afresh, as the tuples a Matrix keeps."""
+    ints, scales = integer_rows(m.entries.tolist())
+    return tuple(map(tuple, ints)), tuple(scales)
+
+
+def assert_cuts_are_canonical(m, rows, cols):
+    """select and delete of m, whose integer rows are kept, hold the rows a fresh read gives."""
+    assert m._integer_rows() == read_rows(m)
+    for child in (select(m, rows, cols), delete(m, rows, cols)):
+        assert child._rows is not None
+        assert child._rows == read_rows(child), (m, rows, cols)
+        grandchild = delete(child, (1,) if child.nrows else (), ())  # a cut of a cut
+        assert grandchild._rows == read_rows(grandchild)
+
+
+@st.composite
+def cut_cases(draw, entries, zero):
+    nr, nc = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = [[draw(entries) for _ in range(nc)] for _ in range(nr)]
+    if nr and draw(st.booleans()):
+        rows[draw(st.integers(0, nr - 1))] = [zero] * nc
+    keep_rows = draw(st.lists(st.booleans(), min_size=nr, max_size=nr))
+    keep_cols = draw(st.lists(st.booleans(), min_size=nc, max_size=nc))
+    return (rows, nc, [i + 1 for i, k in enumerate(keep_rows) if k],
+            [j + 1 for j, k in enumerate(keep_cols) if k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    cut_cases(SIGNED_RATIONALS, Fraction(0)).map(lambda case: (RATIONAL, *case)),
+    cut_cases(SIGNED_FLOATS, 0.0).map(lambda case: (FLOAT64, *case)),
+))
+def test_cut_integer_rows_are_the_rows_read_afresh(case):
+    kind, rows, nc, keep_rows, keep_cols = case
+    m = Matrix(np.array(rows, dtype=matcore.DTYPES[kind]).reshape(len(rows), nc), kind)
+    assert_cuts_are_canonical(m, keep_rows, keep_cols)
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, FLOAT64])
+def test_empty_cuts_are_canonical(kind):
+    m = matrix([[Fraction(1, 6), -2, 0], [0, 0, 0], [Fraction(3, 4), Fraction(-5, 2), 7]], kind)
+    for rows, cols in (((), (1, 2)), ((1, 3), ()), ((), ()), ((2,), (1, 2, 3))):
+        assert_cuts_are_canonical(m, rows, cols)
+    assert select(m, (), (1, 2))._rows == ((), ())
+    assert select(m, (1, 3), ())._rows == (((), ()), (1, 1))
+
+
+def test_cut_rows_share_memo_keys_with_fresh_matrices(monkeypatch):
+    seen = record_glynn_memos(monkeypatch)
+    m = matrix([[Fraction(1, 6), Fraction(1, 4), 2], [Fraction(1, 3), 1, 1], [3, Fraction(1, 2), 5]])
+    with permanent_memo():
+        permanent_ryser(m)
+        for i in range(1, 4):
+            for j in range(1, 4):
+                minor = delete(m, (i,), (j,))
+                fresh = Matrix(minor.entries, RATIONAL)
+                assert permanent_ryser(minor) == permanent_ryser(fresh)
+    assert len(seen) == 1 + 9
+
+
+def test_float_inf_entry_is_nan_on_every_call():
+    m = Matrix([[math.inf, 1.0], [1.0, 2.0]], FLOAT64)
+    assert math.isnan(permanent_ryser(m))
+    assert math.isnan(permanent_ryser(m))
+    assert m._rows is None
+    assert permanent_ryser(delete(m, (1,), (1,))) == 2.0
+
+
+P_OVER_Q = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=12))
+
+
+@st.composite
+def product_shapes(draw):
+    nr, k, nc = (draw(st.integers(0, 5)) for _ in range(3))
+    a = [[draw(P_OVER_Q) for _ in range(k)] for _ in range(nr)]
+    b = [[draw(P_OVER_Q) for _ in range(nc)] for _ in range(k)]
+    return (Matrix(np.array(a, dtype=object).reshape(nr, k), RATIONAL),
+            Matrix(np.array(b, dtype=object).reshape(k, nc), RATIONAL))
+
+
+def assert_exact_product_is_the_running_sum(a, b):
+    got, want = matmul(a, b), matmul_running_sum(a, b)
+    assert got == want
+    assert got.entries.shape == (a.nrows, b.ncols)
+    assert all(type(x) is Fraction for x in got.entries.ravel().tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_shapes())
+def test_exact_matmul_equals_the_running_sum(ab):
+    assert_exact_product_is_the_running_sum(*ab)
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((0, 3), (3, 2)), ((2, 3), (3, 0)), ((3, 0), (0, 2)), ((3, 2), (2, 1)), ((3, 1), (1, 3)),
+    ((0, 0), (0, 0)),
+])
+def test_exact_matmul_on_thin_shapes(shape_a, shape_b):
+    rng = random.Random(sum(shape_a) * 10 + sum(shape_b))
+    def draw(shape):
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(shape[1])]
+                for _ in range(shape[0])]
+        return Matrix(np.array(rows, dtype=object).reshape(shape), RATIONAL)
+    assert_exact_product_is_the_running_sum(draw(shape_a), draw(shape_b))
 
 
 @pytest.mark.parametrize("rows, cols, message", [

@@ -25,12 +25,11 @@ from permbound import (
     pivot_lower_bound_check,
     process_bound,
     recursive_u,
-    run_gaussian_variant,
     run_process,
     select,
 )
 from permbound.process import closed_recursion, cross_sums
-from oracles import closed_recursion_by_entry, cross_sum, determinant
+from oracles import closed_recursion_by_entry, cross_sum, determinant, run_gaussian_variant
 from randmat import (
     nonneg_matrix,
     nonzero_leading_minors_matrix,

@@ -1,7 +1,8 @@
 """Derived bound machinery on top of the process.
 
-Recursive majorants and their certificates, the diagonal-dominance
-guarantee, the exponential family with its closed form, the boundedness
+Majorant certificates and their one check, the inequality form of the
+majorant recursion (an exact solution satisfies it too), the
+diagonal-dominance guarantee, the exponential family, the boundedness
 function B(n, k, t) = n! * M^(n+k) * (M+1)^(t-1) with its entry/ratio/cycle
 checks on one checked `BoundedInput` and their case generators, and the
 product-of-absolute-row-sums baseline.  Row sums and cycle sums run on
@@ -31,7 +32,7 @@ from .errors import (
     ZeroPivot,
 )
 from .matcore import Matrix, permanent_ryser, select, sorted_indices
-from .process import ProcessTrace, closed_recursion, cross_sums, recursive_u, run_process
+from .process import ProcessTrace, cross_sums, recursive_u, run_process
 from .scalars import (
     FLOAT64, RATIONAL, Scalar, SidePair, coerce, eq_scalar, first_failure, leq_scalar, one, quotient,
 )
@@ -39,17 +40,15 @@ from .scalars import (
 
 @dataclass(frozen=True)
 class MajorantCertificate:
-    """A candidate majorant b for a, with the claimed mode and verification flag.
+    """A candidate majorant b for a, with its verification flag.
 
-    mode "inequality" claims a_{i,j} + sum_{s<min(i,j)} b_{i,s} b_{s,j} / a_{s,s}
-    <= b_{i,j} everywhere; mode "equality" claims the recursion holds with
-    equality (the solve_majorant output).  verified is set only by
-    verify_majorant.
+    b claims a_{i,j} + sum_{s<min(i,j)} b_{i,s} b_{s,j} / a_{s,s} <= b_{i,j}
+    everywhere; an exact solution of the recursion claims it too.  verified
+    is set only by verify_majorant.
     """
 
     a: Matrix
     b: Matrix
-    mode: str = "inequality"
     verified: bool = False
 
 
@@ -112,29 +111,14 @@ def verify_majorant(cert: MajorantCertificate) -> MajorantCertificate:
         raise DimensionMismatch(f"a is {a.n}x{a.n} but b is {b.n}x{b.n}")
     if not a.is_nonneg() or not b.is_nonneg():
         raise NegativeEntry("majorant certificates require non-negative matrices")
-    if cert.mode not in ("inequality", "equality"):
-        raise ParameterOutOfRange(f"unknown certificate mode {cert.mode!r}")
     kind = a.kind
     lhs = a.entries + cross_sums(b.entries, a.diagonal(), kind)
-    holds = eq_scalar if cert.mode == "equality" else leq_scalar
-    failure = first_failure(lhs, b.entries, kind, holds)
+    failure = first_failure(lhs, b.entries, kind)
     if failure is not None:
         raise ConditionViolated(*failure)
     failure = first_failure(recursive_u(a).entries, b.entries, kind)
     assert failure is None, f"u exceeds the verified majorant at {failure}"
     return replace(cert, verified=True)
-
-
-def solve_majorant(a: Matrix) -> Matrix:
-    """Solve the equality form of the majorant recursion.
-
-    b_{i,j} = a_{i,j} + sum_{s < min(i,j)} b_{i,s} b_{s,j} / a_{s,s}; note
-    the denominators are the original diagonal entries, so b dominates the
-    process values u and per(A) <= prod b_{i,i}.
-    """
-    if not a.is_nonneg():
-        raise NegativeEntry("solve_majorant requires a non-negative matrix")
-    return closed_recursion(a, den=a.diagonal())
 
 
 def diag_dominance_certify(a: Matrix, eps: Scalar) -> DiagDominanceResult:
@@ -348,21 +332,3 @@ def exp_family(n: int, c) -> Matrix:
     """The family (A_n)_{i,j} = c^(-|i-j|); rational when c is, float otherwise."""
     _, kind, powers = _exp_powers(n, c)
     return Matrix([[powers[abs(i - j)] for j in range(n)] for i in range(n)], kind)
-
-
-def exp_family_closed_form(n: int, c) -> Matrix:
-    """The closed form of the process output on exp_family(n, c).
-
-    Entry (i, j) is c^(-|i-j|) * (1 + sum_{k=1}^{min(i,j)-1} 2^(k-1) c^(-2k));
-    equals run_process(exp_family(n, c)).snapshot(n) entrywise.
-    """
-    cc, kind, powers = _exp_powers(n, c)
-    inv2 = 1 / (cc * cc)
-    prefix = [one(kind)]  # prefix[m] = 1 + sum_{k=1..m} 2^(k-1) c^(-2k)
-    term = inv2
-    for _ in range(n - 1):
-        prefix.append(prefix[-1] + term)
-        term *= 2 * inv2
-    return Matrix(
-        [[powers[abs(i - j)] * prefix[min(i, j)] for j in range(n)] for i in range(n)], kind
-    )

@@ -394,7 +394,10 @@ def _check_majorant(suite: _Suite, parsed: ParsedMatrix):
         verify_majorant(MajorantCertificate(a=parsed.matrix, b=parsed.majorant))
         return None
 
-    suite.run("majorant-recursion", majorant)
+    if parsed.matrix.is_nonneg():
+        suite.run("majorant-recursion", majorant)
+    else:  # a Gram input may have negative entries; its suite lines still print
+        suite.skip("majorant-recursion", "needs a non-negative matrix")
 
 
 # suite name -> (checks, requirement on the input or None, what it needs)
@@ -415,7 +418,7 @@ def cmd_verify(args) -> int:
 
     A suite whose requirement fails is an input error when asked for by
     name and a SKIP line under "all".  A majorant field is checked under
-    any suite.
+    any suite, and is a SKIP line when the matrix has a negative entry.
     """
     parsed = parse_matrix_file(args.input)
     suite = _Suite(parsed.matrix.n)

@@ -163,10 +163,6 @@ def matrix(rows: Sequence[Sequence], kind: str | None = None) -> Matrix:
     return Matrix([[coerce(x, kind) for x in r] for r in rows], kind)
 
 
-def identity(n: int, kind: str = RATIONAL) -> Matrix:
-    return Matrix(np.where(np.eye(n, dtype=bool), one(kind), zero(kind)), kind)
-
-
 def ones(n: int, kind: str = RATIONAL) -> Matrix:
     return Matrix(np.full((n, n), one(kind)), kind)
 

@@ -7,18 +7,18 @@ matrix B* with entries
 
 where B_{j,i} deletes row j and column i.  B* is not a multiplicative
 inverse, but both B*B and BB* dominate the identity entrywise with exact
-unit diagonals, and permanental minors of B are controlled by permanents
-of submatrices of B*.
+unit diagonals (`check_identity_dominance`, a `verify` row).  That
+permanental minors of B are controlled by permanents of submatrices of B*
+is a lemma only the tests check, against their own oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .errors import DimensionMismatch, NegativeEntry, ZeroPermanent
-from .matcore import Matrix, delete, matmul, permanent_ryser, select, sorted_indices
-from .scalars import Scalar, SidePair, eq_scalar, first_failure, leq_scalar, zero
+from .errors import NegativeEntry, ZeroPermanent
+from .matcore import Matrix, delete, matmul, permanent_ryser
+from .scalars import Scalar, eq_scalar, first_failure, zero
 
 
 @dataclass(frozen=True)
@@ -70,25 +70,3 @@ def check_identity_dominance(b: Matrix) -> DominanceCheck:
         for prod in (left, right)
     )
     return DominanceCheck(left, right, holds)
-
-
-def minor_ratio_inequality(
-    b: Matrix,
-    s: Iterable[int],
-    t: Iterable[int],
-    inverse: PermanentalInverse | None = None,
-) -> SidePair:
-    """Check per(B(-S,-T))/per(B) <= per(B*(T,S)).
-
-    Equality holds when |S| = |T| = 1.  A precomputed inverse may be passed
-    when sweeping many (S, T) pairs against one B.
-    """
-    s = sorted_indices(s)
-    t = sorted_indices(t)
-    if len(s) != len(t):
-        raise DimensionMismatch(f"|S| = {len(s)} but |T| = {len(t)}")
-    if inverse is None:
-        inverse = permanental_inverse(b)
-    lhs = permanent_ryser(delete(b, s, t)) / inverse.source_perm
-    rhs = permanent_ryser(select(inverse.matrix, t, s))
-    return SidePair(lhs, rhs, leq_scalar(lhs, rhs, b.kind))

@@ -9,10 +9,9 @@ and the product of the resulting diagonal pivots upper-bounds per(A) for
 non-negative and for PSD inputs.  It runs through `matcore.eliminate`,
 one kernel for exact rationals and float64 alike, whose sign -1 is the
 minus-variant (honest column-wise Gaussian elimination, the determinant
-anchor in the tests).  The u-recursion is the closed dynamic
-program for the same values, and `closed_recursion` with the original
-diagonal as denominators gives the recursive majorant.  It and the
-certificates' `cross_sums` share one loop, a running sum of outer products.
+anchor in the tests).  The u-recursion (`recursive_u`) is the closed
+dynamic program for the same values.  It and the certificates'
+`cross_sums` share one loop, a running sum of outer products.
 """
 
 from __future__ import annotations
@@ -23,10 +22,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NegativeEntry, NotSquare, ParameterOutOfRange, ZeroPermanent, ZeroPivot
-from .matcore import DTYPES, Matrix, eliminate, permanent_ryser, select
+from .errors import NegativeEntry, NotSquare, ParameterOutOfRange, ZeroPivot
+from .matcore import DTYPES, Matrix, eliminate
 from .psd import GramMatrix
-from .scalars import FLOAT64, Scalar, SidePair, leq_scalar, one, zero
+from .scalars import FLOAT64, Scalar, one, zero
 
 
 @dataclass(frozen=True)
@@ -114,9 +113,10 @@ def _running_sums(b: np.ndarray, den, kind: str, a: np.ndarray | None = None) ->
     and row s right of it, divided by den_s (b_{s,s} when den is None),
     into the trailing block; a zero den_s raises ZeroPivot(s + 1).  Floats
     divide each product, so every entry rounds as the sum from 0.0 in order
-    of s does; exact entries divide the column first.  Given a, row and
-    column s + 1 of b are then set to a plus their finished sums, before
-    step s + 1 reads them: that solves the closed recursion in b, in place.
+    of s does; exact entries divide the column first.  Given a (with den
+    None), row and column s + 1 of b are then set to a plus their finished
+    sums, before step s + 1 reads them: that solves the u-recursion in b,
+    in place.
     """
     n = len(b)
     sums = np.full((n, n), zero(kind), DTYPES[kind])
@@ -160,55 +160,20 @@ def cross_sums(b, den, kind: str) -> np.ndarray:
     return _running_sums(b, den, kind)
 
 
-def closed_recursion(a: Matrix, den=None) -> Matrix:
-    """Solve b_{i,j} = a_{i,j} + sum_{s < min(i,j)} b_{i,s} b_{s,j} / den_s in order of min(i,j).
-
-    den is a fixed sequence of denominators, or None for b's own diagonal
-    (den_s = b_{s,s}, the u-recursion).  A zero denominator that a later
-    step divides by raises ZeroPivot with its 1-based index.  Each b_{i,j}
-    is a_{i,j} plus its running sum, so -0.0 reads 0.0 and ints Fractions.
-    """
-    if not a.is_square:
-        raise NotSquare(f"closed_recursion needs a square matrix, got {a.nrows}x{a.ncols}")
-    b = a.entries + zero(a.kind)  # writable; row and column 0 are final
-    _running_sums(b, den, a.kind, a.entries)
-    return Matrix(b, a.kind)
-
-
 def recursive_u(a: Matrix) -> Matrix:
     """The closed recursion u_{i,j} = a_{i,j} + sum_{s < min(i,j)} u_{i,s} u_{s,j} / u_{s,s}.
 
-    Equals the process values a^(min(i,j))_{i,j} entrywise, hence also the
-    final matrix A^(n).  The sum runs to min(i,j) - 1; see the process
-    equivalence test.
+    Solved in order of min(i,j).  Equals the process values
+    a^(min(i,j))_{i,j} entrywise, hence also the final matrix A^(n).  The
+    sum runs to min(i,j) - 1; see the process equivalence test.  A zero
+    u_{s,s} that a later step divides by raises ZeroPivot with its 1-based
+    index.  Each u_{i,j} is a_{i,j} plus its running sum, so -0.0 reads 0.0
+    and ints Fractions.
     """
     if not a.is_nonneg():
         raise NegativeEntry("the u-recursion is defined for non-negative matrices")
-    return closed_recursion(a)
-
-
-def pivot_lower_bound_check(a: Matrix | GramMatrix) -> tuple[SidePair, ...]:
-    """Check pivot_t >= per(A^(t)(-[t-1], -[t-1])) / per(A^(t+1)(-[t], -[t])).
-
-    Returns SidePair(ratio, pivot, holds) for step t at index t - 1.  The
-    t = n denominator is the empty permanent 1, so the ratios telescope to
-    per(A) and the per-step checks compose into the headline bound.
-    """
-    trace = run_process(a, keep_snapshots=True)
-    n = trace.n
-    kind = trace.arithmetic
-    out = []
-    for t in range(1, n + 1):
-        trailing = range(t, n + 1)
-        num = permanent_ryser(select(trace.snapshot(t), trailing, trailing))
-        if t < n:
-            rest = range(t + 1, n + 1)
-            den = permanent_ryser(select(trace.snapshot(t + 1), rest, rest))
-        else:
-            den = one(kind)
-        if den == 0:
-            raise ZeroPermanent(f"zero denominator permanent at step {t}")
-        ratio = num / den
-        pivot = trace.pivots[t - 1]
-        out.append(SidePair(ratio, pivot, leq_scalar(ratio, pivot, kind)))
-    return tuple(out)
+    if not a.is_square:
+        raise NotSquare(f"the u-recursion needs a square matrix, got {a.nrows}x{a.ncols}")
+    u = a.entries + zero(a.kind)  # writable; row and column 0 are final
+    _running_sums(u, None, a.kind, a.entries)
+    return Matrix(u, a.kind)

@@ -131,17 +131,16 @@ def leq_scalar(x: Scalar, y: Scalar, kind: str) -> bool:
     return x <= y + INEQ_SLACK * max(1.0, abs(x), abs(y))
 
 
-def first_failure(lhs: np.ndarray, rhs: np.ndarray, kind: str, holds=leq_scalar):
-    """The first (i, j), 1-based in row-major order, where holds(lhs_ij, rhs_ij) fails.
+def first_failure(lhs: np.ndarray, rhs: np.ndarray, kind: str):
+    """The first (i, j), 1-based in row-major order, where leq_scalar(lhs_ij, rhs_ij) fails.
 
     lhs and rhs are arrays, or a scalar on one side, broadcast to one shape.
-    holds is leq_scalar or eq_scalar, which can fail only where lhs <= rhs
-    (or lhs == rhs) fails outright, so only those entries are checked.
+    leq_scalar can fail only where lhs <= rhs fails outright, so only those
+    entries are checked.
     """
     lhs, rhs = np.broadcast_arrays(lhs, rhs)
-    plain = lhs == rhs if holds is eq_scalar else lhs <= rhs
-    for i, j in np.argwhere(~plain):
-        if not holds(lhs.item(i, j), rhs.item(i, j), kind):
+    for i, j in np.argwhere(~(lhs <= rhs)):
+        if not leq_scalar(lhs.item(i, j), rhs.item(i, j), kind):
             return int(i) + 1, int(j) + 1
     return None
 

@@ -9,17 +9,30 @@ package itself: its one permanent algorithm is `permanent_ryser` (Glynn's
 formula, which also gives the PSD alpha coefficients), its one elimination
 loop is `matcore.eliminate`, which the minus-variant and the PSD test call,
 its one cross-sum loop is the running sum behind `process.cross_sums` and
-`process.closed_recursion`, and its exact product sums integer rows.
+`process.recursive_u`, and its exact product sums integer rows.
+
+`closed_recursion_by_entry` with the original diagonal as fixed
+denominators solves the majorant recursion with equality, which the
+majorant tests take as a certificate.  Code that only tests call lives
+here too, on top of the package: the identity matrix, and the paper's
+lemmas that no command checks, namely the per-pivot lower bounds that
+telescope to per(A), the minor-ratio inequality of the permanental
+inverse, and the closed form of the process output on the exponential
+family (criteria 5 and 6 compare against the last two).
 """
 
 from itertools import permutations
+from typing import Iterable
 
 import numpy as np
 
 from permbound import (
-    DimensionTooLarge, InvalidGram, Matrix, ProcessTrace, RATIONAL, ZeroPivot, transpose,
+    DimensionMismatch, DimensionTooLarge, GramMatrix, InvalidGram, Matrix, PermanentalInverse,
+    ProcessTrace, RATIONAL, SidePair, ZeroPermanent, ZeroPivot, delete, leq_scalar,
+    permanent_ryser, permanental_inverse, run_process, select, transpose,
 )
-from permbound.matcore import eliminate
+from permbound.bounds import _exp_powers
+from permbound.matcore import eliminate, sorted_indices
 from permbound.scalars import Scalar, one, zero
 
 NAIVE_MAX = 10
@@ -128,9 +141,9 @@ def cross_sum(b, den, i: int, j: int, kind: str) -> Scalar:
 def closed_recursion_by_entry(a: Matrix, den=None) -> Matrix:
     """b_{i,j} = a_{i,j} + cross_sum(b, den, i, j), one entry at a time in order of min(i,j).
 
-    den as in `process.closed_recursion`: fixed denominators, or None for
-    b's own diagonal.  A zero denominator that a later step divides by
-    raises ZeroPivot with its 1-based index.
+    den is a fixed sequence of denominators, or None for b's own diagonal
+    (the u-recursion of `process.recursive_u`).  A zero denominator that a
+    later step divides by raises ZeroPivot with its 1-based index.
     """
     n = a.n
     rows = a.entries.tolist()
@@ -146,3 +159,74 @@ def closed_recursion_by_entry(a: Matrix, den=None) -> Matrix:
         if d[m] == 0 and m < n - 1:
             raise ZeroPivot(m + 1)
     return Matrix(b, a.kind)
+
+
+def identity(n: int, kind: str = RATIONAL) -> Matrix:
+    return Matrix(np.where(np.eye(n, dtype=bool), one(kind), zero(kind)), kind)
+
+
+def pivot_lower_bound_check(a: Matrix | GramMatrix) -> tuple[SidePair, ...]:
+    """Check pivot_t >= per(A^(t)(-[t-1], -[t-1])) / per(A^(t+1)(-[t], -[t])).
+
+    Returns SidePair(ratio, pivot, holds) for step t at index t - 1.  The
+    t = n denominator is the empty permanent 1, so the ratios telescope to
+    per(A) and the per-step checks compose into the headline bound.
+    """
+    trace = run_process(a, keep_snapshots=True)
+    n = trace.n
+    kind = trace.arithmetic
+    out = []
+    for t in range(1, n + 1):
+        trailing = range(t, n + 1)
+        num = permanent_ryser(select(trace.snapshot(t), trailing, trailing))
+        if t < n:
+            rest = range(t + 1, n + 1)
+            den = permanent_ryser(select(trace.snapshot(t + 1), rest, rest))
+        else:
+            den = one(kind)
+        if den == 0:
+            raise ZeroPermanent(f"zero denominator permanent at step {t}")
+        ratio = num / den
+        pivot = trace.pivots[t - 1]
+        out.append(SidePair(ratio, pivot, leq_scalar(ratio, pivot, kind)))
+    return tuple(out)
+
+
+def minor_ratio_inequality(
+    b: Matrix,
+    s: Iterable[int],
+    t: Iterable[int],
+    inverse: PermanentalInverse | None = None,
+) -> SidePair:
+    """Check per(B(-S,-T))/per(B) <= per(B*(T,S)).
+
+    Equality holds when |S| = |T| = 1.  A precomputed inverse may be passed
+    when sweeping many (S, T) pairs against one B.
+    """
+    s = sorted_indices(s)
+    t = sorted_indices(t)
+    if len(s) != len(t):
+        raise DimensionMismatch(f"|S| = {len(s)} but |T| = {len(t)}")
+    if inverse is None:
+        inverse = permanental_inverse(b)
+    lhs = permanent_ryser(delete(b, s, t)) / inverse.source_perm
+    rhs = permanent_ryser(select(inverse.matrix, t, s))
+    return SidePair(lhs, rhs, leq_scalar(lhs, rhs, b.kind))
+
+
+def exp_family_closed_form(n: int, c) -> Matrix:
+    """The closed form of the process output on exp_family(n, c).
+
+    Entry (i, j) is c^(-|i-j|) * (1 + sum_{k=1}^{min(i,j)-1} 2^(k-1) c^(-2k));
+    equals run_process(exp_family(n, c)).snapshot(n) entrywise.
+    """
+    cc, kind, powers = _exp_powers(n, c)
+    inv2 = 1 / (cc * cc)
+    prefix = [one(kind)]  # prefix[m] = 1 + sum_{k=1..m} 2^(k-1) c^(-2k)
+    term = inv2
+    for _ in range(n - 1):
+        prefix.append(prefix[-1] + term)
+        term *= 2 * inv2
+    return Matrix(
+        [[powers[abs(i - j)] * prefix[min(i, j)] for j in range(n)] for i in range(n)], kind
+    )

@@ -28,8 +28,6 @@ from permbound import (
     diag_dominance_certify,
     entry_bound_check,
     exp_family,
-    exp_family_closed_form,
-    minor_ratio_inequality,
     ones,
     perm_ratio_cases,
     perm_ratio_check,
@@ -46,7 +44,10 @@ from permbound import (
     select,
     two_row_inequality_sides,
 )
-from oracles import determinant, permanent_naive, run_gaussian_variant
+from oracles import (
+    determinant, exp_family_closed_form, minor_ratio_inequality, permanent_naive,
+    run_gaussian_variant,
+)
 from randmat import (
     block_matrix,
     dominant_matrix,

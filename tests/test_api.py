@@ -3,7 +3,9 @@
 import types
 
 import permbound
-from permbound import matcore, psd
+from permbound import (
+    bounds, cli, errors, matcore, matio, perminv, permschur, process, psd, scalars,
+)
 
 
 def test_all_names_resolve_and_are_unique():
@@ -22,10 +24,15 @@ def test_every_public_import_is_listed():
 
 
 def test_oracles_and_negative_input_are_not_in_the_package():
-    # the n! sum, row-pivoted elimination, the minus-variant and the exact PSD
-    # test live in tests/oracles.py; a negative entry raises NegativeEntry everywhere
+    # the n! sum, row-pivoted elimination, the minus-variant, the exact PSD
+    # test and the lemma helpers only tests call live in tests/oracles.py;
+    # solve_majorant and the fixed-denominator closed_recursion are gone; a
+    # negative entry raises NegativeEntry everywhere
+    modules = (permbound, bounds, cli, errors, matcore, matio, perminv, permschur, process, psd,
+               scalars)
     for name in ("permanent_naive", "determinant", "NAIVE_MAX", "NegativeInput", "is_psd_exact",
-                 "run_gaussian_variant"):
-        assert not hasattr(permbound, name), name
-        assert not hasattr(matcore, name), name
-        assert not hasattr(psd, name), name
+                 "run_gaussian_variant", "solve_majorant", "exp_family_closed_form",
+                 "pivot_lower_bound_check", "minor_ratio_inequality", "identity",
+                 "closed_recursion"):
+        for module in modules:
+            assert not hasattr(module, name), (module.__name__, name)

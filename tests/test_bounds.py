@@ -29,7 +29,6 @@ from permbound import (
     diag_dominance_certify,
     entry_bound_check,
     exp_family,
-    exp_family_closed_form,
     leq_scalar,
     matmul,
     matrix,
@@ -42,12 +41,11 @@ from permbound import (
     rowsum_bound,
     run_process,
     select,
-    solve_majorant,
     to_kind,
     verify_majorant,
 )
 from permbound import bounds
-from oracles import cross_sum, permanent_naive
+from oracles import closed_recursion_by_entry, cross_sum, exp_family_closed_form, permanent_naive
 from randmat import dominant_matrix, positive_matrix, unit_diag_matrix
 
 
@@ -57,7 +55,7 @@ def test_rowsum_bound_products():
 
 
 def test_solve_majorant_all_ones_diagonal():
-    b = solve_majorant(ones(3))
+    b = closed_recursion_by_entry(ones(3), ones(3).diagonal())
     assert tuple(b.entries[i][i] for i in range(3)) == (1, 2, 6)
     prod = Fraction(1)
     for i in range(3):
@@ -66,21 +64,20 @@ def test_solve_majorant_all_ones_diagonal():
     assert process_bound(ones(3)) == 8 <= prod
 
 
-def test_solved_majorant_verifies_in_both_modes():
+def test_solved_majorant_verifies():
     rng = random.Random(61)
     for _ in range(15):
         a = positive_matrix(rng, rng.randint(1, 5))
-        b = solve_majorant(a)
-        for mode in ("equality", "inequality"):
-            cert = verify_majorant(MajorantCertificate(a=a, b=b, mode=mode))
-            assert cert.verified
+        b = closed_recursion_by_entry(a, a.diagonal())
+        cert = verify_majorant(MajorantCertificate(a=a, b=b))
+        assert cert.verified
 
 
 def test_majorant_dominates_process_values():
     rng = random.Random(62)
     for _ in range(15):
         a = positive_matrix(rng, rng.randint(1, 5))
-        b = solve_majorant(a)
+        b = closed_recursion_by_entry(a, a.diagonal())
         u = recursive_u(a)
         for i in range(a.n):
             for j in range(a.n):
@@ -93,7 +90,7 @@ def test_majorant_dominates_process_values():
 
 def test_tampered_majorant_reports_entry():
     a = ones(3)
-    b = solve_majorant(a)
+    b = closed_recursion_by_entry(a, a.diagonal())
     rows = [list(r) for r in b.entries]
     rows[2][2] -= Fraction(1, 2)
     bad = Matrix(tuple(tuple(r) for r in rows), RATIONAL)
@@ -105,10 +102,6 @@ def test_tampered_majorant_reports_entry():
 def test_majorant_validation():
     with pytest.raises(NegativeEntry):
         verify_majorant(MajorantCertificate(a=matrix([[1, -1], [0, 1]]), b=ones(2)))
-    with pytest.raises(ParameterOutOfRange):
-        verify_majorant(MajorantCertificate(a=ones(2), b=ones(2), mode="bogus"))
-    with pytest.raises(ZeroPivot):
-        solve_majorant(matrix([[0, 1], [1, 1]]))
 
 
 def test_diag_dominance_worked_instance():

@@ -599,6 +599,19 @@ def test_verify_computes_permanents_in_one_memo_per_request(capsys, tmp_path, mo
     assert memos and all(m is None for m in memos)
 
 
+def test_verify_psd_skips_the_majorant_row_on_a_negative_gram(capsys, tmp_path):
+    # the majorant recursion needs a non-negative matrix; the psd lines still print
+    p = tmp_path / "negative_gram_majorant.json"
+    p.write_text('{"n": 2, "kind": "gram", "entries": [["1","-1"],["-1","2"]],'
+                 ' "factor": [["1","-1"],["0","1"]], "majorant": [["1","1"],["1","3"]]}')
+    code, out, err = run_cli(capsys, "verify", str(p), "--suite", "psd")
+    expected = (
+        "PASS gram-consistency\nPASS tensor-permanent\nPASS psd-schur\nPASS alpha-nonneg\n"
+        "PASS process-soundness\nSKIP majorant-recursion: needs a non-negative matrix\n"
+    )
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_verify_drops_its_memo_when_a_suite_raises(capsys, tmp_path, monkeypatch):
     memos = []
     rank1 = cli.rank1_update_permanent

@@ -1,5 +1,6 @@
 """Every private module-level name in permbound is referred to somewhere in
-it, and only in the module that defines it.
+it, and only in the module that defines it; every public function and class
+has a caller outside the tests.
 
 A function, class or constant whose name starts with one underscore is
 internal to its module in `src/permbound`: once no module there refers to
@@ -7,12 +8,19 @@ it, it is dead code, and no other module imports it.  No linter ships with
 the test dependencies, so each module is parsed with `ast`: a name read
 anywhere, an attribute name and a name imported from a module all count as
 references.
+
+A public function or class is one the package exports.  It is used when
+the package itself, a script or a benchmark module reads it by name or as
+an attribute outside its own definition; an import alone, such as the
+re-export in `__init__.py`, does not count.  Code only the tests call
+belongs in `tests/`, next to the oracles.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "permbound"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "permbound"
 
 
 def private_definitions(tree: ast.Module) -> dict[str, int]:
@@ -32,16 +40,27 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
     return found
 
 
-def references(tree: ast.Module) -> set[str]:
-    refs = set()
-    for node in ast.walk(tree):
+def reads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names read and attribute names anywhere in tree, outside the subtree skip."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            refs.add(node.id)
+            found.add(node.id)
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            refs.update(alias.name for alias in node.names)
-    return refs
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def references(tree: ast.Module) -> set[str]:
+    """reads(tree) and every name imported from a module."""
+    imported = (alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names)
+    return reads(tree) | set(imported)
 
 
 def dead_helpers(sources: dict[str, str]) -> list[str]:
@@ -94,4 +113,57 @@ def test_private_import_is_reported():
     assert private_imports(sources) == [
         "a.py: _helper from .b (line 3)",
         "b.py: _B from permbound.a (line 1)",
+    ]
+
+
+def public_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Public functions and classes defined at module level, by name."""
+    return {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def uncalled_public_names(package: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """Public names of the package modules (`__init__.py` excepted) that no
+    package module, outside the name's own definition, and no caller module reads."""
+    trees = {module: ast.parse(text) for module, text in package.items()}
+    outside = set().union(*(reads(ast.parse(text)) for text in callers.values()))
+    return sorted(
+        f"{module}: {name} (line {node.lineno})"
+        for module, tree in trees.items()
+        if module != "__init__.py"
+        for name, node in public_definitions(tree).items()
+        if name not in outside
+        and not any(name in reads(other, skip=node) for other in trees.values())
+    )
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    callers = {
+        str(p.relative_to(ROOT)): p.read_text()
+        for p in sorted([*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
+        if not p.name.startswith("test_")
+    }
+    assert uncalled_public_names(package, callers) == []
+
+
+def test_uncalled_public_name_is_reported():
+    package = {
+        "__init__.py": "from .a import Kept, dead, recursive, used_by_script\n",
+        "a.py": (
+            "class Kept:\n    pass\n\n\n"
+            "def dead():\n    return Kept()\n\n\n"
+            "def recursive(n):\n    return recursive(n - 1)\n\n\n"
+            "def used_by_script():\n    pass\n\n\n"
+            "def _private():\n    pass\n"
+        ),
+    }
+    callers = {"scripts/s.py": "import a\n\na.used_by_script()\n"}
+    assert uncalled_public_names(package, callers) == [
+        "a.py: dead (line 5)",
+        "a.py: recursive (line 9)",
     ]

@@ -13,7 +13,9 @@ from fractions import Fraction
 
 import pytest
 
+from permbound import matrix
 from permbound.cli import main
+from oracles import closed_recursion_by_entry
 
 
 def _csv(rows) -> str:
@@ -57,6 +59,22 @@ def unit_diagonal_csv(seed: int, n: int) -> str:
     )
 
 
+def unit_diagonal_majorant_json(seed: int, n: int) -> str:
+    """A unit-diagonal input with off-diagonal entries k/4 (k in 0..4), and a passing majorant.
+
+    The majorant solves the majorant recursion with equality for the input
+    with every off-diagonal entry raised by 1/4; the diagonals, hence the
+    denominators, agree, so it holds the input's inequality with slack.
+    """
+    rng = random.Random(seed)
+    rows = [[Fraction(1) if i == j else Fraction(rng.randint(0, 4), 4) for j in range(n)]
+            for i in range(n)]
+    raised = matrix([[x if i == j else x + Fraction(1, 4) for j, x in enumerate(row)]
+                     for i, row in enumerate(rows)])
+    majorant = closed_recursion_by_entry(raised, raised.diagonal()).entries.tolist()
+    return f'{{"n": {n}, "entries": {_json_rows(rows)}, "majorant": {_json_rows(majorant)}}}'
+
+
 def gram_json(seed: int, n: int, d: int) -> str:
     """A Gram input: a d x n factor of entries k/2 (k in -3..3) and its exact V^T V."""
     rng = random.Random(seed)
@@ -86,6 +104,9 @@ CASES = {
     "verify-all-6": ("m.csv", unit_diagonal_csv(15, 6),
                      ["verify", "{path}", "--suite", "all"], 0,
                      "c86292780c313215a1625baf980a92d7e86e50cb4ba71df368ee8026845ca9f4"),
+    "verify-all-majorant-5": ("m.json", unit_diagonal_majorant_json(18, 5),
+                              ["verify", "{path}", "--suite", "all"], 0,
+                              "77890fad9d5ed899d1b272cabc15fe75d674be4de1383480e80f8fc0c142a1c3"),
     "verify-psd-5": ("g.json", gram_json(16, 5, 3),
                      ["verify", "{path}", "--suite", "psd"], 0,
                      "2a7140970bfc09b916466a0055e04f05d97e112d6098d5a800322dd5391fc373"),

@@ -21,7 +21,6 @@ from permbound import (
     BlockSplit,
     add,
     delete,
-    identity,
     matmul,
     matrix,
     ones,
@@ -33,7 +32,9 @@ from permbound import (
 )
 from permbound import matcore
 from permbound.matcore import integer_rows, permanent_memo, ryser_fits
-from oracles import determinant, matmul_running_sum, permanent_naive, run_gaussian_variant
+from oracles import (
+    determinant, identity, matmul_running_sum, permanent_naive, run_gaussian_variant,
+)
 from randmat import block_matrix, integer_matrix, nonneg_matrix
 
 

@@ -171,9 +171,9 @@ def test_as_subject_builds_gram_or_matrix():
 
 def test_majorant_field_round_trip():
     a = ones(2)
-    from permbound import solve_majorant
+    from oracles import closed_recursion_by_entry
 
-    b = solve_majorant(a)
+    b = closed_recursion_by_entry(a, a.diagonal())
     text = serialize_json(ParsedMatrix("m", "nonneg", a, majorant=b))
     parsed = parse_json_text(text, "m")
     assert parsed.majorant == b

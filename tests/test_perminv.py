@@ -14,11 +14,11 @@ from permbound import (
     check_identity_dominance,
     delete,
     matrix,
-    minor_ratio_inequality,
     ones,
     permanent_ryser,
     permanental_inverse,
 )
+from oracles import minor_ratio_inequality
 from randmat import positive_matrix
 
 B = matrix([[1, 2], [3, 4]])

@@ -22,14 +22,16 @@ from permbound import (
     matrix,
     ones,
     permanent_ryser,
-    pivot_lower_bound_check,
     process_bound,
     recursive_u,
     run_process,
     select,
 )
-from permbound.process import closed_recursion, cross_sums
-from oracles import closed_recursion_by_entry, cross_sum, determinant, run_gaussian_variant
+from permbound.process import cross_sums
+from oracles import (
+    closed_recursion_by_entry, cross_sum, determinant, pivot_lower_bound_check,
+    run_gaussian_variant,
+)
 from randmat import (
     nonneg_matrix,
     nonzero_leading_minors_matrix,
@@ -341,7 +343,6 @@ def test_cross_sums_float_overflow_matches_cross_sum(b, den):
 # 0, a subnormal, and magnitudes up to where products overflow float64
 MAGNITUDES = [0.0, 1e-310, 1e-200, 1e-20, 0.5, 1.0, 3.0, 1e20, 1e200, 1e300]
 floats = st.builds(lambda sign, m: sign * m, st.sampled_from([1.0, -1.0]), st.sampled_from(MAGNITUDES))
-rationals = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=5))
 
 
 @st.composite
@@ -350,30 +351,32 @@ def square_rows(draw, cells, min_n=0, max_n=6):
     return [draw(st.lists(cells, min_size=n, max_size=n)) for _ in range(n)]
 
 
-def _solved(fn, a, den):
-    """fn(a, den) as rows of repr strings and entry types, or the ZeroPivot step it raised."""
+def _solved(fn, a):
+    """fn(a) as rows of repr strings and entry types, or the ZeroPivot step it raised."""
     try:
-        return [[(repr(x), type(x)) for x in row] for row in fn(a, den).entries.tolist()]
+        return [[(repr(x), type(x)) for x in row] for row in fn(a).entries.tolist()]
     except ZeroPivot as exc:
         return ("ZeroPivot", exc.t)
 
 
-@given(square_rows(floats), st.booleans(), st.data())
+# recursive_u takes non-negative matrices only; -0.0 is one
+nonneg_floats = st.sampled_from([-0.0, *MAGNITUDES])
+nonneg_rationals = st.one_of(st.integers(0, 4), st.fractions(0, 4, max_denominator=5))
+
+
+@given(square_rows(nonneg_floats))
 @settings(max_examples=200, deadline=None)
-def test_closed_recursion_float_matches_entry_by_entry(rows, fixed, data):
+def test_closed_recursion_float_matches_entry_by_entry(rows):
     a = Matrix(rows, FLOAT64)
-    den = data.draw(st.lists(floats, min_size=a.n, max_size=a.n)) if fixed else None
-    assert _solved(closed_recursion, a, den) == _solved(closed_recursion_by_entry, a, den)
+    assert _solved(recursive_u, a) == _solved(closed_recursion_by_entry, a)
 
 
-@given(square_rows(rationals), st.booleans(), st.data())
+@given(square_rows(nonneg_rationals))
 @settings(max_examples=150, deadline=None)
-def test_closed_recursion_rational_matches_entry_by_entry(rows, fixed, data):
+def test_closed_recursion_rational_matches_entry_by_entry(rows):
     a = Matrix(rows, RATIONAL)
-    den = data.draw(st.lists(st.fractions(-4, 4, max_denominator=5), min_size=a.n,
-                             max_size=a.n)) if fixed else None
-    got = _solved(closed_recursion, a, den)
-    assert got == _solved(closed_recursion_by_entry, a, den)
+    got = _solved(recursive_u, a)
+    assert got == _solved(closed_recursion_by_entry, a)
     if isinstance(got, list):
         assert {t for row in got for _, t in row} <= {Fraction}
 

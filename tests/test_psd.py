@@ -19,7 +19,6 @@ from permbound import (
     alpha_coefficients,
     delete,
     gram_from_factor,
-    identity,
     matmul,
     matrix,
     ones,
@@ -32,7 +31,7 @@ from permbound import (
 )
 from permbound import psd
 from permbound.psd import tensor_fits
-from oracles import is_psd_exact, permanent_naive
+from oracles import identity, is_psd_exact, permanent_naive
 from randmat import gram_instance
 
 

@@ -12,11 +12,12 @@ every n it then prints the best of k `diag_dominance_certify(m, 1)` timings
 product when every value in it is finite, the rational ones the running
 sum.  At each rational n it also prints the best of k `permanent_ryser` timings on
 the same matrix ("permanent", the exact oracle), with its 2^(n-1) Glynn
-terms, the best of k `alpha_coefficients` timings ("alpha") with d = n - 1
-on the matrix's leading (n-1) x (n-1) block and the top n - 1 entries of
-its last column (each of these timings runs on a fresh copy of the matrix,
-so it includes the one read of its integer rows that a `Matrix` keeps
-afterwards), and the best of k whole `permbound bound` requests
+terms, the best of k `permanental_inverse` timings ("inverse": per(A) and
+its n^2 minors from one Glynn pass, then B*), the best of k
+`alpha_coefficients` timings ("alpha") with d = n - 1 on the matrix's
+leading (n-1) x (n-1) block and the top n - 1 entries of its last column
+(each of these timings runs on a fresh copy of the matrix, so it includes
+the one read of its integer rows that a `Matrix` keeps afterwards), and the best of k whole `permbound bound` requests
 (`cli.main`) on that matrix written to a temporary CSV ("cli-bound"): parsing, the sweep
 in the default arithmetic (float above n = 12), the exact permanent up to
 the default --exact-max and the report, with the fixed cost of each
@@ -44,7 +45,7 @@ from pathlib import Path
 
 from permbound import (
     FLOAT64, Matrix, RATIONAL, alpha_coefficients, cli, diag_dominance_certify, parse_csv_text,
-    permanent_ryser, run_process, select,
+    permanent_ryser, permanental_inverse, run_process, select,
 )
 
 
@@ -135,6 +136,8 @@ def main():
             if kind != FLOAT64:
                 ms, _ = best_ms(lambda: permanent_ryser(Matrix(m.entries, m.kind)), args.repeat)
                 print(f"{'permanent':>13} {n:>4} {ms:>10.3f}  {1 << (n - 1)} terms")
+                ms, _ = best_ms(lambda: permanental_inverse(Matrix(m.entries, m.kind)), args.repeat)
+                print(f"{'inverse':>13} {n:>4} {ms:>10.3f}  {n * n} minors")
                 lead = select(m, range(1, n), range(1, n))
                 x = m.col(n)[:-1]
                 ms, _ = best_ms(lambda: alpha_coefficients(Matrix(lead.entries, lead.kind), x),

@@ -391,6 +391,8 @@ def _check_psd(suite: _Suite, parsed: ParsedMatrix):
 
 def _check_majorant(suite: _Suite, parsed: ParsedMatrix):
     def majorant():
+        if not parsed.majorant.is_nonneg():  # it cannot bound a non-negative input's recursion
+            return "the majorant has a negative entry"
         verify_majorant(MajorantCertificate(a=parsed.matrix, b=parsed.majorant))
         return None
 

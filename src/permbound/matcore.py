@@ -5,11 +5,15 @@ shared by the permanent process and its minus-variant.
 
 The permanent (of either kind), the exact elimination and the exact
 product run on integer rows (`integer_rows`), each with one integer scale.
-A `Matrix` reads its integer rows once, on first use, and `select` and
-`delete` cut a child's rows from a parent's that are already read, so
-every permanent of a minor or block shares one read.  An exact product
+A `Matrix` reads its integer rows once, on first use.  `select` and
+`delete` return lazy cuts: a cut holds its parent's array and the kept
+indices, and builds its own ndarray only when its entries are read.  An
+exact parent is read before its first cut, and a cut's rows are cut from
+its parent's, so every permanent of a minor or block shares one read.
+`permanent_minors` gives per(m) and all n^2 minors per(m(-i, -j)) from one
+pass of the Gray-code walk that `permanent_ryser` takes.  An exact product
 sums each entry on integers and divides once.  Inside `permanent_memo`
-each distinct permanent is computed once.
+each distinct permanent and minors table is computed once.
 
 Conventions
 -----------
@@ -30,7 +34,7 @@ import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,12 +60,13 @@ class Matrix:
     """Immutable dense matrix over one read-only ndarray, ``entries``.
 
     ``Matrix(rows, kind)`` copies rows (nested sequences or an ndarray) into
-    the kind's dtype, and ``kind`` is read back from that dtype.  The
-    accessors return Python scalars, never numpy ones.  The `integer_rows`
-    of the entries are kept, as tuples, once something reads them.
+    the kind's dtype.  The accessors return Python scalars, never numpy ones.
+    The `integer_rows` of the entries are kept, as tuples, once something
+    reads them.  A cut (`select`, `delete`) holds its parent's array and the
+    kept indices, and builds its own array on the first read of ``entries``.
     """
 
-    __slots__ = ("entries", "_rows")
+    __slots__ = ("_entries", "_source", "_shape", "_kind", "_rows")
     __hash__ = None
 
     def __init__(self, rows, kind: str):
@@ -75,8 +80,21 @@ class Matrix:
         if a.ndim != 2:
             raise DimensionMismatch(f"rows of scalars expected, got a {a.ndim}-d array")
         a.flags.writeable = False
-        self.entries = a
+        self._entries = a
+        self._source = None
+        self._shape = a.shape
+        self._kind = kind
         self._rows = None
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The read-only ndarray; a cut takes it from its parent's array on first read."""
+        if self._entries is None:
+            base, rs, cs = self._source
+            a = base.take(rs, 0).take(cs, 1)
+            a.flags.writeable = False
+            self._entries, self._source = a, None
+        return self._entries
 
     def _integer_rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """`integer_rows` of the entries, read on first use and kept.
@@ -91,12 +109,12 @@ class Matrix:
 
     @property
     def kind(self) -> str:
-        return RATIONAL if self.entries.dtype == object else FLOAT64
+        return self._kind
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.kind == other.kind and self.entries.shape == other.entries.shape
+        return (self.kind == other.kind and self._shape == other._shape
                 and bool((self.entries == other.entries).all()))
 
     def __repr__(self) -> str:
@@ -104,11 +122,11 @@ class Matrix:
 
     @property
     def nrows(self) -> int:
-        return self.entries.shape[0]
+        return self._shape[0]
 
     @property
     def ncols(self) -> int:
-        return self.entries.shape[1]
+        return self._shape[1]
 
     @property
     def is_square(self) -> bool:
@@ -257,16 +275,20 @@ def delete(m: Matrix, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
 
 
 def _cut(m: Matrix, rs: list[int], cs: list[int]) -> Matrix:
-    """Rows rs and columns cs of m (0-based).
+    """Rows rs and columns cs of m (0-based), as a cut that builds no ndarray.
 
-    When m keeps its integer rows, the child's are cut from them: each kept
-    row and its scale s divided by g = gcd(s, *row).  That is the child's
-    `integer_rows` exactly, since the lcm of the reduced denominators of the
-    row_j / s is s / g, so a cut and a fresh read give one memo key.
+    The child holds the array m reads from and the kept indices into it (a
+    cut of a cut composes them), and takes its own array only when its
+    `entries` are read.  Its integer rows are cut from m's, which an exact m
+    reads before its first cut and a float m cuts only once it keeps them:
+    each kept row and its scale s divided by g = gcd(s, *row).  That is the
+    child's `integer_rows` exactly, since the lcm of the reduced denominators
+    of the row_j / s is s / g, so a cut and a fresh read give one memo key.
     """
-    child = Matrix(m.entries.take(rs, 0).take(cs, 1), m.kind)
-    if m._rows is not None:
-        parent_ints, parent_scales = m._rows
+    child = Matrix.__new__(Matrix)
+    child._shape, child._kind, child._rows = (len(rs), len(cs)), m._kind, None
+    if m._kind == RATIONAL or m._rows is not None:
+        parent_ints, parent_scales = m._integer_rows()
         ints, scales = [], []
         for i in rs:
             row, s = tuple(map(parent_ints[i].__getitem__, cs)), parent_scales[i]
@@ -274,6 +296,12 @@ def _cut(m: Matrix, rs: list[int], cs: list[int]) -> Matrix:
             ints.append(row if g == 1 else tuple(map(g.__rfloordiv__, row)))  # x // g
             scales.append(s // g)
         child._rows = tuple(ints), tuple(scales)
+    if m._entries is None:  # index the array m itself would read
+        base, parent_rs, parent_cs = m._source
+        rs, cs = list(map(parent_rs.__getitem__, rs)), list(map(parent_cs.__getitem__, cs))
+    else:
+        base = m._entries
+    child._entries, child._source = None, (base, rs, cs)
     return child
 
 
@@ -303,10 +331,12 @@ _MEMO: ContextVar[dict | None] = ContextVar("permanent_memo", default=None)
 
 @contextmanager
 def permanent_memo():
-    """Within the block, `permanent_ryser` computes each distinct permanent once.
+    """Within the block, `permanent_ryser` and `permanent_minors` compute each
+    distinct result once.
 
-    The memo is keyed by (kind, integer rows, row scales) and is dropped when
-    the block ends, also on an exception; nothing outlives it.
+    The memo is keyed by (kind, integer rows, row scales), a minors table by
+    that key under a "minors" tag, and is dropped when the block ends, also
+    on an exception; nothing outlives it.
     """
     token = _MEMO.set({})
     try:
@@ -315,21 +345,31 @@ def permanent_memo():
         _MEMO.reset(token)
 
 
+def _check_ryser_fits(m: Matrix) -> int:
+    """m.n, or DimensionTooLarge past `ryser_fits`."""
+    if not ryser_fits(m):
+        raise DimensionTooLarge(f"permanent_ryser guard: n = {m.n} > {RYSER_MAX_N}")
+    return m.n
+
+
+def _memo_key(kind: str, ints, scales) -> tuple:
+    # one flat tuple (its length fixes n): half the memory of a tuple of row tuples
+    return (kind, *chain.from_iterable(ints), *scales)
+
+
 def permanent_ryser(m: Matrix) -> Scalar:
     """per(m) by Glynn's formula over column sign vectors, O(2^(n-1) * n).
 
     per(m) = sum over d in {+-1}^n with d_1 = +1 of
-    (prod_j d_j) prod_i (sum_j d_j a_{i,j}) / 2^(n-1).  The Gray-code loop
+    (prod_j d_j) prod_i (sum_j d_j a_{i,j}) / 2^(n-1).  The Gray-code walk
     flips one column sign per step on the `integer_rows` of m (kept by m
-    once read), adding or subtracting twice that column, and divides once
-    by prod s_i * 2^(n-1).
+    once read), adding or subtracting twice that column, and the sum is
+    divided once by prod s_i * 2^(n-1).
     Float mode returns the exact value rounded once (+-inf beyond the
     float64 range, nan for an inf or nan entry).  `ryser_fits` is the size
     guard; inside `permanent_memo` a repeated matrix is looked up.
     """
-    n = m.n
-    if not ryser_fits(m):
-        raise DimensionTooLarge(f"permanent_ryser guard: n = {n} > {RYSER_MAX_N}")
+    n = _check_ryser_fits(m)
     if n == 0:
         return one(m.kind)
     try:
@@ -339,32 +379,112 @@ def permanent_ryser(m: Matrix) -> Scalar:
     memo = _MEMO.get()
     if memo is None:
         return _glynn(ints, scales, m.kind)
-    # one flat tuple (its length fixes n): half the memory of a tuple of row tuples
-    key = (m.kind, *chain.from_iterable(ints), *scales)
+    key = _memo_key(m.kind, ints, scales)
     value = memo.get(key)
     if value is None:
         value = memo[key] = _glynn(ints, scales, m.kind)
     return value
 
 
-def _glynn(ints: Sequence[Sequence[int]], scales: Sequence[int], kind: str) -> Scalar:
-    """Glynn's sum on integer rows ints[i] / scales[i], n >= 1, divided once."""
+def permanent_minors(m: Matrix) -> tuple[Scalar, tuple[tuple[Scalar, ...], ...]]:
+    """per(m) and the n x n table of its minors, table[i - 1][j - 1] = per(m(-i, -j)).
+
+    One Gray-code walk, O(2^(n-1) * n) like `permanent_ryser`, gives every
+    value; each is divided once, so it equals `permanent_ryser` of the
+    matching `delete` (in float mode, the exact value rounded once).  An inf
+    or nan entry makes per(m) and every minor nan.  Inside `permanent_memo`
+    the result is kept, and per(m) with it for a later `permanent_ryser(m)`.
+    """
+    n = _check_ryser_fits(m)
+    kind = m.kind
+    if n == 0:
+        return one(kind), ()
+    try:
+        ints, scales = m._integer_rows()
+    except (OverflowError, ValueError):
+        return math.nan, ((math.nan,) * n,) * n
+    memo = _MEMO.get()
+    if memo is None:
+        return _glynn_minors(ints, scales, kind)
+    key = _memo_key(kind, ints, scales)
+    value = memo.get(("minors", key))
+    if value is None:
+        value = memo["minors", key] = _glynn_minors(ints, scales, kind)
+        memo[key] = value[0]
+    return value
+
+
+def _gray_walk(ints: Sequence[Sequence[int]]):
+    """The row sums r_i = sum_j d_j ints[i][j] for each column sign vector d
+    with d_1 = +1, in Gray-code order: 2^(n-1) pairs (flip, sums), n >= 1.
+
+    The first vector has every sign +1 and flip = 0.  Each later step flips
+    the sign of one column j (0-based, j >= 1), adding or subtracting twice
+    that column; flip is j when d_j goes back to +1 and -j when it goes to -1.
+    """
     n = len(ints)
     twice = [[2 * x for x in col] for col in zip(*ints)]
-    sums = [sum(row) for row in ints]  # every sign +1
-    total = math.prod(sums)
+    sums = [sum(row) for row in ints]
+    yield 0, sums
     prev_gray = 0
     for k in range(1, 1 << (n - 1)):
         gray = k ^ (k >> 1)
         bit = gray ^ prev_gray
         prev_gray = gray
-        step = operator.sub if gray & bit else operator.add  # column sign goes to -1 or back to +1
-        sums = list(map(step, sums, twice[bit.bit_length()]))  # column 1 keeps its + sign
-        if k & 1:  # prod_j d_j flips with every step
-            total -= math.prod(sums)
+        j = bit.bit_length()
+        if gray & bit:
+            sums = list(map(operator.sub, sums, twice[j]))
+            yield -j, sums
         else:
-            total += math.prod(sums)
-    return quotient(total, math.prod(scales) << (n - 1), kind)
+            sums = list(map(operator.add, sums, twice[j]))
+            yield j, sums
+
+
+def _glynn(ints: Sequence[Sequence[int]], scales: Sequence[int], kind: str) -> Scalar:
+    """Glynn's sum on integer rows ints[i] / scales[i], n >= 1, divided once."""
+    n = len(ints)
+    total = 0
+    for _, sums in _gray_walk(ints):
+        total = math.prod(sums) - total  # prod_j d_j flips with every step
+    # past n = 1 the steps are even in number, so total carries every sign flipped
+    return quotient(total if n == 1 else -total, math.prod(scales) << (n - 1), kind)
+
+
+def _glynn_minors(ints: Sequence[Sequence[int]], scales: Sequence[int], kind: str):
+    """per and the minors table on integer rows ints[i] / scales[i], n >= 1.
+
+    Glynn's sum is multilinear in the entries, so its derivative in a_{i,j},
+    sum over d of (prod d) d_j prod_{k != i} r_k / 2^(n-1), is the (i, j)
+    minor.  The products prod_{k != i} r_k come from prefix and suffix
+    products, so nothing is divided.  t_i sums (prod d) prod_{k != i} r_k
+    over the steps walked so far.  While d_j keeps its sign, column j of the
+    table gains d_j times the growth of t, so it is touched only when d_j
+    flips: held_j sums the old d_j times t at each flip, and at the end
+    column j is d_j t + 2 held_j.  On integer rows that sum, over
+    prod_{k != i} s_k * 2^(n-1), is minor (i, j); the Laplace expansion of
+    row 1 gives per.
+    """
+    n = len(ints)
+    t = [0] * n
+    held = [[0] * n for _ in range(n)]
+    signs = [1] * n
+    odd = False
+    for flip, sums in _gray_walk(ints):
+        if flip:
+            j = abs(flip)
+            held[j] = list(map(operator.sub if flip > 0 else operator.add, held[j], t))
+            signs[j] = 1 if flip > 0 else -1
+        # prod_{k != i} r_k: the product of the sums before i times that of the sums after i
+        after = [*accumulate(reversed(sums), operator.mul, initial=1)][-2::-1]
+        others = map(operator.mul, accumulate(sums, operator.mul, initial=1), after)
+        t = list(map(operator.sub if odd else operator.add, t, others))
+        odd = not odd
+    cols = [[d * x + 2 * h for x, h in zip(t, held_j)] for d, held_j in zip(signs, held)]
+    scale = math.prod(scales)
+    total = sum(map(operator.mul, ints[0], (col[0] for col in cols)))
+    minors = tuple(tuple(quotient(col[i], (scale // s) << (n - 1), kind) for col in cols)
+                   for i, s in enumerate(scales))
+    return quotient(total, scale << (n - 1), kind), minors
 
 
 def _check_bit_budget(block: np.ndarray, t: int):

@@ -5,11 +5,12 @@ matrix B* with entries
 
     (B*)_{i,j} = per(B_{j,i}) / per(B),
 
-where B_{j,i} deletes row j and column i.  B* is not a multiplicative
-inverse, but both B*B and BB* dominate the identity entrywise with exact
-unit diagonals (`check_identity_dominance`, a `verify` row).  That
-permanental minors of B are controlled by permanents of submatrices of B*
-is a lemma only the tests check, against their own oracle.
+where B_{j,i} deletes row j and column i; per(B) and every minor come from
+one `permanent_minors` pass.  B* is not a multiplicative inverse, but both
+B*B and BB* dominate the identity entrywise with exact unit diagonals
+(`check_identity_dominance`, a `verify` row).  That permanental minors of
+B are controlled by permanents of submatrices of B* is a lemma only the
+tests check, against their own oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NegativeEntry, ZeroPermanent
-from .matcore import Matrix, delete, matmul, permanent_ryser
+from .matcore import Matrix, matmul, permanent_minors
 from .scalars import Scalar, eq_scalar, first_failure, zero
 
 
@@ -37,7 +38,7 @@ class DominanceCheck:
 
 
 def permanental_inverse(b: Matrix) -> PermanentalInverse:
-    """Compute B* by n^2 minor-permanent calls (clarity over speed).
+    """Compute B* from per(B) and the table of its minors (`permanent_minors`).
 
     Raises NegativeEntry for negative input and ZeroPermanent when
     per(b) = 0 (B* is only defined for per(B) != 0).
@@ -45,11 +46,10 @@ def permanental_inverse(b: Matrix) -> PermanentalInverse:
     n = b.n
     if not b.is_nonneg():
         raise NegativeEntry("permanental inverse requires a non-negative matrix")
-    total = permanent_ryser(b)
+    total, minors = permanent_minors(b)
     if total == 0:
         raise ZeroPermanent("per(B) = 0; permanental inverse undefined")
-    rows = [[permanent_ryser(delete(b, (j,), (i,))) / total for j in range(1, n + 1)]
-            for i in range(1, n + 1)]
+    rows = [[minors[j][i] / total for j in range(n)] for i in range(n)]
     return PermanentalInverse(Matrix(rows, b.kind), total)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, NegativeEntry
-from .matcore import Matrix, add, delete, matmul, permanent_ryser, select
+from .matcore import Matrix, add, matmul, permanent_minors, permanent_ryser, select
 from .perminv import permanental_inverse
 from .scalars import Scalar, SidePair, eq_scalar, leq_scalar, zero
 
@@ -112,7 +112,8 @@ def row_uncrossing_sides(split: BlockSplit, i_star: int) -> SidePair:
     rhs = sum over j of per([[B, Y minus col j], [X^T minus row i_star, W minor]])
           * per([[B, y_j], [x_{i_star}^T, w_{i_star,j}]]).
 
-    Equality holds when d = 0 (Laplace expansion) and when k = 1.
+    Equality holds when d = 0 (Laplace expansion) and when k = 1.  per(A)
+    and the first factors, minors of A, come from one `permanent_minors` call.
     """
     a = split.source
     if not a.is_nonneg():
@@ -120,15 +121,15 @@ def row_uncrossing_sides(split: BlockSplit, i_star: int) -> SidePair:
     d, k, n = split.d, split.k, split.n
     if not 1 <= i_star <= k:
         raise DimensionMismatch(f"i_star = {i_star} outside [1, {k}]")
-    lhs = permanent_ryser(a) * permanent_ryser(split.b)
+    per_a, minors = permanent_minors(a)
+    lhs = per_a * permanent_ryser(split.b)
     kind = a.kind
     rhs = zero(kind)
     row_i = d + i_star
     head = range(1, d + 1)
     for col_j in range(d + 1, n + 1):
-        big = delete(a, (row_i,), (col_j,))
         small = select(a, (*head, row_i), (*head, col_j))
-        rhs += permanent_ryser(big) * permanent_ryser(small)
+        rhs += minors[row_i - 1][col_j - 1] * permanent_ryser(small)
     return SidePair(lhs, rhs, leq_scalar(lhs, rhs, kind))
 
 

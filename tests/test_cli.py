@@ -635,6 +635,16 @@ def test_verify_majorant_zero_pivot_skips_and_keeps_the_other_lines(capsys, tmp_
     assert (code, out, err) == (0, expected, "")
 
 
+def test_verify_negative_majorant_fails_and_keeps_the_other_lines(capsys, tmp_path):
+    # a negative majorant cannot meet the recursion; the suite lines before it still print
+    p = tmp_path / "negative_majorant.json"
+    p.write_text('{"n": 2, "entries": [["1","1"],["1","1"]], "majorant": [["1","-1"],["1","2"]]}')
+    code, out, err = run_cli(capsys, "verify", str(p), "--suite", "uncross")
+    expected = ("PASS row-uncrossing\nPASS two-row-inequality\nPASS condense-inequality\n"
+                "FAIL majorant-recursion: the majorant has a negative entry\n")
+    assert (code, out, err) == (1, expected, "")
+
+
 ZERO_CORNER_3 = "0,1,1\n1,1,1\n1,1,1\n"  # per(B) = 0 at d = 1 only
 
 

@@ -107,6 +107,9 @@ CASES = {
     "verify-all-majorant-5": ("m.json", unit_diagonal_majorant_json(18, 5),
                               ["verify", "{path}", "--suite", "all"], 0,
                               "77890fad9d5ed899d1b272cabc15fe75d674be4de1383480e80f8fc0c142a1c3"),
+    "verify-all-8": ("m.csv", unit_diagonal_csv(19, 8),
+                     ["verify", "{path}", "--suite", "all"], 0,
+                     "c86292780c313215a1625baf980a92d7e86e50cb4ba71df368ee8026845ca9f4"),
     "verify-psd-5": ("g.json", gram_json(16, 5, 3),
                      ["verify", "{path}", "--suite", "psd"], 0,
                      "2a7140970bfc09b916466a0055e04f05d97e112d6098d5a800322dd5391fc373"),

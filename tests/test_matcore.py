@@ -1,5 +1,6 @@
 """Core matrix layer: the permanent, checked against the oracles in `oracles.py`, and shape plumbing."""
 
+import contextlib
 import math
 import random
 import re
@@ -25,6 +26,7 @@ from permbound import (
     matrix,
     ones,
     outer,
+    permanent_minors,
     permanent_ryser,
     run_process,
     select,
@@ -173,8 +175,8 @@ def test_float_permanent_out_of_range_is_infinite():
 
 
 @st.composite
-def square_rows(draw, entries, min_n=0):
-    n = draw(st.integers(min_n, 8))
+def square_rows(draw, entries, min_n=0, max_n=8):
+    n = draw(st.integers(min_n, max_n))
     return [[draw(entries) for _ in range(n)] for _ in range(n)]
 
 
@@ -532,6 +534,128 @@ def test_float_inf_entry_is_nan_on_every_call():
     assert math.isnan(permanent_ryser(m))
     assert m._rows is None
     assert permanent_ryser(delete(m, (1,), (1,))) == 2.0
+
+
+def eager_cut(m, rows, cols):
+    """m(rows, cols), 1-based and sorted, copied at once as a fresh Matrix."""
+    return Matrix(m.entries.take([i - 1 for i in rows], 0).take([j - 1 for j in cols], 1), m.kind)
+
+
+def assert_same_cut(lazy, eager):
+    assert (lazy.nrows, lazy.ncols, lazy.kind) == (eager.nrows, eager.ncols, eager.kind)
+    assert lazy._entries is None
+    assert matcore._memo_key(lazy.kind, *lazy._integer_rows()) == \
+        matcore._memo_key(eager.kind, *eager._integer_rows())
+    if lazy.kind == RATIONAL:  # its rows were cut from its parent's, not read from an array
+        assert lazy._entries is None
+    got, want = lazy.entries, eager.entries
+    assert (got.shape, got.dtype, got.flags.writeable) == (want.shape, want.dtype, False)
+    assert repr(got.tolist()) == repr(want.tolist())  # repr tells 0.0 from -0.0
+    assert lazy == eager
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    cut_cases(SIGNED_RATIONALS, Fraction(0)).map(lambda case: (RATIONAL, *case)),
+    cut_cases(SIGNED_FLOATS, 0.0).map(lambda case: (FLOAT64, *case)),
+), st.data())
+def test_lazy_cut_equals_an_eager_one(case, data):
+    kind, rows, nc, keep_rows, keep_cols = case
+    m = Matrix(np.array(rows, dtype=matcore.DTYPES[kind]).reshape(len(rows), nc), kind)
+    child = select(m, keep_rows, keep_cols)
+    eager = eager_cut(m, keep_rows, keep_cols)
+    # a cut of a cut indexes the grandparent's array
+    sub_rows = data.draw(st.lists(st.integers(1, child.nrows), unique=True)) if child.nrows else []
+    sub_cols = data.draw(st.lists(st.integers(1, child.ncols), unique=True)) if child.ncols else []
+    assert_same_cut(select(child, sub_rows, sub_cols),
+                    eager_cut(eager, sorted(sub_rows), sorted(sub_cols)))
+    assert_same_cut(child, eager)
+
+
+@pytest.mark.parametrize("kind", [RATIONAL, FLOAT64])
+@pytest.mark.parametrize("rows, cols", [((), (1, 3)), ((2, 3), ()), ((), ())])
+def test_empty_lazy_cuts_equal_eager_ones(kind, rows, cols):
+    m = matrix([[Fraction(1, 6), -2, 0], [0, 0, 0], [Fraction(3, 4), Fraction(-5, 2), 7]], kind)
+    assert_same_cut(select(m, rows, cols), eager_cut(m, rows, cols))
+    block = delete(m, (1,), (1,))
+    assert_same_cut(select(block, rows[:1], cols[:1]),
+                    eager_cut(eager_cut(m, (2, 3), (2, 3)), rows[:1], cols[:1]))
+
+
+def test_an_exact_cut_builds_no_array_until_its_entries_are_read():
+    m = matrix([[1, 2, 3], [4, 5, 6], [7, 8, Fraction(9, 2)]])
+    block = select(m, (1, 3), (1, 3))
+    minor = delete(block, (1,), (2,))
+    assert (block.n, block.kind, minor.n, minor.kind) == (2, RATIONAL, 1, RATIONAL)
+    assert permanent_ryser(block) == Fraction(9, 2) + 21
+    assert permanent_minors(block)[1] == ((Fraction(9, 2), 7), (3, 1))
+    assert permanent_ryser(minor) == 7
+    assert block._entries is None and minor._entries is None
+    assert block.entries.tolist() == [[1, 3], [7, Fraction(9, 2)]]
+    assert minor._entries is None
+
+
+def test_an_exact_matrix_is_read_once_for_all_its_cuts(monkeypatch):
+    reads = []
+    read = matcore.integer_rows
+    monkeypatch.setattr(matcore, "integer_rows", lambda rows: reads.append(1) or read(rows))
+    m = matrix([[Fraction(i + 1, j + 2) for j in range(5)] for i in range(5)])
+    for s in ((1, 2), (2, 4, 5), (1, 3, 4, 5)):
+        block = select(m, s, s)
+        assert permanent_ryser(block) == naive_permanent(eager_cut(m, s, s).entries.tolist())
+        permanent_ryser(delete(block, (1,), (2,)))
+    assert len(reads) == 1
+
+
+@st.composite
+def minors_cases(draw):
+    kind = draw(st.sampled_from([RATIONAL, FLOAT64]))
+    entries, zero = (SIGNED_RATIONALS, Fraction(0)) if kind == RATIONAL else (SIGNED_FLOATS, 0.0)
+    rows = draw(square_rows(entries, min_n=1, max_n=7))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = [zero] * len(rows)
+    return kind, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(minors_cases(), st.booleans())
+def test_minors_pass_equals_each_minor_permanent(case, memo):
+    kind, rows = case
+    n = len(rows)
+    want_per = permanent_ryser(Matrix(rows, kind))
+    want = [[permanent_ryser(delete(Matrix(rows, kind), (i,), (j,))) for j in range(1, n + 1)]
+            for i in range(1, n + 1)]
+    with permanent_memo() if memo else contextlib.nullcontext():
+        per, table = permanent_minors(Matrix(rows, kind))
+    # repr tells 0.0 from -0.0 and a Fraction from a float
+    assert repr(per) == repr(want_per)
+    assert [list(map(repr, row)) for row in table] == [list(map(repr, row)) for row in want]
+
+
+def test_minors_of_the_empty_and_the_1x1_matrix():
+    assert permanent_minors(select(ones(2), (), ())) == (1, ())
+    assert permanent_minors(matrix([[Fraction(3, 2)]])) == (Fraction(3, 2), ((1,),))
+    assert permanent_minors(matrix([[2.5]])) == (2.5, ((1.0,),))
+
+
+def test_minors_of_a_float_with_an_inf_entry_are_nan():
+    per, table = permanent_minors(Matrix([[math.inf, 1.0], [1.0, 2.0]], FLOAT64))
+    assert math.isnan(per) and all(math.isnan(x) for row in table for x in row)
+
+
+def test_minors_are_kept_with_the_permanent_in_the_memo(monkeypatch):
+    seen = record_glynn_memos(monkeypatch)
+    passes = []
+    minors = matcore._glynn_minors
+    monkeypatch.setattr(matcore, "_glynn_minors", lambda *a: passes.append(1) or minors(*a))
+    m = matrix([[Fraction(1, 2), 2, 0], [1, 1, 3], [Fraction(2, 3), 0, 1]])
+    with permanent_memo():
+        first = permanent_minors(m)
+        assert permanent_minors(Matrix(m.entries, RATIONAL)) is first
+        assert permanent_ryser(Matrix(m.entries, RATIONAL)) == first[0]
+    assert (len(passes), seen) == (1, [])
+    assert permanent_minors(m) == first  # outside the block nothing is kept
+    assert len(passes) == 2
 
 
 P_OVER_Q = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=12))

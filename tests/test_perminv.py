@@ -1,5 +1,6 @@
 """Permanental inverse: worked values, dominance, and minor-ratio checks."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -69,6 +70,28 @@ def test_identity_dominance_flags_a_failing_product(monkeypatch, left, holds):
     monkeypatch.setattr(perminv, "matmul", lambda a, b: next(products))
     b = B if matrix(left).kind == "rational" else matrix([[1.0, 2.0], [3.0, 4.0]])
     assert check_identity_dominance(b).holds is holds
+
+
+def test_inverse_of_a_float_with_an_inf_entry_is_all_nan():
+    inv = permanental_inverse(matrix([[math.inf, 1.0, 0.5], [1.0, 2.0, 0.0], [0.25, 1.0, 3.0]]))
+    assert math.isnan(inv.source_perm)
+    assert all(math.isnan(x) for x in inv.matrix.entries.ravel().tolist())
+
+
+def test_inverse_entries_are_the_transposed_minors_over_the_permanent():
+    rng = random.Random(23)
+    for kind in ("rational", "float64"):
+        for _ in range(10):
+            m = positive_matrix(rng, rng.randint(1, 6))
+            if kind == "float64":
+                m = matrix([[float(x) for x in row] for row in m.entries.tolist()])
+            inv = permanental_inverse(m)
+            total = permanent_ryser(m)
+            n = m.n
+            want = [[permanent_ryser(delete(m, (j,), (i,))) / total for j in range(1, n + 1)]
+                    for i in range(1, n + 1)]
+            assert repr(inv.source_perm) == repr(total)
+            assert repr(inv.matrix.entries.tolist()) == repr(want)
 
 
 def test_inverse_permanent_product_at_least_one():

@@ -39,9 +39,9 @@ def test_sweep_timing_prints_one_row_per_size():
     )
     assert proc.returncode == 0, proc.stderr
     rows = [line.split()[:2] for line in proc.stdout.splitlines()[1:]]
-    assert rows == [["rational", "3"], ["certificate", "3"], ["permanent", "3"], ["alpha", "3"],
-                    ["cli-bound", "3"],
-                    ["rational", "4"], ["certificate", "4"], ["permanent", "4"], ["alpha", "4"],
-                    ["cli-bound", "4"],
+    assert rows == [["rational", "3"], ["certificate", "3"], ["permanent", "3"], ["inverse", "3"],
+                    ["alpha", "3"], ["cli-bound", "3"],
+                    ["rational", "4"], ["certificate", "4"], ["permanent", "4"], ["inverse", "4"],
+                    ["alpha", "4"], ["cli-bound", "4"],
                     ["float64", "8"], ["certificate", "8"],
                     ["csv-3dec", "8"], ["csv-20sig", "8"], ["csv-20sig-rep", "8"]]

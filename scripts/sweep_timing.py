@@ -5,7 +5,8 @@ For each n, draws one random positive matrix and prints the best of k
 `run_process` timings with the size the pivots reached: exact rationals
 (entries p/q with p, q in 1..6) at n = 6..14, where the bit length of the
 largest pivot numerator or denominator is shown, and float64 (entries in
-[0.001, 0.999]) at n = 64..512, where the log2 range of the pivots is shown.
+[0.001, 0.999]) at n = 64..512, where the log2 range of the pivots is shown
+and the rate, (2/3) n^3 flops over the time.
 Parsing, kind conversion and the report are not timed in those rows.  At
 every n it then prints the best of k `diag_dominance_certify(m, 1)` timings
 ("certificate") with its verdict: the float64 cross sums take one matrix
@@ -129,7 +130,8 @@ def main():
         for n in sizes:
             m = build(rng, n)
             ms, trace = best_ms(lambda: run_process(m), args.repeat)
-            print(f"{kind:>13} {n:>4} {ms:>10.3f}  {pivot_size(trace.pivots, kind)}")
+            rate = f"  {2 * n ** 3 / 3 / ms / 1e6:.2f} GFLOP/s" if kind == FLOAT64 else ""
+            print(f"{kind:>13} {n:>4} {ms:>10.3f}  {pivot_size(trace.pivots, kind)}{rate}")
             ms, res = best_ms(lambda: diag_dominance_certify(m, 1), args.repeat)
             verdict = "certified" if res.certified else f"violation at {res.violation}"
             print(f"{'certificate':>13} {n:>4} {ms:>10.3f}  {verdict}")

@@ -15,6 +15,15 @@ pass of the Gray-code walk that `permanent_ryser` takes.  An exact product
 sums each entry on integers and divides once.  Inside `permanent_memo`
 each distinct permanent and minors table is computed once.
 
+The float64 sweep without snapshots runs in panels of PANEL = 64 pivots,
+as LAPACK's getrf does: each step updates only the panel's columns and
+rows, and the trailing block then takes one matrix product per panel.  A
+panel whose scaled column could overflow or underflow, where the per-step
+update does not, takes one update per step instead.  Up to n = 64,
+with snapshots, and in exact mode the sweep is one panel, so its values
+are the per-step loop's bit for bit; past n = 64 a float pivot may differ
+from it in the last bits.
+
 Conventions
 -----------
 * All row/column indices taken by the public API are 1-based, matching the
@@ -51,6 +60,8 @@ from .scalars import FLOAT64, RATIONAL, Scalar, coerce, one, quotient, zero
 
 RYSER_MAX_N = 24
 BIT_BUDGET = 1 << 24  # cost of the trailing block an exact step may hold; see _check_bit_budget
+PANEL = 64  # float64 sweep steps per trailing-block product; see eliminate
+_TINY = np.finfo(np.float64).tiny  # the least normal float64, 2^-1022
 
 
 DTYPES = {RATIONAL: np.dtype(object), FLOAT64: np.dtype(np.float64)}
@@ -162,6 +173,10 @@ class Matrix:
         return self.entries.item(i - 1, j - 1)
 
     def is_nonneg(self) -> bool:
+        """Whether every entry is >= 0.  An exact matrix reads the signs of its
+        integer rows, since every row scale is positive, so a cut builds no array."""
+        if self._kind == RATIONAL:
+            return min(chain.from_iterable(self._integer_rows()[0]), default=0) >= 0
         return bool((self.entries >= 0).all())
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -523,6 +538,21 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
     held to BIT_BUDGET (rows x columns x the largest bit length;
     DimensionTooLarge past it).
 
+    Without keep, float64 runs the steps in panels of PANEL pivots, as
+    LAPACK's getrf does: step t updates the panel's columns in every row
+    below t, and the panel's rows right of the panel; after the panel, the
+    trailing block takes one matrix product, L U with L = sign * (the
+    panel's columns below it) / (its pivots) and U the panel's rows right
+    of it.  A skipped pivot's column of L is zero.  A panel whose L has a
+    non-finite entry, an entry that rounded to 0 or to a subnormal from a
+    nonzero one, or a non-finite max|L| max|U| PANEL (where a_{i,t} / a_{t,t}
+    can overflow or underflow and the plain loop does not) applies its
+    steps to the trailing block one at a time instead.  Every value up to
+    n = PANEL, and every guarded panel, is the plain loop's bit for bit; a
+    product rounds differently, so past PANEL a float pivot may differ
+    from the plain loop's in its last bits.  With keep, and in exact mode,
+    the whole sweep is one panel: the plain loop.
+
     Returns (pivots, snapshots): the final diagonal (Fractions when exact),
     and when keep is set the n states A^(1)..A^(n) as a tuple of Matrix
     (else None).
@@ -537,8 +567,11 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
         scale = np.array(scales, dtype=object)
         fractions = np.frompyfunc(Fraction, 2, 1)
         _check_bit_budget(a, 0)
+    width = max(n, 1) if exact or keep else PANEL
     pivots = []
     for t in range(n):
+        k0 = t - t % width
+        k1 = min(k0 + width, n)  # t's panel is steps k0..k1-1; columns k1.. wait for its product
         p = a[t, t]
         pivots.append(Fraction(p, scale[t]) if exact else float(p))
         if t == n - 1:
@@ -564,10 +597,45 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
                     state[t + 1:, t + 1:] = fractions(block, sp[:, None])
             else:
                 with np.errstate(over="ignore", invalid="ignore"):  # inf and nan end in NonFinite
-                    a[t + 1:, t + 1:] += np.outer(lead, a[t, t + 1:]) / p
+                    a[t + 1:, t + 1:k1] += np.outer(lead, a[t, t + 1:k1]) / p
+                    if k1 < n:
+                        a[t + 1:k1, k1:] += np.outer(lead[:k1 - t - 1], a[t, k1:]) / p
             if sign < 0:
-                a[t, t + 1:] = 0
-                state[t, t + 1:] = zero(m.kind)
+                a[t, t + 1:k1] = 0
+                state[t, t + 1:k1] = zero(m.kind)
         if keep:
             snaps.append(Matrix(state, m.kind))
+        if t == k1 - 1:
+            _panel_product(a, k0, k1, sign, pivots[k0:])
     return tuple(pivots), tuple(snaps) if keep else None
+
+
+def _panel_product(a: np.ndarray, k0: int, k1: int, sign: int, pivots: Sequence[float]):
+    """Apply steps k0..k1-1 of the float64 sweep to the trailing block a[k1:, k1:].
+
+    One product L U when `_product_fits`; else the steps one at a time, as
+    the plain loop rounds them.  With sign -1 the panel's rows right of it
+    are zeroed after U is read.
+    """
+    col, upper = a[k1:, k0:k1], a[k0:k1, k1:]
+    with np.errstate(all="ignore"):  # inf and nan end in NonFinite
+        # a skipped pivot's column is zero: dividing it by 1 keeps L's column zero
+        lower = (col if sign > 0 else -col) / [p if p != 0 else 1.0 for p in pivots]
+        if _product_fits(col, lower, upper):
+            a[k1:, k1:] += lower @ upper
+        else:
+            for t, p in zip(range(k0, k1), pivots):
+                if p != 0:
+                    lead = a[k1:, t] if sign > 0 else -a[k1:, t]
+                    a[k1:, k1:] += np.outer(lead, a[t, k1:]) / p
+    if sign < 0:
+        upper[...] = 0
+
+
+def _product_fits(col: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> bool:
+    """Whether L U may stand in for a panel's steps: every entry of L is finite,
+    none rounded to 0 or below 2^-1022 from a nonzero entry of col, and
+    max|L| max|U| times the panel width is finite, so no sum in it overflows."""
+    mag = np.abs(lower)
+    return bool(np.isfinite(lower).all() and not ((mag < _TINY) & (col != 0)).any()
+                and np.isfinite(mag.max() * np.abs(upper).max() * len(upper)))

@@ -2,9 +2,11 @@
 
 The n! permutation sum for the permanent, row-pivoted elimination for the
 determinant, the minus-variant of the process (Gaussian elimination, whose
-pivots multiply to the determinant), an exact PSD test by symmetric
-elimination, the cross sum and closed recursion entry by entry, and the
-matrix product as a running sum of outer products.  None runs in the
+pivots multiply to the determinant), the per-step float64 process sweep
+(`numpy_sweep`, which `eliminate` matches bit for bit up to n = 64), an
+exact PSD test by symmetric elimination, the cross sum and closed
+recursion entry by entry, and the matrix product as a running sum of
+outer products.  None runs in the
 package itself: its one permanent algorithm is `permanent_ryser` (Glynn's
 formula, which also gives the PSD alpha coefficients), its one elimination
 loop is `matcore.eliminate`, which the minus-variant and the PSD test call,
@@ -102,6 +104,27 @@ def run_gaussian_variant(a: Matrix, keep_snapshots: bool = False) -> ProcessTrac
     """
     pivots, snaps = eliminate(a, -1, keep=keep_snapshots)
     return ProcessTrace(n=a.n, pivots=pivots, arithmetic=a.kind, snapshots=snaps)
+
+
+def numpy_sweep(rows, psd_mode, keep):
+    n = len(rows)
+    arr = np.array(rows, dtype=np.float64).reshape(n, n)
+    snaps = [arr.copy()] if keep else None
+    for t in range(n - 1):
+        p = arr[t, t]
+        if p == 0.0:
+            if not psd_mode:
+                raise ZeroPivot(t + 1)
+            if np.any(arr[t + 1:, t] != 0.0) or np.any(arr[t, t + 1:] != 0.0):
+                raise InvalidGram(f"zero pivot with nonzero row/column at step {t + 1}")
+        else:
+            arr[t + 1:, t + 1:] += np.outer(arr[t + 1:, t], arr[t, t + 1:]) / p
+        if keep:
+            snaps.append(arr.copy())
+    pivots = tuple(float(arr[t, t]) for t in range(n))
+    if keep:
+        snaps = [tuple(tuple(row) for row in s.tolist()) for s in snaps]
+    return pivots, snaps
 
 
 def matmul_running_sum(a: Matrix, b: Matrix) -> Matrix:

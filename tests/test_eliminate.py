@@ -1,11 +1,14 @@
 """The one elimination kernel against the two loops it replaced.
 
-`list_eliminate` is the exact list loop and `numpy_sweep` the float64
-process sweep that `matcore.eliminate` used to be split into.  Exact runs
-must agree value for value and stay Fractions; float process runs must
-agree bit for bit.
+`list_eliminate` is the exact list loop and `oracles.numpy_sweep` the
+per-step float64 process sweep that `matcore.eliminate` used to be split
+into.  Exact runs must agree value for value and stay Fractions; float
+process runs must agree bit for bit up to n = matcore.PANEL, with
+snapshots, and on a guarded panel, and within 1e-12 relative past it,
+where the kernel adds each panel to the trailing block as one product.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -24,9 +27,10 @@ from permbound import (
     run_process,
 )
 from permbound import matcore
+from permbound.cli import main
 from permbound.matcore import eliminate
 from permbound.psd import GramMatrix
-from oracles import determinant, run_gaussian_variant
+from oracles import determinant, numpy_sweep, run_gaussian_variant
 
 
 def list_eliminate(rows, sign, every_row=False, skip_zero=False, keep=False):
@@ -55,27 +59,6 @@ def list_eliminate(rows, sign, every_row=False, skip_zero=False, keep=False):
         if keep:
             snaps.append(tuple(tuple(r) for r in a))
     return tuple(a[t][t] for t in range(n)), snaps
-
-
-def numpy_sweep(rows, psd_mode, keep):
-    n = len(rows)
-    arr = np.array(rows, dtype=np.float64).reshape(n, n)
-    snaps = [arr.copy()] if keep else None
-    for t in range(n - 1):
-        p = arr[t, t]
-        if p == 0.0:
-            if not psd_mode:
-                raise ZeroPivot(t + 1)
-            if np.any(arr[t + 1:, t] != 0.0) or np.any(arr[t, t + 1:] != 0.0):
-                raise InvalidGram(f"zero pivot with nonzero row/column at step {t + 1}")
-        else:
-            arr[t + 1:, t + 1:] += np.outer(arr[t + 1:, t], arr[t, t + 1:]) / p
-        if keep:
-            snaps.append(arr.copy())
-    pivots = tuple(float(arr[t, t]) for t in range(n))
-    if keep:
-        snaps = [tuple(tuple(row) for row in s.tolist()) for s in snaps]
-    return pivots, snaps
 
 
 def outcome(fn, *args, **kwargs):
@@ -303,3 +286,124 @@ def test_exact_kernel_stops_past_the_bit_budget(monkeypatch):
     # the float64 sweep has no bit growth and no budget
     floats = Matrix(m.entries.astype(np.float64), FLOAT64)
     assert len(eliminate(floats, 1)[0]) == 8
+
+
+# ---- the float sweep in panels of matcore.PANEL pivots ----------------------------
+
+
+def record_product_fits(monkeypatch):
+    """The verdict of each panel's guard, in order: True where the panel took one product."""
+    verdicts = []
+    fits = matcore._product_fits
+
+    def spy(*args):
+        verdicts.append(fits(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(matcore, "_product_fits", spy)
+    return verdicts
+
+
+def assert_close(got, want, rel=1e-12):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [65, 127, 128, 129, 200])
+def test_blocked_float_process_matches_the_per_step_sweep(monkeypatch, n):
+    verdicts = record_product_fits(monkeypatch)
+    rows = positive_floats(random.Random(980 + n), n)
+    trace = run_process(Matrix(rows, FLOAT64))
+    pivots, _ = numpy_sweep(rows, psd_mode=False, keep=False)
+    assert verdicts == [True] * ((n - 1) // matcore.PANEL)  # every panel but the last
+    assert_close(trace.pivots, pivots)
+    assert bits(trace.pivots[:matcore.PANEL]) == bits(pivots[:matcore.PANEL])
+    # the bound overflows float64 here, so compare its logarithm
+    assert math.fsum(map(math.log, trace.pivots)) == pytest.approx(
+        math.fsum(map(math.log, pivots)), rel=1e-12)
+
+
+def test_blocked_float_process_keeps_the_per_step_bits_with_snapshots(monkeypatch):
+    verdicts = record_product_fits(monkeypatch)
+    rows = positive_floats(random.Random(990), 100)
+    trace = run_process(Matrix(rows, FLOAT64), keep_snapshots=True)
+    pivots, snaps = numpy_sweep(rows, psd_mode=False, keep=True)
+    assert verdicts == []  # one panel of width n
+    assert bits(trace.pivots) == bits(pivots)
+    assert len(trace.snapshots) == len(snaps) == 100
+    for got, want in zip(trace.snapshots, snaps):
+        assert (got.entries.view(np.uint64) == np.array(want).view(np.uint64)).all()
+
+
+def test_blocked_float_gram_process_skips_the_zero_pivots(monkeypatch):
+    verdicts = record_product_fits(monkeypatch)
+    rng = random.Random(1000)
+    n = 80
+    zero_cols = set(rng.sample(range(n), 10))
+    assert min(zero_cols) < matcore.PANEL
+    factor = [[0.0 if j in zero_cols else float(rng.randint(-6, 6)) for j in range(n)]
+              for _ in range(n)]
+    g = gram_from_factor(Matrix(factor, FLOAT64))
+    got = run_process(g).pivots
+    want, _ = numpy_sweep(g.gram.entries, True, False)
+    assert verdicts == [True]  # a skipped pivot adds nothing to the product, not nan
+    assert all(map(math.isfinite, got))
+    assert [t for t, p in enumerate(got) if p == 0] == [t for t, p in enumerate(want) if p == 0]
+    assert sorted(t for t, p in enumerate(got) if p == 0) == sorted(zero_cols)
+    assert_close(got, want)
+
+
+def test_blocked_float_minus_variant_matches_the_list_loop(monkeypatch):
+    verdicts = record_product_fits(monkeypatch)
+    rng = random.Random(1010)
+    n = 100
+    rows = [[rng.random() + (n if i == j else 0) for j in range(n)] for i in range(n)]
+    pivots, snaps = eliminate(Matrix(rows, FLOAT64), -1)
+    want, _ = list_eliminate(rows, -1)
+    assert verdicts == [True] and snaps is None
+    assert_close(pivots, want)
+
+
+def span_rows(seed, n=80):
+    """Rows 10^s_i times uniform(1, 2), s_i in [-300, 90] and s = 180 on the last row.
+
+    No product a_{i,t} a_{t,j} overflows, but a_{n,t} / a_{t,t} does
+    wherever s_t is below about -128.
+    """
+    rng = random.Random(seed)
+    s = [rng.uniform(-300, 90) for _ in range(n - 1)] + [180]
+    return [[10.0 ** s[i] * rng.uniform(1, 2) for _ in range(n)] for i in range(n)]
+
+
+def test_guarded_panel_keeps_the_per_step_bits(monkeypatch):
+    verdicts = record_product_fits(monkeypatch)
+    rows = span_rows(1020)
+    got, _ = eliminate(Matrix(rows, FLOAT64), 1)
+    want, _ = numpy_sweep(rows, psd_mode=False, keep=False)
+    assert verdicts == [False]
+    assert bits(got) == bits(want)
+    assert all(map(math.isfinite, got))
+    # the product itself would have carried the overflow of L into the last pivot
+    monkeypatch.setattr(matcore, "_product_fits", lambda *args: True)
+    assert not math.isfinite(eliminate(Matrix(rows, FLOAT64), 1)[0][-1])
+
+
+@pytest.mark.parametrize("build", ["span", "dense"])
+def test_blocked_sweep_keeps_the_bound_exit_on_extreme_inputs(monkeypatch, tmp_path, capsys, build):
+    if build == "span":
+        rows = span_rows(1030)
+    else:  # max|L| max|U| PANEL overflows: the guard takes the steps one at a time
+        rng = random.Random(1031)
+        rows = [[rng.uniform(1, 2) * 1e306 for _ in range(80)] for _ in range(80)]
+    path = tmp_path / f"{build}.csv"
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    verdicts = record_product_fits(monkeypatch)
+    code = main(["bound", str(path)])
+    out, err = capsys.readouterr()
+    assert verdicts == [False]
+    if build == "span":  # the per-step pivots' product underflows, as before
+        assert (code, err) == (0, "")
+        assert json.loads(out)["process_bound"] == repr(math.prod(numpy_sweep(rows, False, False)[0]))
+    else:  # the per-step sweep overflows, as before
+        assert (code, json.loads(err)["error"]["type"]) == (3, "NonFinite")

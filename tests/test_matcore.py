@@ -750,3 +750,29 @@ def test_determinant_uncrossing_identity():
         lhs = determinant(big) * determinant(b)
         rhs = small[0, 0] * small[1, 1] - small[0, 1] * small[1, 0]
         assert lhs == rhs, d
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    cut_cases(SIGNED_RATIONALS, Fraction(0)).map(lambda case: (RATIONAL, *case)),
+    cut_cases(SIGNED_FLOATS, 0.0).map(lambda case: (FLOAT64, *case)),
+), st.data())
+def test_is_nonneg_is_the_ndarray_compare(case, data):
+    kind, rows, nc, keep_rows, keep_cols = case
+    if rows and data.draw(st.booleans()):  # a non-negative matrix, with its zeros
+        rows = [[abs(x) for x in row] for row in rows]
+    m = Matrix(np.array(rows, dtype=matcore.DTYPES[kind]).reshape(len(rows), nc), kind)
+    child = select(m, keep_rows, keep_cols)
+    sub_rows = data.draw(st.lists(st.integers(1, child.nrows), unique=True)) if child.nrows else []
+    sub_cols = data.draw(st.lists(st.integers(1, child.ncols), unique=True)) if child.ncols else []
+    for x in (m, child, select(child, sub_rows, sub_cols)):  # a cut, and a cut of a cut
+        assert x.is_nonneg() is bool((x.entries >= 0).all())
+
+
+def test_is_nonneg_on_an_exact_cut_builds_no_array():
+    m = matrix([[1, Fraction(-2, 3), 3], [4, 0, Fraction(6, 5)], [7, 8, Fraction(9, 2)]])
+    block = select(m, (2, 3), (1, 3))
+    minor = delete(block, (2,), ())
+    assert block.is_nonneg() and minor.is_nonneg() and not m.is_nonneg()
+    assert not select(m, (1,), (2,)).is_nonneg()
+    assert block._entries is None and minor._entries is None

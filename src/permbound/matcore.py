@@ -17,12 +17,12 @@ each distinct permanent and minors table is computed once.
 
 The float64 sweep without snapshots runs in panels of PANEL = 64 pivots,
 as LAPACK's getrf does: each step updates only the panel's columns and
-rows, and the trailing block then takes one matrix product per panel.  A
-panel whose scaled column could overflow or underflow, where the per-step
-update does not, takes one update per step instead.  Up to n = 64,
-with snapshots, and in exact mode the sweep is one panel, so its values
-are the per-step loop's bit for bit; past n = 64 a float pivot may differ
-from it in the last bits.
+rows, and the trailing block then takes one matrix product per panel,
+through `add_scaled_product`, which the float cross sums of the
+certificates share; no other module multiplies matrices with `@`.  Up to
+n = 64, with snapshots, and in exact mode the sweep is one panel, so its
+values are the per-step loop's bit for bit; past n = 64 a float pivot may
+differ from it in the last bits.
 
 Conventions
 -----------
@@ -543,12 +543,10 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
     below t, and the panel's rows right of the panel; after the panel, the
     trailing block takes one matrix product, L U with L = sign * (the
     panel's columns below it) / (its pivots) and U the panel's rows right
-    of it.  A skipped pivot's column of L is zero.  A panel whose L has a
-    non-finite entry, an entry that rounded to 0 or to a subnormal from a
-    nonzero one, or a non-finite max|L| max|U| PANEL (where a_{i,t} / a_{t,t}
-    can overflow or underflow and the plain loop does not) applies its
-    steps to the trailing block one at a time instead.  Every value up to
-    n = PANEL, and every guarded panel, is the plain loop's bit for bit; a
+    of it.  A skipped pivot's column of L is zero.  `add_scaled_product`
+    adds L U, or the steps one at a time where `_product_fits` finds that
+    the product could overflow or underflow where the plain loop does not,
+    or the other way round.  Every value up to n = PANEL, and every guarded panel, is the plain loop's bit for bit; a
     product rounds differently, so past PANEL a float pivot may differ
     from the plain loop's in its last bits.  With keep, and in exact mode,
     the whole sweep is one panel: the plain loop.
@@ -605,37 +603,41 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
                 state[t, t + 1:k1] = zero(m.kind)
         if keep:
             snaps.append(Matrix(state, m.kind))
-        if t == k1 - 1:
-            _panel_product(a, k0, k1, sign, pivots[k0:])
+        if t == k1 - 1:  # k1 < n here, since the last step breaks before it
+            add_scaled_product(a[k1:, k1:], a[k1:, k0:k1], [sign * p for p in pivots[k0:]],
+                               a[k0:k1, k1:])
+            if sign < 0:
+                a[k0:k1, k1:] = 0
     return tuple(pivots), tuple(snaps) if keep else None
 
 
-def _panel_product(a: np.ndarray, k0: int, k1: int, sign: int, pivots: Sequence[float]):
-    """Apply steps k0..k1-1 of the float64 sweep to the trailing block a[k1:, k1:].
+def add_scaled_product(acc: np.ndarray, col: np.ndarray, den: Sequence[float], row: np.ndarray):
+    """acc += sum over s of (col_s row_s) / den_s, in float64: col_s is column s of
+    col and row_s row s of row.
 
-    One product L U when `_product_fits`; else the steps one at a time, as
-    the plain loop rounds them.  With sign -1 the panel's rows right of it
-    are zeroed after U is read.
+    One product L row, with L = col / den, when `_product_fits`; else one
+    outer product per step, in order of s, as the plain loop rounds it.  A
+    zero den_s adds nothing: the per-step route skips it, and the product
+    divides its column by 1, which the sweep's zero column keeps zero.  The
+    float sweep's panels and `process.cross_sums` both add through here.
     """
-    col, upper = a[k1:, k0:k1], a[k0:k1, k1:]
-    with np.errstate(all="ignore"):  # inf and nan end in NonFinite
-        # a skipped pivot's column is zero: dividing it by 1 keeps L's column zero
-        lower = (col if sign > 0 else -col) / [p if p != 0 else 1.0 for p in pivots]
-        if _product_fits(col, lower, upper):
-            a[k1:, k1:] += lower @ upper
+    with np.errstate(all="ignore"):  # callers report inf and nan: NonFinite, or a violation
+        lower = col / [d if d != 0 else 1.0 for d in den]
+        if _product_fits(col, lower, row):
+            acc += lower @ row
         else:
-            for t, p in zip(range(k0, k1), pivots):
-                if p != 0:
-                    lead = a[k1:, t] if sign > 0 else -a[k1:, t]
-                    a[k1:, k1:] += np.outer(lead, a[t, k1:]) / p
-    if sign < 0:
-        upper[...] = 0
+            for s, d in enumerate(den):
+                if d != 0:
+                    acc += np.outer(col[:, s], row[s]) / d
 
 
-def _product_fits(col: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> bool:
-    """Whether L U may stand in for a panel's steps: every entry of L is finite,
-    none rounded to 0 or below 2^-1022 from a nonzero entry of col, and
-    max|L| max|U| times the panel width is finite, so no sum in it overflows."""
-    mag = np.abs(lower)
-    return bool(np.isfinite(lower).all() and not ((mag < _TINY) & (col != 0)).any()
-                and np.isfinite(mag.max() * np.abs(upper).max() * len(upper)))
+def _product_fits(col: np.ndarray, lower: np.ndarray, row: np.ndarray) -> bool:
+    """Whether L row may stand in for the per-step sum: max|L| max|row| times
+    the width is finite, so every entry of L is and no sum in the product
+    overflows; max|col| max|row| is finite, so no product col_is row_sj of a
+    step overflows; and no entry of L rounded to 0 or below 2^-1022 from a
+    nonzero entry of col."""
+    mag, top = np.abs(lower), np.abs(row).max(initial=0.0)
+    return bool(np.isfinite(mag.max(initial=0.0) * top * len(row))
+                and np.isfinite(np.abs(col).max(initial=0.0) * top)
+                and not ((mag < _TINY) & (col != 0)).any())

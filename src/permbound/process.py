@@ -10,8 +10,8 @@ non-negative and for PSD inputs.  It runs through `matcore.eliminate`,
 one kernel for exact rationals and float64 alike, whose sign -1 is the
 minus-variant (honest column-wise Gaussian elimination, the determinant
 anchor in the tests).  The u-recursion (`recursive_u`) is the closed
-dynamic program for the same values.  It and the certificates'
-`cross_sums` share one loop, a running sum of outer products.
+dynamic program for the same values.  The certificates' `cross_sums` are
+one product, taken by `matcore.matmul` or `matcore.add_scaled_product`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NegativeEntry, NotSquare, ParameterOutOfRange, ZeroPivot
-from .matcore import DTYPES, Matrix, eliminate
+from .matcore import DTYPES, Matrix, add_scaled_product, eliminate, matmul
 from .psd import GramMatrix
 from .scalars import FLOAT64, Scalar, one, zero
 
@@ -106,58 +106,28 @@ def process_bound(a: Matrix | GramMatrix) -> Scalar:
     return run_process(a).bound
 
 
-def _running_sums(b: np.ndarray, den, kind: str, a: np.ndarray | None = None) -> np.ndarray:
-    """sum_{s < min(i,j)} b_{i,s} b_{s,j} / den_s at every (i, j), as one running sum.
-
-    Step s = 0..n-2 adds the outer product of column s below the diagonal
-    and row s right of it, divided by den_s (b_{s,s} when den is None),
-    into the trailing block; a zero den_s raises ZeroPivot(s + 1).  Floats
-    divide each product, so every entry rounds as the sum from 0.0 in order
-    of s does; exact entries divide the column first.  Given a (with den
-    None), row and column s + 1 of b are then set to a plus their finished
-    sums, before step s + 1 reads them: that solves the u-recursion in b,
-    in place.
-    """
-    n = len(b)
-    sums = np.full((n, n), zero(kind), DTYPES[kind])
-    for s in range(n - 1):
-        d = b[s, s] if den is None else den[s]
-        if d == 0:
-            raise ZeroPivot(s + 1)
-        t = s + 1
-        col, row = b[t:, s], b[s, t:]
-        if kind == FLOAT64:
-            with np.errstate(over="ignore", invalid="ignore"):
-                sums[t:, t:] += np.multiply.outer(col, row) / d
-        else:
-            sums[t:, t:] += np.multiply.outer(col / Fraction(d), row)  # ints stay exact
-        if a is not None:
-            b[t, t:] = a[t, t:] + sums[t, t:]
-            b[t:, t] = a[t:, t] + sums[t:, t]
-    return sums
-
-
 def cross_sums(b, den, kind: str) -> np.ndarray:
     """sum_{s < min(i,j)} b_{i,s} b_{s,j} / den_s over 0-based i, j, s, as an n x n array.
 
+    That is L U, with L_{i,s} = b_{i,s} / den_s for s < i and U the strict
+    upper triangle of b: exact by `matmul`, float64 by `add_scaled_product`.
     No s reaches n - 1, so den_{n-1} is never read; a zero den_s below it
-    raises ZeroPivot(s + 1).  Float64 takes one matrix product, L times the
-    strict upper triangle of b with L_{i,s} = b_{i,s} / den_s for s < i,
-    when every factor and sum in it is finite; all else takes the running
-    sum.  b is an ndarray or nested rows; the result has the kind's
-    `Matrix` dtype (object holding Fractions, or float64).
+    raises ZeroPivot(s + 1).  b is an ndarray or nested rows; the result
+    has the kind's `Matrix` dtype (object holding Fractions, or float64).
     """
-    b = np.asarray(b, DTYPES[kind])
-    if kind == FLOAT64 and len(b) > 1:
-        strict = np.tril(b, -1)[:, :-1]
-        upper = np.triu(b, 1)[:-1]
-        with np.errstate(all="ignore"):  # a zero den_s leaves L non-finite: the loop raises
-            fits = np.isfinite(np.abs(strict).max() * np.abs(upper).max())
-            lower = strict / np.array(den[:-1], dtype=np.float64)
-            out = lower @ upper
-        if fits and np.isfinite(lower).all() and np.isfinite(out).all():
-            return out
-    return _running_sums(b, den, kind)
+    n = len(b)
+    b = np.asarray(b, DTYPES[kind]).reshape(n, n)
+    den = den[:n - 1]
+    for s, d in enumerate(den, 1):
+        if d == 0:
+            raise ZeroPivot(s)
+    col, upper = np.tril(b, -1)[:, :-1], np.triu(b, 1)[:-1]
+    if kind == FLOAT64:
+        sums = np.zeros((n, n))
+        add_scaled_product(sums, col, den, upper)
+        return sums
+    lower = col / np.array([Fraction(d) for d in den], dtype=object)  # ints stay exact
+    return matmul(Matrix(lower, kind), Matrix(upper, kind)).entries
 
 
 def recursive_u(a: Matrix) -> Matrix:
@@ -167,13 +137,30 @@ def recursive_u(a: Matrix) -> Matrix:
     a^(min(i,j))_{i,j} entrywise, hence also the final matrix A^(n).  The
     sum runs to min(i,j) - 1; see the process equivalence test.  A zero
     u_{s,s} that a later step divides by raises ZeroPivot with its 1-based
-    index.  Each u_{i,j} is a_{i,j} plus its running sum, so -0.0 reads 0.0
-    and ints Fractions.
+    index.  Step s adds column s below the diagonal times row s right of it,
+    over u_{s,s}, to a running sum of the trailing block from zero, then
+    sets row and column s + 1 to a plus their finished sums.  So each entry
+    rounds as its sum from 0.0 in order of s does, -0.0 reads 0.0, and ints
+    Fractions.
     """
     if not a.is_nonneg():
         raise NegativeEntry("the u-recursion is defined for non-negative matrices")
     if not a.is_square:
         raise NotSquare(f"the u-recursion needs a square matrix, got {a.nrows}x{a.ncols}")
-    u = a.entries + zero(a.kind)  # writable; row and column 0 are final
-    _running_sums(u, None, a.kind, a.entries)
-    return Matrix(u, a.kind)
+    kind = a.kind
+    u = a.entries + zero(kind)  # writable; row and column 0 are final
+    sums = np.full(u.shape, zero(kind), DTYPES[kind])
+    for s in range(len(u) - 1):
+        d = u[s, s]
+        if d == 0:
+            raise ZeroPivot(s + 1)
+        t = s + 1
+        col, row = u[t:, s], u[s, t:]
+        if kind == FLOAT64:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums[t:, t:] += np.multiply.outer(col, row) / d
+        else:
+            sums[t:, t:] += np.multiply.outer(col / Fraction(d), row)  # ints stay exact
+        u[t, t:] = a.entries[t, t:] + sums[t, t:]
+        u[t:, t] = a.entries[t:, t] + sums[t:, t]
+    return Matrix(u, kind)

@@ -120,6 +120,18 @@ def test_bound_eps_violation_reported(capsys, ones3):
     assert dd["violation"] == [2, 2]
 
 
+def test_bound_float_eps_violation_matches_rational(capsys, tmp_path):
+    # L_{2,1} = 2e-314 / 1e10 rounds to 0 in float64; the term a_{2,1} a_{1,3} / a_{1,1}
+    # = 2e-16, times (1+eps)^2/eps, still exceeds a_{2,3} = 0
+    p = tmp_path / "underflow.csv"
+    p.write_text("1e10,0,1e308\n2e-314,1,0\n0,0,1\n")
+    for arithmetic in ("float", "rational"):
+        code, out, _ = run_cli(capsys, "bound", str(p), "--arithmetic", arithmetic,
+                               "--eps", "1e-8", "--exact-max", "0")
+        dd = json.loads(out)["diag_dominance"]
+        assert (code, dd["certified"], dd["violation"]) == (0, False, [2, 3])
+
+
 def test_bound_float_arithmetic(capsys, ones3):
     code, out, _ = run_cli(capsys, "bound", ones3, "--arithmetic", "float")
     report = json.loads(out)

@@ -1,6 +1,7 @@
 """Every private module-level name in permbound is referred to somewhere in
 it, and only in the module that defines it; every public function and class
-has a caller outside the tests.
+has a caller outside the tests; and only `matcore` multiplies matrices with
+the `@` operator, so one guard decides when a product stands in for a sum.
 
 A function, class or constant whose name starts with one underscore is
 internal to its module in `src/permbound`: once no module there refers to
@@ -167,3 +168,28 @@ def test_uncalled_public_name_is_reported():
         "a.py: dead (line 5)",
         "a.py: recursive (line 9)",
     ]
+
+
+def matrix_products(sources: dict[str, str], owner: str = "matcore.py") -> list[str]:
+    """Each `@` (and `@=`) outside owner: the one module that decides when a
+    matrix product may stand in for a running sum of outer products."""
+    return sorted(
+        f"{module}: line {node.lineno}"
+        for module, text in sources.items()
+        if module != owner
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    )
+
+
+def test_only_matcore_multiplies_matrices_with_the_operator():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert matrix_products(sources) == []
+
+
+def test_matrix_product_outside_matcore_is_reported():
+    sources = {
+        "matcore.py": "def f(a, b):\n    return a @ b\n",
+        "process.py": "def g(a, b):\n    c = a @ b\n    c @= b\n    return c\n",
+    }
+    assert matrix_products(sources) == ["process.py: line 2", "process.py: line 3"]

@@ -389,6 +389,25 @@ def test_guarded_panel_keeps_the_per_step_bits(monkeypatch):
     assert not math.isfinite(eliminate(Matrix(rows, FLOAT64), 1)[0][-1])
 
 
+def test_panel_whose_column_times_its_rows_overflows_takes_the_steps(monkeypatch):
+    # a_{i,1} = 1e200 below the first panel (with a_{1,1} = 1e200 and row 1
+    # zero right of it, so L stays near 1) and a_{2,j} ~ 1e120 right of it:
+    # max|col| max|U| overflows, though L U and every step's product fit
+    rng = random.Random(1040)
+    n = 80
+    rows = [[rng.uniform(1, 2) + (n if i == j else 0) for j in range(n)] for i in range(n)]
+    rows[0] = [1e200] + [0.0] * (n - 1)
+    for k in range(matcore.PANEL, n):
+        rows[k][0] *= 1e200
+        rows[1][k] *= 1e120
+    verdicts = record_product_fits(monkeypatch)
+    got, _ = eliminate(Matrix(rows, FLOAT64), 1)
+    want, _ = numpy_sweep(rows, psd_mode=False, keep=False)
+    assert verdicts == [False]
+    assert bits(got) == bits(want)
+    assert all(map(math.isfinite, got))
+
+
 @pytest.mark.parametrize("build", ["span", "dense"])
 def test_blocked_sweep_keeps_the_bound_exit_on_extreme_inputs(monkeypatch, tmp_path, capsys, build):
     if build == "span":

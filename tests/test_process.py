@@ -333,7 +333,9 @@ def test_cross_sums_of_int_entries_stay_exact():
     ([[1e-300, 0.0], [1e10, 1.0]], [1e-300, 1.0]),
     # L fits, but b_{2,1} b_{1,2} = 1e400 overflows before the division
     ([[1e200, 1e200], [1e200, 1e200]], [1e200, 1e200]),
-], ids=["overflowing-factor", "inf-times-zero", "product-overflow"])
+    # L_{2,1} = 2e-314 / 1e10 rounds to 0, but b_{2,1} b_{1,3} / den_1 = 2e-16 does not
+    ([[1e10, 0.0, 1e308], [2e-314, 1.0, 0.0], [0.0, 0.0, 1.0]], [1e10, 1.0, 1.0]),
+], ids=["overflowing-factor", "inf-times-zero", "product-overflow", "underflowing-factor"])
 def test_cross_sums_float_overflow_matches_cross_sum(b, den):
     n = len(b)
     expected = [[cross_sum(b, den, i, j, FLOAT64) for j in range(n)] for i in range(n)]
@@ -389,3 +391,23 @@ def test_cross_sums_float_loop_matches_cross_sum_bit_for_bit(rows, data):
     den = data.draw(st.lists(floats.filter(bool), min_size=n, max_size=n))
     expected = [[repr(cross_sum(rows, den, i, j, FLOAT64)) for j in range(n)] for i in range(n)]
     assert [list(map(repr, row)) for row in cross_sums(rows, den, FLOAT64).tolist()] == expected
+
+
+exact_cells = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=5))
+exact_dens = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=5)).filter(bool)
+
+
+@given(square_rows(exact_cells, max_n=7), st.data())
+@settings(max_examples=200, deadline=None)
+def test_cross_sums_exact_product_matches_cross_sum(rows, data):
+    n = len(rows)
+    if n:  # an all-zero row of b: its rows of L and U are zero, with row scale 1
+        rows[data.draw(st.integers(0, n - 1))] = [0] * n
+    den = data.draw(st.lists(exact_dens, min_size=n, max_size=n))
+    sums = cross_sums(rows, den, RATIONAL)
+    fractions = [Fraction(d) for d in den]  # the oracle's int / int would be a float
+    assert sums.shape == (n, n)
+    for i in range(n):
+        for j in range(n):
+            assert sums[i, j] == cross_sum(rows, fractions, i, j, RATIONAL)
+            assert type(sums[i, j]) is Fraction

@@ -5,8 +5,11 @@ For each n, draws one random positive matrix and prints the best of k
 `run_process` timings with the size the pivots reached: exact rationals
 (entries p/q with p, q in 1..6) at n = 6..14, where the bit length of the
 largest pivot numerator or denominator is shown, and float64 (entries in
-[0.001, 0.999]) at n = 64..512, where the log2 range of the pivots is shown
-and the rate, (2/3) n^3 flops over the time.
+[0.001, 0.999]) at n = 64..512, where the log2 range of the pivots is shown,
+the rate, (2/3) n^3 flops over the time, and the gap: the largest relative
+difference between the pivots and those of a per-step numpy sweep of the
+same matrix (one outer product per step, as the plain loop rounds), up to
+the first pivot that is not finite in either.
 Parsing, kind conversion and the report are not timed in those rows.  At
 every n it then prints the best of k `diag_dominance_certify(m, 1)` timings
 ("certificate") with its verdict: the float64 cross sums take one matrix
@@ -43,6 +46,8 @@ import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from permbound import (
     FLOAT64, Matrix, RATIONAL, alpha_coefficients, cli, diag_dominance_certify, parse_csv_text,
@@ -106,6 +111,21 @@ def best_ms(fn, repeat):
     return best * 1e3, result
 
 
+def per_step_gap(m, pivots):
+    """The largest |p - q| / |q| over the pivots p of the sweep and q of the per-step
+    numpy sweep of m, up to the first pivot that is not finite in either."""
+    a = m.entries.copy()
+    with np.errstate(all="ignore"):
+        for t in range(m.n - 1):
+            a[t + 1:, t + 1:] += np.outer(a[t + 1:, t], a[t, t + 1:]) / a[t, t]
+    gap = 0.0
+    for p, q in zip(pivots, a.diagonal().tolist()):
+        if not (math.isfinite(p) and math.isfinite(q)):
+            break
+        gap = max(gap, abs(p - q) / abs(q) if q else abs(p))
+    return gap
+
+
 def pivot_size(pivots, kind):
     if kind == RATIONAL:
         bits = max(max(p.numerator.bit_length(), p.denominator.bit_length()) for p in pivots)
@@ -130,7 +150,8 @@ def main():
         for n in sizes:
             m = build(rng, n)
             ms, trace = best_ms(lambda: run_process(m), args.repeat)
-            rate = f"  {2 * n ** 3 / 3 / ms / 1e6:.2f} GFLOP/s" if kind == FLOAT64 else ""
+            rate = (f"  {2 * n ** 3 / 3 / ms / 1e6:.2f} GFLOP/s  gap {per_step_gap(m, trace.pivots):.1e}"
+                    if kind == FLOAT64 else "")
             print(f"{kind:>13} {n:>4} {ms:>10.3f}  {pivot_size(trace.pivots, kind)}{rate}")
             ms, res = best_ms(lambda: diag_dominance_certify(m, 1), args.repeat)
             verdict = "certified" if res.certified else f"violation at {res.violation}"

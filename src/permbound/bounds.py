@@ -102,9 +102,10 @@ def rowsum_bound(a: Matrix) -> Scalar:
 def verify_majorant(cert: MajorantCertificate) -> MajorantCertificate:
     """Check the majorant recursion condition at every entry and mark verified.
 
-    On success the theorem's consequence u <= b entrywise is also asserted
-    against recursive_u.  The first failing entry raises
-    ConditionViolated(i, j) (1-based).
+    The condition is compared with no slack, in either kind.  On success
+    the theorem's consequence u <= b entrywise is also asserted against
+    recursive_u.  The first failing entry raises ConditionViolated(i, j)
+    (1-based).
     """
     a, b = cert.a, cert.b
     if a.n != b.n:
@@ -113,7 +114,7 @@ def verify_majorant(cert: MajorantCertificate) -> MajorantCertificate:
         raise NegativeEntry("majorant certificates require non-negative matrices")
     kind = a.kind
     lhs = a.entries + cross_sums(b.entries, a.diagonal(), kind)
-    failure = first_failure(lhs, b.entries, kind)
+    failure = first_failure(lhs, b.entries, RATIONAL)  # the exact policy, no slack, in either kind
     if failure is not None:
         raise ConditionViolated(*failure)
     failure = first_failure(recursive_u(a).entries, b.entries, kind)
@@ -128,7 +129,9 @@ def diag_dominance_certify(a: Matrix, eps: Scalar) -> DiagDominanceResult:
     a_{i,s} a_{s,j} / a_{s,s} <= a_{i,j}.  When it holds everywhere the
     certified bound is (1+eps)^n * prod a_{i,i}, and both per(A) and the
     process bound stay below it.  A violation is reported (first one in
-    row-major order), not raised.
+    row-major order), not raised.  Both sides are compared with no slack,
+    in either kind, so a float certificate holds only where its float
+    values do.
     """
     n = a.n
     kind = a.kind
@@ -142,7 +145,8 @@ def diag_dominance_certify(a: Matrix, eps: Scalar) -> DiagDominanceResult:
         if d == 0:
             raise ZeroPivot(s, f"zero diagonal entry at ({s}, {s})")
     factor = _finite(lambda: (1 + e) ** 2 / e, "the factor (1+eps)^2/eps")
-    violation = first_failure(factor * cross_sums(a.entries, diag, kind), a.entries, kind)
+    # the exact policy, no slack, in either kind
+    violation = first_failure(factor * cross_sums(a.entries, diag, kind), a.entries, RATIONAL)
     if violation is not None:
         return DiagDominanceResult(False, None, e, violation)
     bound = _finite(lambda: math.prod(diag, start=(1 + e) ** n), "the bound (1+eps)^n prod a_ii")

@@ -16,12 +16,13 @@ sums each entry on integers and divides once.  Inside `permanent_memo`
 each distinct permanent and minors table is computed once.
 
 The float64 sweep without snapshots runs in panels of PANEL = 64 pivots,
-as LAPACK's getrf does: each step updates only the panel's columns and
-rows, and the trailing block then takes one matrix product per panel,
-through `add_scaled_product`, which the float cross sums of the
-certificates share; no other module multiplies matrices with `@`.  Up to
-n = 64, with snapshots, and in exact mode the sweep is one panel, so its
-values are the per-step loop's bit for bit; past n = 64 a float pivot may
+as LAPACK's getrf does: each step updates only the panel's own square;
+at the panel's end the border strips take two unit-triangular products
+and the trailing block one more, through `scaled_product`, which the
+float cross sums of the certificates share; no other module multiplies
+matrices with `@`.  Up to n = 64, with snapshots, and in exact mode the
+sweep is one panel, so its values are the per-step loop's bit for bit,
+and so are the first 64 pivots at any n; past them a float pivot may
 differ from it in the last bits.
 
 Conventions
@@ -521,8 +522,10 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
 
     For t = 1..n-1 and j > t the update runs over the rows below t.  sign =
     +1 is the permanent process; sign = -1 is Gaussian elimination, the
-    minus-variant, which then zeroes row t right of the pivot (the rows
-    above t are zero there already, so updating them would change nothing).
+    minus-variant, whose snapshots show row t zero right of the pivot after
+    step t (the rows above t are zero there already, so updating them would
+    change nothing); no step reads row t again, so the sweep itself leaves
+    it.
     A zero pivot raises ZeroPivot, unless skip_zero is set: then the step is
     skipped when the pivot's trailing row and column are zero, and
     InvalidGram is raised when they are not.
@@ -539,17 +542,21 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
     DimensionTooLarge past it).
 
     Without keep, float64 runs the steps in panels of PANEL pivots, as
-    LAPACK's getrf does: step t updates the panel's columns in every row
-    below t, and the panel's rows right of the panel; after the panel, the
-    trailing block takes one matrix product, L U with L = sign * (the
-    panel's columns below it) / (its pivots) and U the panel's rows right
-    of it.  A skipped pivot's column of L is zero.  `add_scaled_product`
-    adds L U, or the steps one at a time where `_product_fits` finds that
-    the product could overflow or underflow where the plain loop does not,
-    or the other way round.  Every value up to n = PANEL, and every guarded panel, is the plain loop's bit for bit; a
-    product rounds differently, so past PANEL a float pivot may differ
-    from the plain loop's in its last bits.  With keep, and in exact mode,
-    the whole sweep is one panel: the plain loop.
+    LAPACK's getrf does.  Step t updates only the panel's own square.  At
+    the panel's end its border strips, the columns below it and the rows
+    right of it, take two unit-triangular products, X = A21 (I - N)^-1 and
+    Y = (I - M)^-1 A12 (`_panel_borders`), and the trailing block takes
+    one more, (X / den) Y with den = sign * the pivots (`scaled_product`).
+    A zero pivot's skip or InvalidGram reads its row and column brought up
+    to step t the same way.  Where `_product_fits` finds that X / den times
+    Y could overflow or underflow where the steps do not, or the other way
+    round, the panel's steps run one at a time on the border strips and
+    then on the trailing block, as the plain loop rounds them.  Every value
+    up to n = PANEL, the first PANEL pivots at any n, and every guarded
+    panel are the plain loop's bit for bit; the products round
+    differently, so past PANEL a float pivot may differ from the plain
+    loop's in its last bits.  With keep, and in exact mode, the whole sweep
+    is one panel: the plain loop.
 
     Returns (pivots, snapshots): the final diagonal (Fractions when exact),
     and when keep is set the n states A^(1)..A^(n) as a tuple of Matrix
@@ -567,68 +574,107 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
         _check_bit_budget(a, 0)
     width = max(n, 1) if exact or keep else PANEL
     pivots = []
-    for t in range(n):
-        k0 = t - t % width
-        k1 = min(k0 + width, n)  # t's panel is steps k0..k1-1; columns k1.. wait for its product
-        p = a[t, t]
-        pivots.append(Fraction(p, scale[t]) if exact else float(p))
-        if t == n - 1:
-            break
-        if p == 0:
-            if not skip_zero:
-                raise ZeroPivot(t + 1)
-            if (a[t + 1:, t] != 0).any() or (a[t, t + 1:] != 0).any():
-                raise InvalidGram(f"zero pivot with nonzero row/column at step {t + 1}")
-        else:
-            lead = a[t + 1:, t] if sign > 0 else -a[t + 1:, t]
-            if exact:
-                block = p * a[t + 1:, t + 1:] + np.outer(lead, a[t, t + 1:])
-                sp = scale[t + 1:] * p
-                if t < n - 2:  # no later step reads the last step's integers
-                    g = np.gcd(np.gcd.reduce(block, axis=1), sp)  # an all-zero row gets |s_i P|
-                    block //= g[:, None]
-                    sp //= g
-                    _check_bit_budget(block, t + 1)
-                a[t + 1:, t + 1:] = block
-                scale[t + 1:] = sp
-                if keep:
-                    state[t + 1:, t + 1:] = fractions(block, sp[:, None])
+    with np.errstate(all="ignore"):  # float inf and nan end in NonFinite
+        for t in range(n):
+            k0 = t - t % width
+            k1 = min(k0 + width, n)  # t's panel is steps k0..k1-1; rows and columns k1.. wait for its end
+            p = a[t, t]
+            pivots.append(Fraction(p, scale[t]) if exact else float(p))
+            if t == n - 1:
+                break
+            if p == 0:
+                if not skip_zero:
+                    raise ZeroPivot(t + 1)
+                col, row = a[t + 1:k1, t], a[t, t + 1:k1]
+                if k1 < n:  # the border strips are as the panel found them: bring them up to step t
+                    x, y = _panel_borders(a, k0, t + 1, k1, [sign * p for p in pivots[k0:]])
+                    col, row = np.concatenate([col, x[:, -1]]), np.concatenate([row, y[-1]])
+                if (col != 0).any() or (row != 0).any():
+                    raise InvalidGram(f"zero pivot with nonzero row/column at step {t + 1}")
             else:
-                with np.errstate(over="ignore", invalid="ignore"):  # inf and nan end in NonFinite
-                    a[t + 1:, t + 1:k1] += np.outer(lead, a[t, t + 1:k1]) / p
-                    if k1 < n:
-                        a[t + 1:k1, k1:] += np.outer(lead[:k1 - t - 1], a[t, k1:]) / p
-            if sign < 0:
-                a[t, t + 1:k1] = 0
-                state[t, t + 1:k1] = zero(m.kind)
-        if keep:
-            snaps.append(Matrix(state, m.kind))
-        if t == k1 - 1:  # k1 < n here, since the last step breaks before it
-            add_scaled_product(a[k1:, k1:], a[k1:, k0:k1], [sign * p for p in pivots[k0:]],
-                               a[k0:k1, k1:])
-            if sign < 0:
-                a[k0:k1, k1:] = 0
+                lead = a[t + 1:k1, t] if sign > 0 else -a[t + 1:k1, t]
+                if exact:
+                    block = p * a[t + 1:, t + 1:] + np.outer(lead, a[t, t + 1:])
+                    sp = scale[t + 1:] * p
+                    if t < n - 2:  # no later step reads the last step's integers
+                        g = np.gcd(np.gcd.reduce(block, axis=1), sp)  # an all-zero row gets |s_i P|
+                        block //= g[:, None]
+                        sp //= g
+                        _check_bit_budget(block, t + 1)
+                    a[t + 1:, t + 1:] = block
+                    scale[t + 1:] = sp
+                    if keep:
+                        state[t + 1:, t + 1:] = fractions(block, sp[:, None])
+                else:
+                    a[t + 1:k1, t + 1:k1] += np.multiply.outer(lead, a[t, t + 1:k1]) / p
+            if keep:
+                if sign < 0:  # what updating row t by itself would give; no step reads it again
+                    state[t, t + 1:] = zero(m.kind)
+                snaps.append(Matrix(state, m.kind))
+            if t == k1 - 1:  # k1 < n here, since the last step breaks before it
+                _finish_panel(a, k0, k1, [sign * p for p in pivots[k0:]])
     return tuple(pivots), tuple(snaps) if keep else None
 
 
-def add_scaled_product(acc: np.ndarray, col: np.ndarray, den: Sequence[float], row: np.ndarray):
-    """acc += sum over s of (col_s row_s) / den_s, in float64: col_s is column s of
-    col and row_s row s of row.
+def _panel_borders(a: np.ndarray, k0: int, k: int, k1: int, den: Sequence[float]):
+    """X and Y: the column strip a[k1:, k0:k] and the row strip a[k0:k, k1:] after
+    steps k0..k-1, from the strips before them and the panel square after them.
 
-    One product L row, with L = col / den, when `_product_fits`; else one
-    outer product per step, in order of s, as the plain loop rounds it.  A
-    zero den_s adds nothing: the per-step route skips it, and the product
-    divides its column by 1, which the sweep's zero column keeps zero.  The
-    float sweep's panels and `process.cross_sums` both add through here.
+    Step s adds column s of the column strip times N's row s, and M's column
+    s times row s of the row strip, with N = triu(P, 1) / den by rows and
+    M = tril(P, -1) / den by columns on the square P = a[k0:k, k0:k] (den =
+    sign * pivot; a zero den_s reads as 1, and a skipped pivot's row of N
+    and column of M are zero).  So X = A21 (I - N)^-1 and Y = (I - M)^-1 A12.
+    I - M is inverted through its transpose: I - N and (I - M)^T are unit
+    upper triangular, so LAPACK's partial pivoting swaps no rows in either.
+    In the process (sign +1) on a non-negative input N, M >= 0, and every
+    product sums terms of one sign.
+    """
+    d = np.array([x if x != 0 else 1.0 for x in den[:k - k0]])
+    square, eye = a[k0:k, k0:k], np.eye(k - k0)
+    upper = np.linalg.inv(eye - np.triu(square, 1) / d[:, None])
+    lower_t = np.linalg.inv(eye - np.triu(square.T, 1) / d[:, None])
+    return a[k1:, k0:k] @ upper, lower_t.T @ a[k0:k, k1:]
+
+
+def _finish_panel(a: np.ndarray, k0: int, k1: int, den: Sequence[float]):
+    """Add steps k0..k1-1 of the float sweep to the borders and the trailing block of a.
+
+    The steps have updated the panel square a[k0:k1, k0:k1] only.  When
+    `scaled_product` takes X / den times Y (`_panel_borders`), that is the
+    trailing block's update, and the border strips, which no later step
+    reads, are left as they were.  Else the steps run one at a time on the
+    border strips and then on the trailing block, in order of s, as the
+    plain loop rounds them.
+    """
+    x, y = _panel_borders(a, k0, k1, k1, den)
+    product = scaled_product(x, den, y)
+    if product is not None:
+        a[k1:, k1:] += product
+        return
+    steps = [(k0 + s, d) for s, d in enumerate(den) if d != 0]
+    for t, d in steps:
+        a[k1:, t + 1:k1] += np.outer(a[k1:, t], a[t, t + 1:k1]) / d
+        a[t + 1:k1, k1:] += np.outer(a[t + 1:k1, t], a[t, k1:]) / d
+    for t, d in steps:
+        a[k1:, k1:] += np.outer(a[k1:, t], a[t, k1:]) / d
+
+
+def scaled_product(col: np.ndarray, den: Sequence[float], row: np.ndarray) -> np.ndarray | None:
+    """L row in float64, with L = col / den (a zero den_s read as 1), or None
+    where `_product_fits` finds that it could overflow or underflow where the
+    sum over s of (col_s row_s) / den_s, one outer product per step, does
+    not, or the other way round.  The float sweep's panels and
+    `process.cross_sums` both take their one product through here.
     """
     with np.errstate(all="ignore"):  # callers report inf and nan: NonFinite, or a violation
         lower = col / [d if d != 0 else 1.0 for d in den]
-        if _product_fits(col, lower, row):
-            acc += lower @ row
-        else:
-            for s, d in enumerate(den):
-                if d != 0:
-                    acc += np.outer(col[:, s], row[s]) / d
+        return lower @ row if _product_fits(col, lower, row) else None
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """max|x|, 0.0 when x is empty, nan when x holds a nan; from max and min, without |x|."""
+    return max(x.max(initial=0.0), -x.min(initial=0.0))
 
 
 def _product_fits(col: np.ndarray, lower: np.ndarray, row: np.ndarray) -> bool:
@@ -637,7 +683,7 @@ def _product_fits(col: np.ndarray, lower: np.ndarray, row: np.ndarray) -> bool:
     overflows; max|col| max|row| is finite, so no product col_is row_sj of a
     step overflows; and no entry of L rounded to 0 or below 2^-1022 from a
     nonzero entry of col."""
-    mag, top = np.abs(lower), np.abs(row).max(initial=0.0)
-    return bool(np.isfinite(mag.max(initial=0.0) * top * len(row))
-                and np.isfinite(np.abs(col).max(initial=0.0) * top)
-                and not ((mag < _TINY) & (col != 0)).any())
+    top = _max_abs(row)
+    return bool(np.isfinite(_max_abs(lower) * top * len(row))
+                and np.isfinite(_max_abs(col) * top)
+                and np.abs(lower).min(where=col != 0, initial=np.inf) >= _TINY)

@@ -11,7 +11,7 @@ one kernel for exact rationals and float64 alike, whose sign -1 is the
 minus-variant (honest column-wise Gaussian elimination, the determinant
 anchor in the tests).  The u-recursion (`recursive_u`) is the closed
 dynamic program for the same values.  The certificates' `cross_sums` are
-one product, taken by `matcore.matmul` or `matcore.add_scaled_product`.
+one product, taken by `matcore.matmul` or `matcore.scaled_product`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NegativeEntry, NotSquare, ParameterOutOfRange, ZeroPivot
-from .matcore import DTYPES, Matrix, add_scaled_product, eliminate, matmul
+from .matcore import DTYPES, Matrix, eliminate, matmul, scaled_product
 from .psd import GramMatrix
 from .scalars import FLOAT64, Scalar, one, zero
 
@@ -110,7 +110,10 @@ def cross_sums(b, den, kind: str) -> np.ndarray:
     """sum_{s < min(i,j)} b_{i,s} b_{s,j} / den_s over 0-based i, j, s, as an n x n array.
 
     That is L U, with L_{i,s} = b_{i,s} / den_s for s < i and U the strict
-    upper triangle of b: exact by `matmul`, float64 by `add_scaled_product`.
+    upper triangle of b: exact by `matmul`, float64 by `scaled_product`, or
+    where it refuses, one outer product per step s, added from zero only to
+    the entries i, j > s, so each entry rounds as its running sum in order
+    of s does and an empty sum reads 0.0.
     No s reaches n - 1, so den_{n-1} is never read; a zero den_s below it
     raises ZeroPivot(s + 1).  b is an ndarray or nested rows; the result
     has the kind's `Matrix` dtype (object holding Fractions, or float64).
@@ -123,8 +126,12 @@ def cross_sums(b, den, kind: str) -> np.ndarray:
             raise ZeroPivot(s)
     col, upper = np.tril(b, -1)[:, :-1], np.triu(b, 1)[:-1]
     if kind == FLOAT64:
-        sums = np.zeros((n, n))
-        add_scaled_product(sums, col, den, upper)
+        sums = scaled_product(col, den, upper)
+        if sums is None:  # step s reaches only the entries it adds to, i, j > s
+            sums = np.zeros((n, n))
+            with np.errstate(all="ignore"):
+                for s, d in enumerate(den):
+                    sums[s + 1:, s + 1:] += np.outer(col[s + 1:, s], upper[s, s + 1:]) / d
         return sums
     lower = col / np.array([Fraction(d) for d in den], dtype=object)  # ints stay exact
     return matmul(Matrix(lower, kind), Matrix(upper, kind)).entries

@@ -132,6 +132,18 @@ def test_bound_float_eps_violation_matches_rational(capsys, tmp_path):
         assert (code, dd["certified"], dd["violation"]) == (0, False, [2, 3])
 
 
+@pytest.mark.parametrize("cell", ["1e-13", "1"])
+def test_bound_eps_certificate_takes_no_slack(capsys, tmp_path, cell):
+    # (1+eps)^2/eps a_{2,1} a_{1,2} / a_{1,1} = 4a > a = a_{2,2} at any scale a
+    p = tmp_path / "square.csv"
+    p.write_text(f"{cell},{cell}\n{cell},{cell}\n")
+    for arithmetic in ("float", "rational"):
+        code, out, _ = run_cli(capsys, "bound", str(p), "--arithmetic", arithmetic,
+                               "--eps", "1", "--exact-max", "0")
+        dd = json.loads(out)["diag_dominance"]
+        assert (code, dd["certified"], dd["violation"]) == (0, False, [2, 2])
+
+
 def test_bound_float_arithmetic(capsys, ones3):
     code, out, _ = run_cli(capsys, "bound", ones3, "--arithmetic", "float")
     report = json.loads(out)

@@ -11,6 +11,7 @@ where the kernel adds each panel to the trailing block as one product.
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -426,3 +427,107 @@ def test_blocked_sweep_keeps_the_bound_exit_on_extreme_inputs(monkeypatch, tmp_p
         assert json.loads(out)["process_bound"] == repr(math.prod(numpy_sweep(rows, False, False)[0]))
     else:  # the per-step sweep overflows, as before
         assert (code, json.loads(err)["error"]["type"]) == (3, "NonFinite")
+
+
+# ---- the panel's end: border strips by two unit-triangular products ------------
+
+
+def gram_with_zero_columns(seed, n, zero_cols):
+    rng = random.Random(seed)
+    factor = [[0.0 if j in zero_cols else float(rng.randint(-6, 6)) for j in range(n)]
+              for _ in range(n)]
+    return gram_from_factor(Matrix(factor, FLOAT64))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_panels_with_zero_gram_pivots_match_the_per_step_sweep(monkeypatch, seed):
+    # zero pivots at the last step of the first panel, the first of the second,
+    # and inside the second and third panels
+    rng = random.Random(1100 + seed)
+    n = 200
+    zero_cols = {63, 64, *rng.sample(range(65, 128), 3), *rng.sample(range(128, 192), 3)}
+    g = gram_with_zero_columns(1110 + seed, n, zero_cols)
+    verdicts = record_product_fits(monkeypatch)
+    got = run_process(g).pivots
+    want, _ = numpy_sweep(g.gram.entries, True, False)
+    assert verdicts == [True] * 3  # a skipped pivot's row of N and column of M are zero, not nan
+    assert [t for t, p in enumerate(got) if p == 0] == sorted(zero_cols)
+    assert [t for t, p in enumerate(want) if p == 0] == sorted(zero_cols)
+    assert_close(got, want)
+
+
+def border_only_gram_row(n=130, t=70, s=65):
+    """Rows whose pivot t + 1 is zero with the row right of it zero until step s + 1,
+    which makes it nonzero only right of the panel of t (columns 128 on).
+
+    Column t is zero; row t is zero but for a_{t,s} = 1; row s is zero but
+    for its diagonal and the columns right of the panel.
+    """
+    rng = random.Random(1120)
+    rows = [[rng.uniform(1, 2) + (n if i == j else 0) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][t] = 0.0
+    rows[t] = [0.0] * n
+    rows[t][s] = 1.0
+    rows[s] = [0.0] * s + [rows[s][s]] + [0.0] * (127 - s) + rows[s][128:]
+    return rows
+
+
+@pytest.mark.parametrize("side", ["row", "column"])
+def test_zero_pivot_reads_its_border_after_the_panel_steps(side):
+    # the row (or, transposed, the column) of pivot 71 is zero where the panel
+    # found it right of (below) the panel, and nonzero there after step 66
+    rows = border_only_gram_row()
+    if side == "column":
+        rows = [list(r) for r in zip(*rows)]
+    m = Matrix(rows, FLOAT64)
+    bogus = GramMatrix(factor=m, gram=m)
+    want = ("InvalidGram", "zero pivot with nonzero row/column at step 71")
+    assert outcome(numpy_sweep, m.entries, True, False) == want
+    assert outcome(run_process, bogus) == want
+    assert outcome(eliminate, m, 1, skip_zero=True) == want
+
+
+def test_blocked_float_minus_variant_past_two_panels(monkeypatch):
+    # row t is read by the panel's products after its step: it must not read 0 there
+    verdicts = record_product_fits(monkeypatch)
+    rng = random.Random(1130)
+    n = 200
+    rows = [[rng.random() + (n if i == j else 0) for j in range(n)] for i in range(n)]
+    pivots, snaps = eliminate(Matrix(rows, FLOAT64), -1)
+    want, _ = list_eliminate(rows, -1)
+    assert verdicts == [True] * 3 and snaps is None
+    assert bits(pivots[:matcore.PANEL]) == bits(want[:matcore.PANEL])
+    assert_close(pivots, want)
+
+
+def test_dense_uniform_sweep_at_256_matches_the_per_step_sweep(monkeypatch):
+    rng = random.Random(1140)
+    n = 256
+    rows = [[rng.uniform(0.001, 0.999) for _ in range(n)] for _ in range(n)]
+    verdicts = record_product_fits(monkeypatch)
+    got = run_process(Matrix(rows, FLOAT64)).pivots
+    want, _ = numpy_sweep(rows, psd_mode=False, keep=False)
+    assert verdicts == [True] * 3
+    assert max(got) > 2.0 ** 250  # the pivots grow about twofold per step
+    assert bits(got[:matcore.PANEL]) == bits(want[:matcore.PANEL])
+    assert_close(got, want)
+
+
+@pytest.mark.parametrize("build", ["uniform", "span", "dense-1e306", "gram", "minus"])
+def test_blocked_sweep_raises_no_runtime_warning(build):
+    rng = random.Random(1150)
+    sign, n, skip_zero = 1, 150, False
+    if build == "uniform":
+        m = Matrix(positive_floats(rng, n), FLOAT64)
+    elif build == "span":  # the guard refuses the panel
+        m = Matrix(span_rows(1151, n), FLOAT64)
+    elif build == "dense-1e306":  # the panel's own steps overflow
+        m = Matrix([[rng.uniform(1, 2) * 1e306 for _ in range(n)] for _ in range(n)], FLOAT64)
+    elif build == "gram":
+        m, skip_zero = gram_with_zero_columns(1152, n, {3, 63, 64, 100}).gram, True
+    else:
+        sign, m = -1, Matrix([[rng.uniform(-2, 2) for _ in range(n)] for _ in range(n)], FLOAT64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eliminate(m, sign, skip_zero=skip_zero)

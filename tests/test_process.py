@@ -342,6 +342,16 @@ def test_cross_sums_float_overflow_matches_cross_sum(b, den):
     assert cross_sums(b, den, FLOAT64).tolist() == expected
 
 
+def test_cross_sums_float_steps_leave_empty_sums_zero():
+    # b_{1,3} = inf refuses the product; step 1 reaches only i, j > 1, so
+    # entry (1, 3), an empty sum, reads 0.0 and not 0 * inf
+    b = [[1.0, 0.0, math.inf], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
+    sums = cross_sums(b, [1.0, 1.0, 1.0], FLOAT64)
+    assert sums[0].tolist() == [0.0, 0.0, 0.0] and sums[:, 0].tolist() == [0.0, 0.0, 0.0]
+    expected = [[repr(cross_sum(b, [1.0] * 3, i, j, FLOAT64)) for j in range(3)] for i in range(3)]
+    assert [list(map(repr, row)) for row in sums.tolist()] == expected
+
+
 # 0, a subnormal, and magnitudes up to where products overflow float64
 MAGNITUDES = [0.0, 1e-310, 1e-200, 1e-20, 0.5, 1.0, 3.0, 1e20, 1e200, 1e300]
 floats = st.builds(lambda sign, m: sign * m, st.sampled_from([1.0, -1.0]), st.sampled_from(MAGNITUDES))

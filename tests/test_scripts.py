@@ -45,3 +45,20 @@ def test_sweep_timing_prints_one_row_per_size():
                     ["alpha", "4"], ["cli-bound", "4"],
                     ["float64", "8"], ["certificate", "8"],
                     ["csv-3dec", "8"], ["csv-20sig", "8"], ["csv-20sig-rep", "8"]]
+
+
+def test_sweep_timing_prints_the_float_gap_to_the_per_step_sweep():
+    # n = 70 runs one panel product, so the gap is small but may be nonzero
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "sweep_timing.py"), "--repeat", "1",
+         "--rational-sizes", "--float-sizes", "8", "70"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [row for row in map(str.split, proc.stdout.splitlines()) if row[0] == "float64"]
+    assert [(row[1], row[-2]) for row in rows] == [("8", "gap"), ("70", "gap")]
+    assert float(rows[0][-1]) == 0.0 and float(rows[1][-1]) < 1e-12

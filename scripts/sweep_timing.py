@@ -8,8 +8,9 @@ largest pivot numerator or denominator is shown, and float64 (entries in
 [0.001, 0.999]) at n = 64..512, where the log2 range of the pivots is shown,
 the rate, (2/3) n^3 flops over the time, and the gap: the largest relative
 difference between the pivots and those of a per-step numpy sweep of the
-same matrix (one outer product per step, as the plain loop rounds), up to
-the first pivot that is not finite in either.
+same matrix (`numpy_sweep` of tests/oracles.py: one outer product per
+step, as the plain loop rounds), up to the first pivot that is not finite
+in either.
 Parsing, kind conversion and the report are not timed in those rows.  At
 every n it then prints the best of k `diag_dominance_certify(m, 1)` timings
 ("certificate") with its verdict: the float64 cross sums take one matrix
@@ -42,6 +43,7 @@ import contextlib
 import io
 import math
 import random
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -53,6 +55,9 @@ from permbound import (
     FLOAT64, Matrix, RATIONAL, alpha_coefficients, cli, diag_dominance_certify, parse_csv_text,
     permanent_ryser, permanental_inverse, run_process, select,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import numpy_sweep  # noqa: E402  (the tests' per-step reference sweep)
 
 
 def rational_matrix(rng, n):
@@ -113,13 +118,12 @@ def best_ms(fn, repeat):
 
 def per_step_gap(m, pivots):
     """The largest |p - q| / |q| over the pivots p of the sweep and q of the per-step
-    numpy sweep of m, up to the first pivot that is not finite in either."""
-    a = m.entries.copy()
+    numpy sweep of m (`oracles.numpy_sweep`), up to the first pivot that is not
+    finite in either."""
     with np.errstate(all="ignore"):
-        for t in range(m.n - 1):
-            a[t + 1:, t + 1:] += np.outer(a[t + 1:, t], a[t, t + 1:]) / a[t, t]
+        reference, _ = numpy_sweep(m.entries, psd_mode=False, keep=False)
     gap = 0.0
-    for p, q in zip(pivots, a.diagonal().tolist()):
+    for p, q in zip(pivots, reference):
         if not (math.isfinite(p) and math.isfinite(q)):
             break
         gap = max(gap, abs(p - q) / abs(q) if q else abs(p))

@@ -34,7 +34,8 @@ from .errors import (
 from .matcore import Matrix, permanent_ryser, select, sorted_indices
 from .process import ProcessTrace, cross_sums, recursive_u, run_process
 from .scalars import (
-    FLOAT64, RATIONAL, Scalar, SidePair, coerce, eq_scalar, first_failure, leq_scalar, one, quotient,
+    FLOAT64, RATIONAL, Scalar, SidePair, coerce, eq_scalar, first_failure, first_strict_failure,
+    leq_scalar, one, quotient,
 )
 
 
@@ -114,7 +115,7 @@ def verify_majorant(cert: MajorantCertificate) -> MajorantCertificate:
         raise NegativeEntry("majorant certificates require non-negative matrices")
     kind = a.kind
     lhs = a.entries + cross_sums(b.entries, a.diagonal(), kind)
-    failure = first_failure(lhs, b.entries, RATIONAL)  # the exact policy, no slack, in either kind
+    failure = first_strict_failure(lhs, b.entries)
     if failure is not None:
         raise ConditionViolated(*failure)
     failure = first_failure(recursive_u(a).entries, b.entries, kind)
@@ -145,8 +146,7 @@ def diag_dominance_certify(a: Matrix, eps: Scalar) -> DiagDominanceResult:
         if d == 0:
             raise ZeroPivot(s, f"zero diagonal entry at ({s}, {s})")
     factor = _finite(lambda: (1 + e) ** 2 / e, "the factor (1+eps)^2/eps")
-    # the exact policy, no slack, in either kind
-    violation = first_failure(factor * cross_sums(a.entries, diag, kind), a.entries, RATIONAL)
+    violation = first_strict_failure(factor * cross_sums(a.entries, diag, kind), a.entries)
     if violation is not None:
         return DiagDominanceResult(False, None, e, violation)
     bound = _finite(lambda: math.prod(diag, start=(1 + e) ** n), "the bound (1+eps)^n prod a_ii")

@@ -18,12 +18,13 @@ each distinct permanent and minors table is computed once.
 The float64 sweep without snapshots runs in panels of PANEL = 64 pivots,
 as LAPACK's getrf does: each step updates only the panel's own square;
 at the panel's end the border strips take two unit-triangular products
-and the trailing block one more, through `scaled_product`, which the
-float cross sums of the certificates share; no other module multiplies
-matrices with `@`.  Up to n = 64, with snapshots, and in exact mode the
-sweep is one panel, so its values are the per-step loop's bit for bit,
-and so are the first 64 pivots at any n; past them a float pivot may
-differ from it in the last bits.
+(or, in a panel with a skipped pivot or a term that could underflow, one
+outer product per step) and the trailing block one more, through
+`scaled_product`, which the float cross sums of the certificates share;
+no other module multiplies matrices with `@`.  Up to n = 64, with
+snapshots, and in exact mode the sweep is one panel, so its values are
+the per-step loop's bit for bit, and so are the first 64 pivots at any
+n; past them a float pivot may differ from it in the last bits.
 
 Conventions
 -----------
@@ -547,16 +548,19 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
     right of it, take two unit-triangular products, X = A21 (I - N)^-1 and
     Y = (I - M)^-1 A12 (`_panel_borders`), and the trailing block takes
     one more, (X / den) Y with den = sign * the pivots (`scaled_product`).
-    A zero pivot's skip or InvalidGram reads its row and column brought up
-    to step t the same way.  Where `_product_fits` finds that X / den times
-    Y could overflow or underflow where the steps do not, or the other way
-    round, the panel's steps run one at a time on the border strips and
-    then on the trailing block, as the plain loop rounds them.  Every value
-    up to n = PANEL, the first PANEL pivots at any n, and every guarded
-    panel are the plain loop's bit for bit; the products round
-    differently, so past PANEL a float pivot may differ from the plain
-    loop's in its last bits.  With keep, and in exact mode, the whole sweep
-    is one panel: the plain loop.
+    A skipped pivot reads its row and column as the plain loop has them:
+    the border strips take the panel's steps so far one at a time
+    (`_step_borders`), and its later steps as they come.  They do so too
+    where a term of N, M or their inverses could underflow; the trailing
+    block then takes the strips' columns over den times their rows.  Where
+    `_product_fits` finds that the trailing product could overflow or
+    underflow where the steps do not, or the other way round, the panel's
+    steps run one at a time on the border strips and then on the trailing
+    block, as the plain loop rounds them.  Every value up to n = PANEL,
+    the first PANEL pivots at any n, and every guarded panel are the plain
+    loop's bit for bit; the products round differently, so past PANEL a
+    float pivot may differ from the plain loop's in its last bits.  With
+    keep, and in exact mode, the whole sweep is one panel: the plain loop.
 
     Returns (pivots, snapshots): the final diagonal (Fractions when exact),
     and when keep is set the n states A^(1)..A^(n) as a tuple of Matrix
@@ -574,6 +578,7 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
         _check_bit_budget(a, 0)
     width = max(n, 1) if exact or keep else PANEL
     pivots = []
+    stepped = False  # whether the border strips of t's panel have taken its steps so far
     with np.errstate(all="ignore"):  # float inf and nan end in NonFinite
         for t in range(n):
             k0 = t - t % width
@@ -585,11 +590,10 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
             if p == 0:
                 if not skip_zero:
                     raise ZeroPivot(t + 1)
-                col, row = a[t + 1:k1, t], a[t, t + 1:k1]
-                if k1 < n:  # the border strips are as the panel found them: bring them up to step t
-                    x, y = _panel_borders(a, k0, t + 1, k1, [sign * p for p in pivots[k0:]])
-                    col, row = np.concatenate([col, x[:, -1]]), np.concatenate([row, y[-1]])
-                if (col != 0).any() or (row != 0).any():
+                if k1 < n and not stepped:  # the border strips take steps k0..t-1 one at a time
+                    _step_borders(a, k0, k1, [sign * p for p in pivots[k0:t]])
+                    stepped = True
+                if (a[t + 1:, t] != 0).any() or (a[t, t + 1:] != 0).any():
                     raise InvalidGram(f"zero pivot with nonzero row/column at step {t + 1}")
             else:
                 lead = a[t + 1:k1, t] if sign > 0 else -a[t + 1:k1, t]
@@ -607,57 +611,95 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
                         state[t + 1:, t + 1:] = fractions(block, sp[:, None])
                 else:
                     a[t + 1:k1, t + 1:k1] += np.multiply.outer(lead, a[t, t + 1:k1]) / p
+                    if stepped:
+                        _step_borders(a, t, k1, [sign * p])
             if keep:
                 if sign < 0:  # what updating row t by itself would give; no step reads it again
                     state[t, t + 1:] = zero(m.kind)
                 snaps.append(Matrix(state, m.kind))
             if t == k1 - 1:  # k1 < n here, since the last step breaks before it
-                _finish_panel(a, k0, k1, [sign * p for p in pivots[k0:]])
+                _finish_panel(a, k0, k1, [sign * p for p in pivots[k0:]], stepped)
+                stepped = False
     return tuple(pivots), tuple(snaps) if keep else None
 
 
-def _panel_borders(a: np.ndarray, k0: int, k: int, k1: int, den: Sequence[float]):
-    """X and Y: the column strip a[k1:, k0:k] and the row strip a[k0:k, k1:] after
-    steps k0..k-1, from the strips before them and the panel square after them.
+def _step_borders(a: np.ndarray, k0: int, k1: int, den: Sequence[float]):
+    """Steps k0, k0 + 1, ... of the float sweep (den_s = sign * pivot, a zero den_s
+    skipped) on the border strips of the panel that ends at k1, the columns
+    a[k1:, :k1] below it and the rows a[:k1, k1:] right of it: one outer
+    product per step and strip, as the plain loop rounds them."""
+    for t, d in enumerate(den, k0):
+        if d != 0:
+            a[k1:, t + 1:k1] += np.outer(a[k1:, t], a[t, t + 1:k1]) / d
+            a[t + 1:k1, k1:] += np.outer(a[t + 1:k1, t], a[t, k1:]) / d
+
+
+def _panel_borders(a: np.ndarray, k0: int, k1: int, den: Sequence[float]):
+    """X and Y: the column strip a[k1:, k0:k1] and the row strip a[k0:k1, k1:] after
+    steps k0..k1-1, from the strips before them and the panel square after
+    them; or None where N or M is not finite, or a term of the inverses
+    below could have underflowed.
 
     Step s adds column s of the column strip times N's row s, and M's column
     s times row s of the row strip, with N = triu(P, 1) / den by rows and
-    M = tril(P, -1) / den by columns on the square P = a[k0:k, k0:k] (den =
-    sign * pivot; a zero den_s reads as 1, and a skipped pivot's row of N
-    and column of M are zero).  So X = A21 (I - N)^-1 and Y = (I - M)^-1 A12.
+    M = tril(P, -1) / den by columns on the square P = a[k0:k1, k0:k1] (den
+    = sign * pivot, never zero here: a panel with a skipped pivot takes its
+    steps on the strips).  So X = A21 (I - N)^-1 and Y = (I - M)^-1 A12.
     I - M is inverted through its transpose: I - N and (I - M)^T are unit
     upper triangular, so LAPACK's partial pivoting swaps no rows in either.
     In the process (sign +1) on a non-negative input N, M >= 0, and every
     product sums terms of one sign.
+
+    Back substitution builds each entry of an inverse from terms N_su times
+    another of its entries.  Where the least nonzero |N_su| (one that
+    rounded to 0 from a nonzero P_su counts as 0) times the least nonzero
+    entry of the inverse is below 2^-1022, such a term may have lost its
+    value, where the steps, which carry each border value at its own size,
+    keep it.
     """
-    d = np.array([x if x != 0 else 1.0 for x in den[:k - k0]])
-    square, eye = a[k0:k, k0:k], np.eye(k - k0)
-    upper = np.linalg.inv(eye - np.triu(square, 1) / d[:, None])
-    lower_t = np.linalg.inv(eye - np.triu(square.T, 1) / d[:, None])
-    return a[k1:, k0:k] @ upper, lower_t.T @ a[k0:k, k1:]
+    d = np.array(den)[:, None]
+    eye = np.eye(k1 - k0)
+    inverses = []
+    for square in (a[k0:k1, k0:k1], a[k0:k1, k0:k1].T):
+        strict = np.triu(square, 1)
+        ratio = strict / d
+        if not np.isfinite(_max_abs(ratio)):
+            return None
+        inverse = np.linalg.inv(eye - ratio)
+        if not _least_abs(ratio, strict != 0) * _least_abs(inverse, inverse != 0) >= _TINY:
+            return None
+        inverses.append(inverse)
+    upper, lower_t = inverses
+    return a[k1:, k0:k1] @ upper, lower_t.T @ a[k0:k1, k1:]
 
 
-def _finish_panel(a: np.ndarray, k0: int, k1: int, den: Sequence[float]):
-    """Add steps k0..k1-1 of the float sweep to the borders and the trailing block of a.
+def _finish_panel(a: np.ndarray, k0: int, k1: int, den: Sequence[float], stepped: bool):
+    """Add steps k0..k1-1 of the float sweep to the trailing block of a: one
+    product where `scaled_product` admits it, else one step at a time.
 
-    The steps have updated the panel square a[k0:k1, k0:k1] only.  When
-    `scaled_product` takes X / den times Y (`_panel_borders`), that is the
-    trailing block's update, and the border strips, which no later step
-    reads, are left as they were.  Else the steps run one at a time on the
-    border strips and then on the trailing block, in order of s, as the
-    plain loop rounds them.
+    Unless stepped (a panel with a skipped pivot), the steps have updated
+    the panel square only, and the product is X / den times Y from
+    `_panel_borders`; the border strips, which no later step reads, are
+    left as they were.  Where `_panel_borders` refuses, the strips take the
+    steps (`_step_borders`), and the product, as when stepped, is their
+    columns over den times their rows.  Where `scaled_product` refuses, the
+    strips take the steps unless they have, and then the trailing block,
+    one at a time in order of s.  So `_product_fits` gives one verdict per
+    panel.
     """
-    x, y = _panel_borders(a, k0, k1, k1, den)
-    product = scaled_product(x, den, y)
+    borders = None if stepped else _panel_borders(a, k0, k1, den)
+    if borders is None and not stepped:
+        _step_borders(a, k0, k1, den)
+    col, row = borders or (a[k1:, k0:k1], a[k0:k1, k1:])
+    product = scaled_product(col, den, row)
     if product is not None:
         a[k1:, k1:] += product
         return
-    steps = [(k0 + s, d) for s, d in enumerate(den) if d != 0]
-    for t, d in steps:
-        a[k1:, t + 1:k1] += np.outer(a[k1:, t], a[t, t + 1:k1]) / d
-        a[t + 1:k1, k1:] += np.outer(a[t + 1:k1, t], a[t, k1:]) / d
-    for t, d in steps:
-        a[k1:, k1:] += np.outer(a[k1:, t], a[t, k1:]) / d
+    if borders is not None:  # the strips are still as the panel found them
+        _step_borders(a, k0, k1, den)
+    for t, d in enumerate(den, k0):
+        if d != 0:
+            a[k1:, k1:] += np.outer(a[k1:, t], a[t, k1:]) / d
 
 
 def scaled_product(col: np.ndarray, den: Sequence[float], row: np.ndarray) -> np.ndarray | None:
@@ -677,6 +719,11 @@ def _max_abs(x: np.ndarray) -> float:
     return max(x.max(initial=0.0), -x.min(initial=0.0))
 
 
+def _least_abs(x: np.ndarray, where: np.ndarray) -> float:
+    """min|x| over the entries where `where` holds, inf when there are none."""
+    return np.abs(x).min(where=where, initial=np.inf)
+
+
 def _product_fits(col: np.ndarray, lower: np.ndarray, row: np.ndarray) -> bool:
     """Whether L row may stand in for the per-step sum: max|L| max|row| times
     the width is finite, so every entry of L is and no sum in the product
@@ -686,4 +733,4 @@ def _product_fits(col: np.ndarray, lower: np.ndarray, row: np.ndarray) -> bool:
     top = _max_abs(row)
     return bool(np.isfinite(_max_abs(lower) * top * len(row))
                 and np.isfinite(_max_abs(col) * top)
-                and np.abs(lower).min(where=col != 0, initial=np.inf) >= _TINY)
+                and _least_abs(lower, col != 0) >= _TINY)

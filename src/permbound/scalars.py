@@ -5,7 +5,8 @@ Every matrix carries one of two scalar kinds: exact rationals backed by
 IEEE float64.  Float mode compares equalities at relative tolerance 1e-9
 and checks inequalities with a 1e-12 relative slack to absorb rounding;
 rational mode compares exactly; `first_failure` applies that policy
-entrywise to arrays.  `to_float64` is the rounding rule from an exact
+entrywise to arrays, and `first_strict_failure` compares with no slack in
+either kind, for the certificates.  `to_float64` is the rounding rule from an exact
 value to float64; `quotient` divides int by int, exactly or rounded once.
 A `SidePair` records both sides of one such check together with its
 verdict.
@@ -143,6 +144,13 @@ def first_failure(lhs: np.ndarray, rhs: np.ndarray, kind: str):
         if not leq_scalar(lhs.item(i, j), rhs.item(i, j), kind):
             return int(i) + 1, int(j) + 1
     return None
+
+
+def first_strict_failure(lhs: np.ndarray, rhs: np.ndarray):
+    """The first (i, j), 1-based in row-major order, where lhs <= rhs fails, with no
+    slack in either kind (a nan fails); lhs and rhs broadcast as in `first_failure`."""
+    bad = np.argwhere(~np.less_equal(lhs, rhs))
+    return (int(bad[0][0]) + 1, int(bad[0][1]) + 1) if len(bad) else None
 
 
 @dataclass(frozen=True)

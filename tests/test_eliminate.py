@@ -450,7 +450,7 @@ def test_panels_with_zero_gram_pivots_match_the_per_step_sweep(monkeypatch, seed
     verdicts = record_product_fits(monkeypatch)
     got = run_process(g).pivots
     want, _ = numpy_sweep(g.gram.entries, True, False)
-    assert verdicts == [True] * 3  # a skipped pivot's row of N and column of M are zero, not nan
+    assert verdicts == [True] * 3  # the strips take the steps, and the trailing block one product
     assert [t for t, p in enumerate(got) if p == 0] == sorted(zero_cols)
     assert [t for t, p in enumerate(want) if p == 0] == sorted(zero_cols)
     assert_close(got, want)
@@ -531,3 +531,47 @@ def test_blocked_sweep_raises_no_runtime_warning(build):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         eliminate(m, sign, skip_zero=skip_zero)
+
+
+def underflow_rows(build):
+    """65 x 65 identity but for a cycle 1 -> 2 (-> 3) -> 65 -> 1 whose product equals
+    that of the diagonal, so per is twice the diagonal's product and the
+    last pivot twice a_{65,65}.
+
+    In "ratio" the panel's ratio a_{1,2} / a_{1,1} = 1e-330 rounds to 0; in
+    "chain" each ratio is 1e-200, but their product in (I - N)^-1 is 1e-400.
+    The steps carry a_{65,1} along the cycle and keep the term.
+    """
+    a = np.eye(65)
+    if build == "ratio":
+        a[0, 0], a[0, 1], a[1, 64], a[64, 0], a[64, 64] = 1e170, 1e-160, 1.0, 1e130, 1e-200
+    else:
+        a[0, 1], a[1, 2], a[2, 64], a[64, 0], a[64, 64] = 1e-200, 1e-200, 1.0, 1e300, 1e-100
+    return a.tolist()
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("build", ["ratio", "chain"])
+def test_panel_whose_border_terms_underflow_takes_the_steps(monkeypatch, build, transpose):
+    rows = underflow_rows(build)
+    if transpose:  # the same cycle through the row strip and M
+        rows = [list(r) for r in zip(*rows)]
+    verdicts = record_product_fits(monkeypatch)
+    got, _ = eliminate(Matrix(rows, FLOAT64), 1)
+    want, _ = numpy_sweep(rows, psd_mode=False, keep=False)
+    assert verdicts == [True]  # the guard reads the strips after the steps
+    assert want[-1] == pytest.approx(2 * rows[64][64], rel=1e-12)
+    assert_close(got, want)
+
+
+@pytest.mark.parametrize("build, per", [("ratio", Fraction(2, 10 ** 30)),
+                                        ("chain", Fraction(2, 10 ** 100))])
+def test_float_bound_keeps_the_underflowing_border_term(tmp_path, capsys, build, per):
+    path = tmp_path / f"{build}.csv"
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in underflow_rows(build)))
+    bounds = {}
+    for arithmetic in ("float", "rational"):
+        assert main(["bound", str(path), "--arithmetic", arithmetic]) == 0
+        bounds[arithmetic] = Fraction(json.loads(capsys.readouterr().out)["process_bound"])
+    assert bounds["rational"] == per  # the process bound is exact here
+    assert bounds["float"] >= per * (1 - Fraction(1, 10 ** 12))

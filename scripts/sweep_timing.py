@@ -10,7 +10,12 @@ the rate, (2/3) n^3 flops over the time, and the gap: the largest relative
 difference between the pivots and those of a per-step numpy sweep of the
 same matrix (`numpy_sweep` of tests/oracles.py: one outer product per
 step, as the plain loop rounds), up to the first pivot that is not finite
-in either.
+in either.  At each float n it also prints the best of k `run_process`
+timings on the Gram matrix of that matrix taken as a factor with its
+fourth column (the last below n = 4) set to zero ("gram-zero"), with the
+count of zero pivots and the gap to the
+per-step sweep: the skipped pivot ends the sweep's panels in its first
+one, so the rest runs as the plain loop and the gap is 0.
 Parsing, kind conversion and the report are not timed in those rows.  At
 every n it then prints the best of k `diag_dominance_certify(m, 1)` timings
 ("certificate") with its verdict: the float64 cross sums take one matrix
@@ -52,8 +57,8 @@ from pathlib import Path
 import numpy as np
 
 from permbound import (
-    FLOAT64, Matrix, RATIONAL, alpha_coefficients, cli, diag_dominance_certify, parse_csv_text,
-    permanent_ryser, permanental_inverse, run_process, select,
+    FLOAT64, Matrix, RATIONAL, alpha_coefficients, cli, diag_dominance_certify, gram_from_factor,
+    parse_csv_text, permanent_ryser, permanental_inverse, run_process, select,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -116,12 +121,12 @@ def best_ms(fn, repeat):
     return best * 1e3, result
 
 
-def per_step_gap(m, pivots):
+def per_step_gap(m, pivots, psd_mode=False):
     """The largest |p - q| / |q| over the pivots p of the sweep and q of the per-step
     numpy sweep of m (`oracles.numpy_sweep`), up to the first pivot that is not
     finite in either."""
     with np.errstate(all="ignore"):
-        reference, _ = numpy_sweep(m.entries, psd_mode=False, keep=False)
+        reference, _ = numpy_sweep(m.entries, psd_mode=psd_mode, keep=False)
     gap = 0.0
     for p, q in zip(pivots, reference):
         if not (math.isfinite(p) and math.isfinite(q)):
@@ -172,6 +177,13 @@ def main():
                 print(f"{'alpha':>13} {n:>4} {ms:>10.3f}  d = {n - 1}")
                 print(f"{'cli-bound':>13} {n:>4} {cli_bound_ms(m, args.repeat):>10.3f}")
                 continue
+            factor = m.entries.copy()
+            factor[:, min(3, n - 1)] = 0.0
+            g = gram_from_factor(Matrix(factor, FLOAT64))
+            ms, trace = best_ms(lambda: run_process(g), args.repeat)
+            gap = per_step_gap(g.gram, trace.pivots, psd_mode=True)
+            zeros = trace.pivots.count(0.0)
+            print(f"{'gram-zero':>13} {n:>4} {ms:>10.3f}  {zeros} zero pivots  gap {gap:.1e}")
             for label, make_text in CSV_TEXTS.items():
                 text = make_text(csv_rng, n)
                 ms, _ = best_ms(lambda: parse_csv_text(text, label, lambda rows: FLOAT64),

@@ -142,7 +142,7 @@ def diag_dominance_certify(a: Matrix, eps: Scalar) -> DiagDominanceResult:
     if not a.is_nonneg():
         raise NegativeEntry("diagonal dominance requires a non-negative matrix")
     diag = a.diagonal()
-    for s, d in enumerate(diag, 1):
+    for s, d in enumerate(diag[:-1], 1):  # the condition divides by a_11..a_(n-1,n-1) only
         if d == 0:
             raise ZeroPivot(s, f"zero diagonal entry at ({s}, {s})")
     factor = _finite(lambda: (1 + e) ** 2 / e, "the factor (1+eps)^2/eps")

@@ -16,12 +16,13 @@ sums each entry on integers and divides once.  Inside `permanent_memo`
 each distinct permanent and minors table is computed once.
 
 The float64 sweep without snapshots runs in panels of PANEL = 64 pivots,
-as LAPACK's getrf does: each step updates only the panel's own square;
-at the panel's end the border strips take two unit-triangular products
-(or, in a panel with a skipped pivot or a term that could underflow, one
-outer product per step) and the trailing block one more, through
-`scaled_product`, which the float cross sums of the certificates share;
-no other module multiplies matrices with `@`.  Up to n = 64, with
+as LAPACK's getrf does: each step updates only the panel's own square.
+At the panel's end the trailing block takes one product built from two
+unit-triangular ones, through `scaled_product`, which the float cross
+sums of the certificates share; where a guard refuses it, the panel takes
+its steps one outer product at a time, as the plain loop does.  No other
+module multiplies matrices with `@`.  A skipped zero pivot ends the
+panels: the rest of the sweep is the plain loop.  Up to n = 64, with
 snapshots, and in exact mode the sweep is one panel, so its values are
 the per-step loop's bit for bit, and so are the first 64 pivots at any
 n; past them a float pivot may differ from it in the last bits.
@@ -543,24 +544,22 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
     DimensionTooLarge past it).
 
     Without keep, float64 runs the steps in panels of PANEL pivots, as
-    LAPACK's getrf does.  Step t updates only the panel's own square.  At
-    the panel's end its border strips, the columns below it and the rows
-    right of it, take two unit-triangular products, X = A21 (I - N)^-1 and
-    Y = (I - M)^-1 A12 (`_panel_borders`), and the trailing block takes
-    one more, (X / den) Y with den = sign * the pivots (`scaled_product`).
-    A skipped pivot reads its row and column as the plain loop has them:
-    the border strips take the panel's steps so far one at a time
-    (`_step_borders`), and its later steps as they come.  They do so too
-    where a term of N, M or their inverses could underflow; the trailing
-    block then takes the strips' columns over den times their rows.  Where
-    `_product_fits` finds that the trailing product could overflow or
-    underflow where the steps do not, or the other way round, the panel's
-    steps run one at a time on the border strips and then on the trailing
-    block, as the plain loop rounds them.  Every value up to n = PANEL,
-    the first PANEL pivots at any n, and every guarded panel are the plain
-    loop's bit for bit; the products round differently, so past PANEL a
-    float pivot may differ from the plain loop's in its last bits.  With
-    keep, and in exact mode, the whole sweep is one panel: the plain loop.
+    LAPACK's getrf does.  Step t updates only the panel's own square.  A
+    panel ends in one of two ways.  Products: where `_panel_borders` and
+    `scaled_product` both admit it, the trailing block adds (X / den) Y,
+    with X = A21 (I - N)^-1 and Y = (I - M)^-1 A12 the border strips after
+    the panel's steps and den = sign * the pivots (`_panel_product`).
+    Steps: where either refuses, the panel's steps run one outer product at
+    a time on everything outside its square (`_take_steps`), as the plain
+    loop rounds them.  A skipped pivot brings the rest of the matrix up to
+    its step the same way, and the rest of the sweep runs as one panel, the
+    plain loop; so no step divides by a zero pivot.  Up to the end of the
+    first panel that takes the products the sweep is the plain loop's bit
+    for bit: so is every value up to n = PANEL, every pivot at any n when
+    the first panel skips one, and the first PANEL pivots always.  The
+    products round differently, so past them a float pivot may differ from
+    the plain loop's in its last bits.  With keep, and in exact mode, the
+    whole sweep is one panel: the plain loop.
 
     Returns (pivots, snapshots): the final diagonal (Fractions when exact),
     and when keep is set the n states A^(1)..A^(n) as a tuple of Matrix
@@ -577,12 +576,10 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
         fractions = np.frompyfunc(Fraction, 2, 1)
         _check_bit_budget(a, 0)
     width = max(n, 1) if exact or keep else PANEL
+    k0, k1 = 0, min(width, n)  # the panel is steps k0..k1-1; rows and columns k1.. wait for its end
     pivots = []
-    stepped = False  # whether the border strips of t's panel have taken its steps so far
     with np.errstate(all="ignore"):  # float inf and nan end in NonFinite
         for t in range(n):
-            k0 = t - t % width
-            k1 = min(k0 + width, n)  # t's panel is steps k0..k1-1; rows and columns k1.. wait for its end
             p = a[t, t]
             pivots.append(Fraction(p, scale[t]) if exact else float(p))
             if t == n - 1:
@@ -590,9 +587,9 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
             if p == 0:
                 if not skip_zero:
                     raise ZeroPivot(t + 1)
-                if k1 < n and not stepped:  # the border strips take steps k0..t-1 one at a time
-                    _step_borders(a, k0, k1, [sign * p for p in pivots[k0:t]])
-                    stepped = True
+                if k1 < n:  # bring the rest up to step t; the rest of the sweep is one panel
+                    _take_steps(a, k0, k1, [sign * p for p in pivots[k0:t]])
+                    k1 = n
                 if (a[t + 1:, t] != 0).any() or (a[t, t + 1:] != 0).any():
                     raise InvalidGram(f"zero pivot with nonzero row/column at step {t + 1}")
             else:
@@ -611,27 +608,30 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
                         state[t + 1:, t + 1:] = fractions(block, sp[:, None])
                 else:
                     a[t + 1:k1, t + 1:k1] += np.multiply.outer(lead, a[t, t + 1:k1]) / p
-                    if stepped:
-                        _step_borders(a, t, k1, [sign * p])
             if keep:
                 if sign < 0:  # what updating row t by itself would give; no step reads it again
                     state[t, t + 1:] = zero(m.kind)
                 snaps.append(Matrix(state, m.kind))
             if t == k1 - 1:  # k1 < n here, since the last step breaks before it
-                _finish_panel(a, k0, k1, [sign * p for p in pivots[k0:]], stepped)
-                stepped = False
+                den = [sign * p for p in pivots[k0:]]
+                product = _panel_product(a, k0, k1, den)
+                if product is None:
+                    _take_steps(a, k0, k1, den)
+                else:
+                    a[k1:, k1:] += product
+                k0, k1 = k1, min(k1 + width, n)
     return tuple(pivots), tuple(snaps) if keep else None
 
 
-def _step_borders(a: np.ndarray, k0: int, k1: int, den: Sequence[float]):
-    """Steps k0, k0 + 1, ... of the float sweep (den_s = sign * pivot, a zero den_s
-    skipped) on the border strips of the panel that ends at k1, the columns
-    a[k1:, :k1] below it and the rows a[:k1, k1:] right of it: one outer
-    product per step and strip, as the plain loop rounds them."""
+def _take_steps(a: np.ndarray, k0: int, k1: int, den: Sequence[float]):
+    """Steps k0, k0 + 1, ... of the float sweep (den_s = sign * pivot, never zero)
+    on everything outside the square a[k0:k1, k0:k1] of the panel that ends
+    at k1: one outer product per step on the columns below the square, and
+    one on the rows right of it and the trailing block, as the plain loop
+    rounds them."""
     for t, d in enumerate(den, k0):
-        if d != 0:
-            a[k1:, t + 1:k1] += np.outer(a[k1:, t], a[t, t + 1:k1]) / d
-            a[t + 1:k1, k1:] += np.outer(a[t + 1:k1, t], a[t, k1:]) / d
+        a[k1:, t + 1:k1] += np.outer(a[k1:, t], a[t, t + 1:k1]) / d
+        a[t + 1:, k1:] += np.outer(a[t + 1:, t], a[t, k1:]) / d
 
 
 def _panel_borders(a: np.ndarray, k0: int, k1: int, den: Sequence[float]):
@@ -643,10 +643,10 @@ def _panel_borders(a: np.ndarray, k0: int, k1: int, den: Sequence[float]):
     Step s adds column s of the column strip times N's row s, and M's column
     s times row s of the row strip, with N = triu(P, 1) / den by rows and
     M = tril(P, -1) / den by columns on the square P = a[k0:k1, k0:k1] (den
-    = sign * pivot, never zero here: a panel with a skipped pivot takes its
-    steps on the strips).  So X = A21 (I - N)^-1 and Y = (I - M)^-1 A12.
-    I - M is inverted through its transpose: I - N and (I - M)^T are unit
-    upper triangular, so LAPACK's partial pivoting swaps no rows in either.
+    = sign * pivot, never zero: a skipped pivot ends the panels).  So
+    X = A21 (I - N)^-1 and Y = (I - M)^-1 A12.  I - M is inverted through
+    its transpose: I - N and (I - M)^T are unit upper triangular, so
+    LAPACK's partial pivoting swaps no rows in either.
     In the process (sign +1) on a non-negative input N, M >= 0, and every
     product sums terms of one sign.
 
@@ -673,44 +673,25 @@ def _panel_borders(a: np.ndarray, k0: int, k1: int, den: Sequence[float]):
     return a[k1:, k0:k1] @ upper, lower_t.T @ a[k0:k1, k1:]
 
 
-def _finish_panel(a: np.ndarray, k0: int, k1: int, den: Sequence[float], stepped: bool):
-    """Add steps k0..k1-1 of the float sweep to the trailing block of a: one
-    product where `scaled_product` admits it, else one step at a time.
-
-    Unless stepped (a panel with a skipped pivot), the steps have updated
-    the panel square only, and the product is X / den times Y from
-    `_panel_borders`; the border strips, which no later step reads, are
-    left as they were.  Where `_panel_borders` refuses, the strips take the
-    steps (`_step_borders`), and the product, as when stepped, is their
-    columns over den times their rows.  Where `scaled_product` refuses, the
-    strips take the steps unless they have, and then the trailing block,
-    one at a time in order of s.  So `_product_fits` gives one verdict per
-    panel.
-    """
-    borders = None if stepped else _panel_borders(a, k0, k1, den)
-    if borders is None and not stepped:
-        _step_borders(a, k0, k1, den)
-    col, row = borders or (a[k1:, k0:k1], a[k0:k1, k1:])
-    product = scaled_product(col, den, row)
-    if product is not None:
-        a[k1:, k1:] += product
-        return
-    if borders is not None:  # the strips are still as the panel found them
-        _step_borders(a, k0, k1, den)
-    for t, d in enumerate(den, k0):
-        if d != 0:
-            a[k1:, k1:] += np.outer(a[k1:, t], a[t, k1:]) / d
+def _panel_product(a: np.ndarray, k0: int, k1: int, den: Sequence[float]) -> np.ndarray | None:
+    """What steps k0..k1-1 of the float sweep add to the trailing block a[k1:, k1:],
+    as the one product (X / den) Y, with X and Y from `_panel_borders`; or
+    None where `_panel_borders` or `scaled_product` refuses, and the panel
+    takes its steps.  The border strips, which no later step reads, are
+    left as the panel found them."""
+    borders = _panel_borders(a, k0, k1, den)
+    return None if borders is None else scaled_product(borders[0], den, borders[1])
 
 
 def scaled_product(col: np.ndarray, den: Sequence[float], row: np.ndarray) -> np.ndarray | None:
-    """L row in float64, with L = col / den (a zero den_s read as 1), or None
-    where `_product_fits` finds that it could overflow or underflow where the
-    sum over s of (col_s row_s) / den_s, one outer product per step, does
-    not, or the other way round.  The float sweep's panels and
+    """L row in float64, with L = col / den (no den_s zero), or None where
+    `_product_fits` finds that it could overflow or underflow where the sum
+    over s of (col_s row_s) / den_s, one outer product per step, does not,
+    or the other way round.  The float sweep's panels and
     `process.cross_sums` both take their one product through here.
     """
     with np.errstate(all="ignore"):  # callers report inf and nan: NonFinite, or a violation
-        lower = col / [d if d != 0 else 1.0 for d in den]
+        lower = col / den
         return lower @ row if _product_fits(col, lower, row) else None
 
 

@@ -10,7 +10,8 @@ outer products.  None runs in the
 package itself: its one permanent algorithm is `permanent_ryser` (Glynn's
 formula, which also gives the PSD alpha coefficients), its one elimination
 loop is `matcore.eliminate`, which the minus-variant and the PSD test call,
-its one running sum of outer products is `process.recursive_u`'s, its
+its running sums of outer products outside that loop are
+`process.recursive_u`'s and the float branch of `matcore.matmul`, its
 cross sums are one product L U, and its exact product sums integer rows.
 
 `closed_recursion_by_entry` with the original diagonal as fixed

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,22 @@ def test_bound_eps_certificate_takes_no_slack(capsys, tmp_path, cell):
                                "--eps", "1", "--exact-max", "0")
         dd = json.loads(out)["diag_dominance"]
         assert (code, dd["certified"], dd["violation"]) == (0, False, [2, 2])
+
+
+@pytest.mark.parametrize("rows, certified, violation, bound", [
+    ("2,1\n1,0\n", False, [2, 2], None),  # 4 a_21 a_12 / a_11 = 2 > 0 = a_22
+    ("0\n", True, None, 0),
+])
+def test_bound_eps_with_a_zero_last_diagonal_entry(capsys, tmp_path, rows, certified, violation,
+                                                   bound):
+    # the condition never divides by a_nn, so a_nn = 0 is no zero pivot for it
+    p = tmp_path / "last.csv"
+    p.write_text(rows)
+    for arithmetic in ("float", "rational"):
+        code, out, _ = run_cli(capsys, "bound", str(p), "--arithmetic", arithmetic, "--eps", "1")
+        dd = json.loads(out)["diag_dominance"]
+        assert (code, dd["certified"], dd.get("violation")) == (0, certified, violation)
+        assert (dd["bound"] if bound is None else Fraction(dd["bound"])) == bound
 
 
 def test_bound_float_arithmetic(capsys, ones3):

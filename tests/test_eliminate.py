@@ -4,15 +4,20 @@
 per-step float64 process sweep that `matcore.eliminate` used to be split
 into.  Exact runs must agree value for value and stay Fractions; float
 process runs must agree bit for bit up to n = matcore.PANEL, with
-snapshots, and on a guarded panel, and within 1e-12 relative past it,
-where the kernel adds each panel to the trailing block as one product.
+snapshots, on a panel that takes the steps and after a zero pivot skipped
+in the first panel, and within 1e-12 relative past a panel that takes the
+products, where the kernel adds the panel to the trailing block as one
+product.
 """
 
+import importlib.util
 import json
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +35,7 @@ from permbound import (
 from permbound import matcore
 from permbound.cli import main
 from permbound.matcore import eliminate
+from permbound.matio import parse_csv_text
 from permbound.psd import GramMatrix
 from oracles import determinant, numpy_sweep, run_gaussian_variant
 
@@ -292,17 +298,18 @@ def test_exact_kernel_stops_past_the_bit_budget(monkeypatch):
 # ---- the float sweep in panels of matcore.PANEL pivots ----------------------------
 
 
-def record_product_fits(monkeypatch):
-    """The verdict of each panel's guard, in order: True where the panel took one product."""
-    verdicts = []
-    fits = matcore._product_fits
+def record_panel_routes(monkeypatch):
+    """The route each finished panel took, in order: "products" or "steps"."""
+    routes = []
+    panel_product = matcore._panel_product
 
     def spy(*args):
-        verdicts.append(fits(*args))
-        return verdicts[-1]
+        product = panel_product(*args)
+        routes.append("steps" if product is None else "products")
+        return product
 
-    monkeypatch.setattr(matcore, "_product_fits", spy)
-    return verdicts
+    monkeypatch.setattr(matcore, "_panel_product", spy)
+    return routes
 
 
 def assert_close(got, want, rel=1e-12):
@@ -313,11 +320,11 @@ def assert_close(got, want, rel=1e-12):
 
 @pytest.mark.parametrize("n", [65, 127, 128, 129, 200])
 def test_blocked_float_process_matches_the_per_step_sweep(monkeypatch, n):
-    verdicts = record_product_fits(monkeypatch)
+    routes = record_panel_routes(monkeypatch)
     rows = positive_floats(random.Random(980 + n), n)
     trace = run_process(Matrix(rows, FLOAT64))
     pivots, _ = numpy_sweep(rows, psd_mode=False, keep=False)
-    assert verdicts == [True] * ((n - 1) // matcore.PANEL)  # every panel but the last
+    assert routes == ["products"] * ((n - 1) // matcore.PANEL)  # every panel but the last
     assert_close(trace.pivots, pivots)
     assert bits(trace.pivots[:matcore.PANEL]) == bits(pivots[:matcore.PANEL])
     # the bound overflows float64 here, so compare its logarithm
@@ -326,11 +333,11 @@ def test_blocked_float_process_matches_the_per_step_sweep(monkeypatch, n):
 
 
 def test_blocked_float_process_keeps_the_per_step_bits_with_snapshots(monkeypatch):
-    verdicts = record_product_fits(monkeypatch)
+    routes = record_panel_routes(monkeypatch)
     rows = positive_floats(random.Random(990), 100)
     trace = run_process(Matrix(rows, FLOAT64), keep_snapshots=True)
     pivots, snaps = numpy_sweep(rows, psd_mode=False, keep=True)
-    assert verdicts == []  # one panel of width n
+    assert routes == []  # one panel of width n
     assert bits(trace.pivots) == bits(pivots)
     assert len(trace.snapshots) == len(snaps) == 100
     for got, want in zip(trace.snapshots, snaps):
@@ -338,7 +345,7 @@ def test_blocked_float_process_keeps_the_per_step_bits_with_snapshots(monkeypatc
 
 
 def test_blocked_float_gram_process_skips_the_zero_pivots(monkeypatch):
-    verdicts = record_product_fits(monkeypatch)
+    routes = record_panel_routes(monkeypatch)
     rng = random.Random(1000)
     n = 80
     zero_cols = set(rng.sample(range(n), 10))
@@ -348,21 +355,21 @@ def test_blocked_float_gram_process_skips_the_zero_pivots(monkeypatch):
     g = gram_from_factor(Matrix(factor, FLOAT64))
     got = run_process(g).pivots
     want, _ = numpy_sweep(g.gram.entries, True, False)
-    assert verdicts == [True]  # a skipped pivot adds nothing to the product, not nan
+    assert routes == []  # a skipped pivot in the first panel ends the panels: the plain loop
     assert all(map(math.isfinite, got))
     assert [t for t, p in enumerate(got) if p == 0] == [t for t, p in enumerate(want) if p == 0]
     assert sorted(t for t, p in enumerate(got) if p == 0) == sorted(zero_cols)
-    assert_close(got, want)
+    assert bits(got) == bits(want)
 
 
 def test_blocked_float_minus_variant_matches_the_list_loop(monkeypatch):
-    verdicts = record_product_fits(monkeypatch)
+    routes = record_panel_routes(monkeypatch)
     rng = random.Random(1010)
     n = 100
     rows = [[rng.random() + (n if i == j else 0) for j in range(n)] for i in range(n)]
     pivots, snaps = eliminate(Matrix(rows, FLOAT64), -1)
     want, _ = list_eliminate(rows, -1)
-    assert verdicts == [True] and snaps is None
+    assert routes == ["products"] and snaps is None
     assert_close(pivots, want)
 
 
@@ -377,17 +384,29 @@ def span_rows(seed, n=80):
     return [[10.0 ** s[i] * rng.uniform(1, 2) for _ in range(n)] for i in range(n)]
 
 
+def unguarded_borders(a, k0, k1, den):
+    """`matcore._panel_borders` without its guard: X = A21 (I - N)^-1 and Y = (I - M)^-1 A12."""
+    d = np.array(den)[:, None]
+    eye = np.eye(k1 - k0)
+    square = a[k0:k1, k0:k1]
+    upper = np.linalg.inv(eye - np.triu(square, 1) / d)
+    lower_t = np.linalg.inv(eye - np.triu(square.T, 1) / d)
+    return a[k1:, k0:k1] @ upper, lower_t.T @ a[k0:k1, k1:]
+
+
 def test_guarded_panel_keeps_the_per_step_bits(monkeypatch):
-    verdicts = record_product_fits(monkeypatch)
+    routes = record_panel_routes(monkeypatch)
     rows = span_rows(1020)
     got, _ = eliminate(Matrix(rows, FLOAT64), 1)
     want, _ = numpy_sweep(rows, psd_mode=False, keep=False)
-    assert verdicts == [False]
+    assert routes == ["steps"]
     assert bits(got) == bits(want)
     assert all(map(math.isfinite, got))
-    # the product itself would have carried the overflow of L into the last pivot
+    # the products themselves would have carried the overflow of L into the last pivot
+    monkeypatch.setattr(matcore, "_panel_borders", unguarded_borders)
     monkeypatch.setattr(matcore, "_product_fits", lambda *args: True)
     assert not math.isfinite(eliminate(Matrix(rows, FLOAT64), 1)[0][-1])
+    assert routes == ["steps", "products"]
 
 
 def test_panel_whose_column_times_its_rows_overflows_takes_the_steps(monkeypatch):
@@ -401,10 +420,10 @@ def test_panel_whose_column_times_its_rows_overflows_takes_the_steps(monkeypatch
     for k in range(matcore.PANEL, n):
         rows[k][0] *= 1e200
         rows[1][k] *= 1e120
-    verdicts = record_product_fits(monkeypatch)
+    routes = record_panel_routes(monkeypatch)
     got, _ = eliminate(Matrix(rows, FLOAT64), 1)
     want, _ = numpy_sweep(rows, psd_mode=False, keep=False)
-    assert verdicts == [False]
+    assert routes == ["steps"]
     assert bits(got) == bits(want)
     assert all(map(math.isfinite, got))
 
@@ -418,10 +437,10 @@ def test_blocked_sweep_keeps_the_bound_exit_on_extreme_inputs(monkeypatch, tmp_p
         rows = [[rng.uniform(1, 2) * 1e306 for _ in range(80)] for _ in range(80)]
     path = tmp_path / f"{build}.csv"
     path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
-    verdicts = record_product_fits(monkeypatch)
+    routes = record_panel_routes(monkeypatch)
     code = main(["bound", str(path)])
     out, err = capsys.readouterr()
-    assert verdicts == [False]
+    assert routes == ["steps"]
     if build == "span":  # the per-step pivots' product underflows, as before
         assert (code, err) == (0, "")
         assert json.loads(out)["process_bound"] == repr(math.prod(numpy_sweep(rows, False, False)[0]))
@@ -447,13 +466,13 @@ def test_panels_with_zero_gram_pivots_match_the_per_step_sweep(monkeypatch, seed
     n = 200
     zero_cols = {63, 64, *rng.sample(range(65, 128), 3), *rng.sample(range(128, 192), 3)}
     g = gram_with_zero_columns(1110 + seed, n, zero_cols)
-    verdicts = record_product_fits(monkeypatch)
+    routes = record_panel_routes(monkeypatch)
     got = run_process(g).pivots
     want, _ = numpy_sweep(g.gram.entries, True, False)
-    assert verdicts == [True] * 3  # the strips take the steps, and the trailing block one product
+    assert routes == []  # the skipped pivot 63 ends the panels: the plain loop
     assert [t for t, p in enumerate(got) if p == 0] == sorted(zero_cols)
     assert [t for t, p in enumerate(want) if p == 0] == sorted(zero_cols)
-    assert_close(got, want)
+    assert bits(got) == bits(want)
 
 
 def border_only_gram_row(n=130, t=70, s=65):
@@ -490,13 +509,13 @@ def test_zero_pivot_reads_its_border_after_the_panel_steps(side):
 
 def test_blocked_float_minus_variant_past_two_panels(monkeypatch):
     # row t is read by the panel's products after its step: it must not read 0 there
-    verdicts = record_product_fits(monkeypatch)
+    routes = record_panel_routes(monkeypatch)
     rng = random.Random(1130)
     n = 200
     rows = [[rng.random() + (n if i == j else 0) for j in range(n)] for i in range(n)]
     pivots, snaps = eliminate(Matrix(rows, FLOAT64), -1)
     want, _ = list_eliminate(rows, -1)
-    assert verdicts == [True] * 3 and snaps is None
+    assert routes == ["products"] * 3 and snaps is None
     assert bits(pivots[:matcore.PANEL]) == bits(want[:matcore.PANEL])
     assert_close(pivots, want)
 
@@ -505,13 +524,43 @@ def test_dense_uniform_sweep_at_256_matches_the_per_step_sweep(monkeypatch):
     rng = random.Random(1140)
     n = 256
     rows = [[rng.uniform(0.001, 0.999) for _ in range(n)] for _ in range(n)]
-    verdicts = record_product_fits(monkeypatch)
+    routes = record_panel_routes(monkeypatch)
     got = run_process(Matrix(rows, FLOAT64)).pivots
     want, _ = numpy_sweep(rows, psd_mode=False, keep=False)
-    assert verdicts == [True] * 3
+    assert routes == ["products"] * 3
     assert max(got) > 2.0 ** 250  # the pivots grow about twofold per step
     assert bits(got[:matcore.PANEL]) == bits(want[:matcore.PANEL])
     assert_close(got, want)
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py, loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind, label", [("dd", "dd-a-256"), ("exp", "exp-a-256"),
+                                         ("dense", "dense-256")])
+def test_benchmark_float_inputs_take_the_products_at_256(monkeypatch, workloads, kind, label, seed):
+    # the n = 256 inputs of bound-float-large, made and read as its requests are
+    rng = workloads._rng("bound-float-large", seed, label)
+    rows = {"dd": lambda: workloads._dominant_rows(rng, 256),
+            "exp": lambda: workloads._exp_rows(256),
+            "dense": lambda: workloads._dense_rows(rng, 256)}[kind]()
+    text = "".join(",".join(row) + "\n" for row in rows)
+    m = parse_csv_text(text, label, lambda n: FLOAT64).matrix
+    routes = record_panel_routes(monkeypatch)
+    run_process(m)
+    assert routes == ["products"] * 3
 
 
 @pytest.mark.parametrize("build", ["uniform", "span", "dense-1e306", "gram", "minus"])
@@ -556,12 +605,12 @@ def test_panel_whose_border_terms_underflow_takes_the_steps(monkeypatch, build, 
     rows = underflow_rows(build)
     if transpose:  # the same cycle through the row strip and M
         rows = [list(r) for r in zip(*rows)]
-    verdicts = record_product_fits(monkeypatch)
+    routes = record_panel_routes(monkeypatch)
     got, _ = eliminate(Matrix(rows, FLOAT64), 1)
     want, _ = numpy_sweep(rows, psd_mode=False, keep=False)
-    assert verdicts == [True]  # the guard reads the strips after the steps
+    assert routes == ["steps"]  # `_panel_borders` refuses the panel
     assert want[-1] == pytest.approx(2 * rows[64][64], rel=1e-12)
-    assert_close(got, want)
+    assert bits(got) == bits(want)
 
 
 @pytest.mark.parametrize("build, per", [("ratio", Fraction(2, 10 ** 30)),

@@ -15,7 +15,13 @@ timings on the Gram matrix of that matrix taken as a factor with its
 fourth column (the last below n = 4) set to zero ("gram-zero"), with the
 count of zero pivots and the gap to the
 per-step sweep: the skipped pivot ends the sweep's panels in its first
-one, so the rest runs as the plain loop and the gap is 0.
+one, so the rest runs as the plain loop and the gap is 0.  At each float
+n it also times `run_process` on the exponential family c^-|i-j| at
+c = sqrt(n), read by `parse_csv_text` from the 20-significant-digit
+literals that the benchmark's bound-float-large inputs hold ("exp-csv",
+with the pivots' log2 range, the count of nonzero entries below 2^-1022
+and the gap): at n = 512 there are tens of thousands, and most panels
+take their steps.
 Parsing, kind conversion and the report are not timed in those rows.  At
 every n it then prints the best of k `diag_dominance_certify(m, 1)` timings
 ("certificate") with its verdict: the float64 cross sums take one matrix
@@ -51,6 +57,7 @@ import random
 import sys
 import tempfile
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -90,6 +97,16 @@ def repeated_csv_text(rng, n, cell):
     """n distinct literals, each used n times: cell (i, j) is literal (i - j) mod n."""
     literals = [cell(rng) for _ in range(n)]
     return "".join(",".join(literals[(i - j) % n] for j in range(n)) + "\n" for i in range(n))
+
+
+def exp_csv_text(n):
+    """The exponential family c^-|i-j| at c = sqrt(n) as CSV cells of 20
+    significant digits, as the benchmark writes them."""
+    with localcontext() as ctx:
+        ctx.prec = 20
+        c = Decimal(n).sqrt()
+        powers = [format(c ** -k, ".19E") for k in range(n)]
+    return "".join(",".join(powers[abs(i - j)] for j in range(n)) + "\n" for i in range(n))
 
 
 CSV_TEXTS = {
@@ -184,6 +201,12 @@ def main():
             gap = per_step_gap(g.gram, trace.pivots, psd_mode=True)
             zeros = trace.pivots.count(0.0)
             print(f"{'gram-zero':>13} {n:>4} {ms:>10.3f}  {zeros} zero pivots  gap {gap:.1e}")
+            exp = parse_csv_text(exp_csv_text(n), "exp-csv", lambda rows: FLOAT64).matrix
+            ms, trace = best_ms(lambda: run_process(exp), args.repeat)
+            tiny = np.count_nonzero((exp.entries != 0) & (exp.entries < np.finfo(np.float64).tiny))
+            gap = per_step_gap(exp, trace.pivots)
+            print(f"{'exp-csv':>13} {n:>4} {ms:>10.3f}  {pivot_size(trace.pivots, FLOAT64)}"
+                  f"  {tiny} subnormal  gap {gap:.1e}")
             for label, make_text in CSV_TEXTS.items():
                 text = make_text(csv_rng, n)
                 ms, _ = best_ms(lambda: parse_csv_text(text, label, lambda rows: FLOAT64),

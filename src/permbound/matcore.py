@@ -1,7 +1,7 @@
 """Dense matrices over exact rationals or float64, submatrix algebra, the
 exact permanent (`permanent_ryser`, the ground truth everywhere else), and
-the one elimination kernel (`eliminate`, on an ndarray of either kind)
-shared by the permanent process and its minus-variant.
+the permanent process's one elimination kernel (`eliminate`, on an ndarray
+of either kind).
 
 The permanent (of either kind), the exact elimination and the exact
 product run on integer rows (`integer_rows`), each with one integer scale.
@@ -519,15 +519,10 @@ def _check_bit_budget(block: np.ndarray, t: int):
         )
 
 
-def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False):
-    """Column-wise elimination a_{i,j} <- a_{i,j} + sign * a_{i,t} a_{t,j} / a_{t,t}.
+def eliminate(m: Matrix, skip_zero: bool = False, keep: bool = False):
+    """The permanent process, column-wise elimination with the update's sign flipped:
+    a_{i,j} <- a_{i,j} + a_{i,t} a_{t,j} / a_{t,t} for t = 1..n-1 and i, j > t.
 
-    For t = 1..n-1 and j > t the update runs over the rows below t.  sign =
-    +1 is the permanent process; sign = -1 is Gaussian elimination, the
-    minus-variant, whose snapshots show row t zero right of the pivot after
-    step t (the rows above t are zero there already, so updating them would
-    change nothing); no step reads row t again, so the sweep itself leaves
-    it.
     A zero pivot raises ZeroPivot, unless skip_zero is set: then the step is
     skipped when the pivot's trailing row and column are zero, and
     InvalidGram is raised when they are not.
@@ -536,7 +531,7 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
     it rounds as the plain loop does.  An exact step runs on the
     `integer_rows` of m, row i standing for its integers over an integer
     scale s_i.  With the integer pivot P it sets the columns j > t of each
-    updated row to P a_{i,j} + sign a_{i,t} a_{t,j}, divides them by g, the
+    updated row to P a_{i,j} + a_{i,t} a_{t,j}, divides them by g, the
     part of their gcd that divides s_i P, and sets s_i <- s_i P / g (an
     integer again).  Columns left of t + 1 go stale in the integers, so
     pivot t is read as P / s_t at step t.  The block each step works on is
@@ -548,7 +543,7 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
     panel ends in one of two ways.  Products: where `_panel_borders` and
     `scaled_product` both admit it, the trailing block adds (X / den) Y,
     with X = A21 (I - N)^-1 and Y = (I - M)^-1 A12 the border strips after
-    the panel's steps and den = sign * the pivots (`_panel_product`).
+    the panel's steps and den = the panel's pivots (`_panel_product`).
     Steps: where either refuses, the panel's steps run one outer product at
     a time on everything outside its square (`_take_steps`), as the plain
     loop rounds them.  A skipped pivot brings the rest of the matrix up to
@@ -588,14 +583,13 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
                 if not skip_zero:
                     raise ZeroPivot(t + 1)
                 if k1 < n:  # bring the rest up to step t; the rest of the sweep is one panel
-                    _take_steps(a, k0, k1, [sign * p for p in pivots[k0:t]])
+                    _take_steps(a, k0, k1, pivots[k0:t])
                     k1 = n
                 if (a[t + 1:, t] != 0).any() or (a[t, t + 1:] != 0).any():
                     raise InvalidGram(f"zero pivot with nonzero row/column at step {t + 1}")
             else:
-                lead = a[t + 1:k1, t] if sign > 0 else -a[t + 1:k1, t]
                 if exact:
-                    block = p * a[t + 1:, t + 1:] + np.outer(lead, a[t, t + 1:])
+                    block = p * a[t + 1:, t + 1:] + np.outer(a[t + 1:, t], a[t, t + 1:])
                     sp = scale[t + 1:] * p
                     if t < n - 2:  # no later step reads the last step's integers
                         g = np.gcd(np.gcd.reduce(block, axis=1), sp)  # an all-zero row gets |s_i P|
@@ -607,16 +601,13 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
                     if keep:
                         state[t + 1:, t + 1:] = fractions(block, sp[:, None])
                 else:
-                    a[t + 1:k1, t + 1:k1] += np.multiply.outer(lead, a[t, t + 1:k1]) / p
+                    a[t + 1:k1, t + 1:k1] += np.multiply.outer(a[t + 1:k1, t], a[t, t + 1:k1]) / p
             if keep:
-                if sign < 0:  # what updating row t by itself would give; no step reads it again
-                    state[t, t + 1:] = zero(m.kind)
                 snaps.append(Matrix(state, m.kind))
             if t == k1 - 1:  # k1 < n here, since the last step breaks before it
-                den = [sign * p for p in pivots[k0:]]
-                product = _panel_product(a, k0, k1, den)
+                product = _panel_product(a, k0, k1, pivots[k0:])
                 if product is None:
-                    _take_steps(a, k0, k1, den)
+                    _take_steps(a, k0, k1, pivots[k0:])
                 else:
                     a[k1:, k1:] += product
                 k0, k1 = k1, min(k1 + width, n)
@@ -624,7 +615,7 @@ def eliminate(m: Matrix, sign: int, skip_zero: bool = False, keep: bool = False)
 
 
 def _take_steps(a: np.ndarray, k0: int, k1: int, den: Sequence[float]):
-    """Steps k0, k0 + 1, ... of the float sweep (den_s = sign * pivot, never zero)
+    """Steps k0, k0 + 1, ... of the float sweep (den: their pivots, none zero)
     on everything outside the square a[k0:k1, k0:k1] of the panel that ends
     at k1: one outer product per step on the columns below the square, and
     one on the rows right of it and the trailing block, as the plain loop
@@ -643,12 +634,12 @@ def _panel_borders(a: np.ndarray, k0: int, k1: int, den: Sequence[float]):
     Step s adds column s of the column strip times N's row s, and M's column
     s times row s of the row strip, with N = triu(P, 1) / den by rows and
     M = tril(P, -1) / den by columns on the square P = a[k0:k1, k0:k1] (den
-    = sign * pivot, never zero: a skipped pivot ends the panels).  So
+    = the panel's pivots, never zero: a skipped pivot ends the panels).  So
     X = A21 (I - N)^-1 and Y = (I - M)^-1 A12.  I - M is inverted through
     its transpose: I - N and (I - M)^T are unit upper triangular, so
     LAPACK's partial pivoting swaps no rows in either.
-    In the process (sign +1) on a non-negative input N, M >= 0, and every
-    product sums terms of one sign.
+    On a non-negative input N, M >= 0, and every product sums terms of one
+    sign.
 
     Back substitution builds each entry of an inverse from terms N_su times
     another of its entries.  Where the least nonzero |N_su| (one that

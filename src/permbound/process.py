@@ -7,11 +7,10 @@ t = 1..n-1 and i, j > t it performs
 
 and the product of the resulting diagonal pivots upper-bounds per(A) for
 non-negative and for PSD inputs.  It runs through `matcore.eliminate`,
-one kernel for exact rationals and float64 alike, whose sign -1 is the
-minus-variant (honest column-wise Gaussian elimination, the determinant
-anchor in the tests).  The u-recursion (`recursive_u`) is the closed
-dynamic program for the same values.  The certificates' `cross_sums` are
-one product, taken by `matcore.matmul` or `matcore.scaled_product`.
+one kernel for exact rationals and float64 alike.  The u-recursion
+(`recursive_u`) is the closed dynamic program for the same values.  The
+certificates' `cross_sums` are one product, taken by `matcore.matmul` or
+`matcore.scaled_product`.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ def run_process(
     if perm is not None:
         idx = [p - 1 for p in perm]
         m = Matrix(m.entries.take(idx, 0).take(idx, 1), m.kind)
-    pivots, snaps = eliminate(m, +1, skip_zero=psd_mode, keep=keep_snapshots)
+    pivots, snaps = eliminate(m, skip_zero=psd_mode, keep=keep_snapshots)
     return ProcessTrace(n=n, pivots=pivots, arithmetic=m.kind, ordering=perm, snapshots=snaps)
 
 

@@ -1,16 +1,17 @@
 """Reference implementations the tests check the package against.
 
 The n! permutation sum for the permanent, row-pivoted elimination for the
-determinant, the minus-variant of the process (Gaussian elimination, whose
-pivots multiply to the determinant), the per-step float64 process sweep
-(`numpy_sweep`, which `eliminate` matches bit for bit up to n = 64), an
-exact PSD test by symmetric elimination, the cross sum and closed
-recursion entry by entry, and the matrix product as a running sum of
-outer products.  None runs in the
-package itself: its one permanent algorithm is `permanent_ryser` (Glynn's
-formula, which also gives the PSD alpha coefficients), its one elimination
-loop is `matcore.eliminate`, which the minus-variant and the PSD test call,
-its running sums of outer products outside that loop are
+determinant, the list loop of the process and of Gaussian elimination
+(`list_eliminate`), on which the minus-variant of the process (whose
+pivots multiply to the determinant) and an exact PSD test by symmetric
+elimination are built, the per-step float64 process sweep (`numpy_sweep`,
+which `eliminate` matches bit for bit up to n = 64), the cross sum and
+closed recursion entry by entry, and the matrix product as a running sum
+of outer products.  None runs in the package itself: its one permanent
+algorithm is `permanent_ryser` (Glynn's formula, which also gives the PSD
+alpha coefficients), its one elimination loop is `matcore.eliminate`,
+which runs only the process, its running sums of outer products outside
+that loop are
 `process.recursive_u`'s and the float branch of `matcore.matmul`, its
 cross sums are one product L U, and its exact product sums integer rows.
 
@@ -24,6 +25,7 @@ inverse, and the closed form of the process output on the exponential
 family (criteria 5 and 6 compare against the last two).
 """
 
+from fractions import Fraction
 from itertools import permutations
 from typing import Iterable
 
@@ -35,7 +37,7 @@ from permbound import (
     permanent_ryser, permanental_inverse, run_process, select, transpose,
 )
 from permbound.bounds import _exp_powers
-from permbound.matcore import eliminate, sorted_indices
+from permbound.matcore import sorted_indices
 from permbound.scalars import Scalar, one, zero
 
 NAIVE_MAX = 10
@@ -94,17 +96,60 @@ def determinant(m: Matrix) -> Scalar:
     return det if sign == 1 else -det
 
 
+def list_eliminate(rows, sign, every_row=False, skip_zero=False, keep=False):
+    """Column-wise elimination a_{i,j} <- a_{i,j} + sign * a_{i,t} a_{t,j} / a_{t,t}
+    on nested lists, for t = 1..n-1 and j > t, over the rows below t, or
+    every row when every_row is set.
+
+    sign +1 over the rows below t is the permanent process, the loop that
+    `matcore.eliminate` runs; sign -1 over every row is Gaussian elimination,
+    whose step t also clears row t right of the pivot.  A zero pivot raises
+    ZeroPivot, unless skip_zero is set: then the step is skipped when the
+    pivot's trailing row and column are zero, and InvalidGram is raised when
+    they are not.  Returns the final diagonal and, when keep is set, the
+    states A^(1)..A^(n) as tuples of rows (else None).
+    """
+    n = len(rows)
+    a = [list(r) for r in rows]
+    snaps = [tuple(tuple(r) for r in a)] if keep else None
+    for t in range(n - 1):
+        p = a[t][t]
+        if p == 0:
+            if not skip_zero:
+                raise ZeroPivot(t + 1)
+            if any(a[i][t] != 0 or a[t][i] != 0 for i in range(t + 1, n)):
+                raise InvalidGram(f"zero pivot with nonzero row/column at step {t + 1}")
+        else:
+            row_t = a[t][:]
+            for i in range(n) if every_row else range(t + 1, n):
+                lead = a[i][t]
+                if lead == 0:
+                    continue
+                f = lead / p if sign > 0 else -lead / p
+                ai = a[i]
+                for j in range(t + 1, n):
+                    ai[j] += f * row_t[j]
+        if keep:
+            snaps.append(tuple(tuple(r) for r in a))
+    return tuple(a[t][t] for t in range(n)), snaps
+
+
 def run_gaussian_variant(a: Matrix, keep_snapshots: bool = False) -> ProcessTrace:
     """The minus-variant: column-wise Gaussian elimination without pivoting.
 
     Updates a_{i,j} <- a_{i,j} - a_{i,t} * a_{t,j} / a_{t,t} for j > t and
-    every row i > t, then zeroes row t right of the pivot, producing a
-    lower-triangular final matrix whose diagonal product is det(A) exactly
-    in rational mode.  Any square input is
-    accepted; a zero pivot is an error (no pivoting is performed).
+    every row i (`list_eliminate` with sign -1 over every row), so row t is
+    zero right of the pivot after step t, producing a lower-triangular final
+    matrix whose diagonal product is det(A) exactly in rational mode.  Any
+    square input is accepted; a zero pivot is an error (no pivoting is
+    performed).
     """
-    pivots, snaps = eliminate(a, -1, keep=keep_snapshots)
-    return ProcessTrace(n=a.n, pivots=pivots, arithmetic=a.kind, snapshots=snaps)
+    pivots, snaps = list_eliminate(a.entries.tolist(), -1, every_row=True, keep=keep_snapshots)
+    scalar = Fraction if a.kind == RATIONAL else float
+    if snaps is not None:
+        snaps = tuple(Matrix(s, a.kind) for s in snaps)
+    return ProcessTrace(n=a.n, pivots=tuple(map(scalar, pivots)), arithmetic=a.kind,
+                        snapshots=snaps)
 
 
 def numpy_sweep(rows, psd_mode, keep):
@@ -141,14 +186,15 @@ def matmul_running_sum(a: Matrix, b: Matrix) -> Matrix:
 def is_psd_exact(m: Matrix) -> bool:
     """Exact PSD test for symmetric rational matrices, no square roots.
 
-    Symmetric elimination (`eliminate` with the minus sign): a zero pivot
-    with a nonzero row refutes PSD-ness, one with a zero row is skipped,
-    and otherwise the input is PSD iff it is symmetric and no pivot is < 0.
+    Symmetric elimination (`list_eliminate` with the minus sign): a zero
+    pivot with a nonzero row refutes PSD-ness, one with a zero row is
+    skipped, and otherwise the input is PSD iff it is symmetric and no pivot
+    is < 0.
     """
     if m.kind != RATIONAL:
         raise ValueError("exact PSD test requires rational entries")
     try:
-        pivots, _ = eliminate(m, -1, skip_zero=True)
+        pivots, _ = list_eliminate(m.entries.tolist(), -1, skip_zero=True)
     except InvalidGram:
         return False
     return m == transpose(m) and all(p >= 0 for p in pivots)

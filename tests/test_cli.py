@@ -103,6 +103,15 @@ def test_literals_past_the_digit_limit_exit_2(capsys, tmp_path):
         assert json.loads(err)["error"]["type"] == error
 
 
+@pytest.mark.parametrize("arithmetic", ["rational", "float"])
+def test_bound_rejects_an_exponent_that_is_not_an_integer(capsys, tmp_path, arithmetic):
+    p = tmp_path / "bad_exponent.csv"
+    p.write_text("1,1e+x\n1,1\n")
+    code, out, err = run_cli(capsys, "bound", str(p), "--arithmetic", arithmetic)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"type": "ParseError", "message": "bad numeric literal '1e+x'"}
+
+
 def test_bound_eps_flag(capsys, tmp_path):
     p = tmp_path / "dd.csv"
     rows = "\n".join(",".join("1" if i == j else "1/12" for j in range(4)) for i in range(4))
@@ -709,6 +718,29 @@ def test_verify_schur_bound_fails_past_a_zero_split(capsys, tmp_path, monkeypatc
         "PASS rank1-identity\nFAIL schur-bound: exact > bound at d = 2\n"
         "PASS identity-dominance\n"
     )
+    assert (code, out, err) == (1, expected, "")
+
+
+UNCROSS_PASSES = "PASS two-row-inequality\nPASS condense-inequality\n"
+
+
+# each FAIL line a check can print, from its lemma patched to return a failing pair
+@pytest.mark.parametrize("lemma, pair, suite, expected", [
+    ("row_uncrossing_sides", SidePair(2, 1, False), "uncross",
+     "FAIL row-uncrossing: violated at d = 0, i* = 1\n" + UNCROSS_PASSES),
+    ("row_uncrossing_sides", SidePair(1, 2, True), "uncross",
+     "FAIL row-uncrossing: expected equality at d = 0, k = 3\n" + UNCROSS_PASSES),
+    ("schur_permanent_bound", SidePair(1, 2, True), "schur",
+     "PASS rank1-identity\nFAIL schur-bound: k = 1 split not an equality: 1 vs 2\n"
+     "PASS identity-dominance\n"),
+    ("perm_ratio_check", SidePair(2, 1, False), "boundedness",
+     "PASS entry-bound\nFAIL perm-ratio: ratio 2 > 1 at S = (), i = 1, j = 1\nPASS cycle-sum\n"),
+    ("cycle_sum_ratio", SidePair(2, 1, False), "boundedness",
+     "PASS entry-bound\nPASS perm-ratio\nFAIL cycle-sum: ratio 2 > 1 at t = 1, S = (2, 3), i0 = 2\n"),
+], ids=["uncross-violated", "uncross-equality", "schur-equality", "perm-ratio", "cycle-sum"])
+def test_verify_prints_each_fail_line(capsys, ones3, monkeypatch, lemma, pair, suite, expected):
+    monkeypatch.setattr(f"permbound.cli.{lemma}", lambda *args: pair)
+    code, out, err = run_cli(capsys, "verify", ones3, "--suite", suite)
     assert (code, out, err) == (1, expected, "")
 
 

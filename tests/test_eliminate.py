@@ -1,6 +1,6 @@
 """The one elimination kernel against the two loops it replaced.
 
-`list_eliminate` is the exact list loop and `oracles.numpy_sweep` the
+`oracles.list_eliminate` is the exact list loop and `oracles.numpy_sweep` the
 per-step float64 process sweep that `matcore.eliminate` used to be split
 into.  Exact runs must agree value for value and stay Fractions; float
 process runs must agree bit for bit up to n = matcore.PANEL, with
@@ -37,35 +37,7 @@ from permbound.cli import main
 from permbound.matcore import eliminate
 from permbound.matio import parse_csv_text
 from permbound.psd import GramMatrix
-from oracles import determinant, numpy_sweep, run_gaussian_variant
-
-
-def list_eliminate(rows, sign, every_row=False, skip_zero=False, keep=False):
-    n = len(rows)
-    a = [list(r) for r in rows]
-    snaps = [tuple(tuple(r) for r in a)] if keep else None
-    for t in range(n - 1):
-        p = a[t][t]
-        if p == 0:
-            if not skip_zero:
-                raise ZeroPivot(t + 1)
-            if any(a[i][t] != 0 or a[t][i] != 0 for i in range(t + 1, n)):
-                raise InvalidGram(f"zero pivot with nonzero row/column at step {t + 1}")
-        else:
-            row_t = a[t][:]
-            for i in range(n) if every_row else range(t + 1, n):
-                lead = a[i][t]
-                if lead == 0:
-                    continue
-                f = lead / p if sign > 0 else -lead / p
-                ai = a[i]
-                for j in range(t + 1, n):
-                    ai[j] += f * row_t[j]
-            if sign < 0 and not every_row:  # what updating row t by itself would give
-                a[t][t + 1:] = [0 * p] * (n - t - 1)
-        if keep:
-            snaps.append(tuple(tuple(r) for r in a))
-    return tuple(a[t][t] for t in range(n)), snaps
+from oracles import determinant, list_eliminate, numpy_sweep, run_gaussian_variant
 
 
 def outcome(fn, *args, **kwargs):
@@ -124,30 +96,30 @@ def assert_exact_run(got, want):
 
 
 def reference(rows, sign, **kwargs):
-    """The list loop the kernel matches: with sign -1 it runs over every row,
-    and its update of row t by itself zeroes that row right of the pivot."""
+    """The list loop for a run of the given sign: over the rows below each
+    pivot for +1, the process the kernel runs, and over every row for -1."""
     return list_eliminate(rows, sign, every_row=sign < 0, **kwargs)
 
 
 @pytest.mark.parametrize("keep", [False, True])
-@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("sign", [1])
 def test_exact_kernel_matches_list_loop(sign, keep):
     rng = random.Random(900 + 2 * sign + keep)
     for n in range(9):
         for _ in range(6):
             m = sparse_rational(rng, n)
-            got = outcome(eliminate, m, sign, keep=keep)
+            got = outcome(eliminate, m, keep=keep)
             assert_exact_run(got, outcome(reference, m.entries, sign, keep=keep))
 
 
-@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("sign", [1])
 def test_exact_kernel_skips_zero_gram_pivots_as_the_list_loop(sign):
     rng = random.Random(910 + sign)
     skipped = 0
     for _ in range(40):
         n = rng.randint(2, 8)
         m = rank_deficient_gram(rng, n).gram
-        got = outcome(eliminate, m, sign, skip_zero=True, keep=True)
+        got = outcome(eliminate, m, skip_zero=True, keep=True)
         want = outcome(reference, m.entries, sign, skip_zero=True, keep=True)
         assert_exact_run(got, want)
         skipped += 0 in got[0][:-1]
@@ -157,7 +129,7 @@ def test_exact_kernel_skips_zero_gram_pivots_as_the_list_loop(sign):
 def test_exact_kernel_reports_the_invalid_gram_step():
     rows = [[Fraction(x) for x in r] for r in ([1, -1, 2], [1, 1, 3], [2, 3, 9])]
     m = Matrix(tuple(map(tuple, rows)), RATIONAL)
-    got = outcome(eliminate, m, 1, skip_zero=True)
+    got = outcome(eliminate, m, skip_zero=True)
     assert got == outcome(list_eliminate, m.entries, 1, skip_zero=True)
     assert got == ("InvalidGram", "zero pivot with nonzero row/column at step 2")
 
@@ -165,8 +137,8 @@ def test_exact_kernel_reports_the_invalid_gram_step():
 @pytest.mark.parametrize("kind", [RATIONAL, FLOAT64])
 def test_kernel_on_the_empty_matrix(kind):
     m = Matrix((), kind)
-    assert eliminate(m, 1) == ((), None)
-    assert eliminate(m, -1, keep=True) == ((), (m,))
+    assert eliminate(m) == ((), None)
+    assert eliminate(m, keep=True) == ((), (m,))
 
 
 def positive_floats(rng, n):
@@ -243,56 +215,41 @@ def positive_rational(rng, n, lo=10, hi=99):
     )
 
 
-# every_row picks the rows the list loop updates; with sign -1 both of its
-# ways end with row t zero right of the pivot, as the kernel does
 @pytest.mark.parametrize("keep", [False, True])
-@pytest.mark.parametrize("sign, every_row", [(1, False), (-1, False), (-1, True)])
+@pytest.mark.parametrize("sign, every_row", [(1, False)])
 def test_exact_kernel_matches_list_loop_on_long_entries(sign, every_row, keep):
     # p/q in 10..99 up to n = 14: the plus-sign pivots reach ~10^5 bits
     rng = random.Random(960 + 4 * sign + 2 * every_row + keep)
     for n in range(9, 15):
         m = positive_rational(rng, n)
-        got = outcome(eliminate, m, sign, keep=keep)
+        got = outcome(eliminate, m, keep=keep)
         want = outcome(list_eliminate, m.entries, sign, every_row=every_row, keep=keep)
         assert_exact_run(got, want)
 
 
 @pytest.mark.parametrize("keep", [False, True])
-@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("sign", [1])
 def test_exact_kernel_on_an_all_zero_trailing_row(sign, keep):
-    # the last row clears after step 1 (minus sign: it is twice row 1) or is zero
-    # from the start (plus sign), so its row gcd is 0 at every later step
+    # the last row is zero, so its row gcd is 0 at every step
     r1 = [Fraction(1), Fraction(2, 3), Fraction(3), Fraction(4, 5)]
-    last = [2 * x for x in r1] if sign < 0 else [Fraction(0)] * 4
+    last = [Fraction(0)] * 4
     rows = (r1, [Fraction(x) for x in (1, 5, 2, 7)], [Fraction(x, 2) for x in (3, 1, 4, 1)], last)
     m = Matrix(rows, RATIONAL)
-    got = eliminate(m, sign, keep=keep)
+    got = eliminate(m, keep=keep)
     assert_exact_run(got, reference(m.entries, sign, keep=keep))
     assert got[0][-1] == 0
     if keep:
         assert all(x == 0 for x in got[1][-1].row(4)[1:])
 
 
-@pytest.mark.parametrize("keep", [False, True])
-def test_exact_minus_variant_with_negative_pivots(keep):
-    rows = ([-2, 1, 3, Fraction(1, 2)], [4, -1, 2, 5], [1, 5, -7, Fraction(-2, 3)],
-            [3, Fraction(1, 4), 2, -1])
-    m = Matrix(tuple(tuple(Fraction(x) for x in r) for r in rows), RATIONAL)
-    got = eliminate(m, -1, keep=keep)
-    assert_exact_run(got, reference(m.entries, -1, keep=keep))
-    pivots = got[0]
-    assert sum(p < 0 for p in pivots) >= 2
-    assert math.prod(pivots) == determinant(m)
-
-
 def test_exact_kernel_stops_past_the_bit_budget(monkeypatch):
     m = positive_rational(random.Random(970), 8)
     monkeypatch.setattr(matcore, "BIT_BUDGET", 1 << 10)
     with pytest.raises(DimensionTooLarge, match=r"past the budget of 2\^10 bits; use --arithmetic float"):
-        eliminate(m, 1)
+        eliminate(m)
     # the float64 sweep has no bit growth and no budget
     floats = Matrix(m.entries.astype(np.float64), FLOAT64)
-    assert len(eliminate(floats, 1)[0]) == 8
+    assert len(eliminate(floats)[0]) == 8
 
 
 # ---- the float sweep in panels of matcore.PANEL pivots ----------------------------
@@ -362,17 +319,6 @@ def test_blocked_float_gram_process_skips_the_zero_pivots(monkeypatch):
     assert bits(got) == bits(want)
 
 
-def test_blocked_float_minus_variant_matches_the_list_loop(monkeypatch):
-    routes = record_panel_routes(monkeypatch)
-    rng = random.Random(1010)
-    n = 100
-    rows = [[rng.random() + (n if i == j else 0) for j in range(n)] for i in range(n)]
-    pivots, snaps = eliminate(Matrix(rows, FLOAT64), -1)
-    want, _ = list_eliminate(rows, -1)
-    assert routes == ["products"] and snaps is None
-    assert_close(pivots, want)
-
-
 def span_rows(seed, n=80):
     """Rows 10^s_i times uniform(1, 2), s_i in [-300, 90] and s = 180 on the last row.
 
@@ -397,7 +343,7 @@ def unguarded_borders(a, k0, k1, den):
 def test_guarded_panel_keeps_the_per_step_bits(monkeypatch):
     routes = record_panel_routes(monkeypatch)
     rows = span_rows(1020)
-    got, _ = eliminate(Matrix(rows, FLOAT64), 1)
+    got, _ = eliminate(Matrix(rows, FLOAT64))
     want, _ = numpy_sweep(rows, psd_mode=False, keep=False)
     assert routes == ["steps"]
     assert bits(got) == bits(want)
@@ -405,7 +351,7 @@ def test_guarded_panel_keeps_the_per_step_bits(monkeypatch):
     # the products themselves would have carried the overflow of L into the last pivot
     monkeypatch.setattr(matcore, "_panel_borders", unguarded_borders)
     monkeypatch.setattr(matcore, "_product_fits", lambda *args: True)
-    assert not math.isfinite(eliminate(Matrix(rows, FLOAT64), 1)[0][-1])
+    assert not math.isfinite(eliminate(Matrix(rows, FLOAT64))[0][-1])
     assert routes == ["steps", "products"]
 
 
@@ -421,7 +367,7 @@ def test_panel_whose_column_times_its_rows_overflows_takes_the_steps(monkeypatch
         rows[k][0] *= 1e200
         rows[1][k] *= 1e120
     routes = record_panel_routes(monkeypatch)
-    got, _ = eliminate(Matrix(rows, FLOAT64), 1)
+    got, _ = eliminate(Matrix(rows, FLOAT64))
     want, _ = numpy_sweep(rows, psd_mode=False, keep=False)
     assert routes == ["steps"]
     assert bits(got) == bits(want)
@@ -475,6 +421,22 @@ def test_panels_with_zero_gram_pivots_match_the_per_step_sweep(monkeypatch, seed
     assert bits(got) == bits(want)
 
 
+def test_signed_gram_sweep_takes_the_products(monkeypatch):
+    # a factor with no zero column: no pivot is skipped, and the panels' N and M
+    # hold entries of both signs
+    rng = random.Random(1160)
+    n = 200
+    factor = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
+    g = gram_from_factor(Matrix(factor, FLOAT64))
+    assert (g.gram.entries < 0).sum() > n * n // 3
+    routes = record_panel_routes(monkeypatch)
+    got = run_process(g).pivots
+    want, _ = numpy_sweep(g.gram.entries, True, False)
+    assert routes == ["products"] * 3
+    assert bits(got[:matcore.PANEL]) == bits(want[:matcore.PANEL])
+    assert_close(got, want)
+
+
 def border_only_gram_row(n=130, t=70, s=65):
     """Rows whose pivot t + 1 is zero with the row right of it zero until step s + 1,
     which makes it nonzero only right of the panel of t (columns 128 on).
@@ -504,20 +466,7 @@ def test_zero_pivot_reads_its_border_after_the_panel_steps(side):
     want = ("InvalidGram", "zero pivot with nonzero row/column at step 71")
     assert outcome(numpy_sweep, m.entries, True, False) == want
     assert outcome(run_process, bogus) == want
-    assert outcome(eliminate, m, 1, skip_zero=True) == want
-
-
-def test_blocked_float_minus_variant_past_two_panels(monkeypatch):
-    # row t is read by the panel's products after its step: it must not read 0 there
-    routes = record_panel_routes(monkeypatch)
-    rng = random.Random(1130)
-    n = 200
-    rows = [[rng.random() + (n if i == j else 0) for j in range(n)] for i in range(n)]
-    pivots, snaps = eliminate(Matrix(rows, FLOAT64), -1)
-    want, _ = list_eliminate(rows, -1)
-    assert routes == ["products"] * 3 and snaps is None
-    assert bits(pivots[:matcore.PANEL]) == bits(want[:matcore.PANEL])
-    assert_close(pivots, want)
+    assert outcome(eliminate, m, skip_zero=True) == want
 
 
 def test_dense_uniform_sweep_at_256_matches_the_per_step_sweep(monkeypatch):
@@ -547,39 +496,51 @@ def workloads():
     del sys.modules[spec.name]
 
 
+def benchmark_matrix(workloads, kind, label, seed, n):
+    """An input of bound-float-large, made and read as its requests are."""
+    rng = workloads._rng("bound-float-large", seed, label)
+    rows = {"dd": lambda: workloads._dominant_rows(rng, n),
+            "exp": lambda: workloads._exp_rows(n),
+            "dense": lambda: workloads._dense_rows(rng, n)}[kind]()
+    text = "".join(",".join(row) + "\n" for row in rows)
+    return parse_csv_text(text, label, lambda n: FLOAT64).matrix
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("kind, label", [("dd", "dd-a-256"), ("exp", "exp-a-256"),
                                          ("dense", "dense-256")])
 def test_benchmark_float_inputs_take_the_products_at_256(monkeypatch, workloads, kind, label, seed):
-    # the n = 256 inputs of bound-float-large, made and read as its requests are
-    rng = workloads._rng("bound-float-large", seed, label)
-    rows = {"dd": lambda: workloads._dominant_rows(rng, 256),
-            "exp": lambda: workloads._exp_rows(256),
-            "dense": lambda: workloads._dense_rows(rng, 256)}[kind]()
-    text = "".join(",".join(row) + "\n" for row in rows)
-    m = parse_csv_text(text, label, lambda n: FLOAT64).matrix
+    m = benchmark_matrix(workloads, kind, label, seed, 256)
     routes = record_panel_routes(monkeypatch)
     run_process(m)
     assert routes == ["products"] * 3
 
 
-@pytest.mark.parametrize("build", ["uniform", "span", "dense-1e306", "gram", "minus"])
+# exp at n = 512 is left out: most of its panels take the steps (see sweep_timing's exp-csv row)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind, label", [("dd", "dd-512"), ("dense", "dense-512")])
+def test_benchmark_float_inputs_take_the_products_at_512(monkeypatch, workloads, kind, label, seed):
+    m = benchmark_matrix(workloads, kind, label, seed, 512)
+    routes = record_panel_routes(monkeypatch)
+    run_process(m)
+    assert routes == ["products"] * 7
+
+
+@pytest.mark.parametrize("build", ["uniform", "span", "dense-1e306", "gram"])
 def test_blocked_sweep_raises_no_runtime_warning(build):
     rng = random.Random(1150)
-    sign, n, skip_zero = 1, 150, False
+    n, skip_zero = 150, False
     if build == "uniform":
         m = Matrix(positive_floats(rng, n), FLOAT64)
     elif build == "span":  # the guard refuses the panel
         m = Matrix(span_rows(1151, n), FLOAT64)
     elif build == "dense-1e306":  # the panel's own steps overflow
         m = Matrix([[rng.uniform(1, 2) * 1e306 for _ in range(n)] for _ in range(n)], FLOAT64)
-    elif build == "gram":
-        m, skip_zero = gram_with_zero_columns(1152, n, {3, 63, 64, 100}).gram, True
     else:
-        sign, m = -1, Matrix([[rng.uniform(-2, 2) for _ in range(n)] for _ in range(n)], FLOAT64)
+        m, skip_zero = gram_with_zero_columns(1152, n, {3, 63, 64, 100}).gram, True
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        eliminate(m, sign, skip_zero=skip_zero)
+        eliminate(m, skip_zero=skip_zero)
 
 
 def underflow_rows(build):
@@ -606,7 +567,7 @@ def test_panel_whose_border_terms_underflow_takes_the_steps(monkeypatch, build, 
     if transpose:  # the same cycle through the row strip and M
         rows = [list(r) for r in zip(*rows)]
     routes = record_panel_routes(monkeypatch)
-    got, _ = eliminate(Matrix(rows, FLOAT64), 1)
+    got, _ = eliminate(Matrix(rows, FLOAT64))
     want, _ = numpy_sweep(rows, psd_mode=False, keep=False)
     assert routes == ["steps"]  # `_panel_borders` refuses the panel
     assert want[-1] == pytest.approx(2 * rows[64][64], rel=1e-12)

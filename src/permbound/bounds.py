@@ -1,6 +1,6 @@
 """Derived bound machinery on top of the process.
 
-Majorant certificates and their one check, the inequality form of the
+The majorant check on a pair (A, B), the inequality form of the
 majorant recursion (an exact solution satisfies it too), the
 diagonal-dominance guarantee, the exponential family, the boundedness
 function B(n, k, t) = n! * M^(n+k) * (M+1)^(t-1) with its entry/ratio/cycle
@@ -13,7 +13,7 @@ rounded once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
@@ -37,20 +37,6 @@ from .scalars import (
     FLOAT64, RATIONAL, Scalar, SidePair, coerce, eq_scalar, first_failure, first_strict_failure,
     leq_scalar, one, quotient,
 )
-
-
-@dataclass(frozen=True)
-class MajorantCertificate:
-    """A candidate majorant b for a, with its verification flag.
-
-    b claims a_{i,j} + sum_{s<min(i,j)} b_{i,s} b_{s,j} / a_{s,s} <= b_{i,j}
-    everywhere; an exact solution of the recursion claims it too.  verified
-    is set only by verify_majorant.
-    """
-
-    a: Matrix
-    b: Matrix
-    verified: bool = False
 
 
 @dataclass(frozen=True)
@@ -100,15 +86,16 @@ def rowsum_bound(a: Matrix) -> Scalar:
     return Fraction(math.prod(sum(map(abs, row)) for row in ints), math.prod(scales))
 
 
-def verify_majorant(cert: MajorantCertificate) -> MajorantCertificate:
-    """Check the majorant recursion condition at every entry and mark verified.
+def verify_majorant(a: Matrix, b: Matrix) -> None:
+    """Check that b is a majorant for a: return normally, or raise at the first failure.
 
-    The condition is compared with no slack, in either kind.  On success
-    the theorem's consequence u <= b entrywise is also asserted against
+    b claims a_{i,j} + sum_{s<min(i,j)} b_{i,s} b_{s,j} / a_{s,s} <= b_{i,j}
+    everywhere; an exact solution of the recursion claims it too.  The
+    condition is compared with no slack, in either kind.  On success the
+    theorem's consequence u <= b entrywise is also asserted against
     recursive_u.  The first failing entry raises ConditionViolated(i, j)
     (1-based).
     """
-    a, b = cert.a, cert.b
     if a.n != b.n:
         raise DimensionMismatch(f"a is {a.n}x{a.n} but b is {b.n}x{b.n}")
     if not a.is_nonneg() or not b.is_nonneg():
@@ -120,7 +107,6 @@ def verify_majorant(cert: MajorantCertificate) -> MajorantCertificate:
         raise ConditionViolated(*failure)
     failure = first_failure(recursive_u(a).entries, b.entries, kind)
     assert failure is None, f"u exceeds the verified majorant at {failure}"
-    return replace(cert, verified=True)
 
 
 def diag_dominance_certify(a: Matrix, eps: Scalar) -> DiagDominanceResult:

@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .bounds import (
     BoundedInput,
-    MajorantCertificate,
     cycle_sum_cases,
     cycle_sum_ratio,
     diag_dominance_certify,
@@ -178,10 +177,10 @@ def _family_instances(name: str, params: dict[str, str], count: int):
     if name == "exp":
         c = _number("c", need("c"))
         ident = f"exp(n={n},c={need('c')})"
-        yield ParsedMatrix(ident, "nonneg", exp_family(n, c)), None
+        yield ParsedMatrix(ident, exp_family(n, c)), None
         return
     if name == "allones":
-        yield ParsedMatrix(f"allones(n={n})", "nonneg", ones(n)), None
+        yield ParsedMatrix(f"allones(n={n})", ones(n)), None
         return
     # random-dd: unit diagonal, off-diagonal entries delta * r with random
     # r in {3/4, 13/16, 7/8, 15/16, 1}, which keeps the Thm 1.4 condition
@@ -202,7 +201,7 @@ def _family_instances(name: str, params: dict[str, str], count: int):
             for i in range(n)
         ]
         ident = f"random-dd(n={n},eps={eps},delta={delta},seed={seed + idx})"
-        yield ParsedMatrix(ident, "nonneg", Matrix(rows, RATIONAL)), eps
+        yield ParsedMatrix(ident, Matrix(rows, RATIONAL)), eps
 
 
 def cmd_family(args) -> int:
@@ -370,7 +369,7 @@ def _check_psd(suite: _Suite, parsed: ParsedMatrix):
 
     def alpha():
         split = BlockSplit(g.gram, n - 1)
-        coeffs = alpha_coefficients(split.b, split.y.col(1)).coeffs
+        coeffs = alpha_coefficients(split.b, split.y.col(1))
         bad = [k for k, v in enumerate(coeffs) if v < 0]
         return None if not bad else f"negative alpha at positions {bad}"
 
@@ -393,7 +392,7 @@ def _check_majorant(suite: _Suite, parsed: ParsedMatrix):
     def majorant():
         if not parsed.majorant.is_nonneg():  # it cannot bound a non-negative input's recursion
             return "the majorant has a negative entry"
-        verify_majorant(MajorantCertificate(a=parsed.matrix, b=parsed.majorant))
+        verify_majorant(parsed.matrix, parsed.majorant)
         return None
 
     if parsed.matrix.is_nonneg():

@@ -68,13 +68,19 @@ _TINY = np.finfo(np.float64).tiny  # the least normal float64, 2^-1022
 
 
 DTYPES = {RATIONAL: np.dtype(object), FLOAT64: np.dtype(np.float64)}
+# entry types a Matrix of each kind refuses (a literal goes through `coerce` first),
+# and the ndarray dtype kinds that hold them
+_REFUSED = {RATIONAL: (str, float, bool), FLOAT64: (str,)}
+_REFUSED_DTYPES = {RATIONAL: "USfb", FLOAT64: "US"}
 
 
 class Matrix:
     """Immutable dense matrix over one read-only ndarray, ``entries``.
 
     ``Matrix(rows, kind)`` copies rows (nested sequences or an ndarray) into
-    the kind's dtype.  The accessors return Python scalars, never numpy ones.
+    the kind's dtype.  A str entry is a TypeError in either kind, and so is
+    a float or bool entry of a rational matrix; an object ndarray is taken
+    as it is.  The accessors return Python scalars, never numpy ones.
     The `integer_rows` of the entries are kept, as tuples, once something
     reads them.  A cut (`select`, `delete`) holds its parent's array and the
     kept indices, and builds its own array on the first read of ``entries``.
@@ -86,8 +92,15 @@ class Matrix:
     def __init__(self, rows, kind: str):
         if kind not in DTYPES:
             raise ValueError(f"unknown scalar kind: {kind!r}")
-        if not isinstance(rows, np.ndarray) and len({len(row) for row in rows}) > 1:
-            raise DimensionMismatch("ragged rows")
+        if isinstance(rows, np.ndarray):
+            if rows.dtype.kind in _REFUSED_DTYPES[kind]:
+                raise TypeError(f"cannot use a {rows.dtype} array as {kind} entries")
+        else:
+            if len({len(row) for row in rows}) > 1:
+                raise DimensionMismatch("ragged rows")
+            for t in set(map(type, chain.from_iterable(rows))):
+                if issubclass(t, _REFUSED[kind]):
+                    raise TypeError(f"cannot use {t.__name__} as a {kind} entry")
         a = np.array(rows, dtype=DTYPES[kind])
         if a.shape == (0,):
             a = a.reshape(0, 0)

@@ -5,7 +5,8 @@ Two formats:
 * csv: rows of comma-separated decimal or rational ("p/q") literals.
 * json: {"n": int, "entries": row-major (flat or nested) array,
   "kind": "nonneg" | "gram", "factor": optional d x n array,
-  "majorant": optional n x n array}.
+  "majorant": optional n x n array}.  A parsed input is a Gram input
+  exactly when it carries a factor.
 
 JSON files, and CSV files read without a kind, are parsed exactly
 (decimals become exact decimal fractions) and converted to float64 by
@@ -38,12 +39,11 @@ from .scalars import FLOAT64, RATIONAL, coerce, format_scalar, to_float64
 
 @dataclass(frozen=True)
 class ParsedMatrix:
-    """A parsed input: the matrix, its declared kind tag, optional extras."""
+    """A parsed input: the matrix and its optional extras; a Gram input is one with a factor."""
 
     matrix_id: str
-    kind_tag: str                     # "nonneg" | "gram"
     matrix: Matrix                    # rational, or float64 for a CSV read as float
-    factor: Matrix | None = None      # present iff kind_tag == "gram"
+    factor: Matrix | None = None      # present iff the JSON "kind" is "gram"
     majorant: Matrix | None = None
 
 
@@ -100,10 +100,10 @@ def parse_csv_text(
             _require_square(*cells.shape)
             rounded = {cell: to_float64(x) for cell, x in exact.items()}
             cells[odd] = [rounded[cell] for cell in literals]
-            return ParsedMatrix(matrix_id, "nonneg", Matrix(cells, kind))
+            return ParsedMatrix(matrix_id, Matrix(cells, kind))
     parsed = _parse_rows(rows, "csv matrix")
     _require_square(len(parsed), len(parsed[0]))
-    return ParsedMatrix(matrix_id, "nonneg", to_kind(Matrix(parsed, RATIONAL), kind))
+    return ParsedMatrix(matrix_id, to_kind(Matrix(parsed, RATIONAL), kind))
 
 
 _MAX_DISTINCT_SHARE = 1 / 16  # past it a table costs more than the float() calls it saves
@@ -141,9 +141,9 @@ def parse_json_text(text: str, matrix_id: str = "stdin") -> ParsedMatrix:
     n, entries = doc["n"], doc["entries"]
     if not isinstance(entries, list):
         raise ParseError("json 'entries' must be an array")
-    kind_tag = doc.get("kind", "nonneg")
-    if kind_tag not in ("nonneg", "gram"):
-        raise ParseError(f"unknown matrix kind {kind_tag!r}")
+    tag = doc.get("kind", "nonneg")
+    if tag not in ("nonneg", "gram"):
+        raise ParseError(f"unknown matrix kind {tag!r}")
     if entries and isinstance(entries[0], list):
         rows = entries
     else:
@@ -154,7 +154,7 @@ def parse_json_text(text: str, matrix_id: str = "stdin") -> ParsedMatrix:
     if m.nrows != n or not m.is_square:
         raise ParseError(f"declared n = {n} but entries form {m.nrows}x{m.ncols}")
     factor = None
-    if kind_tag == "gram":
+    if tag == "gram":
         if "factor" not in doc:
             raise ParseError("gram kind requires a 'factor' array")
         factor = _rows_to_matrix(doc["factor"], "gram factor")
@@ -167,7 +167,7 @@ def parse_json_text(text: str, matrix_id: str = "stdin") -> ParsedMatrix:
         majorant = _rows_to_matrix(doc["majorant"], "majorant")
         if majorant.nrows != n or not majorant.is_square:
             raise ParseError(f"majorant must be {n}x{n}")
-    return ParsedMatrix(matrix_id, kind_tag, m, factor, majorant)
+    return ParsedMatrix(matrix_id, m, factor, majorant)
 
 
 def parse_matrix_file(
@@ -199,8 +199,8 @@ def to_kind(m: Matrix, kind: str) -> Matrix:
 
 
 def as_subject(parsed: ParsedMatrix, kind: str) -> Matrix | GramMatrix:
-    """The object handed to the process: a Matrix, or a GramMatrix when tagged gram."""
-    if parsed.kind_tag == "gram":
+    """The object handed to the process: a Matrix, or a GramMatrix when there is a factor."""
+    if parsed.factor is not None:
         return gram_from_factor(to_kind(parsed.factor, kind))
     return to_kind(parsed.matrix, kind)
 

@@ -44,19 +44,6 @@ class GramMatrix:
         return self.factor.col(j)
 
 
-@dataclass(frozen=True)
-class AlphaCoefficients:
-    """Coefficients of per(a*B + xx^T) as a polynomial in a.
-
-    With d = dim(B), coeffs has length d + 1 and coeffs[k] is the
-    coefficient of a^(d-k); so coeffs[0] = per(B) and coeffs[k] collects
-    the terms using k entries of xx^T.
-    """
-
-    n: int
-    coeffs: tuple[Scalar, ...]
-
-
 def gram_from_factor(v: Matrix | Sequence[Sequence]) -> GramMatrix:
     """Build the Gram matrix V^T V from a d x n factor (d >= 1, n >= 1)."""
     if not isinstance(v, Matrix):
@@ -101,8 +88,12 @@ def permanent_tensor(g: GramMatrix) -> Scalar:
     return quotient(norm_sq, math.prod(scales) ** 2 * math.factorial(n), g.gram.kind)
 
 
-def alpha_coefficients(b: Matrix, x: Sequence[Scalar]) -> AlphaCoefficients:
+def alpha_coefficients(b: Matrix, x: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """The coefficients of per(a*B + xx^T), read off one permanent in base 2^K.
+
+    With d = dim(B) the tuple has length d + 1 and its entry k is the
+    coefficient of a^(d-k): entry 0 is per(B), and entry k collects the
+    terms using k entries of xx^T.
 
     On the `integer_rows` of B (row B_i over s_i) and x (X over sx), row i
     of s_i sx^2 (a*B + xx^T) at a*sx^2 = t is t*B_i + w_i*X with w_i =
@@ -121,7 +112,7 @@ def alpha_coefficients(b: Matrix, x: Sequence[Scalar]) -> AlphaCoefficients:
     try:
         rows, scales = integer_rows([*b.entries.tolist(), [coerce(v, kind) for v in x]])
     except (OverflowError, ValueError):
-        return AlphaCoefficients(d, (math.nan,) * (d + 1))
+        return (math.nan,) * (d + 1)
     xs, sx = rows.pop(), scales.pop()
     weights = [s * v for s, v in zip(scales, xs)]
     x_abs = sum(map(abs, xs))
@@ -139,9 +130,7 @@ def alpha_coefficients(b: Matrix, x: Sequence[Scalar]) -> AlphaCoefficients:
         digits.append(c)
         value = (value - c) >> bits
     den = math.prod(scales)
-    return AlphaCoefficients(
-        d, tuple(quotient(c, den * sx ** (2 * k), kind) for k, c in enumerate(reversed(digits)))
-    )
+    return tuple(quotient(c, den * sx ** (2 * k), kind) for k, c in enumerate(reversed(digits)))
 
 
 def psd_schur_check(g: GramMatrix) -> SidePair:
@@ -165,7 +154,7 @@ def psd_schur_check(g: GramMatrix) -> SidePair:
     exact = permanent_ryser(gram)
     corrected = add(b, outer(x, [coerce(v, kind) / a for v in x], kind))
     rhs = a * permanent_ryser(corrected)
-    alpha = alpha_coefficients(b, x).coeffs
+    alpha = alpha_coefficients(b, x)
     expansion = a * alpha[0] + (alpha[1] if len(alpha) > 1 else zero(kind))
     if not eq_scalar(exact, expansion, kind):
         raise AssertionError(

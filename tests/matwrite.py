@@ -14,7 +14,7 @@ def serialize_json(parsed: ParsedMatrix) -> str:
     doc = {
         "n": parsed.matrix.n,
         "entries": matrix_as_strings(parsed.matrix),
-        "kind": parsed.kind_tag,
+        "kind": "nonneg" if parsed.factor is None else "gram",
     }
     if parsed.factor is not None:
         doc["factor"] = matrix_as_strings(parsed.factor)

@@ -111,7 +111,7 @@ def test_criterion_2_psd_soundness():
             violations += 1
         split = BlockSplit(g.gram, n - 1)
         x = [g.gram.entries[i][n - 1] for i in range(n - 1)]
-        if not all(c >= 0 for c in alpha_coefficients(split.b, x).coeffs):
+        if not all(c >= 0 for c in alpha_coefficients(split.b, x)):
             violations += 1
     elapsed = time.perf_counter() - started
     assert violations == 0

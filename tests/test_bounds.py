@@ -14,7 +14,7 @@ from permbound import (
     BoundFunction,
     BoundedInput,
     ConditionViolated,
-    MajorantCertificate,
+    DimensionMismatch,
     Matrix,
     NegativeEntry,
     NonFinite,
@@ -69,8 +69,7 @@ def test_solved_majorant_verifies():
     for _ in range(15):
         a = positive_matrix(rng, rng.randint(1, 5))
         b = closed_recursion_by_entry(a, a.diagonal())
-        cert = verify_majorant(MajorantCertificate(a=a, b=b))
-        assert cert.verified
+        assert verify_majorant(a, b) is None
 
 
 def test_majorant_dominates_process_values():
@@ -95,13 +94,15 @@ def test_tampered_majorant_reports_entry():
     rows[2][2] -= Fraction(1, 2)
     bad = Matrix(tuple(tuple(r) for r in rows), RATIONAL)
     with pytest.raises(ConditionViolated) as err:
-        verify_majorant(MajorantCertificate(a=a, b=bad))
+        verify_majorant(a, bad)
     assert (err.value.i, err.value.j) == (3, 3)
 
 
 def test_majorant_validation():
     with pytest.raises(NegativeEntry):
-        verify_majorant(MajorantCertificate(a=matrix([[1, -1], [0, 1]]), b=ones(2)))
+        verify_majorant(matrix([[1, -1], [0, 1]]), ones(2))
+    with pytest.raises(DimensionMismatch, match="a is 2x2 but b is 3x3"):
+        verify_majorant(ones(2), ones(3))
 
 
 def test_diag_dominance_worked_instance():
@@ -176,6 +177,36 @@ def test_diag_dominance_validation():
         diag_dominance_certify(ones(2), Fraction(0))
     with pytest.raises(ZeroPivot):
         diag_dominance_certify(matrix([[0, 1], [1, 1]]), Fraction(1))
+    with pytest.raises(NegativeEntry):
+        diag_dominance_certify(matrix([[1, -1], [0, 1]]), Fraction(1))
+
+
+@st.composite
+def dominance_cases(draw):
+    """A non-negative exact matrix with a_11..a_(n-1,n-1) > 0 (a_nn may be 0), and an eps > 0."""
+    n = draw(st.integers(1, 6))
+    off = st.fractions(min_value=0, max_value=2, max_denominator=4)
+    rows = [[draw(off) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = Fraction(draw(st.integers(0 if i == n - 1 else 1, 40)))
+    eps = draw(st.fractions(min_value=Fraction(1, 20), max_value=4, max_denominator=20))
+    return Matrix(rows, RATIONAL), eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(dominance_cases())
+def test_diag_dominance_is_the_majorant_theorem_at_one_plus_eps_times_a(case):
+    # (1+eps)^2/eps * S <= a exactly when a + (1+eps)^2 S <= (1+eps) a, and the
+    # cross sums of b = (1+eps) a over a's pivots are (1+eps)^2 S
+    a, eps = case
+    res = diag_dominance_certify(a, eps)
+    b = Matrix(a.entries * (1 + eps), RATIONAL)
+    if res.certified:
+        verify_majorant(a, b)
+    else:
+        with pytest.raises(ConditionViolated) as err:
+            verify_majorant(a, b)
+        assert (err.value.i, err.value.j) == res.violation
 
 
 def test_bound_function_values():
@@ -183,6 +214,8 @@ def test_bound_function_values():
     assert bf(1, 2) == 12
     assert bf.gamma(2) == 2
     assert bf.gamma(0) == 1
+    with pytest.raises(ParameterOutOfRange, match="m = -1"):
+        bf.gamma(-1)
     with pytest.raises(ParameterOutOfRange):
         BoundFunction(0, Fraction(1))
     with pytest.raises(ParameterOutOfRange):
@@ -263,6 +296,8 @@ def test_cycle_sum_and_perm_ratio_validation():
         perm_ratio_check(x, (1, 2), 2, 3)  # i outside S
     with pytest.raises(ParameterOutOfRange):
         perm_ratio_check(x, (1,), 2, 5)  # j out of range
+    with pytest.raises(ParameterOutOfRange, match="must lie within"):
+        perm_ratio_check(x, (5,), 1, 2)  # S past n
 
 
 def test_cycle_sum_ratio_holds_on_random_instances():

@@ -341,6 +341,29 @@ def test_matrix_shape_validation():
     with pytest.raises(NotSquare):
         matrix([[1, 2, 3], [4, 5, 6]]).n
     assert matrix([[1, 2, 3], [4, 5, 6]]).nrows == 2
+    with pytest.raises(ValueError, match="unknown scalar kind: 'quad'"):
+        Matrix([[1]], "quad")
+    assert repr(Matrix([[1, Fraction(1, 2)]], RATIONAL)) == "Matrix([[1, Fraction(1, 2)]], 'rational')"
+
+
+@pytest.mark.parametrize("rows, kind", [
+    ([["1/2", 1], [1, 1]], RATIONAL),
+    ([[0.5, 1], [1, 1]], RATIONAL),
+    ([[True, 1], [1, 1]], RATIONAL),
+    (np.array([[0.5, 1.0], [1.0, 1.0]]), RATIONAL),
+    (np.array([[True, False], [False, True]]), RATIONAL),
+    ([["1e-400", "1"], ["1", "1"]], FLOAT64),
+    (np.array([["1", "2"], ["3", "4"]]), FLOAT64),
+])
+def test_matrix_refuses_the_entries_coerce_refuses(rows, kind):
+    with pytest.raises(TypeError, match="cannot use"):
+        Matrix(rows, kind)
+
+
+def test_matrix_takes_integer_arrays_and_exact_entries():
+    m = Matrix(np.array([[1, 2], [3, 4]]), RATIONAL)
+    assert m.row(2) == (3, 4) and all(type(x) is int for x in m.row(2))
+    assert Matrix([[Fraction(1, 2), 1]], FLOAT64).row(1) == (0.5, 1.0)
 
 
 @pytest.mark.parametrize("kind", [RATIONAL, FLOAT64])
@@ -391,7 +414,7 @@ def test_empty_selections_keep_their_shape(kind):
         (0, 0), (0, 3), (3, 0), (3, 3)
     ]
     assert transpose(split.xt).entries.shape == (0, 3)
-    assert matmul(split.xt, split.y) == Matrix(np.zeros((3, 3)), kind)
+    assert matmul(split.xt, split.y) == Matrix(np.zeros((3, 3), dtype=int), kind)
     assert all(x.kind == kind for x in (split.b, split.y, split.xt))
     assert permanent_ryser(split.b) == 1
 
@@ -426,6 +449,10 @@ def test_matrix_kind_inference_and_indexing():
         m.entry(0, 1)
     with pytest.raises(IndexOutOfRange):
         m.entry(1, 3)
+    with pytest.raises(IndexOutOfRange, match="row 0 outside"):
+        m.row(0)
+    with pytest.raises(IndexOutOfRange, match="column 3 outside"):
+        m.col(3)
 
 
 def test_index_set_normalizes_and_complements():
@@ -719,6 +746,10 @@ def test_arithmetic_helpers():
     assert transpose(m).entries.tolist() == [[1, 3], [2, 4]]
     with pytest.raises(DimensionMismatch):
         matmul(m, matrix([[1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(DimensionMismatch, match="cannot multiply 2x2 by 3x1"):
+        matmul(m, matrix([[1], [2], [3]]))
+    with pytest.raises(DimensionMismatch, match="cannot add 2x2 and 1x1"):
+        add(m, matrix([[1]]))
 
 
 def test_determinant_float_mode():

@@ -38,7 +38,7 @@ def test_csv_round_trip():
         m = nonneg_matrix(rng, rng.randint(1, 5))
         parsed = parse_csv_text(serialize_csv(m), "t")
         assert parsed.matrix == m
-        assert parsed.kind_tag == "nonneg"
+        assert parsed.factor is None
 
 
 def test_csv_accepts_fractions_and_spaces():
@@ -59,7 +59,7 @@ def test_csv_rejects_ragged_and_nonsquare():
 
 def test_json_round_trip_nonneg():
     m = matrix([[1, Fraction(1, 3)], [0, 2]])
-    text = serialize_json(ParsedMatrix("j", "nonneg", m))
+    text = serialize_json(ParsedMatrix("j", m))
     parsed = parse_json_text(text, "j")
     assert parsed.matrix == m
     assert parsed.factor is None
@@ -70,9 +70,9 @@ def test_json_round_trip_gram():
     from permbound import gram_from_factor
 
     g = gram_from_factor(factor)
-    text = serialize_json(ParsedMatrix("g", "gram", g.gram, factor=factor))
+    text = serialize_json(ParsedMatrix("g", g.gram, factor=factor))
     parsed = parse_json_text(text, "g")
-    assert parsed.kind_tag == "gram"
+    assert parsed.factor is not None
     assert parsed.matrix == g.gram
     assert parsed.factor == factor
 
@@ -160,11 +160,11 @@ def test_as_subject_builds_gram_or_matrix():
     from permbound import gram_from_factor
 
     g = gram_from_factor(factor)
-    parsed = ParsedMatrix("g", "gram", g.gram, factor=factor)
+    parsed = ParsedMatrix("g", g.gram, factor=factor)
     subject = as_subject(parsed, RATIONAL)
     assert isinstance(subject, GramMatrix)
     assert subject.gram == g.gram
-    plain = as_subject(ParsedMatrix("m", "nonneg", ones(2)), FLOAT64)
+    plain = as_subject(ParsedMatrix("m", ones(2)), FLOAT64)
     assert isinstance(plain, Matrix)
     assert plain.kind == FLOAT64
 
@@ -174,7 +174,7 @@ def test_majorant_field_round_trip():
     from oracles import closed_recursion_by_entry
 
     b = closed_recursion_by_entry(a, a.diagonal())
-    text = serialize_json(ParsedMatrix("m", "nonneg", a, majorant=b))
+    text = serialize_json(ParsedMatrix("m", a, majorant=b))
     parsed = parse_json_text(text, "m")
     assert parsed.majorant == b
 
@@ -236,6 +236,15 @@ def test_exponent_past_the_digit_limit_is_refused_before_it_is_built(literal):
         as_float(f"1,{literal}\n1,1\n")
     with pytest.raises(ParseError, match="bad numeric literal"):
         parse_json_text(f'{{"n": 1, "entries": [[{literal.replace("_", "")}]]}}')
+
+
+def test_coerce_refuses_bools_lists_and_unknown_kinds():
+    with pytest.raises(TypeError, match="bool is not a scalar"):
+        coerce(True, RATIONAL)
+    with pytest.raises(TypeError, match="cannot use list as an exact rational"):
+        coerce([1], RATIONAL)
+    with pytest.raises(ValueError, match="unknown scalar kind: 'quad'"):
+        coerce(1, "quad")
 
 
 def test_exponent_up_to_the_digit_limit_is_read_exactly():

@@ -124,6 +124,8 @@ def test_row_uncrossing_d0_is_laplace_expansion():
 def test_row_uncrossing_bad_row_rejected():
     with pytest.raises(DimensionMismatch):
         row_uncrossing_sides(BlockSplit(ones(3), 1), 3)
+    with pytest.raises(NegativeEntry):
+        row_uncrossing_sides(BlockSplit(matrix([[1, -1], [1, 1]]), 1), 1)
 
 
 def test_two_row_inequality_by_hand():

@@ -13,6 +13,7 @@ from permbound import (
     InvalidGram,
     Matrix,
     NegativeEntry,
+    NotSquare,
     ParameterOutOfRange,
     RATIONAL,
     ZeroPermanent,
@@ -148,6 +149,13 @@ def test_negative_input_rejected():
         run_process(matrix([[1, -1], [1, 1]]))
     with pytest.raises(NegativeEntry):
         recursive_u(matrix([[1, -1], [1, 1]]))
+
+
+def test_process_rejects_other_subjects_and_non_square_inputs():
+    with pytest.raises(TypeError, match="expected Matrix or GramMatrix, got str"):
+        run_process("x")
+    with pytest.raises(NotSquare, match="got 2x3"):
+        recursive_u(matrix([[1, 2, 3], [4, 5, 6]]))
 
 
 def test_zero_pivot_raises_with_step_index():

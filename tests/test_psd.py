@@ -115,14 +115,12 @@ def test_gram_permanent_nonnegative():
 
 def test_alpha_coefficients_worked_example():
     # per(a I_2 + xx^T) with x = (1,1) is (a+1)^2 + 1 = a^2 + 2a + 2
-    a = alpha_coefficients(identity(2), [1, 1])
-    assert a.coeffs == (1, 2, 2)
+    assert alpha_coefficients(identity(2), [1, 1]) == (1, 2, 2)
 
 
 def test_alpha_coefficients_zero_vector():
     b = matrix([[2, 1], [1, 2]])
-    a = alpha_coefficients(b, [0, 0])
-    assert a.coeffs == (permanent_ryser(b), 0, 0)
+    assert alpha_coefficients(b, [0, 0]) == (permanent_ryser(b), 0, 0)
 
 
 def test_alpha_polynomial_evaluates_to_permanent():
@@ -132,7 +130,7 @@ def test_alpha_polynomial_evaluates_to_permanent():
         g = gram_instance(rng, n)
         split = BlockSplit(g.gram, n - 1)
         x = [g.gram.entries[i][n - 1] for i in range(n - 1)]
-        coeffs = alpha_coefficients(split.b, x).coeffs
+        coeffs = alpha_coefficients(split.b, x)
         for a0 in (Fraction(1), Fraction(3, 2), Fraction(7)):
             rows = [
                 [a0 * split.b.entries[i][j] + x[i] * x[j] for j in range(n - 1)]
@@ -160,13 +158,15 @@ def test_alpha_coefficients_are_one_permanent_call(monkeypatch):
                     for _ in range(d)], RATIONAL)
         x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)]
         calls.clear()
-        assert alpha_coefficients(b, x).coeffs == alpha_expansion(b, x)
+        assert alpha_coefficients(b, x) == alpha_expansion(b, x)
         assert calls == [d]
 
 
 def test_alpha_coefficients_guard():
     with pytest.raises(DimensionTooLarge):
         alpha_coefficients(identity(25), [0] * 25)
+    with pytest.raises(DimensionMismatch, match="x must have length 2"):
+        alpha_coefficients(identity(2), [1])
 
 
 def test_alpha_nonnegative_for_gram_splits():
@@ -176,7 +176,7 @@ def test_alpha_nonnegative_for_gram_splits():
         g = gram_instance(rng, n)
         split = BlockSplit(g.gram, n - 1)
         x = [g.gram.entries[i][n - 1] for i in range(n - 1)]
-        assert all(c >= 0 for c in alpha_coefficients(split.b, x).coeffs)
+        assert all(c >= 0 for c in alpha_coefficients(split.b, x))
 
 
 def alpha_expansion(b, x):
@@ -204,7 +204,7 @@ def test_alpha_coefficients_match_the_expansion_exactly():
             b = Matrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)]
                         for _ in range(d)], RATIONAL)
             x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)]
-            coeffs = alpha_coefficients(b, x).coeffs
+            coeffs = alpha_coefficients(b, x)
             assert coeffs == alpha_expansion(b, x)
             assert all(type(c) is Fraction for c in coeffs)
 
@@ -218,12 +218,12 @@ def test_float_alpha_coefficients_are_the_exact_ones_rounded_once():
             Matrix([[Fraction(v) for v in row] for row in b.entries.tolist()], RATIONAL),
             [Fraction(v) for v in x],
         )
-        assert alpha_coefficients(b, x).coeffs == tuple(map(float, exact))
+        assert alpha_coefficients(b, x) == tuple(map(float, exact))
     for bad in (math.inf, math.nan):
         b = Matrix([[1.0, bad], [2.0, 3.0]], FLOAT64)
-        coeffs = alpha_coefficients(b, [1.0, 2.0]).coeffs
+        coeffs = alpha_coefficients(b, [1.0, 2.0])
         assert len(coeffs) == 3 and all(math.isnan(c) for c in coeffs)
-    coeffs = alpha_coefficients(identity(2, FLOAT64), [1.0, math.inf]).coeffs
+    coeffs = alpha_coefficients(identity(2, FLOAT64), [1.0, math.inf])
     assert len(coeffs) == 3 and all(math.isnan(c) for c in coeffs)
 
 
@@ -249,6 +249,8 @@ def test_psd_schur_zero_corner_raises():
     g = gram_from_factor(matrix([[1, 0], [1, 0]]))
     with pytest.raises(ZeroPivot):
         psd_schur_check(g)
+    with pytest.raises(DimensionMismatch, match="need n >= 2"):
+        psd_schur_check(gram_from_factor(matrix([[1]])))
 
 
 def test_psd_process_soundness():

@@ -3,8 +3,10 @@
 
 For each n, draws one random positive matrix and prints the best of k
 `run_process` timings with the size the pivots reached: exact rationals
-(entries p/q with p, q in 1..6) at n = 6..14, where the bit length of the
-largest pivot numerator or denominator is shown, and float64 (entries in
+(entries p/q with p, q in 1..6) at n = 6..14, where the time is that of
+the sweep with its reduced bound and the bit length of the largest pivot
+numerator or denominator is shown (read after the timing: that first
+read of `pivots` reduces them, and is not timed), and float64 (entries in
 [0.001, 0.999]) at n = 64..512, where the log2 range of the pivots is shown,
 the rate, (2/3) n^3 flops over the time, and the gap: the largest relative
 difference between the pivots and those of a per-step numpy sweep of the

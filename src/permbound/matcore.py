@@ -13,7 +13,9 @@ its parent's, so every permanent of a minor or block shares one read.
 `permanent_minors` gives per(m) and all n^2 minors per(m(-i, -j)) from one
 pass of the Gray-code walk that `permanent_ryser` takes.  An exact product
 sums each entry on integers and divides once.  Inside `permanent_memo`
-each distinct permanent and minors table is computed once.
+each distinct permanent and minors table is computed once.  The exact
+sweep keeps each pivot as its integer over its row scale; its row scales
+telescope, so its bound is one Fraction reduced by one gcd (`eliminate`).
 
 The float64 sweep without snapshots runs in panels of PANEL = 64 pivots,
 as LAPACK's getrf does: each step updates only the panel's own square.
@@ -68,9 +70,7 @@ _TINY = np.finfo(np.float64).tiny  # the least normal float64, 2^-1022
 
 
 DTYPES = {RATIONAL: np.dtype(object), FLOAT64: np.dtype(np.float64)}
-# entry types a Matrix of each kind refuses (a literal goes through `coerce` first),
-# and the ndarray dtype kinds that hold them
-_REFUSED = {RATIONAL: (str, float, bool), FLOAT64: (str,)}
+# the ndarray dtype kinds a Matrix of each kind refuses (a literal goes through `coerce` first)
 _REFUSED_DTYPES = {RATIONAL: "USfb", FLOAT64: "US"}
 
 
@@ -78,9 +78,10 @@ class Matrix:
     """Immutable dense matrix over one read-only ndarray, ``entries``.
 
     ``Matrix(rows, kind)`` copies rows (nested sequences or an ndarray) into
-    the kind's dtype.  A str entry is a TypeError in either kind, and so is
-    a float or bool entry of a rational matrix; an object ndarray is taken
-    as it is.  The accessors return Python scalars, never numpy ones.
+    the kind's dtype.  A str entry is a TypeError in either kind; the Python
+    rows of a rational matrix may hold only int (not bool) and Fraction
+    entries, and its ndarray no str, float or bool dtype; an object ndarray
+    is taken as it is.  The accessors return Python scalars, never numpy ones.
     The `integer_rows` of the entries are kept, as tuples, once something
     reads them.  A cut (`select`, `delete`) holds its parent's array and the
     kept indices, and builds its own array on the first read of ``entries``.
@@ -92,20 +93,25 @@ class Matrix:
     def __init__(self, rows, kind: str):
         if kind not in DTYPES:
             raise ValueError(f"unknown scalar kind: {kind!r}")
+        types = ()
         if isinstance(rows, np.ndarray):
             if rows.dtype.kind in _REFUSED_DTYPES[kind]:
                 raise TypeError(f"cannot use a {rows.dtype} array as {kind} entries")
         else:
             if len({len(row) for row in rows}) > 1:
                 raise DimensionMismatch("ragged rows")
-            for t in set(map(type, chain.from_iterable(rows))):
-                if issubclass(t, _REFUSED[kind]):
-                    raise TypeError(f"cannot use {t.__name__} as a {kind} entry")
+            types = set(map(type, chain.from_iterable(rows)))
+            if kind == FLOAT64 and any(issubclass(t, str) for t in types):
+                raise TypeError(f"cannot use str as a {kind} entry")  # np.array would parse it
         a = np.array(rows, dtype=DTYPES[kind])
         if a.shape == (0,):
             a = a.reshape(0, 0)
         if a.ndim != 2:
             raise DimensionMismatch(f"rows of scalars expected, got a {a.ndim}-d array")
+        if kind == RATIONAL:
+            for t in types:
+                if t is bool or not issubclass(t, (int, Fraction)):
+                    raise TypeError(f"cannot use {t.__name__} as a {kind} entry")
         a.flags.writeable = False
         self._entries = a
         self._source = None
@@ -546,10 +552,24 @@ def eliminate(m: Matrix, skip_zero: bool = False, keep: bool = False):
     scale s_i.  With the integer pivot P it sets the columns j > t of each
     updated row to P a_{i,j} + a_{i,t} a_{t,j}, divides them by g, the
     part of their gcd that divides s_i P, and sets s_i <- s_i P / g (an
-    integer again).  Columns left of t + 1 go stale in the integers, so
-    pivot t is read as P / s_t at step t.  The block each step works on is
-    held to BIT_BUDGET (rows x columns x the largest bit length;
-    DimensionTooLarge past it).
+    integer again); the last step takes no gcd.  Columns left of t + 1 go
+    stale in the integers, so pivot t is kept as the pair (P_t, s_t) at
+    step t, and no step reduces it.  The block each step works on is held to
+    BIT_BUDGET (rows x columns x the largest bit length; DimensionTooLarge
+    past it).
+
+    The exact bound is reduced once.  Let s0_t be the input's scale of row
+    t and G_t the product of the divisors g row t took.  Each step u < t
+    multiplies s_t by P_u / g, so s_t G_t = s0_t prod_{u<t} P_u, pivot t
+    is P_t G_t / (s0_t prod_{u<t} P_u), and P_u appears n - 1 - u times
+    below the bar of the product.  Hence, 0-based,
+
+        prod_t P_t / s_t = P_{n-1} prod_t G_t / (prod_t s0_t prod_{u<=n-3} P_u^(n-2-u)),
+
+    two integers of about the bound's own size and one gcd, where the
+    pivots' own Fractions would take one gcd each on integers nearly as
+    large (`_telescoped_bound`).  A zero pivot, which only a skipped step
+    leaves before the last, makes the bound 0.
 
     Without keep, float64 runs the steps in panels of PANEL pivots, as
     LAPACK's getrf does.  Step t updates only the panel's own square.  A
@@ -569,9 +589,12 @@ def eliminate(m: Matrix, skip_zero: bool = False, keep: bool = False):
     the plain loop's in its last bits.  With keep, and in exact mode, the
     whole sweep is one panel: the plain loop.
 
-    Returns (pivots, snapshots): the final diagonal (Fractions when exact),
-    and when keep is set the n states A^(1)..A^(n) as a tuple of Matrix
-    (else None).
+    Returns (pivots, bound, snapshots).  pivots is the final diagonal:
+    floats, or when exact the pairs (P_t, s_t) of integers whose quotient,
+    unreduced, is pivot t.  bound is the product of the pivots: a reduced
+    Fraction, or in float64 their product in order from 1.0.  With keep,
+    snapshots holds the n states A^(1)..A^(n) as a tuple of Matrix (else
+    None).
     """
     n = m.n
     exact = m.kind == RATIONAL
@@ -581,6 +604,7 @@ def eliminate(m: Matrix, skip_zero: bool = False, keep: bool = False):
         ints, scales = m._integer_rows()
         a = np.array(ints, dtype=object).reshape(n, n)
         scale = np.array(scales, dtype=object)
+        divisors = np.ones(n, dtype=object)  # G_t: the product of the gcds row t was divided by
         fractions = np.frompyfunc(Fraction, 2, 1)
         _check_bit_budget(a, 0)
     width = max(n, 1) if exact or keep else PANEL
@@ -589,7 +613,7 @@ def eliminate(m: Matrix, skip_zero: bool = False, keep: bool = False):
     with np.errstate(all="ignore"):  # float inf and nan end in NonFinite
         for t in range(n):
             p = a[t, t]
-            pivots.append(Fraction(p, scale[t]) if exact else float(p))
+            pivots.append((p, scale[t]) if exact else float(p))
             if t == n - 1:
                 break
             if p == 0:
@@ -608,6 +632,7 @@ def eliminate(m: Matrix, skip_zero: bool = False, keep: bool = False):
                         g = np.gcd(np.gcd.reduce(block, axis=1), sp)  # an all-zero row gets |s_i P|
                         block //= g[:, None]
                         sp //= g
+                        divisors[t + 1:] *= g
                         _check_bit_budget(block, t + 1)
                     a[t + 1:, t + 1:] = block
                     scale[t + 1:] = sp
@@ -624,7 +649,24 @@ def eliminate(m: Matrix, skip_zero: bool = False, keep: bool = False):
                 else:
                     a[k1:, k1:] += product
                 k0, k1 = k1, min(k1 + width, n)
-    return tuple(pivots), tuple(snaps) if keep else None
+    if exact:
+        bound = _telescoped_bound([p for p, _ in pivots], scales, divisors)
+    else:
+        bound = math.prod(pivots, start=1.0)
+    return tuple(pivots), bound, tuple(snaps) if keep else None
+
+
+def _telescoped_bound(ints: list[int], scales: Sequence[int], divisors: np.ndarray) -> Fraction:
+    """prod_t P_t / s_t as one reduced Fraction, by the identity derived in `eliminate`,
+    from the integer pivots P_t, the input's row scales s0_t and the
+    products G_t of the divisors each row took."""
+    n = len(ints)
+    if n == 0:
+        return Fraction(1)
+    if 0 in ints:
+        return Fraction(0)
+    powers = math.prod(accumulate(ints[:n - 2], operator.mul))  # prod_{u<=n-3} P_u^(n-2-u)
+    return Fraction(ints[-1] * math.prod(divisors), math.prod(scales) * powers)
 
 
 def _take_steps(a: np.ndarray, k0: int, k1: int, den: Sequence[float]):

@@ -7,7 +7,9 @@ t = 1..n-1 and i, j > t it performs
 
 and the product of the resulting diagonal pivots upper-bounds per(A) for
 non-negative and for PSD inputs.  It runs through `matcore.eliminate`,
-one kernel for exact rationals and float64 alike.  The u-recursion
+one kernel for exact rationals and float64 alike, which hands over the
+bound with the pivots: an exact run reduces its bound once and each pivot
+only when `ProcessTrace.pivots` is first read.  The u-recursion
 (`recursive_u`) is the closed dynamic program for the same values.  The
 certificates' `cross_sums` are one product, taken by `matcore.matmul` or
 `matcore.scaled_product`.
@@ -15,8 +17,8 @@ certificates' `cross_sums` are one product, taken by `matcore.matmul` or
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -24,27 +26,33 @@ import numpy as np
 from .errors import NegativeEntry, NotSquare, ParameterOutOfRange, ZeroPivot
 from .matcore import DTYPES, Matrix, eliminate, matmul, scaled_product
 from .psd import GramMatrix
-from .scalars import FLOAT64, Scalar, one, zero
+from .scalars import FLOAT64, Scalar, zero
 
 
 @dataclass(frozen=True)
 class ProcessTrace:
-    """Pivots (and optionally the matrices A^(1)..A^(n)) of one run.
+    """Pivots, their product (the bound) and optionally the matrices A^(1)..A^(n) of one run.
 
     pivots[t-1] is a^(t)_{t,t}, which the process never touches again, so
-    it also equals the final diagonal.  snapshots, when kept, hold the n
+    it also equals the final diagonal.  The run hands over _pivots as the
+    kernel keeps them, floats or exact (integer, scale) pairs, and bound,
+    computed once by the kernel; `pivots` reduces the pairs to Fractions on
+    its first read and keeps them.  snapshots, when kept, hold the n
     states A^(1) (the input) through A^(n) (the final matrix).
     """
 
     n: int
-    pivots: tuple[Scalar, ...]
+    _pivots: tuple
+    bound: Scalar
     arithmetic: str
     ordering: tuple[int, ...] | None = None
     snapshots: tuple[Matrix, ...] | None = None
 
-    @property
-    def bound(self) -> Scalar:
-        return math.prod(self.pivots, start=one(self.arithmetic))
+    @cached_property
+    def pivots(self) -> tuple[Scalar, ...]:
+        if self.arithmetic == FLOAT64:
+            return self._pivots
+        return tuple(Fraction(p, s) for p, s in self._pivots)
 
     def snapshot(self, t: int) -> Matrix:
         """A^(t), 1-based; requires the run to have kept snapshots."""
@@ -96,12 +104,13 @@ def run_process(
     if perm is not None:
         idx = [p - 1 for p in perm]
         m = Matrix(m.entries.take(idx, 0).take(idx, 1), m.kind)
-    pivots, snaps = eliminate(m, skip_zero=psd_mode, keep=keep_snapshots)
-    return ProcessTrace(n=n, pivots=pivots, arithmetic=m.kind, ordering=perm, snapshots=snaps)
+    pivots, bound, snaps = eliminate(m, skip_zero=psd_mode, keep=keep_snapshots)
+    return ProcessTrace(n=n, _pivots=pivots, bound=bound, arithmetic=m.kind, ordering=perm,
+                        snapshots=snaps)
 
 
 def process_bound(a: Matrix | GramMatrix) -> Scalar:
-    """Product of the process pivots; upper-bounds per(A)."""
+    """Product of the process pivots; upper-bounds per(A).  No pivot is reduced."""
     return run_process(a).bound
 
 

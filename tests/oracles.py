@@ -25,6 +25,7 @@ inverse, and the closed form of the process output on the exponential
 family (criteria 5 and 6 compare against the last two).
 """
 
+import math
 from fractions import Fraction
 from itertools import permutations
 from typing import Iterable
@@ -145,11 +146,14 @@ def run_gaussian_variant(a: Matrix, keep_snapshots: bool = False) -> ProcessTrac
     performed).
     """
     pivots, snaps = list_eliminate(a.entries.tolist(), -1, every_row=True, keep=keep_snapshots)
-    scalar = Fraction if a.kind == RATIONAL else float
+    exact = a.kind == RATIONAL
+    pivots = tuple(map(Fraction if exact else float, pivots))
     if snaps is not None:
         snaps = tuple(Matrix(s, a.kind) for s in snaps)
-    return ProcessTrace(n=a.n, pivots=tuple(map(scalar, pivots)), arithmetic=a.kind,
-                        snapshots=snaps)
+    # the trace holds exact pivots as the kernel does, as (integer, scale) pairs
+    kept = tuple(p.as_integer_ratio() for p in pivots) if exact else pivots
+    return ProcessTrace(n=a.n, _pivots=kept, bound=math.prod(pivots, start=one(a.kind)),
+                        arithmetic=a.kind, snapshots=snaps)
 
 
 def numpy_sweep(rows, psd_mode, keep):

@@ -2,12 +2,13 @@
 
 `oracles.list_eliminate` is the exact list loop and `oracles.numpy_sweep` the
 per-step float64 process sweep that `matcore.eliminate` used to be split
-into.  Exact runs must agree value for value and stay Fractions; float
-process runs must agree bit for bit up to n = matcore.PANEL, with
-snapshots, on a panel that takes the steps and after a zero pivot skipped
-in the first panel, and within 1e-12 relative past a panel that takes the
-products, where the kernel adds the panel to the trailing block as one
-product.
+into.  Exact runs must agree value for value, their (integer, scale)
+pivots reduced by `reduced`, and hand over the product of those values as
+their bound; float process runs must agree bit for bit up to
+n = matcore.PANEL, with snapshots, on a panel that takes the steps and
+after a zero pivot skipped in the first panel, and within 1e-12 relative
+past a panel that takes the products, where the kernel adds the panel to
+the trailing block as one product.
 """
 
 import importlib.util
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permbound import (
     FLOAT64,
@@ -37,6 +39,7 @@ from permbound.cli import main
 from permbound.matcore import eliminate
 from permbound.matio import parse_csv_text
 from permbound.psd import GramMatrix
+from permbound.scalars import one
 from oracles import determinant, list_eliminate, numpy_sweep, run_gaussian_variant
 
 
@@ -80,13 +83,19 @@ def bits(values):
     return [float(x).hex() for x in values]
 
 
+def reduced(pairs):
+    """The exact kernel's (integer, scale) pivots as the Fractions they stand for."""
+    return tuple(Fraction(p, s) for p, s in pairs)
+
+
 def assert_exact_run(got, want):
     if isinstance(want, tuple) and isinstance(want[0], str):
         assert got == want
         return
-    (pivots, snaps), (ref_pivots, ref_snaps) = got, want
-    assert pivots == ref_pivots
-    assert all(type(p) is Fraction for p in pivots)
+    (pairs, bound, snaps), (ref_pivots, ref_snaps) = got, want
+    assert reduced(pairs) == ref_pivots
+    assert all(type(p) is int and type(s) is int for p, s in pairs)
+    assert type(bound) is Fraction and bound == math.prod(ref_pivots, start=Fraction(1))
     if ref_snaps is None:
         assert snaps is None
         return
@@ -122,7 +131,7 @@ def test_exact_kernel_skips_zero_gram_pivots_as_the_list_loop(sign):
         got = outcome(eliminate, m, skip_zero=True, keep=True)
         want = outcome(reference, m.entries, sign, skip_zero=True, keep=True)
         assert_exact_run(got, want)
-        skipped += 0 in got[0][:-1]
+        skipped += 0 in reduced(got[0])[:-1]
     assert skipped > 0
 
 
@@ -137,8 +146,9 @@ def test_exact_kernel_reports_the_invalid_gram_step():
 @pytest.mark.parametrize("kind", [RATIONAL, FLOAT64])
 def test_kernel_on_the_empty_matrix(kind):
     m = Matrix((), kind)
-    assert eliminate(m) == ((), None)
-    assert eliminate(m, keep=True) == ((), (m,))
+    assert eliminate(m) == ((), one(kind), None)
+    assert type(eliminate(m)[1]) is type(one(kind))
+    assert eliminate(m, keep=True) == ((), one(kind), (m,))
 
 
 def positive_floats(rng, n):
@@ -155,6 +165,7 @@ def test_float_process_matches_numpy_sweep_bitwise(n):
         pivots, snaps = numpy_sweep(rows, psd_mode=False, keep=keep)
         assert bits(trace.pivots) == bits(pivots)
         assert all(type(p) is float for p in trace.pivots)
+        assert bits([trace.bound]) == bits([math.prod(pivots, start=1.0)])
         if keep:
             assert [tuple(map(tuple, s.entries.tolist())) for s in trace.snapshots] == snaps
             assert [bits(x for r in s.entries for x in r) for s in trace.snapshots] == [
@@ -237,9 +248,9 @@ def test_exact_kernel_on_an_all_zero_trailing_row(sign, keep):
     m = Matrix(rows, RATIONAL)
     got = eliminate(m, keep=keep)
     assert_exact_run(got, reference(m.entries, sign, keep=keep))
-    assert got[0][-1] == 0
+    assert reduced(got[0])[-1] == 0 == got[1]
     if keep:
-        assert all(x == 0 for x in got[1][-1].row(4)[1:])
+        assert all(x == 0 for x in got[2][-1].row(4)[1:])
 
 
 def test_exact_kernel_stops_past_the_bit_budget(monkeypatch):
@@ -250,6 +261,53 @@ def test_exact_kernel_stops_past_the_bit_budget(monkeypatch):
     # the float64 sweep has no bit growth and no budget
     floats = Matrix(m.entries.astype(np.float64), FLOAT64)
     assert len(eliminate(floats)[0]) == 8
+
+
+@st.composite
+def exact_subjects(draw):
+    """An exact `run_process` subject and an ordering (or None): a non-negative
+    matrix with zeros at n = 0..10, whose pivots before the last stay
+    nonzero; a Gram matrix of a signed factor, whose zero columns, when it
+    has some, make pivots that are skipped; or p/q entries in 10..99 at
+    n = 12..14."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    build = draw(st.sampled_from(["zeros", "gram", "long"]))
+    n = draw(st.integers(*{"zeros": (0, 10), "gram": (2, 10), "long": (12, 14)}[build]))
+    ordering = draw(st.none() | st.permutations(range(1, n + 1)))
+    if build == "zeros":
+        m = sparse_rational(rng, n, zero_share=draw(st.sampled_from([0, 0.3, 0.7])))
+        rows = abs(m.entries) + np.eye(n, dtype=int) * Fraction(1, 3)
+        if n and draw(st.booleans()):  # the entry processed last may be 0, and so its pivot
+            last = (ordering or [n])[-1] - 1
+            rows[last, last] = 0
+        return Matrix(rows, RATIONAL), ordering
+    if build == "gram":
+        if draw(st.booleans()):
+            return rank_deficient_gram(rng, n), ordering
+        return gram_from_factor(sparse_rational(rng, n, zero_share=0)), ordering
+    return positive_rational(rng, n), ordering
+
+
+@settings(max_examples=120, deadline=None)
+@given(exact_subjects())
+def test_exact_bound_is_the_product_of_the_reduced_pivots(case):
+    subject, ordering = case
+    trace = run_process(subject, ordering=ordering)
+    pivots = trace.pivots
+    assert all(type(p) is Fraction and p.denominator > 0
+               and math.gcd(p.numerator, p.denominator) == 1 for p in pivots)
+    # Fractions compare by numerator and denominator, so this also says the bound is reduced
+    assert type(trace.bound) is Fraction and trace.bound == math.prod(pivots, start=Fraction(1))
+
+
+def test_exact_run_reduces_no_pivot_until_they_are_read(monkeypatch):
+    m = positive_rational(random.Random(1200), 10)
+    built = []
+    monkeypatch.setattr(matcore, "Fraction", lambda *args: built.append(args) or Fraction(*args))
+    trace = run_process(m)
+    assert "pivots" not in trace.__dict__
+    assert len(built) == 1  # the bound's one Fraction
+    assert trace.pivots is trace.pivots and "pivots" in trace.__dict__
 
 
 # ---- the float sweep in panels of matcore.PANEL pivots ----------------------------
@@ -343,7 +401,7 @@ def unguarded_borders(a, k0, k1, den):
 def test_guarded_panel_keeps_the_per_step_bits(monkeypatch):
     routes = record_panel_routes(monkeypatch)
     rows = span_rows(1020)
-    got, _ = eliminate(Matrix(rows, FLOAT64))
+    got, _, _ = eliminate(Matrix(rows, FLOAT64))
     want, _ = numpy_sweep(rows, psd_mode=False, keep=False)
     assert routes == ["steps"]
     assert bits(got) == bits(want)
@@ -367,7 +425,7 @@ def test_panel_whose_column_times_its_rows_overflows_takes_the_steps(monkeypatch
         rows[k][0] *= 1e200
         rows[1][k] *= 1e120
     routes = record_panel_routes(monkeypatch)
-    got, _ = eliminate(Matrix(rows, FLOAT64))
+    got, _, _ = eliminate(Matrix(rows, FLOAT64))
     want, _ = numpy_sweep(rows, psd_mode=False, keep=False)
     assert routes == ["steps"]
     assert bits(got) == bits(want)
@@ -567,7 +625,7 @@ def test_panel_whose_border_terms_underflow_takes_the_steps(monkeypatch, build, 
     if transpose:  # the same cycle through the row strip and M
         rows = [list(r) for r in zip(*rows)]
     routes = record_panel_routes(monkeypatch)
-    got, _ = eliminate(Matrix(rows, FLOAT64))
+    got, _, _ = eliminate(Matrix(rows, FLOAT64))
     want, _ = numpy_sweep(rows, psd_mode=False, keep=False)
     assert routes == ["steps"]  # `_panel_borders` refuses the panel
     assert want[-1] == pytest.approx(2 * rows[64][64], rel=1e-12)

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -354,6 +355,11 @@ def test_matrix_shape_validation():
     (np.array([[True, False], [False, True]]), RATIONAL),
     ([["1e-400", "1"], ["1", "1"]], FLOAT64),
     (np.array([["1", "2"], ["3", "4"]]), FLOAT64),
+    ([[np.float32(0.5), 1], [1, 1]], RATIONAL),
+    ([[np.int64(1), 1], [1, 1]], RATIONAL),
+    ([[np.bool_(True), 1], [1, 1]], RATIONAL),
+    ([[Decimal("0.5"), 1], [1, 1]], RATIONAL),
+    ([[1j, 1], [1, 1]], RATIONAL),
 ])
 def test_matrix_refuses_the_entries_coerce_refuses(rows, kind):
     with pytest.raises(TypeError, match="cannot use"):

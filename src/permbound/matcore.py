@@ -6,10 +6,10 @@ of either kind).
 The permanent (of either kind), the exact elimination and the exact
 product run on integer rows (`integer_rows`), each with one integer scale.
 A `Matrix` reads its integer rows once, on first use.  `select` and
-`delete` return lazy cuts: a cut holds its parent's array and the kept
-indices, and builds its own ndarray only when its entries are read.  An
-exact parent is read before its first cut, and a cut's rows are cut from
-its parent's, so every permanent of a minor or block shares one read.
+`delete` return index views: a cut holds its source and the kept indices,
+and reads its entries and its integer rows from that source on first use.
+An exact cut's rows are the source's row slices over the source's scales,
+not reduced, so every permanent of a minor or block shares one read.
 `permanent_minors` gives per(m) and all n^2 minors per(m(-i, -j)) from one
 pass of the Gray-code walk that `permanent_ryser` takes.  An exact product
 sums each entry on integers and divides once.  Inside `permanent_memo`
@@ -83,8 +83,9 @@ class Matrix:
     entries, and its ndarray no str, float or bool dtype; an object ndarray
     is taken as it is.  The accessors return Python scalars, never numpy ones.
     The `integer_rows` of the entries are kept, as tuples, once something
-    reads them.  A cut (`select`, `delete`) holds its parent's array and the
-    kept indices, and builds its own array on the first read of ``entries``.
+    reads them.  A cut (`select`, `delete`) holds its source, a Matrix that
+    is no cut, and the kept indices, and builds its own array on the first
+    read of ``entries``.
     """
 
     __slots__ = ("_entries", "_source", "_shape", "_kind", "_rows")
@@ -121,23 +122,32 @@ class Matrix:
 
     @property
     def entries(self) -> np.ndarray:
-        """The read-only ndarray; a cut takes it from its parent's array on first read."""
+        """The read-only ndarray; a cut takes it from its source's on first read."""
         if self._entries is None:
-            base, rs, cs = self._source
-            a = base.take(rs, 0).take(cs, 1)
+            source, rs, cs = self._source
+            a = source.entries.take(rs, 0).take(cs, 1)
             a.flags.writeable = False
-            self._entries, self._source = a, None
+            self._entries = a
         return self._entries
 
     def _integer_rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """`integer_rows` of the entries, read on first use and kept.
+        """Integer rows and row scales (row i is ints[i] / scales[i]), read on first use and kept.
 
-        An inf or nan entry raises OverflowError or ValueError on every call;
-        nothing is kept then.
+        A cut of an exact source, or of a float one that keeps its rows, takes
+        the source's row slices and scales as they are, not reduced; otherwise
+        these are the `integer_rows` of the entries.  An inf or nan entry
+        raises OverflowError or ValueError on every call; nothing is kept then.
         """
         if self._rows is None:
-            ints, scales = integer_rows(self.entries.tolist())
-            self._rows = tuple(map(tuple, ints)), tuple(scales)
+            if self._source is not None and (self._kind == RATIONAL
+                                             or self._source[0]._rows is not None):
+                source, rs, cs = self._source
+                ints, scales = source._integer_rows()
+                self._rows = (tuple(tuple(map(ints[i].__getitem__, cs)) for i in rs),
+                              tuple(map(scales.__getitem__, rs)))
+            else:
+                ints, scales = integer_rows(self.entries.tolist())
+                self._rows = tuple(map(tuple, ints)), tuple(scales)
         return self._rows
 
     @property
@@ -266,21 +276,13 @@ def add(a: Matrix, b: Matrix) -> Matrix:
         return Matrix(a.entries + b.entries, a.kind)
 
 
-def outer(x: Sequence[Scalar], y: Sequence[Scalar], kind: str) -> Matrix:
-    """The |x| x |y| matrix with entries x_i * y_j."""
-    xs = [coerce(v, kind) for v in x]
-    ys = [coerce(v, kind) for v in y]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return Matrix(np.outer(xs, ys), kind)
-
-
 def sorted_indices(items: Iterable[int]) -> tuple[int, ...]:
-    """items sorted and deduplicated; IndexOutOfRange unless each is a positive integer."""
-    idx = tuple(sorted(set(items)))
+    """items sorted and deduplicated; IndexOutOfRange unless each is a positive int, not a bool."""
+    idx = sorted(items)
     for i in idx:
-        if not isinstance(i, int) or i < 1:
+        if type(i) is bool or not isinstance(i, int) or i < 1:
             raise IndexOutOfRange(f"index {i!r} is not a positive integer")
-    return idx
+    return tuple(dict.fromkeys(idx))
 
 
 def _within_shape(m: Matrix, rows: Iterable[int], cols: Iterable[int]):
@@ -312,33 +314,20 @@ def delete(m: Matrix, rows: Iterable[int], cols: Iterable[int]) -> Matrix:
 
 
 def _cut(m: Matrix, rs: list[int], cs: list[int]) -> Matrix:
-    """Rows rs and columns cs of m (0-based), as a cut that builds no ndarray.
+    """Rows rs and columns cs of m (0-based), as an index view that reads nothing.
 
-    The child holds the array m reads from and the kept indices into it (a
-    cut of a cut composes them), and takes its own array only when its
-    `entries` are read.  Its integer rows are cut from m's, which an exact m
-    reads before its first cut and a float m cuts only once it keeps them:
-    each kept row and its scale s divided by g = gcd(s, *row).  That is the
-    child's `integer_rows` exactly, since the lcm of the reduced denominators
-    of the row_j / s is s / g, so a cut and a fresh read give one memo key.
+    The child holds m's source (m itself unless m is a cut, so a cut of a
+    cut composes its indices onto the first source) and the kept indices
+    into it; it reads its entries and its integer rows on first use.
     """
     child = Matrix.__new__(Matrix)
-    child._shape, child._kind, child._rows = (len(rs), len(cs)), m._kind, None
-    if m._kind == RATIONAL or m._rows is not None:
-        parent_ints, parent_scales = m._integer_rows()
-        ints, scales = [], []
-        for i in rs:
-            row, s = tuple(map(parent_ints[i].__getitem__, cs)), parent_scales[i]
-            g = math.gcd(s, *row)
-            ints.append(row if g == 1 else tuple(map(g.__rfloordiv__, row)))  # x // g
-            scales.append(s // g)
-        child._rows = tuple(ints), tuple(scales)
-    if m._entries is None:  # index the array m itself would read
-        base, parent_rs, parent_cs = m._source
-        rs, cs = list(map(parent_rs.__getitem__, rs)), list(map(parent_cs.__getitem__, cs))
+    child._shape, child._kind, child._entries, child._rows = (len(rs), len(cs)), m._kind, None, None
+    if m._source is None:
+        child._source = m, rs, cs
     else:
-        base = m._entries
-    child._entries, child._source = None, (base, rs, cs)
+        source, parent_rs, parent_cs = m._source
+        child._source = (source, list(map(parent_rs.__getitem__, rs)),
+                         list(map(parent_cs.__getitem__, cs)))
     return child
 
 

@@ -67,7 +67,7 @@ def _check_ordering(ordering, n: int) -> tuple[int, ...] | None:
     if ordering is None:
         return None
     perm = tuple(ordering)
-    if sorted(perm) != list(range(1, n + 1)):
+    if bool in map(type, perm) or sorted(perm) != list(range(1, n + 1)):
         raise ParameterOutOfRange(f"ordering {perm} is not a permutation of 1..{n}")
     return perm
 

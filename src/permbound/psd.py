@@ -1,6 +1,7 @@
 """PSD-specific machinery: Gram factorizations, the tensor-product permanent
 formula, the alpha coefficients of per(aB + xx^T) read off one
-`permanent_ryser` call in base 2^K, and the PSD Schur inequality.
+`permanent_ryser` call in base 2^K, and the PSD Schur inequality, whose
+bound is read off those coefficients.
 
 A PSD matrix enters the rest of the package only as a GramMatrix, i.e.
 together with a factor V such that A = V^T V.  That constructor is the PSD
@@ -15,10 +16,8 @@ from itertools import permutations
 from typing import Sequence
 
 from .errors import DimensionMismatch, DimensionTooLarge, ZeroPivot
-from .matcore import (
-    Matrix, add, delete, integer_rows, matmul, matrix, outer, permanent_ryser, transpose,
-)
-from .scalars import RATIONAL, Scalar, SidePair, coerce, eq_scalar, leq_scalar, quotient, zero
+from .matcore import Matrix, delete, integer_rows, matmul, matrix, permanent_ryser, transpose
+from .scalars import RATIONAL, Scalar, SidePair, coerce, eq_scalar, leq_scalar, quotient
 
 TENSOR_MAX_N = 5
 TENSOR_MAX_SPACE = 2_000_000
@@ -137,25 +136,24 @@ def psd_schur_check(g: GramMatrix) -> SidePair:
     """Check per(gram) <= a * per(B + xx^T / a) for the last-pivot split.
 
     gram is split as [[B, x], [x^T, a]] with a the last diagonal entry;
-    lhs is the exact per(gram) and rhs the bound.  Also asserts the exact
-    Laplace identity per(gram) = a*alpha_0 + alpha_1 where alpha are the
-    coefficients of per(a*B + xx^T).
+    lhs is the exact per(gram) and rhs the bound, read off the alpha
+    coefficients of per(a*B + xx^T) = sum_k alpha_k a^(d-k), d = n - 1:
+    rhs = a^(1-d) per(a*B + xx^T) = sum_k alpha_k a^(1-k).  Also asserts
+    the exact Laplace identity per(gram) = a*alpha_0 + alpha_1.
     """
     gram = g.gram
     n = gram.n
     if n < 2:
         raise DimensionMismatch("need n >= 2 to split off the last pivot")
-    a = gram.entry(n, n)
+    kind = gram.kind
+    a = coerce(gram.entry(n, n), kind)  # a Fraction when exact, so a^(1-k) stays exact
     if a == 0:
         raise ZeroPivot(n)
-    kind = gram.kind
-    b = delete(gram, (n,), (n,))
     x = gram.col(n)[:-1]
     exact = permanent_ryser(gram)
-    corrected = add(b, outer(x, [coerce(v, kind) / a for v in x], kind))
-    rhs = a * permanent_ryser(corrected)
-    alpha = alpha_coefficients(b, x)
-    expansion = a * alpha[0] + (alpha[1] if len(alpha) > 1 else zero(kind))
+    alpha = alpha_coefficients(delete(gram, (n,), (n,)), x)
+    rhs = sum(c * a ** (1 - k) for k, c in enumerate(alpha))
+    expansion = a * alpha[0] + alpha[1]
     if not eq_scalar(exact, expansion, kind):
         raise AssertionError(
             f"alpha expansion mismatch: per = {exact}, a*alpha0 + alpha1 = {expansion}"

@@ -22,7 +22,9 @@ here too, on top of the package: the identity matrix, and the paper's
 lemmas that no command checks, namely the per-pivot lower bounds that
 telescope to per(A), the minor-ratio inequality of the permanental
 inverse, and the closed form of the process output on the exponential
-family (criteria 5 and 6 compare against the last two).
+family (criteria 5 and 6 compare against the last two).  The PSD Schur
+bound a * per(B + xx^T / a) is built here entry by entry, as the
+reference for the package's reading of it off the alpha coefficients.
 """
 
 import math
@@ -233,6 +235,17 @@ def closed_recursion_by_entry(a: Matrix, den=None) -> Matrix:
         if d[m] == 0 and m < n - 1:
             raise ZeroPivot(m + 1)
     return Matrix(b, a.kind)
+
+
+def psd_schur_rhs(gram: Matrix) -> Fraction:
+    """a * per(B + xx^T / a) for the split [[B, x], [x^T, a]] of an exact gram
+    with a != 0, each entry b_ij + x_i x_j / a built as a Fraction."""
+    n = gram.n
+    rows = gram.entries.tolist()
+    a = Fraction(rows[-1][-1])
+    x = [Fraction(r[-1]) for r in rows[:-1]]
+    corrected = [[rows[i][j] + x[i] * x[j] / a for j in range(n - 1)] for i in range(n - 1)]
+    return a * permanent_naive(Matrix(corrected, RATIONAL))
 
 
 def identity(n: int, kind: str = RATIONAL) -> Matrix:

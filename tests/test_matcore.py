@@ -26,7 +26,6 @@ from permbound import (
     matmul,
     matrix,
     ones,
-    outer,
     permanent_minors,
     permanent_ryser,
     run_process,
@@ -500,20 +499,21 @@ def test_delete_is_select_on_the_complements():
         assert select(m, s, t) == delete(m, rest_s, rest_t), (m, s, t)
 
 
-def read_rows(m):
-    """The `integer_rows` of m's entries, read afresh, as the tuples a Matrix keeps."""
-    ints, scales = integer_rows(m.entries.tolist())
-    return tuple(map(tuple, ints)), tuple(scales)
+def assert_rows_stand_for_entries(m):
+    """Each integer row of m over its scale is m's row of entries, exactly."""
+    ints, scales = m._integer_rows()
+    assert len(ints) == len(scales) == m.nrows
+    for got, s, want in zip(ints, scales, m.entries.tolist()):
+        assert s > 0 and len(got) == m.ncols
+        assert [Fraction(x, s) for x in got] == want
 
 
-def assert_cuts_are_canonical(m, rows, cols):
-    """select and delete of m, whose integer rows are kept, hold the rows a fresh read gives."""
-    assert m._integer_rows() == read_rows(m)
+def assert_cut_rows_stand_for_entries(m, rows, cols):
+    """select and delete of m, and a cut of each, keep rows that stand for their entries."""
+    assert_rows_stand_for_entries(m)
     for child in (select(m, rows, cols), delete(m, rows, cols)):
-        assert child._rows is not None
-        assert child._rows == read_rows(child), (m, rows, cols)
-        grandchild = delete(child, (1,) if child.nrows else (), ())  # a cut of a cut
-        assert grandchild._rows == read_rows(grandchild)
+        assert_rows_stand_for_entries(child)
+        assert_rows_stand_for_entries(delete(child, (1,) if child.nrows else (), ()))
 
 
 @st.composite
@@ -536,20 +536,19 @@ def cut_cases(draw, entries, zero):
 def test_cut_integer_rows_are_the_rows_read_afresh(case):
     kind, rows, nc, keep_rows, keep_cols = case
     m = Matrix(np.array(rows, dtype=matcore.DTYPES[kind]).reshape(len(rows), nc), kind)
-    assert_cuts_are_canonical(m, keep_rows, keep_cols)
+    assert_cut_rows_stand_for_entries(m, keep_rows, keep_cols)
 
 
 @pytest.mark.parametrize("kind", [RATIONAL, FLOAT64])
 def test_empty_cuts_are_canonical(kind):
     m = matrix([[Fraction(1, 6), -2, 0], [0, 0, 0], [Fraction(3, 4), Fraction(-5, 2), 7]], kind)
     for rows, cols in (((), (1, 2)), ((1, 3), ()), ((), ()), ((2,), (1, 2, 3))):
-        assert_cuts_are_canonical(m, rows, cols)
-    assert select(m, (), (1, 2))._rows == ((), ())
-    assert select(m, (1, 3), ())._rows == (((), ()), (1, 1))
+        assert_cut_rows_stand_for_entries(m, rows, cols)
+    assert select(m, (), (1, 2))._integer_rows() == ((), ())
+    assert [len(row) for row in select(m, (1, 3), ())._integer_rows()[0]] == [0, 0]
 
 
-def test_cut_rows_share_memo_keys_with_fresh_matrices(monkeypatch):
-    seen = record_glynn_memos(monkeypatch)
+def test_cut_rows_share_memo_keys_with_fresh_matrices():
     m = matrix([[Fraction(1, 6), Fraction(1, 4), 2], [Fraction(1, 3), 1, 1], [3, Fraction(1, 2), 5]])
     with permanent_memo():
         permanent_ryser(m)
@@ -558,7 +557,21 @@ def test_cut_rows_share_memo_keys_with_fresh_matrices(monkeypatch):
                 minor = delete(m, (i,), (j,))
                 fresh = Matrix(minor.entries, RATIONAL)
                 assert permanent_ryser(minor) == permanent_ryser(fresh)
-    assert len(seen) == 1 + 9
+
+
+def test_an_exact_cut_takes_its_sources_row_slices_without_a_gcd(monkeypatch):
+    m = matrix([[Fraction(1, 6), Fraction(1, 4), 2], [Fraction(2, 3), 2, 4], [3, Fraction(1, 2), 5]])
+    ints, scales = m._integer_rows()
+    gcds = []
+    gcd = math.gcd
+    monkeypatch.setattr(math, "gcd", lambda *a: gcds.append(a) or gcd(*a))
+    block = delete(m, (1,), (3,))
+    grandchild = select(block, (1, 2), (2,))  # a cut of a cut slices the first source's rows
+    assert block._integer_rows() == (((ints[1][0], ints[1][1]), (ints[2][0], ints[2][1])),
+                                     (scales[1], scales[2]))
+    assert grandchild._integer_rows() == (((ints[1][1],), (ints[2][1],)), (scales[1], scales[2]))
+    assert gcds == []
+    assert block._entries is None and grandchild._entries is None
 
 
 def test_float_inf_entry_is_nan_on_every_call():
@@ -577,8 +590,8 @@ def eager_cut(m, rows, cols):
 def assert_same_cut(lazy, eager):
     assert (lazy.nrows, lazy.ncols, lazy.kind) == (eager.nrows, eager.ncols, eager.kind)
     assert lazy._entries is None
-    assert matcore._memo_key(lazy.kind, *lazy._integer_rows()) == \
-        matcore._memo_key(eager.kind, *eager._integer_rows())
+    if lazy.is_square:
+        assert repr(permanent_ryser(lazy)) == repr(permanent_ryser(eager))
     if lazy.kind == RATIONAL:  # its rows were cut from its parent's, not read from an array
         assert lazy._entries is None
     got, want = lazy.entries, eager.entries
@@ -736,6 +749,7 @@ def test_exact_matmul_on_thin_shapes(shape_a, shape_b):
     ((5, 4), (1,), "row 4 outside [1, 3]"),
     ((1,), (9, 2, 7), "column 7 outside [1, 3]"),
     ((4,), (0,), "index 0 is not a positive integer"),  # both sets are read before either is range-checked
+    ((True,), (1,), "index True is not a positive integer"),
 ])
 def test_select_and_delete_reject_the_same_bad_indices(rows, cols, message):
     m = matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
@@ -744,11 +758,19 @@ def test_select_and_delete_reject_the_same_bad_indices(rows, cols, message):
             fn(m, rows, cols)
 
 
+def test_a_bool_is_no_index_even_beside_its_int():
+    m = matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    for rows in ([True], [1, True], [True, 1]):
+        for fn in (select, delete):
+            with pytest.raises(IndexOutOfRange, match="index True is not a positive integer"):
+                fn(m, rows, (1,))
+    assert select(m, [1, 1, 3], [2, 2]).entries.tolist() == [[2], [8]]
+
+
 def test_arithmetic_helpers():
     m = matrix([[1, 2], [3, 4]])
     assert (m @ identity(2)).entries.tolist() == m.entries.tolist()
     assert add(m, m).entries.tolist() == [[2, 4], [6, 8]]
-    assert outer([1, 2], [3, 4], RATIONAL).entries.tolist() == [[3, 4], [6, 8]]
     assert transpose(m).entries.tolist() == [[1, 3], [2, 4]]
     with pytest.raises(DimensionMismatch):
         matmul(m, matrix([[1.0, 0.0], [0.0, 1.0]]))

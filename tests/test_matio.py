@@ -19,7 +19,6 @@ from permbound import (
     coerce,
     matrix,
     ones,
-    outer,
     parse_csv_text,
     parse_json_text,
     parse_matrix_file,
@@ -462,7 +461,6 @@ def test_to_kind_overflow_keeps_the_per_entry_message(cell):
     for route in (
         lambda: to_kind(Matrix([[1, cell], [0, 2]], RATIONAL), FLOAT64),
         lambda: coerce(cell, FLOAT64),
-        lambda: outer([cell], [1], FLOAT64),
     ):
         with pytest.raises(NonFinite) as got:
             route()

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,12 @@ def test_ordering_relabels_but_keeps_soundness():
         assert per <= trace.bound
     with pytest.raises(ParameterOutOfRange):
         run_process(m, ordering=(1, 2, 2, 4, 5))
+
+
+def test_ordering_refuses_a_bool():
+    m = matrix([[1, 2], [3, 4]])
+    with pytest.raises(ParameterOutOfRange, match=re.escape("ordering (True, 2) is not a permutation")):
+        run_process(m, ordering=(True, 2))
 
 
 def test_ordering_can_change_the_bound():

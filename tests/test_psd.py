@@ -31,7 +31,7 @@ from permbound import (
 )
 from permbound import psd
 from permbound.psd import tensor_fits
-from oracles import identity, is_psd_exact, permanent_naive
+from oracles import identity, is_psd_exact, permanent_naive, psd_schur_rhs
 from randmat import gram_instance
 
 
@@ -243,6 +243,26 @@ def test_psd_schur_check_random():
             if g.gram.entries[n - 1][n - 1] == 0:
                 continue
             assert psd_schur_check(g).holds, n
+
+
+def test_psd_schur_rhs_is_the_corrected_permanent_exactly():
+    rng = random.Random(77)
+    checked = 0
+    for n in range(2, 8):
+        for trial in range(40):
+            d = rng.randint(1, n - 1) if trial % 2 else rng.randint(1, n + 1)  # d < n on odd trials
+            g = gram_instance(rng, n, d)
+            if trial % 4 == 3:  # a zero factor column: a zero row and column of B
+                zero_col = rng.randint(1, n - 1)
+                g = gram_from_factor(Matrix(
+                    [[0 if j == zero_col else v for j, v in enumerate(r, 1)]
+                     for r in g.factor.entries.tolist()], RATIONAL))
+            if g.gram.entry(n, n) == 0:
+                continue
+            rhs = psd_schur_check(g).rhs
+            assert type(rhs) is Fraction and rhs == psd_schur_rhs(g.gram), (n, d)
+            checked += 1
+    assert checked > 150
 
 
 def test_psd_schur_zero_corner_raises():

@@ -41,11 +41,14 @@ in the default arithmetic (float above n = 12), the exact permanent up to
 the default --exact-max and the report, with the fixed cost of each
 request.  At each float n it also prints the best of k float64
 `parse_csv_text` timings of a random n x n CSV: with 3-decimal cells
-("csv-3dec"), with 20-significant-digit cells ("csv-20sig"), and with n
+("csv-3dec"), with 20-significant-digit cells ("csv-20sig"), with n
 distinct 20-significant-digit literals each used n times, laid out along
-the diagonals like the exp family ("csv-20sig-rep").  The last two time the
-float reader's two routes: one array conversion of mostly distinct cells,
-and a table that converts each distinct literal once.
+the diagonals like the exp family ("csv-20sig-rep"), and with the `repr`
+of uniform floats, up to 17 significant digits and mostly distinct
+("csv-repr").  The float reader takes the short 3-decimal cells to
+numpy's C tokenizer, and the long literals to a table that converts each
+distinct one once, which hands mostly distinct files (csv-20sig and
+csv-repr) to the C tokenizer once distinct literals pass 1/16 of the cells.
 
 Usage: python scripts/sweep_timing.py [--repeat 5] [--rational-sizes 6 7 ... 14]
                                       [--float-sizes 64 128 256 512] [--seed 0]
@@ -115,6 +118,7 @@ CSV_TEXTS = {
     "csv-3dec": lambda rng, n: csv_text(rng, n, dec3),
     "csv-20sig": lambda rng, n: csv_text(rng, n, sig20),
     "csv-20sig-rep": lambda rng, n: repeated_csv_text(rng, n, sig20),
+    "csv-repr": lambda rng, n: csv_text(rng, n, lambda rng: repr(rng.random())),
 }
 
 

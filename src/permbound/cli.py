@@ -128,7 +128,9 @@ def _emit(lines: list[str], out: str | None):
 
 
 def cmd_bound(args) -> int:
+    started = time.perf_counter()
     parsed = parse_matrix_file(args.input, lambda n: _pick_arithmetic(args.arithmetic, n))
+    parse_ms = int((time.perf_counter() - started) * 1000)
     arithmetic = _pick_arithmetic(args.arithmetic, parsed.matrix.n)
     ordering = None
     if args.ordering:
@@ -145,6 +147,8 @@ def cmd_bound(args) -> int:
         want_snapshots=args.snapshots,
         want_timing=args.timing,
     )
+    if args.timing:
+        report["parse_ms"] = parse_ms
     _emit([json.dumps(report, sort_keys=True)], args.out)
     return OK
 
@@ -451,7 +455,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="default: rational for n <= 12, float above")
     reports.add_argument("--exact-max", type=int, default=10, dest="exact_max",
                          help="compute the exact permanent when n <= this (default 10)")
-    reports.add_argument("--timing", action="store_true", help="include elapsed_ms")
+    reports.add_argument("--timing", action="store_true",
+                         help="include elapsed_ms, and for bound parse_ms")
     reports.add_argument("--out", default=None, help="write the output here instead of stdout")
 
     p_bound = sub.add_parser("bound", parents=[reports], help="compute bounds for one matrix file")

@@ -12,12 +12,12 @@ JSON files, and CSV files read without a kind, are parsed exactly
 (decimals become exact decimal fractions) and converted to float64 by
 `to_kind` when float arithmetic is requested, so the rational pipeline never
 sees binary rounding.  A CSV file read for float64 rounds each cell once
-straight from its literal, converting each distinct literal once, or all
-cells in one array conversion once distinct ones pass 1/16 of the cells;
-each distinct literal that reads as +-0 or non-finite is re-read exactly
-once, and a file with a "p/q" cell is read exactly.  Every route ends in
-the one rule `to_float64`, so a nonzero value below the float64 range stays
-nonzero and one past it is NonFinite.
+straight from its literal: numpy's C tokenizer reads short literals, and a
+table that converts each distinct literal once reads long repeated ones,
+row by row; each distinct literal that reads as +-0 or non-finite is
+re-read exactly once, and a file with a "p/q" cell is read exactly.  Every
+route ends in the one rule `to_float64`, so a nonzero value below the
+float64 range stays nonzero and one past it is NonFinite.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -78,50 +77,79 @@ def parse_csv_text(
 ) -> ParsedMatrix:
     """Parse CSV rows; pick_kind(n), given the row count n, names the cells' kind.
 
-    Without pick_kind the cells are exact.  Read as float64, every bad literal
-    and shape error is raised before an entry outside the float64 range.  A
-    leading byte-order mark is skipped.
+    Without pick_kind the cells are exact.  Read as float64 (`_float_cells`),
+    only the rows that hold a cell read as +-0 or non-finite are split again,
+    to re-read those cells exactly; a file that neither route reads (a "p/q"
+    cell, a bad literal, ragged rows), or that holds a "_", is read exactly,
+    so every bad literal and shape error is raised before an entry outside
+    the float64 range.  A leading byte-order mark is skipped.
     """
     text = text.removeprefix(_BOM)
-    rows = [line.split(",") for line in text.strip().splitlines() if line.strip()]
-    kind = RATIONAL if pick_kind is None else pick_kind(len(rows))
+    lines = [line for line in text.strip().splitlines() if line.strip()]
+    kind = RATIONAL if pick_kind is None else pick_kind(len(lines))
     # float() takes digit-group underscores ("1_000") on every Python,
     # Fraction only from 3.11, so such a file is read exactly
-    if kind == FLOAT64 and rows and "_" not in text:
+    if kind == FLOAT64 and lines and "_" not in text:
         try:
-            cells = _float_cells(rows)
+            cells = _float_cells(lines)
         except ValueError:  # a p/q cell, a bad literal or ragged rows: read exactly
             pass
         else:
             # -0, below the range, past it, inf or nan: re-read each distinct literal exactly
             odd = (cells == 0) | ~np.isfinite(cells)
-            literals = [rows[i][j] for i, j in np.argwhere(odd).tolist()]
+            split = {i: lines[i].split(",") for i in np.flatnonzero(odd.any(axis=1)).tolist()}
+            literals = [split[i][j] for i, j in np.argwhere(odd).tolist()]
             exact = {cell: _parse_cell(cell) for cell in dict.fromkeys(literals)}
             _require_square(*cells.shape)
             rounded = {cell: to_float64(x) for cell, x in exact.items()}
             cells[odd] = [rounded[cell] for cell in literals]
             return ParsedMatrix(matrix_id, Matrix(cells, kind))
-    parsed = _parse_rows(rows, "csv matrix")
+    parsed = _parse_rows([line.split(",") for line in lines], "csv matrix")
     _require_square(len(parsed), len(parsed[0]))
     return ParsedMatrix(matrix_id, to_kind(Matrix(parsed, RATIONAL), kind))
 
 
+# numpy's tokenizer slows threefold past about 16 significant digits, where a
+# table of the distinct literals of a file like the exp family's stays fast
+_LONG_LITERAL = 16
 _MAX_DISTINCT_SHARE = 1 / 16  # past it a table costs more than the float() calls it saves
 
 
-def _float_cells(rows: list[list[str]]) -> np.ndarray:
-    """float() of each cell, one rounding each; ValueError on a bad literal or ragged rows."""
-    shape = len(rows), len(rows[0])
-    distinct = set()
-    for row in rows:
-        if len(row) != shape[1]:
+def _float_cells(lines: list[str]) -> np.ndarray:
+    """float() of each cell, one rounding each; ValueError on a bad literal or ragged rows.
+
+    numpy's C tokenizer reads a file whose first line's cells average at most
+    _LONG_LITERAL characters; a table converts each distinct longer literal
+    once and fills the array row by row, until distinct literals pass 1/16
+    of the cells and the C tokenizer reads the file after all.
+    """
+    ncols = lines[0].count(",") + 1
+    if len(lines[0]) - (ncols - 1) <= _LONG_LITERAL * ncols:
+        return _c_tokenizer(lines)
+    limit = _MAX_DISTINCT_SHARE * len(lines) * ncols
+    table = _FloatTable()
+    cells = np.empty((len(lines), ncols))
+    for i, line in enumerate(lines):
+        row = line.split(",")
+        if len(row) != ncols:
             raise ValueError("ragged rows")
-        distinct.update(row)
-        if len(distinct) > _MAX_DISTINCT_SHARE * shape[0] * shape[1]:
-            return np.array(rows, dtype=np.float64)  # mostly distinct: convert every cell
-    table = {cell: float(cell) for cell in distinct}
-    cells = map(table.__getitem__, chain.from_iterable(rows))
-    return np.fromiter(cells, np.float64, shape[0] * shape[1]).reshape(shape)
+        cells[i] = np.fromiter(map(table.__getitem__, row), np.float64, ncols)
+        if len(table) > limit:  # mostly distinct
+            return _c_tokenizer(lines)
+    return cells
+
+
+class _FloatTable(dict):
+    """float() of each literal, converted on its first lookup."""
+
+    def __missing__(self, cell: str) -> float:
+        self[cell] = value = float(cell)
+        return value
+
+
+def _c_tokenizer(lines: list[str]) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, dtype=np.float64,
+                      ndmin=2)
 
 
 def _require_square(nrows: int, ncols: int):

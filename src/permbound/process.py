@@ -38,7 +38,9 @@ class ProcessTrace:
     kernel keeps them, floats or exact (integer, scale) pairs, and bound,
     computed once by the kernel; `pivots` reduces the pairs to Fractions on
     its first read and keeps them.  snapshots, when kept, hold the n
-    states A^(1) (the input) through A^(n) (the final matrix).
+    states A^(1) (the input) through A^(n) (the final matrix) of the
+    per-step sweep, whose float64 diagonal past the first `matcore.PANEL`
+    steps may differ from the pivots in the last bits.
     """
 
     n: int
@@ -88,6 +90,10 @@ def run_process(
     ordering, when given, is a permutation of 1..n: entry (i, j) of the
     processed matrix is a_{ordering[i], ordering[j]}.  The permanent is
     invariant under this relabeling; the bound is not.
+
+    The pivots and the bound come from one sweep, the same with or without
+    keep_snapshots; the snapshots, when kept, from a second sweep that
+    takes every step one update at a time.
     """
     if isinstance(a, GramMatrix):
         m, psd_mode = a.gram, True
@@ -104,7 +110,8 @@ def run_process(
     if perm is not None:
         idx = [p - 1 for p in perm]
         m = Matrix(m.entries.take(idx, 0).take(idx, 1), m.kind)
-    pivots, bound, snaps = eliminate(m, skip_zero=psd_mode, keep=keep_snapshots)
+    pivots, bound, _ = eliminate(m, skip_zero=psd_mode)
+    snaps = eliminate(m, skip_zero=psd_mode, keep=True)[2] if keep_snapshots else None
     return ProcessTrace(n=n, _pivots=pivots, bound=bound, arithmetic=m.kind, ordering=perm,
                         snapshots=snaps)
 

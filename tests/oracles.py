@@ -25,23 +25,27 @@ inverse, and the closed form of the process output on the exponential
 family (criteria 5 and 6 compare against the last two).  The PSD Schur
 bound a * per(B + xx^T / a) is built here entry by entry, as the
 reference for the package's reading of it off the alpha coefficients.
+`parse_csv_float_reference` keeps the float64 CSV read as it was before
+the C tokenizer route, float() of every cell, as the reference for the
+reader's routes.
 """
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterable
 
 import numpy as np
 
 from permbound import (
-    DimensionMismatch, DimensionTooLarge, GramMatrix, InvalidGram, Matrix, PermanentalInverse,
-    ProcessTrace, RATIONAL, SidePair, ZeroPermanent, ZeroPivot, delete, leq_scalar,
-    permanent_ryser, permanental_inverse, run_process, select, transpose,
+    DimensionMismatch, DimensionTooLarge, FLOAT64, GramMatrix, InvalidGram, Matrix,
+    PermanentalInverse, ProcessTrace, RATIONAL, SidePair, ZeroPermanent, ZeroPivot, delete,
+    leq_scalar, permanent_ryser, permanental_inverse, run_process, select, to_kind, transpose,
 )
+from permbound import matio
 from permbound.bounds import _exp_powers
 from permbound.matcore import sorted_indices
-from permbound.scalars import Scalar, one, zero
+from permbound.scalars import Scalar, one, to_float64, zero
 
 NAIVE_MAX = 10
 
@@ -317,3 +321,46 @@ def exp_family_closed_form(n: int, c) -> Matrix:
     return Matrix(
         [[powers[abs(i - j)] * prefix[min(i, j)] for j in range(n)] for i in range(n)], kind
     )
+
+
+def parse_csv_float_reference(text: str) -> Matrix:
+    """The float64 CSV read of `matio.parse_csv_text` before its C tokenizer route.
+
+    float() of each cell through a table of the distinct literals, or all
+    cells in one array conversion once distinct ones pass 1/16 of the
+    cells; each distinct literal that reads as +-0 or non-finite is re-read
+    exactly.  A ValueError (a p/q cell, a bad literal, ragged rows) or a
+    "_" in the text sends the file to the exact read, rounded by `to_kind`.
+    """
+    text = text.removeprefix("\ufeff")
+    rows = [line.split(",") for line in text.strip().splitlines() if line.strip()]
+    if rows and "_" not in text:
+        try:
+            cells = _reference_float_cells(rows)
+        except ValueError:
+            pass
+        else:
+            odd = (cells == 0) | ~np.isfinite(cells)
+            literals = [rows[i][j] for i, j in np.argwhere(odd).tolist()]
+            exact = {cell: matio._parse_cell(cell) for cell in dict.fromkeys(literals)}
+            matio._require_square(*cells.shape)
+            rounded = {cell: to_float64(x) for cell, x in exact.items()}
+            cells[odd] = [rounded[cell] for cell in literals]
+            return Matrix(cells, FLOAT64)
+    parsed = matio._parse_rows(rows, "csv matrix")
+    matio._require_square(len(parsed), len(parsed[0]))
+    return to_kind(Matrix(parsed, RATIONAL), FLOAT64)
+
+
+def _reference_float_cells(rows: list[list[str]]) -> np.ndarray:
+    shape = len(rows), len(rows[0])
+    distinct = set()
+    for row in rows:
+        if len(row) != shape[1]:
+            raise ValueError("ragged rows")
+        distinct.update(row)
+        if len(distinct) > shape[0] * shape[1] / 16:
+            return np.array(rows, dtype=np.float64)
+    table = {cell: float(cell) for cell in distinct}
+    cells = map(table.__getitem__, chain.from_iterable(rows))
+    return np.fromiter(cells, np.float64, shape[0] * shape[1]).reshape(shape)

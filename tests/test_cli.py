@@ -69,6 +69,33 @@ def test_bound_identity_and_flags(capsys, tmp_path):
     assert report["process_bound"] == "1"
     assert report["snapshots"] == [[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]]
     assert isinstance(report["elapsed_ms"], int)
+    assert isinstance(report["parse_ms"], int)
+
+
+def test_timing_adds_parse_ms_to_bound_reports_only(capsys, ones3):
+    plain = json.loads(run_cli(capsys, "bound", ones3)[1])
+    timed = json.loads(run_cli(capsys, "bound", ones3, "--timing")[1])
+    assert {k: v for k, v in timed.items() if k not in ("elapsed_ms", "parse_ms")} == plain
+    family = json.loads(run_cli(capsys, "family", "exp", "n=3", "c=2", "--timing")[1])
+    assert "elapsed_ms" in family and "parse_ms" not in family
+
+
+def test_snapshots_leave_the_float_report_unchanged_past_one_panel(capsys, tmp_path, monkeypatch):
+    # past matcore.PANEL = 64 the float sweep ends panels in products, which round
+    # differently from the per-step sweep that keeps the snapshots
+    rng = random.Random(130)
+    p = tmp_path / "m.csv"
+    p.write_text("".join(
+        ",".join("130" if i == j else f"0.{rng.randint(0, 999):03d}" for j in range(130)) + "\n"
+        for i in range(130)))
+    # 130 states of 130 x 130 cells would print about 48 MB; their strings are tested elsewhere
+    monkeypatch.setattr(cli, "matrix_as_strings", lambda m: m.n)
+    code, plain, _ = run_cli(capsys, "bound", str(p), "--arithmetic", "float")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "bound", str(p), "--arithmetic", "float", "--snapshots")
+    report = json.loads(out)
+    assert code == 0 and report.pop("snapshots") == [130] * 130
+    assert json.dumps(report, sort_keys=True) + "\n" == plain
 
 
 def test_bound_ordering_flag(capsys, tmp_path):

@@ -351,9 +351,12 @@ def test_blocked_float_process_keeps_the_per_step_bits_with_snapshots(monkeypatc
     routes = record_panel_routes(monkeypatch)
     rows = positive_floats(random.Random(990), 100)
     trace = run_process(Matrix(rows, FLOAT64), keep_snapshots=True)
-    pivots, snaps = numpy_sweep(rows, psd_mode=False, keep=True)
-    assert routes == []  # one panel of width n
-    assert bits(trace.pivots) == bits(pivots)
+    plain = run_process(Matrix(rows, FLOAT64))
+    _, snaps = numpy_sweep(rows, psd_mode=False, keep=True)
+    # the pivots and the bound come from the panelled sweep, as without snapshots;
+    # the snapshots from a second sweep in one panel of width n, which ends in no product
+    assert routes == ["products", "products"]
+    assert bits(trace.pivots) == bits(plain.pivots) and bits([trace.bound]) == bits([plain.bound])
     assert len(trace.snapshots) == len(snaps) == 100
     for got, want in zip(trace.snapshots, snaps):
         assert (got.entries.view(np.uint64) == np.array(want).view(np.uint64)).all()

@@ -28,6 +28,7 @@ from permbound import matio
 from permbound.matio import ParsedMatrix
 from permbound.scalars import to_float64
 from matwrite import serialize_csv, serialize_json
+from oracles import parse_csv_float_reference
 from randmat import nonneg_matrix
 
 
@@ -351,17 +352,30 @@ def tiled(literals, nrows=TABLE_SIDE, ncols=TABLE_SIDE):
     )
 
 
+# 24 characters each, past the mean cell length of 16 that the C tokenizer takes
+LONG_LITERALS = [f"0.{k:02d}00000000000000000001" for k in range(1, TABLE_SIDE + 2)]
+
+
 def test_table_route_converts_each_distinct_literal_once(monkeypatch):
-    converted = []
+    converted, tokenized = [], []
     monkeypatch.setattr(matio, "float", lambda s: converted.append(s) or float(s), raising=False)
+    c_tokenizer = matio._c_tokenizer
+    monkeypatch.setattr(matio, "_c_tokenizer",
+                        lambda lines: tokenized.append(len(lines)) or c_tokenizer(lines))
+    # short literals: the C tokenizer reads them all, with no float() call
     m = as_float(tiled(["0.5", "2", "0.25", "4"])).matrix
-    assert sorted(converted) == ["0.25", "0.5", "2", "4"]
+    assert converted == [] and tokenized == [TABLE_SIDE]
     assert m.entries[1].tolist()[:5] == [2.0, 0.25, 4.0, 0.5, 2.0]
-    # past 1/16 distinct the whole file is one array conversion, which calls no float()
-    converted.clear()
-    literals = [str(k) for k in range(TABLE_SIDE + 1)]
-    assert as_float(tiled(literals)).matrix.entries[0].tolist() == list(range(TABLE_SIDE))
-    assert converted == []
+    # long repeated literals: the table converts each distinct one once
+    tokenized.clear()
+    literals = LONG_LITERALS[:4]
+    m = as_float(tiled(literals)).matrix
+    assert sorted(converted) == literals and tokenized == []
+    assert m.entries[1].tolist()[:5] == [float(literals[k]) for k in (1, 2, 3, 0, 1)]
+    # long literals past 1/16 distinct: the C tokenizer reads the whole file
+    m = as_float(tiled(LONG_LITERALS)).matrix
+    assert tokenized == [TABLE_SIDE]
+    assert m.entries[0].tolist() == [float(x) for x in LONG_LITERALS[:TABLE_SIDE]]
 
 
 @settings(max_examples=100, deadline=None)
@@ -402,6 +416,71 @@ def test_table_route_reads_only_zero_cells_exactly(monkeypatch):
 BOM = "\ufeff"
 
 
+SHORT_LITERALS = ["0", "-0", "+0.0", "1", "0.5", "-2.25", "3e-5", "7", "1.", ".5", "0.00007"]
+ODD_LITERALS = ["1e-400", "-4e-330", "2.5e-324", "1e400", "-1.8e308", "inf", "-nan", "Infinity"]
+BAD_LITERALS = ["abc", "", " ", "1/0", "2/3", "1 2", "#1", '"1"', "1_0", "0x1p3", "1e", "\ufeff1"]
+PADS = ["", " ", "\t", "\xa0", "\u2000", "\x1f"]
+# str.splitlines splits on each; a stream handed to np.loadtxt would not on the last four
+BREAKS = ["\n", "\r\n", "\r", "\x0c", "\u2028", "\x1e", "\x85"]
+
+
+@st.composite
+def long_literals(draw):
+    """16 to 28 significant digits, with exponents that reach past both ends of float64."""
+    sign = draw(st.sampled_from(["", "-"]))
+    mantissa = f"{sign}{draw(st.integers(0, 99))}.{draw(st.integers(10**14, 10**25))}"
+    exponent = draw(st.one_of(st.integers(-345, -300), st.integers(-20, 20), st.integers(300, 320)))
+    return mantissa + draw(st.sampled_from(["", f"e{exponent}"]))
+
+
+def _sometimes(draw):
+    return draw(st.sampled_from([False, False, False, True]))
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text of short, long, repeated and distinct literals, with odd and bad cells,
+    padding, blank lines, odd line breaks, ragged rows and a byte-order mark."""
+    literal = st.one_of(long_literals(), numeric_literals(),
+                        st.sampled_from(SHORT_LITERALS + ODD_LITERALS))
+    long = st.one_of(long_literals(), long_literals(), numeric_literals())
+    pool = draw(st.lists(draw(st.sampled_from([literal, long])), min_size=1,
+                         max_size=draw(st.sampled_from([2, 4, 40]))))
+    nrows = draw(st.integers(1, 14))
+    ncols = draw(st.integers(1, 14)) if _sometimes(draw) else nrows
+    a, b = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    rows = [[pool[(a * i + b * j) % len(pool)] for j in range(ncols)] for i in range(nrows)]
+    spots = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1),
+                      st.one_of(literal, st.sampled_from(BAD_LITERALS)))
+    for i, j, cell in draw(st.lists(spots, max_size=3 if _sometimes(draw) else 0)):
+        rows[i][j] = cell
+    left, right = draw(st.sampled_from(PADS)), draw(st.sampled_from(PADS))
+    lines = [",".join(left + cell + right if (i + j) % 3 == 0 else cell
+                      for j, cell in enumerate(row)) for i, row in enumerate(rows)]
+    if _sometimes(draw):  # ragged: a row loses its last cell or gains one
+        i = draw(st.integers(0, nrows - 1))
+        lines[i] = lines[i].rpartition(",")[0] if draw(st.booleans()) else lines[i] + ",1"
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t\xa0"])))
+    text = draw(st.sampled_from(BREAKS)).join(lines) + draw(st.sampled_from(["", "\n"]))
+    return draw(st.sampled_from(["", BOM])) + text
+
+
+def _outcome(read, text):
+    """The cells' reprs (repr tells 0.0 from -0.0), or the error's type and message."""
+    try:
+        m = read(text)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return m.kind, [[repr(x) for x in row] for row in m.entries.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts())
+def test_float_reader_matches_the_reference_reader(text):
+    assert _outcome(lambda t: as_float(t).matrix, text) == _outcome(parse_csv_float_reference, text)
+
+
 @pytest.mark.parametrize("read", [lambda t: parse_csv_text(t, "t"), as_float],
                          ids=["exact", "float64"])
 def test_csv_text_skips_a_leading_byte_order_mark(read):
@@ -434,6 +513,32 @@ def _with_row(text, i, row):
 def test_table_route_keeps_the_error_messages(text, error, message):
     with pytest.raises(error, match=message):
         as_float(text)
+
+
+LONG_PAIR = LONG_LITERALS[:2]
+
+
+@pytest.mark.parametrize("text, error, message", [
+    (_with_row(tiled(LONG_PAIR), 7, ",".join(LONG_PAIR)), ParseError,
+     "^csv matrix has ragged rows$"),
+    (_with_row(tiled(LONG_PAIR), 7, ",".join(LONG_PAIR * 8) + ",1"), ParseError,
+     "^csv matrix has ragged rows$"),
+    (_with_row(tiled(LONG_PAIR), 7, (LONG_PAIR[0] + ",") * 15 + "abc"), ParseError,
+     "^bad numeric literal 'abc'$"),
+    (tiled(LONG_PAIR, TABLE_SIDE, TABLE_SIDE + 1), ParseError, "^csv matrix is 16x17, not square$"),
+    (_with_row(tiled(LONG_PAIR), 3, "1e400," * 15 + LONG_PAIR[0]), NonFinite,
+     "^an entry is outside the float64 range: "),
+])
+def test_long_literal_table_keeps_the_error_messages(text, error, message):
+    with pytest.raises(error, match=message):
+        as_float(text)
+
+
+@pytest.mark.parametrize("cell", ["2#3", '"2"', "#", "2 #"])
+def test_float_parse_reads_no_comment_or_quote(cell):
+    # the C tokenizer is told of no comment or quote character; the exact read has none
+    with pytest.raises(ParseError, match=re.escape(f"bad numeric literal {cell!r}")):
+        as_float(f"1,{cell}\n3,4\n")
 
 
 @pytest.mark.parametrize("n", ["true", '"3"', "1.0", "null", "[1]"])

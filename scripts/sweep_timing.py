@@ -6,7 +6,9 @@ For each n, draws one random positive matrix and prints the best of k
 (entries p/q with p, q in 1..6) at n = 6..14, where the time is that of
 the sweep with its reduced bound and the bit length of the largest pivot
 numerator or denominator is shown (read after the timing: that first
-read of `pivots` reduces them, and is not timed), and float64 (entries in
+read of `pivots` reduces them, and is not timed), beside the bit length
+of the last integer pivot the sweep held, unreduced (the growth that the
+sweep's skipped gcds leave), and float64 (entries in
 [0.001, 0.999]) at n = 64..512, where the log2 range of the pivots is shown,
 the rate, (2/3) n^3 flops over the time, and the gap: the largest relative
 difference between the pivots and those of a per-step numpy sweep of the
@@ -182,8 +184,10 @@ def main():
         for n in sizes:
             m = build(rng, n)
             ms, trace = best_ms(lambda: run_process(m), args.repeat)
-            rate = (f"  {2 * n ** 3 / 3 / ms / 1e6:.2f} GFLOP/s  gap {per_step_gap(m, trace.pivots):.1e}"
-                    if kind == FLOAT64 else "")
+            if kind == FLOAT64:
+                rate = f"  {2 * n ** 3 / 3 / ms / 1e6:.2f} GFLOP/s  gap {per_step_gap(m, trace.pivots):.1e}"
+            else:  # the last integer pivot the sweep held, unreduced
+                rate = f"  last integer pivot {trace._pivots[-1][0].bit_length()} bits"
             print(f"{kind:>13} {n:>4} {ms:>10.3f}  {pivot_size(trace.pivots, kind)}{rate}")
             ms, res = best_ms(lambda: diag_dominance_certify(m, 1), args.repeat)
             verdict = "certified" if res.certified else f"violation at {res.violation}"

@@ -70,6 +70,14 @@ def _number(key: str, text: str) -> Fraction:
         raise ParameterOutOfRange(f"bad {key} value {text!r}: {exc}") from exc
 
 
+def _timed(phases: dict[str, int], name: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with its wall time in whole ms put in phases[name]."""
+    started = time.perf_counter()
+    result = fn(*args, **kwargs)
+    phases[name] = int((time.perf_counter() - started) * 1000)
+    return result
+
+
 def _build_report(
     parsed: ParsedMatrix,
     arithmetic: str,
@@ -80,10 +88,12 @@ def _build_report(
     want_timing: bool = False,
 ) -> dict:
     started = time.perf_counter()
-    subject = as_subject(parsed, arithmetic)
+    phases = {}  # the phases that ran, for --timing's phase_ms
+    subject = _timed(phases, "convert", as_subject, parsed, arithmetic)
     m = subject.gram if isinstance(subject, GramMatrix) else subject
-    trace = run_process(subject, keep_snapshots=want_snapshots, ordering=ordering)
-    rowsum = rowsum_bound(m)
+    trace = _timed(phases, "process", run_process, subject, keep_snapshots=want_snapshots,
+                   ordering=ordering)
+    rowsum = _timed(phases, "rowsum", rowsum_bound, m)
     report = {
         "id": parsed.matrix_id,
         "n": m.n,
@@ -93,7 +103,7 @@ def _build_report(
         "ratios": None,
     }
     if m.n <= exact_max and ryser_fits(m):
-        exact = permanent_ryser(m)
+        exact = _timed(phases, "exact", permanent_ryser, m)
         report["exact_perm"] = format_scalar(exact, arithmetic)
         if exact != 0:
             report["ratios"] = {
@@ -101,7 +111,7 @@ def _build_report(
                 "rowsum_over_exact": format_scalar(rowsum / exact, arithmetic),
             }
     if eps is not None:
-        res = diag_dominance_certify(m, _number("eps", eps))
+        res = _timed(phases, "certify", diag_dominance_certify, m, _number("eps", eps))
         report["diag_dominance"] = {
             "eps": format_scalar(res.eps, arithmetic),
             "certified": res.certified,
@@ -113,6 +123,7 @@ def _build_report(
         report["snapshots"] = [matrix_as_strings(s) for s in trace.snapshots]
     if want_timing:
         report["elapsed_ms"] = int((time.perf_counter() - started) * 1000)
+        report["phase_ms"] = phases
     return report
 
 
@@ -456,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     reports.add_argument("--exact-max", type=int, default=10, dest="exact_max",
                          help="compute the exact permanent when n <= this (default 10)")
     reports.add_argument("--timing", action="store_true",
-                         help="include elapsed_ms, and for bound parse_ms")
+                         help="include elapsed_ms and phase_ms, and for bound parse_ms")
     reports.add_argument("--out", default=None, help="write the output here instead of stdout")
 
     p_bound = sub.add_parser("bound", parents=[reports], help="compute bounds for one matrix file")

@@ -14,8 +14,10 @@ not reduced, so every permanent of a minor or block shares one read.
 pass of the Gray-code walk that `permanent_ryser` takes.  An exact product
 sums each entry on integers and divides once.  Inside `permanent_memo`
 each distinct permanent and minors table is computed once.  The exact
-sweep keeps each pivot as its integer over its row scale; its row scales
-telescope, so its bound is one Fraction reduced by one gcd (`eliminate`).
+sweep keeps each pivot as its integer over its row scale, and divides a
+row by its gcd only where at least three later steps read it; its row
+scales telescope, so its bound is one Fraction reduced by one gcd
+(`eliminate`).
 
 The float64 sweep without snapshots runs in panels of PANEL = 64 pivots,
 as LAPACK's getrf does: each step updates only the panel's own square.
@@ -516,7 +518,10 @@ def _glynn_minors(ints: Sequence[Sequence[int]], scales: Sequence[int], kind: st
 def _check_bit_budget(block: np.ndarray, t: int):
     """DimensionTooLarge when the integer block that exact step t + 1 works on passes
     BIT_BUDGET: rows x columns x its largest bit length, plus bits^2 / 2^12 for
-    the gcds, each of which costs about bits^2."""
+    the gcds, each of which costs about bits^2.  The blocks of the last two
+    reducing steps are checked as formed, with no gcd taken (see
+    `eliminate`), so they may hold up to about a hundred more bits than
+    reduced ones would: the threshold shifts by about 0.05%."""
     bits = max(map(int.bit_length, block.ravel().tolist()), default=0)
     if block.size * bits + (bits * bits >> 12) > BIT_BUDGET:
         rows, cols = block.shape
@@ -539,19 +544,37 @@ def eliminate(m: Matrix, skip_zero: bool = False, keep: bool = False):
     it rounds as the plain loop does.  An exact step runs on the
     `integer_rows` of m, row i standing for its integers over an integer
     scale s_i.  With the integer pivot P it sets the columns j > t of each
-    updated row to P a_{i,j} + a_{i,t} a_{t,j}, divides them by g, the
-    part of their gcd that divides s_i P, and sets s_i <- s_i P / g (an
-    integer again); the last step takes no gcd.  Columns left of t + 1 go
-    stale in the integers, so pivot t is kept as the pair (P_t, s_t) at
-    step t, and no step reduces it.  The block each step works on is held to
-    BIT_BUDGET (rows x columns x the largest bit length; DimensionTooLarge
-    past it).
+    updated row to P a_{i,j} + a_{i,t} a_{t,j} and s_i <- s_i P.  Where at
+    least three later steps read the rows (0-based t < n - 4), it then
+    divides each row and its scale by g, the part of the row's gcd that
+    divides s_i P.  Columns left of t + 1 go stale in the integers, so
+    pivot t is kept as the pair (P_t, s_t) at step t, and no step reduces
+    it.  The block each step works on is held to BIT_BUDGET (rows x
+    columns x the largest bit length; DimensionTooLarge past it).
+
+    Why the last two reducing steps take no gcd: the process has no exact
+    divisibility like Bareiss's, so each reduction is a full-size gcd,
+    quadratic in the bits (Lehmer), and the bits about double at every
+    step.  There the gcds run on the largest entries and find the smallest
+    divisors, and a factor a row keeps stays in both its integers and its
+    scale, so it reaches at most two later steps and no later gcd.  The
+    sweep gets about a quarter faster, and the last integer pivot P_{n-1}
+    grows by under 0.3%.  On p/q entries in 10..99 at n = 14 (the three
+    seed-0 `pos-14-rational` inputs of `perfbench`), its bits:
+
+        gcds at t < n - 2   113422   85888   103829
+        gcds at t < n - 4   113722   86140   103938
+
+    Skipping only the last reducing step was slower, skipping three no
+    faster, and a gcd on every other step slower; no gcd at all is about
+    five times slower, since the small divisors compound.
 
     The exact bound is reduced once.  Let s0_t be the input's scale of row
-    t and G_t the product of the divisors g row t took.  Each step u < t
-    multiplies s_t by P_u / g, so s_t G_t = s0_t prod_{u<t} P_u, pivot t
-    is P_t G_t / (s0_t prod_{u<t} P_u), and P_u appears n - 1 - u times
-    below the bar of the product.  Hence, 0-based,
+    t and G_t the product of the divisors g row t took (1 where it took
+    none).  Each step u < t multiplies s_t by P_u / g, so
+    s_t G_t = s0_t prod_{u<t} P_u, pivot t is P_t G_t / (s0_t prod_{u<t} P_u),
+    and P_u appears n - 1 - u times below the bar of the product.  Hence,
+    0-based,
 
         prod_t P_t / s_t = P_{n-1} prod_t G_t / (prod_t s0_t prod_{u<=n-3} P_u^(n-2-u)),
 
@@ -617,11 +640,12 @@ def eliminate(m: Matrix, skip_zero: bool = False, keep: bool = False):
                 if exact:
                     block = p * a[t + 1:, t + 1:] + np.outer(a[t + 1:, t], a[t, t + 1:])
                     sp = scale[t + 1:] * p
-                    if t < n - 2:  # no later step reads the last step's integers
+                    if t < n - 4:  # at least three later steps read these rows
                         g = np.gcd(np.gcd.reduce(block, axis=1), sp)  # an all-zero row gets |s_i P|
                         block //= g[:, None]
                         sp //= g
                         divisors[t + 1:] *= g
+                    if t < n - 2:  # no later step reads the last step's integers
                         _check_bit_budget(block, t + 1)
                     a[t + 1:, t + 1:] = block
                     scale[t + 1:] = sp

@@ -1,7 +1,11 @@
 """Reference implementations the tests check the package against.
 
-The n! permutation sum for the permanent, row-pivoted elimination for the
-determinant, the list loop of the process and of Gaussian elimination
+The n! permutation sum for the permanent and its expansion over column
+subsets (`permanent_by_subsets`, 2^n n products, exact on float rows
+too), row-pivoted elimination for the determinant, the exact sweep on
+integer rows with a gcd at every step a later step reads
+(`exact_sweep_reducing_every_step`, the growth reference for the
+kernel's skipped gcds), the list loop of the process and of Gaussian elimination
 (`list_eliminate`), on which the minus-variant of the process (whose
 pivots multiply to the determinant) and an exact PSD test by symmetric
 elimination are built, the per-step float64 process sweep (`numpy_sweep`,
@@ -44,7 +48,7 @@ from permbound import (
 )
 from permbound import matio
 from permbound.bounds import _exp_powers
-from permbound.matcore import sorted_indices
+from permbound.matcore import integer_rows, sorted_indices
 from permbound.scalars import Scalar, one, to_float64, zero
 
 NAIVE_MAX = 10
@@ -63,6 +67,27 @@ def permanent_naive(m: Matrix) -> Scalar:
             term *= rows[i][sigma[i]]
         total += term
     return total
+
+
+def permanent_by_subsets(rows) -> Fraction:
+    """per of the square rows (ints, Fractions or floats, each read exactly) as a Fraction.
+
+    Expands the rows over column subsets: f(S) sums the products of the
+    bijections from the first |S| rows onto the columns S, so f of every
+    column is per, in 2^n n products against the n! n of `permanent_naive`.
+    Each row is first scaled to integers, so the products multiply ints.
+    """
+    ints, scales = integer_rows(rows)
+    n = len(ints)
+    f = [0] * (1 << n)
+    f[0] = 1
+    for mask in range(len(f) - 1):  # a subset comes before every superset of it
+        total = f[mask]
+        if total:
+            for j, x in enumerate(ints[mask.bit_count()]):
+                if x and not mask >> j & 1:
+                    f[mask | 1 << j] += total * x
+    return Fraction(f[-1], math.prod(scales))
 
 
 def determinant(m: Matrix) -> Scalar:
@@ -139,6 +164,36 @@ def list_eliminate(rows, sign, every_row=False, skip_zero=False, keep=False):
         if keep:
             snaps.append(tuple(tuple(r) for r in a))
     return tuple(a[t][t] for t in range(n)), snaps
+
+
+def exact_sweep_reducing_every_step(m: Matrix, skip_zero: bool = False) -> list[tuple[int, int]]:
+    """The exact process sweep on integer rows that takes each updated row's gcd at
+    every step a later step reads (0-based t < n - 2), as `matcore.eliminate`
+    did before it skipped the gcds of its last two reducing steps.
+
+    Row i stands for its integers over its scale s_i; step t sets row i to
+    P a_{i,j} + a_{i,t} a_{t,j} for j > t and s_i to s_i P, then divides both
+    by their gcd.  A zero pivot raises ZeroPivot, or with skip_zero is
+    skipped (its trailing row and column are taken to be zero).  Returns the
+    pivots as (P_t, s_t) pairs, unreduced.
+    """
+    ints, scales = integer_rows(m.entries.tolist())
+    n = len(ints)
+    for t in range(n - 1):
+        p, pivot_row = ints[t][t], ints[t]
+        if p == 0:
+            if not skip_zero:
+                raise ZeroPivot(t + 1)
+            continue
+        for i in range(t + 1, n):
+            row, lead = ints[i], ints[i][t]
+            row[t + 1:] = [p * x + lead * y for x, y in zip(row[t + 1:], pivot_row[t + 1:])]
+            scales[i] *= p
+            if t < n - 2:
+                g = math.gcd(*row[t + 1:], scales[i])
+                row[t + 1:] = [x // g for x in row[t + 1:]]
+                scales[i] //= g
+    return [(ints[t][t], scales[t]) for t in range(n)]
 
 
 def run_gaussian_variant(a: Matrix, keep_snapshots: bool = False) -> ProcessTrace:

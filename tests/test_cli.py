@@ -75,9 +75,28 @@ def test_bound_identity_and_flags(capsys, tmp_path):
 def test_timing_adds_parse_ms_to_bound_reports_only(capsys, ones3):
     plain = json.loads(run_cli(capsys, "bound", ones3)[1])
     timed = json.loads(run_cli(capsys, "bound", ones3, "--timing")[1])
-    assert {k: v for k, v in timed.items() if k not in ("elapsed_ms", "parse_ms")} == plain
+    assert {k: v for k, v in timed.items() if k not in ("elapsed_ms", "parse_ms", "phase_ms")} == plain
     family = json.loads(run_cli(capsys, "family", "exp", "n=3", "c=2", "--timing")[1])
     assert "elapsed_ms" in family and "parse_ms" not in family
+
+
+@pytest.mark.parametrize("argv, phases", [
+    (["bound", "ONES3"], {"convert", "process", "rowsum", "exact"}),
+    (["bound", "ONES3", "--eps", "1"], {"convert", "process", "rowsum", "exact", "certify"}),
+    (["bound", "ONES3", "--exact-max", "2"], {"convert", "process", "rowsum"}),
+    (["family", "random-dd", "n=3", "eps=1", "delta=1/80", "seed=0", "--count", "2"],
+     {"convert", "process", "rowsum", "exact", "certify"}),
+])
+def test_timing_adds_the_phases_that_ran(capsys, ones3, argv, phases):
+    argv = [ones3 if arg == "ONES3" else arg for arg in argv]
+    code, out, _ = run_cli(capsys, *argv, "--timing")
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and len(reports) == (2 if argv[0] == "family" else 1)
+    for report in reports:
+        assert set(report["phase_ms"]) == phases
+        assert all(type(ms) is int and ms >= 0 for ms in report["phase_ms"].values())
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "phase_ms" not in out
 
 
 def test_snapshots_leave_the_float_report_unchanged_past_one_panel(capsys, tmp_path, monkeypatch):

@@ -40,7 +40,9 @@ from permbound.matcore import eliminate
 from permbound.matio import parse_csv_text
 from permbound.psd import GramMatrix
 from permbound.scalars import one
-from oracles import determinant, list_eliminate, numpy_sweep, run_gaussian_variant
+from oracles import (
+    determinant, exact_sweep_reducing_every_step, list_eliminate, numpy_sweep, run_gaussian_variant,
+)
 
 
 def outcome(fn, *args, **kwargs):
@@ -241,16 +243,18 @@ def test_exact_kernel_matches_list_loop_on_long_entries(sign, every_row, keep):
 @pytest.mark.parametrize("keep", [False, True])
 @pytest.mark.parametrize("sign", [1])
 def test_exact_kernel_on_an_all_zero_trailing_row(sign, keep):
-    # the last row is zero, so its row gcd is 0 at every step
-    r1 = [Fraction(1), Fraction(2, 3), Fraction(3), Fraction(4, 5)]
-    last = [Fraction(0)] * 4
-    rows = (r1, [Fraction(x) for x in (1, 5, 2, 7)], [Fraction(x, 2) for x in (3, 1, 4, 1)], last)
+    # the last row is zero, so its row gcd is 0 at the steps that take one (n = 6: two)
+    r1 = [Fraction(1), Fraction(2, 3), Fraction(3), Fraction(4, 5), Fraction(1, 2), Fraction(2)]
+    last = [Fraction(0)] * 6
+    rows = (r1, [Fraction(x) for x in (1, 5, 2, 7, 3, 1)], [Fraction(x, 2) for x in (3, 1, 4, 1, 5, 9)],
+            [Fraction(2, x) for x in (1, 3, 5, 7, 9, 11)], [Fraction(x, 3) for x in (2, 7, 1, 8, 2, 8)],
+            last)
     m = Matrix(rows, RATIONAL)
     got = eliminate(m, keep=keep)
     assert_exact_run(got, reference(m.entries, sign, keep=keep))
     assert reduced(got[0])[-1] == 0 == got[1]
     if keep:
-        assert all(x == 0 for x in got[2][-1].row(4)[1:])
+        assert all(x == 0 for x in got[2][-1].row(6)[1:])
 
 
 def test_exact_kernel_stops_past_the_bit_budget(monkeypatch):
@@ -308,6 +312,36 @@ def test_exact_run_reduces_no_pivot_until_they_are_read(monkeypatch):
     assert "pivots" not in trace.__dict__
     assert len(built) == 1  # the bound's one Fraction
     assert trace.pivots is trace.pivots and "pivots" in trace.__dict__
+
+
+def growth_guard_subjects():
+    """Seeded exact subjects: p/q in 10..99 at n = 14, p/q in 1..6 at n = 12..16,
+    a unit-diagonal dominant matrix at n = 14, and a Gram matrix whose
+    factor's zero column makes a pivot that is skipped."""
+    rng = random.Random(1330)
+    yield positive_rational(rng, 14)
+    for n in range(12, 17):
+        yield positive_rational(rng, n, 1, 6)
+    yield Matrix([[Fraction(1) if i == j else Fraction(rng.randint(12, 16), 128 * 14)
+                   for j in range(14)] for i in range(14)], RATIONAL)
+    factor = [[Fraction(0) if j == 4 else Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+               for j in range(12)] for _ in range(12)]
+    yield gram_from_factor(Matrix(factor, RATIONAL))
+
+
+def test_skipped_gcds_leave_the_values_and_grow_the_last_pivot_by_under_one_percent():
+    # the kernel takes no gcd at its last two reducing steps; a factor a row keeps
+    # there reaches at most two steps, so the last integer pivot barely grows
+    # (at most 0.93% here), where taking no gcd at all grows it by 7% to 250%
+    for subject in growth_guard_subjects():
+        psd = isinstance(subject, GramMatrix)
+        want = exact_sweep_reducing_every_step(subject.gram if psd else subject, skip_zero=psd)
+        trace = run_process(subject)
+        assert trace.pivots == reduced(want)
+        assert trace.bound == math.prod(reduced(want), start=Fraction(1))
+        if psd:
+            assert 0 in trace.pivots[:-1]
+        assert trace._pivots[-1][0].bit_length() <= 1.01 * want[-1][0].bit_length()
 
 
 # ---- the float sweep in panels of matcore.PANEL pivots ----------------------------

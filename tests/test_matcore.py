@@ -35,7 +35,8 @@ from permbound import (
 from permbound import matcore
 from permbound.matcore import integer_rows, permanent_memo, ryser_fits
 from oracles import (
-    determinant, identity, matmul_running_sum, permanent_naive, run_gaussian_variant,
+    determinant, identity, matmul_running_sum, permanent_by_subsets, permanent_naive,
+    run_gaussian_variant,
 )
 from randmat import block_matrix, integer_matrix, nonneg_matrix
 
@@ -191,27 +192,19 @@ SIGNED_FLOATS = st.one_of(
 )
 
 
-def naive_permanent(rows):
-    """permanent_naive of rows, each row first scaled to integers so the n! terms multiply ints."""
-    rows = [[Fraction(x) for x in row] for row in rows]
-    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
-    ints = [[int(x * s) for x in row] for row, s in zip(rows, scales)]
-    return permanent_naive(Matrix(ints, RATIONAL)) / math.prod(scales)
-
-
-@settings(max_examples=25, deadline=None)  # permanent_naive takes ~0.6 s at n = 8
+@settings(max_examples=25, deadline=None)
 @given(square_rows(SIGNED_RATIONALS))
 def test_glynn_equals_the_permutation_sum(rows):
     got = permanent_ryser(Matrix(rows, RATIONAL))
     assert type(got) is Fraction
-    assert got == naive_permanent(rows)
+    assert got == permanent_by_subsets(rows)
 
 
 @settings(max_examples=25, deadline=None)
 @given(square_rows(SIGNED_FLOATS))
 def test_glynn_float_is_the_permutation_sum_rounded_once(rows):
     # repr tells 0.0 from -0.0, which == does not
-    assert repr(permanent_ryser(Matrix(rows, FLOAT64))) == repr(float(naive_permanent(rows)))
+    assert repr(permanent_ryser(Matrix(rows, FLOAT64))) == repr(float(permanent_by_subsets(rows)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -648,7 +641,7 @@ def test_an_exact_matrix_is_read_once_for_all_its_cuts(monkeypatch):
     m = matrix([[Fraction(i + 1, j + 2) for j in range(5)] for i in range(5)])
     for s in ((1, 2), (2, 4, 5), (1, 3, 4, 5)):
         block = select(m, s, s)
-        assert permanent_ryser(block) == naive_permanent(eager_cut(m, s, s).entries.tolist())
+        assert permanent_ryser(block) == permanent_by_subsets(eager_cut(m, s, s).entries.tolist())
         permanent_ryser(delete(block, (1,), (2,)))
     assert len(reads) == 1
 

@@ -154,7 +154,7 @@ def _finite(compute, what: str) -> Scalar:
 class BoundedInput:
     """A square matrix a with unit diagonal and entries in [0, M], checked once.
 
-    B = BoundFunction(n, M) and the process trace with its snapshots are
+    B = BoundFunction(n, M) and the process trace, with its snapshots, are
     built on first use and shared by every check on this input.
     """
 
@@ -180,7 +180,7 @@ class BoundedInput:
 
     @cached_property
     def trace(self) -> ProcessTrace:
-        return run_process(self.a, keep_snapshots=True)
+        return run_process(self.a)
 
 
 def entry_bound_check(x: BoundedInput):

@@ -78,21 +78,14 @@ def _timed(phases: dict[str, int], name: str, fn, *args, **kwargs):
     return result
 
 
-def _build_report(
-    parsed: ParsedMatrix,
-    arithmetic: str,
-    exact_max: int,
-    ordering=None,
-    eps: str | None = None,
-    want_snapshots: bool = False,
-    want_timing: bool = False,
-) -> dict:
+def _build_report(parsed: ParsedMatrix, arithmetic: str, exact_max: int, ordering=None,
+                  eps: str | None = None, want_snapshots: bool = False,
+                  want_timing: bool = False) -> dict:
     started = time.perf_counter()
     phases = {}  # the phases that ran, for --timing's phase_ms
     subject = _timed(phases, "convert", as_subject, parsed, arithmetic)
     m = subject.gram if isinstance(subject, GramMatrix) else subject
-    trace = _timed(phases, "process", run_process, subject, keep_snapshots=want_snapshots,
-                   ordering=ordering)
+    trace = _timed(phases, "process", run_process, subject, ordering=ordering)
     rowsum = _timed(phases, "rowsum", rowsum_bound, m)
     report = {
         "id": parsed.matrix_id,
@@ -120,7 +113,8 @@ def _build_report(
         if res.violation is not None:
             report["diag_dominance"]["violation"] = list(res.violation)
     if want_snapshots:
-        report["snapshots"] = [matrix_as_strings(s) for s in trace.snapshots]
+        snapshots = _timed(phases, "snapshots", getattr, trace, "snapshots")
+        report["snapshots"] = [matrix_as_strings(s) for s in snapshots]
     if want_timing:
         report["elapsed_ms"] = int((time.perf_counter() - started) * 1000)
         report["phase_ms"] = phases
@@ -149,15 +143,8 @@ def cmd_bound(args) -> int:
             ordering = tuple(int(p) for p in args.ordering.split(","))
         except ValueError as exc:
             raise ParseError(f"bad --ordering {args.ordering!r}") from exc
-    report = _build_report(
-        parsed,
-        arithmetic,
-        args.exact_max,
-        ordering=ordering,
-        eps=args.eps,
-        want_snapshots=args.snapshots,
-        want_timing=args.timing,
-    )
+    report = _build_report(parsed, arithmetic, args.exact_max, ordering=ordering, eps=args.eps,
+                           want_snapshots=args.snapshots, want_timing=args.timing)
     if args.timing:
         report["parse_ms"] = parse_ms
     _emit([json.dumps(report, sort_keys=True)], args.out)

@@ -186,13 +186,13 @@ class Matrix:
 
     def row(self, i: int) -> tuple[Scalar, ...]:
         """Row i, 1-based."""
-        if not 1 <= i <= self.nrows:
+        if not (_is_int(i) and 1 <= i <= self.nrows):
             raise IndexOutOfRange(f"row {i} outside [1, {self.nrows}]")
         return tuple(self.entries[i - 1].tolist())
 
     def col(self, j: int) -> tuple[Scalar, ...]:
         """Column j, 1-based."""
-        if not 1 <= j <= self.ncols:
+        if not (_is_int(j) and 1 <= j <= self.ncols):
             raise IndexOutOfRange(f"column {j} outside [1, {self.ncols}]")
         return tuple(self.entries[:, j - 1].tolist())
 
@@ -202,7 +202,7 @@ class Matrix:
 
     def entry(self, i: int, j: int) -> Scalar:
         """Entry a_{i,j}, 1-based."""
-        if not (1 <= i <= self.nrows and 1 <= j <= self.ncols):
+        if not (_is_int(i) and _is_int(j) and 1 <= i <= self.nrows and 1 <= j <= self.ncols):
             raise IndexOutOfRange(f"entry ({i}, {j}) outside {self.nrows}x{self.ncols}")
         return self.entries.item(i - 1, j - 1)
 
@@ -278,11 +278,20 @@ def add(a: Matrix, b: Matrix) -> Matrix:
         return Matrix(a.entries + b.entries, a.kind)
 
 
+def _is_int(i) -> bool:
+    """Whether i may be a 1-based index: an int, and not a bool."""
+    return isinstance(i, int) and type(i) is not bool
+
+
 def sorted_indices(items: Iterable[int]) -> tuple[int, ...]:
     """items sorted and deduplicated; IndexOutOfRange unless each is a positive int, not a bool."""
-    idx = sorted(items)
+    idx = list(items)
+    try:
+        idx = sorted(idx)
+    except TypeError:  # items that do not compare are not all ints: the loop refuses one
+        pass
     for i in idx:
-        if type(i) is bool or not isinstance(i, int) or i < 1:
+        if not _is_int(i) or i < 1:
             raise IndexOutOfRange(f"index {i!r} is not a positive integer")
     return tuple(dict.fromkeys(idx))
 

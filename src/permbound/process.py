@@ -17,7 +17,7 @@ certificates' `cross_sums` are one product, taken by `matcore.matmul` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -31,24 +31,25 @@ from .scalars import FLOAT64, Scalar, zero
 
 @dataclass(frozen=True)
 class ProcessTrace:
-    """Pivots, their product (the bound) and optionally the matrices A^(1)..A^(n) of one run.
+    """Pivots, their product (the bound) and the matrices A^(1)..A^(n) of one run.
 
     pivots[t-1] is a^(t)_{t,t}, which the process never touches again, so
     it also equals the final diagonal.  The run hands over _pivots as the
     kernel keeps them, floats or exact (integer, scale) pairs, and bound,
     computed once by the kernel; `pivots` reduces the pairs to Fractions on
-    its first read and keeps them.  snapshots, when kept, hold the n
-    states A^(1) (the input) through A^(n) (the final matrix) of the
-    per-step sweep, whose float64 diagonal past the first `matcore.PANEL`
-    steps may differ from the pivots in the last bits.
+    its first read and keeps them.  snapshots, the n states A^(1) (the
+    input) through A^(n) (the final matrix), come on their first read from
+    a per-step sweep of the matrix the run swept (_swept, with its skip
+    flag), whose float64 diagonal past the first `matcore.PANEL` steps may
+    differ from the pivots in the last bits.
     """
 
     n: int
     _pivots: tuple
     bound: Scalar
     arithmetic: str
+    _swept: tuple[Matrix, bool] = field(compare=False, repr=False)
     ordering: tuple[int, ...] | None = None
-    snapshots: tuple[Matrix, ...] | None = None
 
     @cached_property
     def pivots(self) -> tuple[Scalar, ...]:
@@ -56,11 +57,14 @@ class ProcessTrace:
             return self._pivots
         return tuple(Fraction(p, s) for p, s in self._pivots)
 
+    @cached_property
+    def snapshots(self) -> tuple[Matrix, ...]:
+        m, skip_zero = self._swept
+        return eliminate(m, skip_zero=skip_zero, keep=True)[2]
+
     def snapshot(self, t: int) -> Matrix:
-        """A^(t), 1-based; requires the run to have kept snapshots."""
-        if self.snapshots is None:
-            raise ValueError("run_process was called without keep_snapshots")
-        if not 1 <= t <= self.n:
+        """A^(t), 1-based."""
+        if type(t) is bool or not isinstance(t, int) or not 1 <= t <= self.n:
             raise ParameterOutOfRange(f"snapshot index {t} outside [1, {self.n}]")
         return self.snapshots[t - 1]
 
@@ -69,16 +73,16 @@ def _check_ordering(ordering, n: int) -> tuple[int, ...] | None:
     if ordering is None:
         return None
     perm = tuple(ordering)
-    if bool in map(type, perm) or sorted(perm) != list(range(1, n + 1)):
+    try:
+        ok = bool not in map(type, perm) and sorted(perm) == list(range(1, n + 1))
+    except TypeError:  # entries that do not compare, such as an int and a str
+        ok = False
+    if not ok:
         raise ParameterOutOfRange(f"ordering {perm} is not a permutation of 1..{n}")
     return perm
 
 
-def run_process(
-    a: Matrix | GramMatrix,
-    keep_snapshots: bool = False,
-    ordering=None,
-) -> ProcessTrace:
+def run_process(a: Matrix | GramMatrix, ordering=None) -> ProcessTrace:
     """Run the permanent process (Algorithm with the PLUS update).
 
     Accepts a non-negative Matrix, or a GramMatrix as the PSD certificate
@@ -91,9 +95,9 @@ def run_process(
     processed matrix is a_{ordering[i], ordering[j]}.  The permanent is
     invariant under this relabeling; the bound is not.
 
-    The pivots and the bound come from one sweep, the same with or without
-    keep_snapshots; the snapshots, when kept, from a second sweep that
-    takes every step one update at a time.
+    The pivots and the bound come from one sweep; the snapshots, on their
+    first read, from a second sweep that takes every step one update at a
+    time, so a run whose states nobody reads never pays for it.
     """
     if isinstance(a, GramMatrix):
         m, psd_mode = a.gram, True
@@ -111,9 +115,8 @@ def run_process(
         idx = [p - 1 for p in perm]
         m = Matrix(m.entries.take(idx, 0).take(idx, 1), m.kind)
     pivots, bound, _ = eliminate(m, skip_zero=psd_mode)
-    snaps = eliminate(m, skip_zero=psd_mode, keep=True)[2] if keep_snapshots else None
-    return ProcessTrace(n=n, _pivots=pivots, bound=bound, arithmetic=m.kind, ordering=perm,
-                        snapshots=snaps)
+    return ProcessTrace(n=n, _pivots=pivots, bound=bound, arithmetic=m.kind,
+                        _swept=(m, psd_mode), ordering=perm)
 
 
 def process_bound(a: Matrix | GramMatrix) -> Scalar:

@@ -35,6 +35,7 @@ reader's routes.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations
 from typing import Iterable
@@ -43,7 +44,7 @@ import numpy as np
 
 from permbound import (
     DimensionMismatch, DimensionTooLarge, FLOAT64, GramMatrix, InvalidGram, Matrix,
-    PermanentalInverse, ProcessTrace, RATIONAL, SidePair, ZeroPermanent, ZeroPivot, delete,
+    PermanentalInverse, RATIONAL, SidePair, ZeroPermanent, ZeroPivot, delete,
     leq_scalar, permanent_ryser, permanental_inverse, run_process, select, to_kind, transpose,
 )
 from permbound import matio
@@ -196,7 +197,21 @@ def exact_sweep_reducing_every_step(m: Matrix, skip_zero: bool = False) -> list[
     return [(ints[t][t], scales[t]) for t in range(n)]
 
 
-def run_gaussian_variant(a: Matrix, keep_snapshots: bool = False) -> ProcessTrace:
+@dataclass(frozen=True)
+class GaussianTrace:
+    """The minus-variant's pivots, their product and its states A^(1)..A^(n)."""
+
+    pivots: tuple[Scalar, ...]
+    bound: Scalar
+    snapshots: tuple[Matrix, ...]
+
+    def snapshot(self, t: int) -> Matrix:
+        """A^(t), 1-based."""
+        assert 1 <= t <= len(self.snapshots), t
+        return self.snapshots[t - 1]
+
+
+def run_gaussian_variant(a: Matrix) -> GaussianTrace:
     """The minus-variant: column-wise Gaussian elimination without pivoting.
 
     Updates a_{i,j} <- a_{i,j} - a_{i,t} * a_{t,j} / a_{t,t} for j > t and
@@ -206,15 +221,10 @@ def run_gaussian_variant(a: Matrix, keep_snapshots: bool = False) -> ProcessTrac
     square input is accepted; a zero pivot is an error (no pivoting is
     performed).
     """
-    pivots, snaps = list_eliminate(a.entries.tolist(), -1, every_row=True, keep=keep_snapshots)
-    exact = a.kind == RATIONAL
-    pivots = tuple(map(Fraction if exact else float, pivots))
-    if snaps is not None:
-        snaps = tuple(Matrix(s, a.kind) for s in snaps)
-    # the trace holds exact pivots as the kernel does, as (integer, scale) pairs
-    kept = tuple(p.as_integer_ratio() for p in pivots) if exact else pivots
-    return ProcessTrace(n=a.n, _pivots=kept, bound=math.prod(pivots, start=one(a.kind)),
-                        arithmetic=a.kind, snapshots=snaps)
+    pivots, snaps = list_eliminate(a.entries.tolist(), -1, every_row=True, keep=True)
+    pivots = tuple(map(Fraction if a.kind == RATIONAL else float, pivots))
+    return GaussianTrace(pivots=pivots, bound=math.prod(pivots, start=one(a.kind)),
+                         snapshots=tuple(Matrix(s, a.kind) for s in snaps))
 
 
 def numpy_sweep(rows, psd_mode, keep):
@@ -318,7 +328,7 @@ def pivot_lower_bound_check(a: Matrix | GramMatrix) -> tuple[SidePair, ...]:
     t = n denominator is the empty permanent 1, so the ratios telescope to
     per(A) and the per-step checks compose into the headline bound.
     """
-    trace = run_process(a, keep_snapshots=True)
+    trace = run_process(a)
     n = trace.n
     kind = trace.arithmetic
     out = []

@@ -161,7 +161,7 @@ def test_criterion_4_u_recursion_matches_process():
     for _ in range(120):
         n = rng.randint(1, 8)
         a = positive_matrix(rng, n)
-        trace = run_process(a, keep_snapshots=True)
+        trace = run_process(a)
         assert recursive_u(a).entries.tolist() == trace.snapshot(n).entries.tolist()
 
 
@@ -176,7 +176,7 @@ def test_criterion_4_determinant_ratio_invariant():
 
     for _ in range(100):
         m = nonzero_leading_minors_matrix(rng, 5)
-        trace = run_gaussian_variant(m, keep_snapshots=True)
+        trace = run_gaussian_variant(m)
         for t in range(1, 6):
             snap = trace.snapshot(t).entries
             for i in range(1, 6):
@@ -264,7 +264,7 @@ def test_criterion_6_closed_form_matches_process():
     """Closed form equals the final process state exactly for n <= 10."""
     for c in (Fraction(2), Fraction(5, 2), Fraction(3)):
         for n in range(1, 11):
-            trace = run_process(exp_family(n, c), keep_snapshots=True)
+            trace = run_process(exp_family(n, c))
             assert exp_family_closed_form(n, c).entries.tolist() == trace.snapshot(n).entries.tolist()
 
 
@@ -381,7 +381,7 @@ def test_criterion_8_bit_length_guard():
                 for x in row
             )
             cap = 50 * input_bits
-            trace = run_process(a, keep_snapshots=True)
+            trace = run_process(a)
             worst = 0
             for t in range(1, n + 1):
                 for row in trace.snapshot(t).entries:

@@ -1,6 +1,8 @@
 """The package's public name list: `permbound.__all__` against its imports."""
 
+import re
 import types
+from pathlib import Path
 
 import permbound
 from permbound import (
@@ -36,3 +38,22 @@ def test_oracles_and_negative_input_are_not_in_the_package():
                  "closed_recursion"):
         for module in modules:
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_readme_library_example_runs_and_reads_as_its_comments():
+    # each line "expr  # value, ..." whose comment opens with a value must evaluate to it
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library example\n\n```python\n(.*?)^```$", text, re.M | re.S).group(1)
+    namespace = {}
+    exec(block, namespace)
+    shown = {}
+    for line in block.splitlines():
+        code, _, comment = line.partition("  # ")
+        value = re.match(r"\(.*?\)|[\d/]+", comment)
+        if value:
+            shown[code.strip()] = value.group(0)
+    assert shown == {"trace.pivots": "(1, 5/4, 11/8)", "trace.bound": "55/32",
+                     "permanent_ryser(a)": "27/16"}
+    for code, value in shown.items():
+        got = eval(code, namespace)
+        assert (f"({', '.join(map(str, got))})" if isinstance(got, tuple) else str(got)) == value

@@ -15,6 +15,7 @@ from permbound import (
     BoundedInput,
     ConditionViolated,
     DimensionMismatch,
+    IndexOutOfRange,
     Matrix,
     NegativeEntry,
     NonFinite,
@@ -300,6 +301,15 @@ def test_cycle_sum_and_perm_ratio_validation():
         perm_ratio_check(x, (5,), 1, 2)  # S past n
 
 
+@pytest.mark.parametrize("s", [(2, "a"), (None, 2, 3), (2, 3.5)])
+def test_cycle_sum_and_perm_ratio_refuse_an_index_set_of_mixed_types(s):
+    x = BoundedInput(unit_diag_matrix(random.Random(66), 4, 1), Fraction(1))
+    with pytest.raises(IndexOutOfRange, match="is not a positive integer"):
+        cycle_sum_ratio(x, 1, s, 2)
+    with pytest.raises(IndexOutOfRange, match="is not a positive integer"):
+        perm_ratio_check(x, s, 2, 3)
+
+
 def test_cycle_sum_ratio_holds_on_random_instances():
     rng = random.Random(67)
     for _ in range(10):
@@ -381,7 +391,7 @@ def test_exp_closed_form_matches_process_snapshots():
     for c in (Fraction(2), Fraction(5, 2), Fraction(3)):
         for n in (1, 2, 3, 5, 7):
             a = exp_family(n, c)
-            trace = run_process(a, keep_snapshots=True)
+            trace = run_process(a)
             assert exp_family_closed_form(n, c).entries.tolist() == trace.snapshot(n).entries.tolist()
 
 

@@ -86,6 +86,7 @@ def test_timing_adds_parse_ms_to_bound_reports_only(capsys, ones3):
     (["bound", "ONES3", "--exact-max", "2"], {"convert", "process", "rowsum"}),
     (["family", "random-dd", "n=3", "eps=1", "delta=1/80", "seed=0", "--count", "2"],
      {"convert", "process", "rowsum", "exact", "certify"}),
+    (["bound", "ONES3", "--snapshots"], {"convert", "process", "rowsum", "exact", "snapshots"}),
 ])
 def test_timing_adds_the_phases_that_ran(capsys, ones3, argv, phases):
     argv = [ones3 if arg == "ONES3" else arg for arg in argv]

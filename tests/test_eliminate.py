@@ -163,7 +163,7 @@ def test_float_process_matches_numpy_sweep_bitwise(n):
     keep = n <= 21
     for _ in range(3):
         rows = positive_floats(rng, n)
-        trace = run_process(Matrix(rows, FLOAT64), keep_snapshots=keep)
+        trace = run_process(Matrix(rows, FLOAT64))
         pivots, snaps = numpy_sweep(rows, psd_mode=False, keep=keep)
         assert bits(trace.pivots) == bits(pivots)
         assert all(type(p) is float for p in trace.pivots)
@@ -181,7 +181,7 @@ def test_float_gram_process_matches_numpy_sweep_bitwise():
     for _ in range(30):
         n = rng.randint(2, 12)
         g = rank_deficient_gram(rng, n, FLOAT64)
-        got = outcome(run_process, g, keep_snapshots=True)
+        got = outcome(run_process, g)
         want = outcome(numpy_sweep, g.gram.entries, True, True)
         if isinstance(want[0], str):
             assert got == want
@@ -214,7 +214,7 @@ def test_float_gaussian_variant_final_matrix_lower_triangular():
         n = rng.randint(1, 9)
         rows = tuple(tuple(rng.uniform(-2, 2) for _ in range(n)) for _ in range(n))
         m = Matrix(rows, FLOAT64)
-        trace = run_gaussian_variant(m, keep_snapshots=True)
+        trace = run_gaussian_variant(m)
         final = trace.snapshot(n).entries
         assert all(final[i][j] == 0.0 for i in range(n) for j in range(i + 1, n))
         assert np.prod(trace.pivots) == pytest.approx(determinant(m), rel=1e-9, abs=1e-12)
@@ -384,7 +384,7 @@ def test_blocked_float_process_matches_the_per_step_sweep(monkeypatch, n):
 def test_blocked_float_process_keeps_the_per_step_bits_with_snapshots(monkeypatch):
     routes = record_panel_routes(monkeypatch)
     rows = positive_floats(random.Random(990), 100)
-    trace = run_process(Matrix(rows, FLOAT64), keep_snapshots=True)
+    trace = run_process(Matrix(rows, FLOAT64))
     plain = run_process(Matrix(rows, FLOAT64))
     _, snaps = numpy_sweep(rows, psd_mode=False, keep=True)
     # the pivots and the bound come from the panelled sweep, as without snapshots;

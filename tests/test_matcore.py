@@ -420,7 +420,7 @@ def test_empty_selections_keep_their_shape(kind):
 @pytest.mark.parametrize("kind, scalar", [(RATIONAL, Fraction), (FLOAT64, float)])
 def test_accessors_return_python_scalars(kind, scalar):
     m = matrix([[2, 1, 1], [1, 3, 1], [1, 1, 4]], kind)
-    trace = run_process(m, keep_snapshots=True)
+    trace = run_process(m)
     values = [m.entry(1, 2), *m.row(2), *m.col(3), *trace.pivots,
               *run_gaussian_variant(m).pivots]
     for s in trace.snapshots:
@@ -758,6 +758,48 @@ def test_a_bool_is_no_index_even_beside_its_int():
             with pytest.raises(IndexOutOfRange, match="index True is not a positive integer"):
                 fn(m, rows, (1,))
     assert select(m, [1, 1, 3], [2, 2]).entries.tolist() == [[2], [8]]
+
+
+@pytest.mark.parametrize("items, bad", [
+    ([1, "a"], "'a'"), (["a", 1], "'a'"), ([None, 1], "None"), ([2, 1, None], "None"),
+    ([1, 2.5, "3"], "2.5"), ([(1,), 2], "(1,)"), ([1, 1j], "1j"),
+])
+def test_index_sets_of_mixed_types_are_refused(items, bad):
+    m = matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    message = f"index {bad} is not a positive integer"
+    with pytest.raises(IndexOutOfRange, match=re.escape(message)):
+        matcore.sorted_indices(items)
+    for fn in (select, delete):
+        with pytest.raises(IndexOutOfRange, match=re.escape(message)):
+            fn(m, items, (1,))
+        with pytest.raises(IndexOutOfRange, match=re.escape(message)):
+            fn(m, (1,), iter(items))
+
+
+@pytest.mark.parametrize("items, message", [
+    ([2, 1.5, 0], "index 0 is not a positive integer"),  # sorted first, as before
+    ([3, Fraction(1), 2], "index Fraction(1, 1) is not a positive integer"),
+    ([2, -1, 0], "index -1 is not a positive integer"),
+])
+def test_index_sets_that_sort_report_their_smallest_bad_index(items, message):
+    with pytest.raises(IndexOutOfRange, match=re.escape(message)):
+        matcore.sorted_indices(items)
+
+
+@pytest.mark.parametrize("accessor, args, message", [
+    ("entry", (True, True), "entry (True, True) outside 2x2"),
+    ("entry", (1, False), "entry (1, False) outside 2x2"),
+    ("entry", (1.0, 1), "entry (1.0, 1) outside 2x2"),
+    ("entry", (1, "2"), "entry (1, 2) outside 2x2"),
+    ("row", (True,), "row True outside [1, 2]"),
+    ("row", (2.0,), "row 2.0 outside [1, 2]"),
+    ("col", (True,), "column True outside [1, 2]"),
+    ("col", (None,), "column None outside [1, 2]"),
+])
+def test_accessors_take_no_bool_or_float_for_an_index(accessor, args, message):
+    for kind in (RATIONAL, FLOAT64):
+        with pytest.raises(IndexOutOfRange, match=re.escape(message)):
+            getattr(matrix([[1, 2], [3, 4]], kind), accessor)(*args)
 
 
 def test_arithmetic_helpers():

@@ -180,7 +180,7 @@ def test_condense_is_one_process_step():
         n = rng.randint(2, 6)
         a = positive_matrix(rng, n, hi=3)
         trailing = range(2, n + 1)
-        step = select(run_process(a, keep_snapshots=True).snapshot(2), trailing, trailing)
+        step = select(run_process(a).snapshot(2), trailing, trailing)
         assert condense(BlockSplit(a, 1)) == step
 
 

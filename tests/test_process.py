@@ -29,6 +29,8 @@ from permbound import (
     run_process,
     select,
 )
+from permbound import process
+from permbound.matcore import eliminate
 from permbound.process import cross_sums
 from oracles import (
     closed_recursion_by_entry, cross_sum, determinant, pivot_lower_bound_check,
@@ -84,7 +86,7 @@ def test_pivots_dominate_original_diagonal(n, seed):
 def test_entries_freeze_after_their_step():
     rng = random.Random(42)
     m = positive_matrix(rng, 6)
-    trace = run_process(m, keep_snapshots=True)
+    trace = run_process(m)
     final = trace.snapshot(6).entries
     for t in range(1, 7):
         snap = trace.snapshot(t).entries
@@ -97,17 +99,69 @@ def test_entries_freeze_after_their_step():
 
 def test_first_snapshot_is_input():
     m = positive_matrix(random.Random(43), 4)
-    trace = run_process(m, keep_snapshots=True)
+    trace = run_process(m)
     assert trace.snapshot(1).entries.tolist() == m.entries.tolist()
 
 
-def test_snapshot_access_requires_keep():
+@pytest.mark.parametrize("t", [0, 4, -1, True, False, 1.0, "1", None])
+def test_snapshot_index_is_an_int_in_one_to_n(t):
     trace = run_process(ones(3))
-    with pytest.raises(ValueError):
-        trace.snapshot(1)
-    kept = run_process(ones(3), keep_snapshots=True)
-    with pytest.raises(ParameterOutOfRange):
-        kept.snapshot(4)
+    with pytest.raises(ParameterOutOfRange, match=re.escape(f"snapshot index {t} outside [1, 3]")):
+        trace.snapshot(t)
+
+
+def spy_on_eliminate(monkeypatch):
+    """The (matrix, keyword arguments) of each `eliminate` call `process` makes."""
+    calls = []
+
+    def spy(m, **kwargs):
+        calls.append((m, kwargs))
+        return eliminate(m, **kwargs)
+
+    monkeypatch.setattr(process, "eliminate", spy)
+    return calls
+
+
+@pytest.mark.parametrize("subject, ordering, skip_zero", [
+    (matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]]), (3, 1, 2), False),
+    # v = (1, 0, 1): the Gram matrix has a zero row and column, whose pivot is skipped
+    (gram_from_factor([[1, 0, 1]]), None, True),
+    (gram_from_factor([[1.0, 0.0, 1.0]]), (2, 3, 1), True),
+])
+def test_states_are_swept_once_on_first_read(monkeypatch, subject, ordering, skip_zero):
+    calls = spy_on_eliminate(monkeypatch)
+    trace = run_process(subject, ordering=ordering)
+    assert [kwargs for _, kwargs in calls] == [{"skip_zero": skip_zero}]
+    swept = calls[0][0]
+    source = getattr(subject, "gram", subject)
+    idx = [p - 1 for p in ordering or range(1, 4)]
+    assert swept.entries.tolist() == source.entries[idx][:, idx].tolist()
+    for t in (0, 4):
+        with pytest.raises(ParameterOutOfRange):
+            trace.snapshot(t)
+    assert len(calls) == 1
+    first = trace.snapshot(2)
+    assert len(calls) == 2
+    assert calls[1][0] is swept and calls[1][1] == {"skip_zero": skip_zero, "keep": True}
+    assert trace.snapshots[1] is first and trace.snapshot(1) == swept
+    assert trace.snapshot(3).diagonal() == trace.pivots
+    assert len(calls) == 2
+    assert (0 in trace.pivots[:-1]) == skip_zero  # a Gram input skips a step
+
+
+def test_the_swept_matrix_is_no_part_of_the_trace_value():
+    m = matrix([[1, 2], [3, 4]])
+    trace, again = run_process(m, ordering=(2, 1)), run_process(m, ordering=(2, 1))
+    assert trace.snapshots  # kept in the instance's __dict__, beside the fields
+    assert trace == again and hash(trace) == hash(again)
+    assert "_swept" not in repr(trace) and "snapshots" not in repr(trace)
+    assert trace != run_process(m)
+
+
+@pytest.mark.parametrize("ordering", [(1, "a", 3), (None, 1, 2), (1, 2.5, "3"), ([1], 2, 3)])
+def test_ordering_of_mixed_types_is_refused(ordering):
+    with pytest.raises(ParameterOutOfRange, match=re.escape(f"ordering {ordering} is not a permutation")):
+        run_process(ones(3), ordering=ordering)
 
 
 def test_recursive_u_equals_process_final_state():
@@ -115,7 +169,7 @@ def test_recursive_u_equals_process_final_state():
     for _ in range(30):
         n = rng.randint(1, 8)
         m = positive_matrix(rng, n)
-        trace = run_process(m, keep_snapshots=True)
+        trace = run_process(m)
         u = recursive_u(m)
         assert u.entries.tolist() == trace.snapshot(n).entries.tolist()
         assert tuple(u.entries[t][t] for t in range(n)) == trace.pivots
@@ -242,7 +296,7 @@ def test_gaussian_variant_reproduces_determinant():
 
 def test_gaussian_variant_final_matrix_lower_triangular():
     m = nonzero_leading_minors_matrix(random.Random(49), 4)
-    trace = run_gaussian_variant(m, keep_snapshots=True)
+    trace = run_gaussian_variant(m)
     final = trace.snapshot(4).entries
     for i in range(4):
         for j in range(i + 1, 4):
@@ -262,7 +316,7 @@ def test_gaussian_variant_determinant_ratio_invariant():
     for _ in range(12):
         n = 5
         m = nonzero_leading_minors_matrix(rng, n)
-        trace = run_gaussian_variant(m, keep_snapshots=True)
+        trace = run_gaussian_variant(m)
         for t in range(1, n + 1):
             snap = trace.snapshot(t).entries
             for i in range(1, n + 1):

@@ -287,7 +287,7 @@ def test_process_trailing_blocks_stay_psd():
     for _ in range(10):
         n = rng.randint(2, 5)
         g = gram_instance(rng, n)
-        trace = run_process(g, keep_snapshots=True)
+        trace = run_process(g)
         for t in range(1, n + 1):
             r = range(t, n + 1)
             block = select(trace.snapshot(t), r, r)

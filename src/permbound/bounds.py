@@ -31,7 +31,7 @@ from .errors import (
     ZeroPermanent,
     ZeroPivot,
 )
-from .matcore import Matrix, permanent_ryser, select, sorted_indices
+from .matcore import Matrix, is_int, permanent_ryser, select, sorted_indices
 from .process import ProcessTrace, cross_sums, recursive_u, run_process
 from .scalars import (
     FLOAT64, RATIONAL, Scalar, SidePair, coerce, eq_scalar, first_failure, first_strict_failure,
@@ -47,19 +47,19 @@ class BoundFunction:
     M: Scalar
 
     def __post_init__(self):
-        if self.n < 1:
+        if not (is_int(self.n) and self.n >= 1):
             raise ParameterOutOfRange(f"n = {self.n} must be >= 1")
         if self.M < 1:
             raise ParameterOutOfRange(f"M = {self.M} must be >= 1")
 
     def __call__(self, k: int, t: int) -> Scalar:
-        if k < 1 or t < 1:
+        if not (is_int(k) and is_int(t) and k >= 1 and t >= 1):
             raise ParameterOutOfRange(f"k = {k}, t = {t} must be >= 1")
         return math.factorial(self.n) * self.M ** (self.n + k) * (self.M + 1) ** (t - 1)
 
     def gamma(self, m: int) -> Scalar:
         """gamma_m = m! * M^m, the dimension-m permanent cap."""
-        if m < 0:
+        if not (is_int(m) and m >= 0):
             raise ParameterOutOfRange(f"m = {m} must be >= 0")
         return math.factorial(m) * self.M ** m
 
@@ -219,9 +219,9 @@ def cycle_sum_ratio(x: BoundedInput, t: int, s: Iterable[int], i0: int) -> SideP
     ss = sorted_indices(s)
     if len(ss) < 2:
         raise ParameterOutOfRange(f"|S| = {len(ss)} must be >= 2")
-    if t < 1 or ss[0] <= t or ss[-1] > n:
-        raise ParameterOutOfRange(f"S = {ss} must lie within {{{t + 1}, ..., {n}}}")
-    if i0 not in ss:
+    if not (is_int(t) and 1 <= t < ss[0]) or ss[-1] > n:
+        raise ParameterOutOfRange(f"S = {ss} must lie within {{t + 1, ..., {n}}} at t = {t}")
+    if not is_int(i0) or i0 not in ss:
         raise ParameterOutOfRange(f"i0 = {i0} is not in S = {ss}")
     snapshot = x.trace.snapshot(t)
     try:
@@ -290,7 +290,7 @@ def perm_ratio_check(x: BoundedInput, s: Iterable[int], i: int, j: int) -> SideP
     ss = sorted_indices(s)
     if ss and ss[-1] > n:
         raise ParameterOutOfRange(f"S = {ss} must lie within [1, {n}]")
-    if i in ss or j in ss or not (1 <= i <= n and 1 <= j <= n):
+    if not (is_int(i) and is_int(j) and 1 <= i <= n and 1 <= j <= n) or i in ss or j in ss:
         raise ParameterOutOfRange(f"i = {i}, j = {j} must lie in [1, {n}] outside S")
     den = permanent_ryser(select(a, ss, ss))
     if den == 0:
@@ -304,7 +304,7 @@ def perm_ratio_check(x: BoundedInput, s: Iterable[int], i: int, j: int) -> SideP
 def _exp_powers(n: int, c) -> tuple[Scalar, str, list]:
     """Check n >= 1 and c > 0; return c, its kind (float64 for a float c,
     else rational) and the powers [c^0, c^-1, ..., c^-(n-1)]."""
-    if n < 1:
+    if not (is_int(n) and n >= 1):
         raise ParameterOutOfRange(f"n = {n} must be >= 1")
     if isinstance(c, float):
         cc, kind = c, FLOAT64

@@ -34,7 +34,9 @@ n; past them a float pivot may differ from it in the last bits.
 Conventions
 -----------
 * All row/column indices taken by the public API are 1-based, matching the
-  usual mathematical notation a_{i,j}, A(S, T), A(-S, -T).  Storage is one
+  usual mathematical notation a_{i,j}, A(S, T), A(-S, -T).  Every index,
+  size and step the package takes passes `is_int`; any other value raises
+  what an out-of-range value of that argument raises.  Storage is one
   read-only 0-based ndarray (`Matrix.entries`): float64, or object dtype
   holding Fractions and ints.
 * per(A(0x0)) = det(A(0x0)) = 1 by convention, so empty selections behave
@@ -61,6 +63,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidGram,
     NotSquare,
+    ParameterOutOfRange,
     ZeroPivot,
 )
 from .scalars import FLOAT64, RATIONAL, Scalar, coerce, one, quotient, zero
@@ -135,14 +138,13 @@ class Matrix:
     def _integer_rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Integer rows and row scales (row i is ints[i] / scales[i]), read on first use and kept.
 
-        A cut of an exact source, or of a float one that keeps its rows, takes
-        the source's row slices and scales as they are, not reduced; otherwise
-        these are the `integer_rows` of the entries.  An inf or nan entry
-        raises OverflowError or ValueError on every call; nothing is kept then.
+        A cut of an exact source takes the source's row slices and scales as
+        they are, not reduced; otherwise these are the `integer_rows` of the
+        entries.  An inf or nan entry raises OverflowError or ValueError on
+        every call; nothing is kept then.
         """
         if self._rows is None:
-            if self._source is not None and (self._kind == RATIONAL
-                                             or self._source[0]._rows is not None):
+            if self._source is not None and self._kind == RATIONAL:
                 source, rs, cs = self._source
                 ints, scales = source._integer_rows()
                 self._rows = (tuple(tuple(map(ints[i].__getitem__, cs)) for i in rs),
@@ -186,13 +188,13 @@ class Matrix:
 
     def row(self, i: int) -> tuple[Scalar, ...]:
         """Row i, 1-based."""
-        if not (_is_int(i) and 1 <= i <= self.nrows):
+        if not (is_int(i) and 1 <= i <= self.nrows):
             raise IndexOutOfRange(f"row {i} outside [1, {self.nrows}]")
         return tuple(self.entries[i - 1].tolist())
 
     def col(self, j: int) -> tuple[Scalar, ...]:
         """Column j, 1-based."""
-        if not (_is_int(j) and 1 <= j <= self.ncols):
+        if not (is_int(j) and 1 <= j <= self.ncols):
             raise IndexOutOfRange(f"column {j} outside [1, {self.ncols}]")
         return tuple(self.entries[:, j - 1].tolist())
 
@@ -202,7 +204,7 @@ class Matrix:
 
     def entry(self, i: int, j: int) -> Scalar:
         """Entry a_{i,j}, 1-based."""
-        if not (_is_int(i) and _is_int(j) and 1 <= i <= self.nrows and 1 <= j <= self.ncols):
+        if not (is_int(i) and is_int(j) and 1 <= i <= self.nrows and 1 <= j <= self.ncols):
             raise IndexOutOfRange(f"entry ({i}, {j}) outside {self.nrows}x{self.ncols}")
         return self.entries.item(i - 1, j - 1)
 
@@ -231,6 +233,8 @@ def matrix(rows: Sequence[Sequence], kind: str | None = None) -> Matrix:
 
 
 def ones(n: int, kind: str = RATIONAL) -> Matrix:
+    if not (is_int(n) and n >= 0):
+        raise ParameterOutOfRange(f"n = {n} must be >= 0")
     return Matrix(np.full((n, n), one(kind)), kind)
 
 
@@ -278,8 +282,8 @@ def add(a: Matrix, b: Matrix) -> Matrix:
         return Matrix(a.entries + b.entries, a.kind)
 
 
-def _is_int(i) -> bool:
-    """Whether i may be a 1-based index: an int, and not a bool."""
+def is_int(i) -> bool:
+    """Whether i may be an index, size or step: an int and not a bool, so no float or numpy int."""
     return isinstance(i, int) and type(i) is not bool
 
 
@@ -291,7 +295,7 @@ def sorted_indices(items: Iterable[int]) -> tuple[int, ...]:
     except TypeError:  # items that do not compare are not all ints: the loop refuses one
         pass
     for i in idx:
-        if not _is_int(i) or i < 1:
+        if not is_int(i) or i < 1:
             raise IndexOutOfRange(f"index {i!r} is not a positive integer")
     return tuple(dict.fromkeys(idx))
 

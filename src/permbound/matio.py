@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFinite, ParseError
-from .matcore import Matrix, matmul, transpose
+from .matcore import Matrix, is_int, matmul, transpose
 from .psd import GramMatrix, gram_from_factor
 from .scalars import FLOAT64, RATIONAL, coerce, format_scalar, to_float64
 
@@ -164,7 +164,7 @@ def parse_json_text(text: str, matrix_id: str = "stdin") -> ParsedMatrix:
         raise ParseError(f"invalid json: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("json matrix file must be an object")
-    if type(doc.get("n")) is not int or "entries" not in doc:  # not true, 3.0 or "3"
+    if not is_int(doc.get("n")) or "entries" not in doc:  # not true, 3.0 or "3"
         raise ParseError("json matrix file needs integer 'n' and 'entries'")
     n, entries = doc["n"], doc["entries"]
     if not isinstance(entries, list):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, NegativeEntry
-from .matcore import Matrix, add, matmul, permanent_minors, permanent_ryser, select
+from .matcore import Matrix, add, is_int, matmul, permanent_minors, permanent_ryser, select
 from .perminv import permanental_inverse
 from .scalars import Scalar, SidePair, eq_scalar, leq_scalar, zero
 
@@ -32,7 +32,7 @@ class BlockSplit:
 
     def __post_init__(self):
         n = self.source.n
-        if not 0 <= self.d < n:
+        if not (is_int(self.d) and 0 <= self.d < n):
             raise DimensionMismatch(f"block size d = {self.d} outside [0, {n - 1}]")
 
     @property
@@ -119,7 +119,7 @@ def row_uncrossing_sides(split: BlockSplit, i_star: int) -> SidePair:
     if not a.is_nonneg():
         raise NegativeEntry("row-uncrossing requires a non-negative matrix")
     d, k, n = split.d, split.k, split.n
-    if not 1 <= i_star <= k:
+    if not (is_int(i_star) and 1 <= i_star <= k):
         raise DimensionMismatch(f"i_star = {i_star} outside [1, {k}]")
     per_a, minors = permanent_minors(a)
     lhs = per_a * permanent_ryser(split.b)

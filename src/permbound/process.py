@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NegativeEntry, NotSquare, ParameterOutOfRange, ZeroPivot
-from .matcore import DTYPES, Matrix, eliminate, matmul, scaled_product
+from .matcore import DTYPES, Matrix, eliminate, is_int, matmul, scaled_product
 from .psd import GramMatrix
 from .scalars import FLOAT64, Scalar, zero
 
@@ -64,7 +64,7 @@ class ProcessTrace:
 
     def snapshot(self, t: int) -> Matrix:
         """A^(t), 1-based."""
-        if type(t) is bool or not isinstance(t, int) or not 1 <= t <= self.n:
+        if not (is_int(t) and 1 <= t <= self.n):
             raise ParameterOutOfRange(f"snapshot index {t} outside [1, {self.n}]")
         return self.snapshots[t - 1]
 
@@ -73,11 +73,7 @@ def _check_ordering(ordering, n: int) -> tuple[int, ...] | None:
     if ordering is None:
         return None
     perm = tuple(ordering)
-    try:
-        ok = bool not in map(type, perm) and sorted(perm) == list(range(1, n + 1))
-    except TypeError:  # entries that do not compare, such as an int and a str
-        ok = False
-    if not ok:
+    if not (all(map(is_int, perm)) and sorted(perm) == list(range(1, n + 1))):
         raise ParameterOutOfRange(f"ordering {perm} is not a permutation of 1..{n}")
     return perm
 

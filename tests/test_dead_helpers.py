@@ -1,7 +1,8 @@
 """Every private module-level name in permbound is referred to somewhere in
 it, and only in the module that defines it; every public function and class
-has a caller outside the tests; and only `matcore` multiplies matrices with
-the `@` operator, so one guard decides when a product stands in for a sum.
+has a caller outside the tests; only `matcore` multiplies matrices with
+the `@` operator, so one guard decides when a product stands in for a sum;
+and only `matcore.is_int` decides what an integer argument is.
 
 A function, class or constant whose name starts with one underscore is
 internal to its module in `src/permbound`: once no module there refers to
@@ -185,6 +186,75 @@ def matrix_products(sources: dict[str, str], owner: str = "matcore.py") -> list[
 def test_only_matcore_multiplies_matrices_with_the_operator():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert matrix_products(sources) == []
+
+
+# the one integer rule, and the two checks of an entry's type that bool and int pass through
+INT_RULE = {("matcore.py", "is_int"), ("matcore.py", "Matrix.__init__"), ("scalars.py", "coerce")}
+
+
+def scoped_nodes(tree: ast.Module):
+    """(dotted name of the innermost enclosing def or class, "" at module level, node)
+    for every node of tree."""
+    stack = [("", tree)]
+    while stack:
+        scope, node = stack.pop()
+        yield scope, node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}".lstrip(".")
+        stack.extend((scope, child) for child in ast.iter_child_nodes(node))
+
+
+def is_bool_or_int(node: ast.AST) -> bool:
+    """node is the name bool or int, or a tuple holding one."""
+    if isinstance(node, ast.Tuple):
+        return any(map(is_bool_or_int, node.elts))
+    return isinstance(node, ast.Name) and node.id in ("bool", "int")
+
+
+def int_type_checks(sources: dict[str, str], allowed=INT_RULE) -> list[str]:
+    """Each test of a value's type against bool or int outside the allowed scopes: a
+    comparison with either name (`type(x) is bool`, `bool not in map(type, xs)`,
+    `type(x) is not int`) or an isinstance or issubclass call naming one."""
+    return sorted(
+        f"{module}: {scope or '<module>'} (line {node.lineno})"
+        for module, text in sources.items()
+        for scope, node in scoped_nodes(ast.parse(text))
+        if (module, scope) not in allowed
+        and (isinstance(node, ast.Compare)
+             and any(map(is_bool_or_int, (node.left, *node.comparators)))
+             or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("isinstance", "issubclass") and len(node.args) == 2
+             and is_bool_or_int(node.args[1]))
+    )
+
+
+def test_only_the_integer_rule_checks_for_bool_or_int():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert int_type_checks(sources) == []
+
+
+def test_integer_check_outside_the_rule_is_reported():
+    sources = {
+        "matcore.py": (
+            "def is_int(i):\n    return isinstance(i, int) and type(i) is not bool\n\n\n"
+            "class Matrix:\n    def __init__(self, t):\n        assert t is not bool\n\n"
+            "    def row(self, i):\n        return issubclass(type(i), (int, float))\n"
+        ),
+        "process.py": (
+            "def snapshot(t, perm):\n"
+            "    a = type(t) is bool\n"
+            "    b = bool not in map(type, perm)\n"
+            "    c = isinstance(t, bool)\n"
+            "    return type(t) is not int or int(t) < 1 or isinstance(t, str)\n"
+        ),
+    }
+    assert int_type_checks(sources) == [
+        "matcore.py: Matrix.row (line 10)",
+        "process.py: snapshot (line 2)",
+        "process.py: snapshot (line 3)",
+        "process.py: snapshot (line 4)",
+        "process.py: snapshot (line 5)",
+    ]
 
 
 def test_matrix_product_outside_matcore_is_reported():

@@ -795,6 +795,7 @@ def test_index_sets_that_sort_report_their_smallest_bad_index(items, message):
     ("row", (2.0,), "row 2.0 outside [1, 2]"),
     ("col", (True,), "column True outside [1, 2]"),
     ("col", (None,), "column None outside [1, 2]"),
+    ("row", (np.int64(1),), "row 1 outside [1, 2]"),
 ])
 def test_accessors_take_no_bool_or_float_for_an_index(accessor, args, message):
     for kind in (RATIONAL, FLOAT64):

@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -103,7 +104,7 @@ def test_first_snapshot_is_input():
     assert trace.snapshot(1).entries.tolist() == m.entries.tolist()
 
 
-@pytest.mark.parametrize("t", [0, 4, -1, True, False, 1.0, "1", None])
+@pytest.mark.parametrize("t", [0, 4, -1, True, False, 1.0, np.int64(1), "1", None])
 def test_snapshot_index_is_an_int_in_one_to_n(t):
     trace = run_process(ones(3))
     with pytest.raises(ParameterOutOfRange, match=re.escape(f"snapshot index {t} outside [1, 3]")):
@@ -158,7 +159,9 @@ def test_the_swept_matrix_is_no_part_of_the_trace_value():
     assert trace != run_process(m)
 
 
-@pytest.mark.parametrize("ordering", [(1, "a", 3), (None, 1, 2), (1, 2.5, "3"), ([1], 2, 3)])
+@pytest.mark.parametrize("ordering", [
+    (1, "a", 3), (None, 1, 2), (1, 2.5, "3"), ([1], 2, 3), (2.0, 1.0, 3.0), (np.int64(2), 1, 3),
+])
 def test_ordering_of_mixed_types_is_refused(ordering):
     with pytest.raises(ParameterOutOfRange, match=re.escape(f"ordering {ordering} is not a permutation")):
         run_process(ones(3), ordering=ordering)

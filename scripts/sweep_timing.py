@@ -51,6 +51,13 @@ of uniform floats, up to 17 significant digits and mostly distinct
 numpy's C tokenizer, and the long literals to a table that converts each
 distinct one once, which hands mostly distinct files (csv-20sig and
 csv-repr) to the C tokenizer once distinct literals pass 1/16 of the cells.
+Last it prints the best of k `permanent_tensor` timings on a random
+rational Gram factor ("tensor", the sum over subsets of the columns) at
+(n, d) = (4, 3), (5, 3) and (5, 6), and the best of k `cycle_sum_ratio`
+timings ("cycle-sum", with n = |S|: the path sum over subsets of S, plus
+the denominator's `permanent_ryser`) at t = 1 and S = {2, ..., |S| + 1}
+on a random unit-diagonal matrix, at |S| = 6, 7 and 8; the process those
+checks read is run before the first timing.
 
 Usage: python scripts/sweep_timing.py [--repeat 5] [--rational-sizes 6 7 ... 14]
                                       [--float-sizes 64 128 256 512] [--seed 0]
@@ -71,12 +78,17 @@ from pathlib import Path
 import numpy as np
 
 from permbound import (
-    FLOAT64, Matrix, RATIONAL, alpha_coefficients, cli, diag_dominance_certify, gram_from_factor,
-    parse_csv_text, permanent_ryser, permanental_inverse, run_process, select,
+    FLOAT64, BoundedInput, Matrix, RATIONAL, alpha_coefficients, cli, cycle_sum_ratio,
+    diag_dominance_certify, gram_from_factor, parse_csv_text, permanent_ryser,
+    permanent_tensor, permanental_inverse, run_process, select,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles import numpy_sweep  # noqa: E402  (the tests' per-step reference sweep)
+from randmat import gram_instance, unit_diag_matrix  # noqa: E402
+
+TENSOR_SIZES = ((4, 3), (5, 3), (5, 6))
+CYCLE_SIZES = (6, 7, 8)
 
 
 def rational_matrix(rng, n):
@@ -222,6 +234,17 @@ def main():
                 ms, _ = best_ms(lambda: parse_csv_text(text, label, lambda rows: FLOAT64),
                                 args.repeat)
                 print(f"{label:>13} {n:>4} {ms:>10.3f}")
+    sums_rng = random.Random(args.seed)
+    for n, d in TENSOR_SIZES:
+        g = gram_instance(sums_rng, n, d)
+        ms, _ = best_ms(lambda: permanent_tensor(g), args.repeat)
+        print(f"{'tensor':>13} {n:>4} {ms:>10.3f}  d = {d}")
+    for k in CYCLE_SIZES:
+        x = BoundedInput(unit_diag_matrix(sums_rng, k + 1, 2), Fraction(2))
+        s = tuple(range(2, k + 2))
+        x.trace.snapshot(1)
+        ms, chk = best_ms(lambda: cycle_sum_ratio(x, 1, s, 2), args.repeat)
+        print(f"{'cycle-sum':>13} {k:>4} {ms:>10.3f}  {'holds' if chk.holds else 'fails'}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ function B(n, k, t) = n! * M^(n+k) * (M+1)^(t-1) with its entry/ratio/cycle
 checks on one checked `BoundedInput` and their case generators, and the
 product-of-absolute-row-sums baseline.  Row sums and cycle sums run on
 `integer_rows` and divide once, so a float64 value is the exact one
-rounded once.
+rounded once.  The cycle sum over S is a sum over paths through subsets of
+S (Held and Karp), 2^(k-1) (k-1)^2 products for |S| = k in place of the
+(k-1)! k of one product per cycle.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable
 
 import numpy as np
@@ -31,7 +33,7 @@ from .errors import (
     ZeroPermanent,
     ZeroPivot,
 )
-from .matcore import Matrix, is_int, permanent_ryser, select, sorted_indices
+from .matcore import Matrix, is_int, permanent_ryser, select
 from .process import ProcessTrace, cross_sums, recursive_u, run_process
 from .scalars import (
     FLOAT64, RATIONAL, Scalar, SidePair, coerce, eq_scalar, first_failure, first_strict_failure,
@@ -198,10 +200,37 @@ def entry_bound_check(x: BoundedInput):
     return None
 
 
-def _full_cycles(k: int):
-    """All k-cycles on {0, ..., k-1}, each as its visiting order from 0; (k-1)! of them."""
-    for tail in permutations(range(1, k)):
-        yield (0, *tail, 0)
+def _index_set(s: Iterable[int], low: int, n: int) -> tuple[int, ...]:
+    """S sorted and deduplicated; ParameterOutOfRange naming S unless each
+    member is an int (`is_int`) in [low, n]."""
+    members = tuple(s)
+    if not all(is_int(m) and low <= m <= n for m in members):
+        raise ParameterOutOfRange(f"S = {members} must lie within {{{low}, ..., {n}}}")
+    return tuple(sorted(set(members)))
+
+
+def _cycle_total(a: list[list[int]]) -> int:
+    """Sum over the full cycles sigma of {0, ..., k-1} of prod_i a[i][sigma(i)].
+
+    Each cycle is a path from 0 through every other member and back:
+    paths[T][j] sums the products along the paths from 0 through the set T
+    that end at j (T a bit mask, member j its bit j-1), and each path is
+    extended by every member it has not visited.
+    """
+    k = len(a)
+    full = (1 << (k - 1)) - 1
+    others = [(m, 1 << (m - 1)) for m in range(1, k)]
+    paths = [[0] * k for _ in range(full + 1)]
+    for m, bit in others:
+        paths[bit][m] = a[0][m]
+    for mask in range(1, full):  # every subset comes before its supersets
+        for j, f in enumerate(paths[mask]):
+            if f:
+                row = a[j]
+                for m, bit in others:
+                    if not mask & bit:
+                        paths[mask | bit][m] += f * row[m]
+    return sum(f * a[j][0] for j, f in enumerate(paths[full]))
 
 
 def cycle_sum_ratio(x: BoundedInput, t: int, s: Iterable[int], i0: int) -> SidePair:
@@ -212,15 +241,18 @@ def cycle_sum_ratio(x: BoundedInput, t: int, s: Iterable[int], i0: int) -> SideP
 
     The cycle products are summed on the `integer_rows` of the S x S block
     and divided once, so a float numerator is the exact sum rounded once (nan
-    for an inf or nan entry, as in `permanent_ryser`).  S must lie in
-    {t+1, ..., n} with |S| >= 2 and i0 in S.  lhs is the ratio, rhs the cap.
+    for an inf or nan entry, as in `permanent_ryser`).  The sum runs over
+    paths from S's first member through subsets of S, closed back to it:
+    2^(|S|-1) (|S|-1)^2 products, not one product per (|S|-1)! cycles.  S
+    must lie in {t+1, ..., n} with |S| >= 2 and i0 in S.  lhs is the
+    ratio, rhs the cap.
     """
     n, kind = x.a.n, x.a.kind
-    ss = sorted_indices(s)
+    if not (is_int(t) and 1 <= t < n):
+        raise ParameterOutOfRange(f"t = {t} must lie in [1, {n - 1}]")
+    ss = _index_set(s, t + 1, n)
     if len(ss) < 2:
         raise ParameterOutOfRange(f"|S| = {len(ss)} must be >= 2")
-    if not (is_int(t) and 1 <= t < ss[0]) or ss[-1] > n:
-        raise ParameterOutOfRange(f"S = {ss} must lie within {{t + 1, ..., {n}}} at t = {t}")
     if not is_int(i0) or i0 not in ss:
         raise ParameterOutOfRange(f"i0 = {i0} is not in S = {ss}")
     snapshot = x.trace.snapshot(t)
@@ -229,9 +261,7 @@ def cycle_sum_ratio(x: BoundedInput, t: int, s: Iterable[int], i0: int) -> SideP
     except (OverflowError, ValueError):
         num = math.nan
     else:
-        total = sum(math.prod(ints[i][j] for i, j in zip(order, order[1:]))
-                    for order in _full_cycles(len(ss)))
-        num = quotient(total, math.prod(scales), kind)
+        num = quotient(_cycle_total(ints), math.prod(scales), kind)
     rest = tuple(m for m in ss if m != i0)
     den = permanent_ryser(select(snapshot, rest, rest))
     if den == 0:
@@ -287,9 +317,7 @@ def perm_ratio_check(x: BoundedInput, s: Iterable[int], i: int, j: int) -> SideP
     """
     a = x.a
     n = a.n
-    ss = sorted_indices(s)
-    if ss and ss[-1] > n:
-        raise ParameterOutOfRange(f"S = {ss} must lie within [1, {n}]")
+    ss = _index_set(s, 1, n)
     if not (is_int(i) and is_int(j) and 1 <= i <= n and 1 <= j <= n) or i in ss or j in ss:
         raise ParameterOutOfRange(f"i = {i}, j = {j} must lie in [1, {n}] outside S")
     den = permanent_ryser(select(a, ss, ss))

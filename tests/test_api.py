@@ -90,8 +90,10 @@ INT_ARGUMENTS = [
     ("BoundFunction.gamma m", ParameterOutOfRange, 1, lambda v: BoundFunction(3, 2).gamma(v)),
     ("cycle_sum_ratio t", ParameterOutOfRange, 1, lambda v: cycle_sum_ratio(X, v, (2, 3), 2)),
     ("cycle_sum_ratio i0", ParameterOutOfRange, 2, lambda v: cycle_sum_ratio(X, 1, (2, 3), v)),
+    ("cycle_sum_ratio S", ParameterOutOfRange, 3, lambda v: cycle_sum_ratio(X, 1, (2, v), 2)),
     ("perm_ratio_check i", ParameterOutOfRange, 1, lambda v: perm_ratio_check(X, (), v, 2)),
     ("perm_ratio_check j", ParameterOutOfRange, 1, lambda v: perm_ratio_check(X, (), 2, v)),
+    ("perm_ratio_check S", ParameterOutOfRange, 1, lambda v: perm_ratio_check(X, (v,), 2, 3)),
     ("exp_family n", ParameterOutOfRange, 1, lambda v: exp_family(v, 2)),
     ("ones n", ParameterOutOfRange, 1, ones),
     # json has no numpy int: default=str writes one as the string "1"

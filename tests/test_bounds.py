@@ -15,7 +15,6 @@ from permbound import (
     BoundedInput,
     ConditionViolated,
     DimensionMismatch,
-    IndexOutOfRange,
     Matrix,
     NegativeEntry,
     NonFinite,
@@ -301,13 +300,30 @@ def test_cycle_sum_and_perm_ratio_validation():
         perm_ratio_check(x, (5,), 1, 2)  # S past n
 
 
-@pytest.mark.parametrize("s", [(2, "a"), (None, 2, 3), (2, 3.5)])
+def outside(s, span):
+    return pytest.raises(ParameterOutOfRange, match=re.escape(f"S = {s} must lie within {span}"))
+
+
+@pytest.mark.parametrize("s", [(2, "a"), (None, 2, 3), (2, 3.5), (True, 3), (3, 0), (3, -1),
+                               (3, 5)])
 def test_cycle_sum_and_perm_ratio_refuse_an_index_set_of_mixed_types(s):
+    # a member that is no int, below 1 or above n raises one class, naming S, from either check
     x = BoundedInput(unit_diag_matrix(random.Random(66), 4, 1), Fraction(1))
-    with pytest.raises(IndexOutOfRange, match="is not a positive integer"):
+    with outside(s, "{2, ..., 4}"):
         cycle_sum_ratio(x, 1, s, 2)
-    with pytest.raises(IndexOutOfRange, match="is not a positive integer"):
+    with outside(s, "{1, ..., 4}"):
         perm_ratio_check(x, s, 2, 3)
+
+
+def test_cycle_sum_ratio_refuses_a_member_at_or_below_t():
+    x = BoundedInput(unit_diag_matrix(random.Random(66), 5, 1), Fraction(1))
+    for s in ((2, 4), (3, 4), (1, 5)):
+        with outside(s, "{4, ..., 5}"):
+            cycle_sum_ratio(x, 3, s, 4)
+    assert cycle_sum_ratio(x, 3, (4, 5), 4).holds
+    for t in (0, 5, 6):
+        with pytest.raises(ParameterOutOfRange, match=re.escape(f"t = {t} must lie in [1, 4]")):
+            cycle_sum_ratio(x, t, (4, 5), 4)
 
 
 def test_cycle_sum_ratio_holds_on_random_instances():
@@ -361,6 +377,33 @@ def test_float_cycle_sum_is_the_exact_sum_rounded_once():
         rounded = float(fraction_cycle_sum(snapshot, s))
         den = permanent_ryser(select(snapshot, s[1:], s[1:]))
         assert cycle_sum_ratio(floats, t, s, s[0]).lhs == rounded / den
+
+
+def test_cycle_path_sum_equals_the_fraction_loop_up_to_eight_members():
+    # |S| = 2..8 at the first and the last step S allows, on blocks with zero entries, in
+    # both kinds: the rational ratio is the loop's, the float numerator the loop's rounded once
+    rng = random.Random(74)
+    n = 9
+    rows = unit_diag_matrix(rng, n, 2, max_den=6).entries.tolist()
+    for i, j in rng.sample([(i, j) for i in range(n) for j in range(n) if i != j], 16):
+        rows[i][j] = Fraction(0)
+    exact = BoundedInput(Matrix(rows, RATIONAL), Fraction(2))
+    floats = BoundedInput(to_kind(exact.a, FLOAT64), 2.0)
+    zeros = 0
+    for size in range(2, 9):
+        for t in (1, n - size):
+            s = tuple(sorted(rng.sample(range(t + 1, n + 1), size)))
+            i0 = rng.choice(s)
+            rest = tuple(m for m in s if m != i0)
+            snapshot = exact.trace.snapshot(t)
+            zeros += sum(snapshot.entry(i, j) == 0 for i in s for j in s)
+            want = fraction_cycle_sum(snapshot, s) / permanent_naive(select(snapshot, rest, rest))
+            assert cycle_sum_ratio(exact, t, s, i0).lhs == want
+            snapshot = floats.trace.snapshot(t)
+            rounded = float(fraction_cycle_sum(snapshot, s))
+            den = permanent_ryser(select(snapshot, rest, rest))
+            assert cycle_sum_ratio(floats, t, s, i0).lhs == rounded / den
+    assert zeros > 10
 
 
 def test_perm_ratio_holds_on_random_instances():

@@ -2,7 +2,9 @@
 it, and only in the module that defines it; every public function and class
 has a caller outside the tests; only `matcore` multiplies matrices with
 the `@` operator, so one guard decides when a product stands in for a sum;
-and only `matcore.is_int` decides what an integer argument is.
+only `matcore.is_int` decides what an integer argument is; and no module
+enumerates permutations with `itertools.permutations`: the sums over
+orderings (the tensor permanent, the cycle sums) run over subsets.
 
 A function, class or constant whose name starts with one underscore is
 internal to its module in `src/permbound`: once no module there refers to
@@ -263,3 +265,50 @@ def test_matrix_product_outside_matcore_is_reported():
         "process.py": "def g(a, b):\n    c = a @ b\n    c @= b\n    return c\n",
     }
     assert matrix_products(sources) == ["process.py: line 2", "process.py: line 3"]
+
+
+def permutation_loops(sources: dict[str, str]) -> list[str]:
+    """Each import of `itertools.permutations` and each read of it as an attribute of
+    the itertools module, under any name that module is imported as."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "itertools"}
+        found += [
+            f"{module}: line {node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+            and any(alias.name == "permutations" for alias in node.names)
+            or isinstance(node, ast.Attribute) and node.attr == "permutations"
+            and isinstance(node.value, ast.Name) and node.value.id in aliases
+        ]
+    return sorted(found)
+
+
+def test_no_module_enumerates_permutations():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert permutation_loops(sources) == []
+
+
+def test_permutation_loop_is_reported():
+    # the package's own sources with the old loops planted back, beside other spellings
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    sources["psd.py"] += "\n\nfrom itertools import permutations\n"
+    sources["bounds.py"] += "\n\nimport itertools as it\n\norders = list(it.permutations(range(3)))\n"
+    sources["plain.py"] = (
+        "import itertools\n"
+        "from itertools import combinations, permutations as orders\n"
+        "\n"
+        "a = itertools.permutations\n"
+        "b = itertools.combinations(range(3), 2)\n"
+        "c = st.permutations(range(3))\n"
+    )
+    lines = {name: text.count("\n") for name, text in sources.items()}
+    assert permutation_loops(sources) == [
+        f"bounds.py: line {lines['bounds.py']}",
+        "plain.py: line 2",
+        "plain.py: line 4",
+        f"psd.py: line {lines['psd.py']}",
+    ]

@@ -54,7 +54,8 @@ def test_tensor_permanent_matches_ryser():
 
 
 def tensor_loop(cols, d, z):
-    """Reference: the Kronecker-sum tensor permanent in the entries' own arithmetic."""
+    """Reference: the Kronecker-sum tensor permanent in the entries' own arithmetic (z
+    their zero), as a Fraction when that arithmetic is exact."""
     n = len(cols)
     total = [z] * (d ** n)
     for sigma in permutations(range(n)):
@@ -63,7 +64,7 @@ def tensor_loop(cols, d, z):
             vec = [a * b for a in vec for b in cols[sigma[i]]]
         for idx, val in enumerate(vec):
             total[idx] += val
-    return sum((x * x for x in total), start=z) / math.factorial(n)
+    return Fraction(sum((x * x for x in total), start=z)) / math.factorial(n)
 
 
 def test_tensor_permanent_matches_reference_loop():
@@ -91,6 +92,35 @@ def test_tensor_permanent_matches_reference_loop():
         assert type(got) is float
         assert got == float(exact)
     assert math.isnan(permanent_tensor(gram_from_factor([[math.inf, 1.0]])))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_tensor_subset_sum_equals_the_reference_loop_up_to_six_rows(n):
+    # every d <= 6 at this n, without and with a zero column (a zero permanent), in both
+    # kinds: entries p/q with q <= 5 and, for float64, quarters, whose permanent float64
+    # holds exactly; the loop runs on the factor times 60, in ints
+    rng = random.Random(74 + n)
+    for d in range(1, 7):
+        for zero_col in (None, rng.randrange(n)):
+            rational = [[Fraction(rng.randint(-7, 7), rng.randint(1, 5)) * (j != zero_col)
+                         for j in range(n)] for _ in range(d)]
+            quarters = [[rng.randint(-12, 12) / 4 * (j != zero_col) for j in range(n)]
+                        for _ in range(d)]
+            for factor, kind in ((rational, RATIONAL), (quarters, FLOAT64)):
+                g = gram_from_factor(matrix(factor, kind))
+                cols = [[int(Fraction(x) * 60) for x in g.column(j)] for j in range(1, n + 1)]
+                got = permanent_tensor(g)
+                assert type(got) is (Fraction if kind == RATIONAL else float)
+                assert got == tensor_loop(cols, d, 0) / 60 ** (2 * n)
+                assert (got == 0) == any(not any(col) for col in cols)
+
+
+def test_tensor_subset_sum_at_ten_rows_matches_ryser():
+    rng = random.Random(79)
+    for _ in range(3):
+        g = gram_instance(rng, 5, d=10)
+        assert tensor_fits(g)
+        assert permanent_tensor(g) == permanent_ryser(g.gram)
 
 
 def test_tensor_permanent_guard():

@@ -45,7 +45,9 @@ def test_sweep_timing_prints_one_row_per_size():
                     ["alpha", "4"], ["cli-bound", "4"],
                     ["float64", "8"], ["certificate", "8"], ["gram-zero", "8"], ["exp-csv", "8"],
                     ["csv-3dec", "8"], ["csv-20sig", "8"], ["csv-20sig-rep", "8"],
-                    ["csv-repr", "8"]]
+                    ["csv-repr", "8"],
+                    ["tensor", "4"], ["tensor", "5"], ["tensor", "5"],
+                    ["cycle-sum", "6"], ["cycle-sum", "7"], ["cycle-sum", "8"]]
 
 
 def test_sweep_timing_prints_the_float_gap_to_the_per_step_sweep():
